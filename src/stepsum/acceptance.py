@@ -162,13 +162,17 @@ def _op_cases(seed: int):
     ids = np.array([0, 2, 2, 5, 1])
     cases.append(("take", {"table": tb},
                   lambda: ad.sum_all(ad.mul(ad.take(tb, ids), ad.take(tb, ids)))))
-    bt = t(9, 2)
-    labels = np.array([[0, 3, 8], [1, 1, 2]])
+    hs = t(3, 4)
+    cases.append(("reshape_transpose_axes", {"x": hs},
+                  lambda: ad.sum_all(ad.mul(ad.transpose(ad.reshape(hs, (3, 2, 2)), 0, 1),
+                                            ad.transpose(ad.reshape(hs, (3, 2, 2)), 0, 1)))))
+    bt = t(9, 3)
+    labels = np.array([[[0, 3, 8], [1, 1, 2]], [[4, 4, 0], [8, 7, 3]]])
     cases.append(("bias_at", {"table": bt},
-                  lambda: ad.sum_all(ad.mul(ad.bias_at(bt, labels, 1),
-                                            ad.bias_at(bt, labels, 1)))))
+                  lambda: ad.sum_all(ad.mul(ad.bias_at(bt, labels),
+                                            ad.bias_at(bt, labels)))))
     pat = band_pattern(6, 2, None)
-    bq, bk, bv = t(6, 4), t(6, 4), t(6, 4)
+    bq, bk, bv = t(2, 6, 4), t(2, 6, 4), t(2, 6, 4)
 
     def banded_loss():
         w = ad.softmax(banded_scores(bq, bk, pat), -1)

@@ -6,6 +6,10 @@ fixed radius. A module-level counter tracks how many (query, key) score
 entries each call actually evaluates, per attention part, which lets tests
 pin the sparse paths to their closed-form pattern sizes. Head count is a
 constant factor and is excluded from the counts.
+
+Heads ride along as an array axis: projections are split into
+[... x heads x len x head_dim] once, every attention part runs on all heads
+at once, and the heads are merged back before the output projection.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .autodiff import (
     linear,
     matmul,
     narrow,
+    reshape,
     scale,
     softmax,
     transpose,
@@ -102,26 +107,6 @@ class AttentionConfig:
         return 2 * self.max_distance + LABEL_OTHER_OFFSET
 
 
-class AttentionMask:
-    """Boolean allowed-pairs matrix; rows with no allowed key are rejected."""
-
-    def __init__(self, allowed: np.ndarray):
-        allowed = np.asarray(allowed, dtype=bool)
-        if allowed.ndim != 2:
-            raise ValueError(f"mask must be 2-D, got shape {allowed.shape}")
-        dead = np.flatnonzero(~allowed.any(axis=1))
-        if dead.size:
-            raise ValueError(f"mask query row {int(dead[0])} has no allowed keys")
-        self.allowed = allowed
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.allowed.shape
-
-    def popcount(self) -> int:
-        return int(self.allowed.sum())
-
-
 class RelPosLabels:
     """Integer label per (query, key) pair; masked pairs may hold any value."""
 
@@ -134,24 +119,10 @@ class RelPosLabels:
         self.label = label
 
 
-def relative_position_bucket(i: int, j: int, max_distance: int) -> int:
-    """Label id for the clipped offset j - i, mapped into [0, 2*max_distance]."""
-    if max_distance < 1:
-        raise ValueError("max_distance must be at least 1")
-    off = max(-max_distance, min(max_distance, j - i))
-    return off + max_distance
-
-
 def bucket_matrix(q_pos: np.ndarray, k_pos: np.ndarray, max_distance: int) -> np.ndarray:
+    """Label per (query, key): the offset k - q clipped into [0, 2*max_distance]."""
     off = np.asarray(k_pos)[None, :] - np.asarray(q_pos)[:, None]
     return np.clip(off, -max_distance, max_distance) + max_distance
-
-
-def local_attention_mask(n: int, radius: int) -> AttentionMask:
-    if n < 1:
-        raise ValueError("sequence length must be at least 1")
-    idx = np.arange(n)
-    return AttentionMask(np.abs(idx[:, None] - idx[None, :]) <= radius)
 
 
 def banded_pair_count(n: int, radius: int) -> int:
@@ -254,64 +225,69 @@ def feed_forward(x: Tensor, p: FfnParams) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def multi_head_attention(q_in: Tensor, k_in: Tensor, v_in: Tensor,
-                         mask: AttentionMask | np.ndarray,
+def split_heads(x: Tensor, num_heads: int, *, keys_last: bool = False) -> Tensor:
+    """[... x len x dim] -> [... x heads x len x head_dim].
+
+    With ``keys_last`` the result is [... x heads x head_dim x len], the
+    right-hand operand of a score matmul.
+    """
+    *lead, n, dim = x.shape
+    if keys_last:
+        return reshape(transpose(x), (*lead, num_heads, dim // num_heads, n))
+    return transpose(reshape(x, (*lead, n, num_heads, dim // num_heads)), -3, -2)
+
+
+def merge_heads(x: Tensor) -> Tensor:
+    """[... x heads x len x head_dim] -> [... x len x heads*head_dim]."""
+    *lead, heads, n, dh = x.shape
+    return reshape(transpose(x, -3, -2), (*lead, n, heads * dh))
+
+
+def multi_head_attention(q_in: Tensor, k_in: Tensor, v_in: Tensor, mask: np.ndarray,
                          params: MhaParams, num_heads: int,
                          labels: RelPosLabels | None = None) -> Tensor:
     """Masked scaled dot-product attention with optional relative-position bias.
 
-    Inputs are [len x dim] or batched [... x len x dim]; the mask must
-    broadcast to the score shape and every query row must keep at least one
-    allowed key. Masked pairs receive a large negative additive term before
-    the softmax, which underflows to an exact zero weight.
+    Inputs are [len x dim] or batched [... x len x dim]; the boolean mask must
+    broadcast to the [... x q_len x k_len] score shape and every query row
+    must keep at least one allowed key. Masked pairs receive a large negative
+    additive term before the softmax, which underflows to an exact zero
+    weight; an all-allowed mask adds nothing.
     """
     dim = q_in.shape[-1]
     if dim % num_heads != 0:
         raise ValueError(f"dim {dim} not divisible by {num_heads} heads")
     dh = dim // num_heads
+    lead = q_in.shape[:-2]
     q_len = q_in.shape[-2]
     k_len = k_in.shape[-2]
 
-    if isinstance(mask, AttentionMask):
-        allowed = mask.allowed
-    else:
-        allowed = np.asarray(mask, dtype=bool)
-        rows = allowed.reshape(-1, allowed.shape[-1])
-        if not rows.any(axis=1).all():
-            raise ValueError("mask contains a query row with no allowed keys")
+    allowed = np.asarray(mask, dtype=bool)
+    dead = np.flatnonzero(~allowed.reshape(-1, allowed.shape[-1]).any(axis=1))
+    if dead.size:
+        raise ValueError(f"mask query row {int(dead[0])} has no allowed keys")
     if allowed.shape[-2:] != (q_len, k_len):
         raise ValueError(f"mask shape {allowed.shape} does not end in ({q_len}, {k_len})")
+    if labels is not None:
+        if params.relpos is None:
+            raise ValueError("labels given but params carry no relpos table")
+        if labels.label.shape != (q_len, k_len):
+            raise ValueError(f"labels shape {labels.label.shape} != ({q_len}, {k_len})")
 
-    batch = int(np.prod(q_in.shape[:-2], dtype=np.int64)) if q_in.data.ndim > 2 else 1
-    score_counter.add("dense", batch * q_len * k_len)
+    score_counter.add("dense", int(np.prod(lead, dtype=np.int64)) * q_len * k_len)
 
-    score_shape = q_in.shape[:-2] + (q_len, k_len)
-    additive = np.where(np.broadcast_to(allowed, score_shape), 0.0, MASK_NEG)
+    q = split_heads(linear(q_in, params.wq, params.bq), num_heads)
+    k_t = split_heads(linear(k_in, params.wk, params.bk), num_heads, keys_last=True)
+    v = split_heads(linear(v_in, params.wv, params.bv), num_heads)
 
-    q = linear(q_in, params.wq, params.bq)
-    k = linear(k_in, params.wk, params.bk)
-    v = linear(v_in, params.wv, params.bv)
-
-    heads = []
-    for h in range(num_heads):
-        qh = narrow(q, -1, h * dh, dh)
-        kh = narrow(k, -1, h * dh, dh)
-        vh = narrow(v, -1, h * dh, dh)
-        s = scale(matmul(qh, transpose(kh)), 1.0 / math.sqrt(dh))
-        if labels is not None:
-            if params.relpos is None:
-                raise ValueError("labels given but params carry no relpos table")
-            if labels.label.shape != (q_len, k_len):
-                raise ValueError(
-                    f"labels shape {labels.label.shape} != ({q_len}, {k_len})"
-                )
-            bias = bias_at(params.relpos, np.broadcast_to(labels.label, score_shape),
-                           h)
-            s = add(s, bias)
-        s = add_const(s, additive)
-        a = softmax(s, axis=-1)
-        heads.append(matmul(a, vh))
-    return linear(concat(heads, axis=-1), params.wo, params.bo)
+    s = scale(matmul(q, k_t), 1.0 / math.sqrt(dh))
+    if labels is not None:
+        s = add(s, bias_at(params.relpos,
+                           np.broadcast_to(labels.label, lead + (q_len, k_len))))
+    if not allowed.all():
+        s = add_const(s, np.where(allowed, 0.0, MASK_NEG)[..., None, :, :])
+    heads = matmul(softmax(s, axis=-1), v)
+    return linear(merge_heads(heads), params.wo, params.bo)
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +332,11 @@ class BandPattern:
     def count(self) -> int:
         return int(self.ii.size)
 
+    @property
+    def slots(self) -> np.ndarray:
+        """Flat index of each pair in a row-major [len x (2r+1)] window buffer."""
+        return self.ii * self.width + self.ww
+
 
 def band_pattern(length: int, radius: int, active: np.ndarray | None = None) -> BandPattern:
     offs = np.arange(-radius, radius + 1)
@@ -390,51 +371,66 @@ def band_pattern_for_positions(positions: np.ndarray, radius: int) -> BandPatter
 
 
 def _segment_sum_i(pat: BandPattern, per_pair: np.ndarray) -> np.ndarray:
-    """Sum pair values into query rows (pairs are stored query-major)."""
+    """Sum [heads x pairs x d] values into query rows (pairs are query-major)."""
     if pat.i_starts is not None:
-        return np.add.reduceat(per_pair, pat.i_starts, axis=0)
-    out = np.zeros((pat.length, per_pair.shape[1]))
-    np.add.at(out, pat.ii, per_pair)
+        return np.add.reduceat(per_pair, pat.i_starts, axis=1)
+    out = np.zeros((per_pair.shape[0], pat.length, per_pair.shape[2]))
+    np.add.at(out, (slice(None), pat.ii), per_pair)
     return out
 
 
 def _segment_sum_j(pat: BandPattern, per_pair: np.ndarray) -> np.ndarray:
-    """Sum pair values into key rows via the precomputed key-major order."""
+    """Sum [heads x pairs x d] values into key rows via the key-major order."""
     if pat.j_starts is not None:
-        return np.add.reduceat(per_pair[pat.j_order], pat.j_starts, axis=0)
-    out = np.zeros((pat.length, per_pair.shape[1]))
-    np.add.at(out, pat.jj, per_pair)
+        return np.add.reduceat(np.take(per_pair, pat.j_order, axis=1), pat.j_starts,
+                               axis=1)
+    out = np.zeros((per_pair.shape[0], pat.length, per_pair.shape[2]))
+    np.add.at(out, (slice(None), pat.jj), per_pair)
     return out
 
 
 def banded_scores(q: Tensor, k: Tensor, pat: BandPattern) -> Tensor:
-    """Windowed scores laid out [len x (2r+1)]; absent slots hold the mask value."""
-    if q.shape != k.shape or q.data.ndim != 2 or q.shape[0] != pat.length:
+    """Windowed scores [heads x len x (2r+1)] of [heads x len x d] queries and keys.
+
+    Absent window slots hold the mask value.
+    """
+    if q.shape != k.shape or q.data.ndim != 3 or q.shape[1] != pat.length:
         raise ValueError(f"banded_scores got shapes {q.shape}, {k.shape}")
-    qd, kd = q.data, k.data
-    buf = np.full((pat.length, pat.width), MASK_NEG)
-    buf[pat.ii, pat.ww] = np.einsum("nd,nd->n", qd[pat.ii], kd[pat.jj])
+    heads = q.shape[0]
+    qd, kd, slots = q.data, k.data, pat.slots
+    buf = np.full((heads, pat.length * pat.width), MASK_NEG)
+    buf[:, slots] = np.einsum("hnd,hnd->hn", np.take(qd, pat.ii, axis=1),
+                              np.take(kd, pat.jj, axis=1))
 
     def back(g, accum):
-        gpairs = g[pat.ii, pat.ww][:, None]
-        accum(q, _segment_sum_i(pat, gpairs * kd[pat.jj]))
-        accum(k, _segment_sum_j(pat, gpairs * qd[pat.ii]))
+        gpairs = g.reshape(heads, -1)[:, slots][..., None]
+        accum(q, _segment_sum_i(pat, gpairs * np.take(kd, pat.jj, axis=1)))
+        accum(k, _segment_sum_j(pat, gpairs * np.take(qd, pat.ii, axis=1)))
 
-    return apply_op(buf, (q, k), back, what="banded_scores")
+    return apply_op(buf.reshape(heads, pat.length, pat.width), (q, k), back,
+                    what="banded_scores")
 
 
 def banded_apply(weights: Tensor, v: Tensor, pat: BandPattern) -> Tensor:
-    """Weighted sum of windowed values: out[i] = sum_w weights[i, w] * v[j(i, w)]."""
-    if weights.shape != (pat.length, pat.width) or v.shape[0] != pat.length:
+    """Weighted sum of windowed values per head.
+
+    ``out[h, i] = sum_w weights[h, i, w] * v[h, j(i, w)]`` for [heads x len x
+    (2r+1)] weights and [heads x len x d] values.
+    """
+    heads = v.shape[0]
+    if (weights.shape != (heads, pat.length, pat.width) or v.data.ndim != 3
+            or v.shape[1] != pat.length):
         raise ValueError(f"banded_apply got shapes {weights.shape}, {v.shape}")
-    wd, vd = weights.data, v.data
-    out = _segment_sum_i(pat, wd[pat.ii, pat.ww][:, None] * vd[pat.jj])
+    wd, vd, slots = weights.data, v.data, pat.slots
+    wpairs = wd.reshape(heads, -1)[:, slots][..., None]
+    out = _segment_sum_i(pat, wpairs * np.take(vd, pat.jj, axis=1))
 
     def back(g, accum):
-        gw = np.zeros_like(wd)
-        gw[pat.ii, pat.ww] = np.einsum("nd,nd->n", g[pat.ii], vd[pat.jj])
-        accum(weights, gw)
-        accum(v, _segment_sum_j(pat, wd[pat.ii, pat.ww][:, None] * g[pat.ii]))
+        gi = np.take(g, pat.ii, axis=1)
+        gw = np.zeros((heads, pat.length * pat.width))
+        gw[:, slots] = np.einsum("hnd,hnd->hn", gi, np.take(vd, pat.jj, axis=1))
+        accum(weights, gw.reshape(wd.shape))
+        accum(v, _segment_sum_j(pat, wpairs * gi))
 
     return apply_op(out, (weights, v), back, what="banded_apply")
 
@@ -505,61 +501,46 @@ def glocal_attention(long: Tensor, glob: Tensor, sentence_id: np.ndarray,
     else:
         score_counter.add("global", G * G)
 
-    dh = cfg.head_dim
-    inv_sqrt = 1.0 / math.sqrt(dh)
+    H, W = cfg.num_heads, pat.width
+    ql = split_heads(linear(long, params.wq, params.bq), H)
+    kl = split_heads(linear(long, params.wk, params.bk), H)
+    vl = split_heads(linear(long, params.wv, params.bv), H)
+    qg = split_heads(linear(glob, params.wq, params.bq), H)
+    kg_t = split_heads(linear(glob, params.wk, params.bk), H, keys_last=True)
+    vg = split_heads(linear(glob, params.wv, params.bv), H)
+    inv_sqrt = 1.0 / math.sqrt(cfg.head_dim)
 
-    ql = linear(long, params.wq, params.bq)
-    kl = linear(long, params.wk, params.bk)
-    vl = linear(long, params.wv, params.bv)
-    qg = linear(glob, params.wq, params.bq)
-    kg = linear(glob, params.wk, params.bk)
-    vg = linear(glob, params.wv, params.bv)
-
+    # Each stream's query rows take one softmax over [its own part | the
+    # other stream]; labels and masks are laid out the same way.
     l2g_labels = membership_labels(sentence_id, G, cfg)
-    g2l_labels = l2g_labels.T
-    g2g_labels = bucket_matrix(np.arange(G), np.arange(G), cfg.max_distance)
-    lband_labels = band_labels(pat, cfg.max_distance)
+    long_labels = np.concatenate([band_labels(pat, cfg.max_distance), l2g_labels], axis=1)
+    glob_labels = np.concatenate(
+        [bucket_matrix(np.arange(G), np.arange(G), cfg.max_distance), l2g_labels.T], axis=1)
+    linked = active & enable_long_global  # long rows that exchange attention with globals
 
-    # additive masks (0 where allowed)
-    l2g_add = np.where(active[:, None] & enable_long_global, 0.0, MASK_NEG)
-    l2g_add = np.broadcast_to(l2g_add, (L, G)).copy()
-    g2l_add = np.where(active[None, :] & enable_long_global, 0.0, MASK_NEG)
-    g2l_add = np.broadcast_to(g2l_add, (G, L)).copy()
+    # long stream: band (long_to_long) | globals (long_to_global)
+    s_long = concat([banded_scores(ql, kl, pat), matmul(ql, kg_t)], axis=-1)
+    s_long = add(scale(s_long, inv_sqrt), bias_at(params.relpos, long_labels))
+    if not linked.all():
+        long_mask = np.zeros((L, W + G))
+        long_mask[~linked, W:] = MASK_NEG
+        s_long = add_const(s_long, long_mask)
+    a = softmax(s_long, axis=-1)
+    long_heads = add(banded_apply(narrow(a, -1, 0, W), vl, pat),
+                     matmul(narrow(a, -1, W, G), vg))
 
-    long_heads = []
-    glob_heads = []
-    for h in range(cfg.num_heads):
-        qlh = narrow(ql, -1, h * dh, dh)
-        klh = narrow(kl, -1, h * dh, dh)
-        vlh = narrow(vl, -1, h * dh, dh)
-        qgh = narrow(qg, -1, h * dh, dh)
-        kgh = narrow(kg, -1, h * dh, dh)
-        vgh = narrow(vg, -1, h * dh, dh)
+    # global stream (both halves are the "global" part): globals | long
+    s_glob = concat([matmul(qg, kg_t), matmul(qg, transpose(kl))], axis=-1)
+    s_glob = add(scale(s_glob, inv_sqrt), bias_at(params.relpos, glob_labels))
+    if not linked.all():
+        glob_mask = np.zeros((G, G + L))
+        glob_mask[:, G + np.flatnonzero(~linked)] = MASK_NEG
+        s_glob = add_const(s_glob, glob_mask)
+    ag = softmax(s_glob, axis=-1)
+    glob_heads = add(matmul(narrow(ag, -1, 0, G), vg), matmul(narrow(ag, -1, G, L), vl))
 
-        # long stream: [band | globals] share one softmax per query row
-        s_band = scale(banded_scores(qlh, klh, pat), inv_sqrt)
-        s_band = add(s_band, bias_at(params.relpos, lband_labels, h))
-        s_l2g = scale(matmul(qlh, transpose(kgh)), inv_sqrt)
-        s_l2g = add(s_l2g, bias_at(params.relpos, l2g_labels, h))
-        s_l2g = add_const(s_l2g, l2g_add)
-        a = softmax(concat([s_band, s_l2g], axis=1), axis=-1)
-        out_band = banded_apply(narrow(a, 1, 0, pat.width), vlh, pat)
-        out_l2g = matmul(narrow(a, 1, pat.width, G), vgh)
-        long_heads.append(add(out_band, out_l2g))
-
-        # global stream: [globals | long] share one softmax per query row
-        s_g2g = scale(matmul(qgh, transpose(kgh)), inv_sqrt)
-        s_g2g = add(s_g2g, bias_at(params.relpos, g2g_labels, h))
-        s_g2l = scale(matmul(qgh, transpose(klh)), inv_sqrt)
-        s_g2l = add(s_g2l, bias_at(params.relpos, g2l_labels, h))
-        s_g2l = add_const(s_g2l, g2l_add)
-        ag = softmax(concat([s_g2g, s_g2l], axis=1), axis=-1)
-        out_g2g = matmul(narrow(ag, 1, 0, G), vgh)
-        out_g2l = matmul(narrow(ag, 1, G, L), vlh)
-        glob_heads.append(add(out_g2g, out_g2l))
-
-    long_out = linear(concat(long_heads, axis=-1), params.wo, params.bo)
-    glob_out = linear(concat(glob_heads, axis=-1), params.wo, params.bo)
+    long_out = linear(merge_heads(long_heads), params.wo, params.bo)
+    glob_out = linear(merge_heads(glob_heads), params.wo, params.bo)
     return long_out, glob_out
 
 

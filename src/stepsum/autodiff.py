@@ -8,7 +8,8 @@ which is the inference path.
 
 Broadcasting is deliberately narrow: elementwise ops need equal shapes and
 ``add``/``sub`` additionally accept a trailing-axes operand (bias vectors,
-shared positional rows). Matmul supports 2-D and equal-batch stacked
+shared positional rows); ``add_const`` takes any non-learned constant that
+broadcasts to its operand. Matmul supports 2-D and equal-batch stacked
 operands plus the stacked-by-2-D projection case. Keeping the rules small
 keeps every backward rule auditable.
 """
@@ -58,11 +59,12 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad", "name")
 
-    def __init__(self, data, requires_grad: bool = False, name: str | None = None):
+    def __init__(self, data, requires_grad: bool = False, name: str | None = None, *,
+                 what: str = "tensor construction"):
         arr = np.asarray(data, dtype=np.float64)
         if not arr.flags["C_CONTIGUOUS"]:
             arr = np.ascontiguousarray(arr)  # note: keeps 0-d shapes intact
-        _check_finite(arr, "tensor construction")
+        _check_finite(arr, what)
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
@@ -147,10 +149,10 @@ def apply_op(out_data: np.ndarray, inputs: Sequence[Tensor], backward, *, what: 
 
     ``backward`` receives the output gradient and an accumulator callback
     ``accum(tensor, grad_array)``; it must only route gradients, never touch
-    forward values.
+    forward values. The finite check is the one ``Tensor`` construction runs,
+    reported under the op's name.
     """
-    _check_finite(out_data, what)
-    out = Tensor(out_data)
+    out = Tensor(out_data, what=what)
     tape = active_tape()
     if tape is not None and any(_tracked(tape, t) for t in inputs):
         tape.nodes.append(_Node(id(out), out, backward))
@@ -246,15 +248,11 @@ def scale(a: Tensor, c: float) -> Tensor:
     return apply_op(out, (a,), back, what="scale")
 
 
-def neg(a: Tensor) -> Tensor:
-    return scale(a, -1.0)
-
-
 def add_const(a: Tensor, const: np.ndarray) -> Tensor:
-    """Add a non-learned array (e.g. an additive attention mask)."""
+    """Add a non-learned array (e.g. an additive attention mask) broadcast to ``a``."""
     const = np.asarray(const, dtype=np.float64)
-    if const.shape != a.shape:
-        raise ShapeError(f"add_const shapes differ: {a.shape} vs {const.shape}")
+    if const.ndim > a.data.ndim or np.broadcast_shapes(const.shape, a.shape) != a.shape:
+        raise ShapeError(f"add_const constant {const.shape} does not broadcast to {a.shape}")
     out = a.data + const
 
     def back(g, accum):
@@ -290,13 +288,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return apply_op(out, (a, b), back, what="matmul")
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim < 2:
-        raise ShapeError(f"transpose needs rank >= 2, got {a.shape}")
-    out = np.swapaxes(a.data, -1, -2)
+def transpose(a: Tensor, axis0: int = -2, axis1: int = -1) -> Tensor:
+    """Swap two axes; by default the last two (a matrix transpose)."""
+    nd = a.data.ndim
+    if not (-nd <= axis0 < nd and -nd <= axis1 < nd):
+        raise ShapeError(f"transpose axes ({axis0}, {axis1}) out of range for {a.shape}")
+    out = np.swapaxes(a.data, axis0, axis1)
 
     def back(g, accum):
-        accum(a, np.swapaxes(g, -1, -2))
+        # contiguous, so downstream reductions sum in the same order as for
+        # any other gradient
+        accum(a, np.ascontiguousarray(np.swapaxes(g, axis0, axis1)))
 
     return apply_op(np.ascontiguousarray(out), (a,), back, what="transpose")
 
@@ -360,23 +362,30 @@ def take(table: Tensor, ids: np.ndarray) -> Tensor:
     return apply_op(out, (table,), back, what="take")
 
 
-def bias_at(table: Tensor, labels: np.ndarray, column: int) -> Tensor:
-    """Gather scalar biases ``table[labels, column]`` (a per-head bias lookup)."""
+def bias_at(table: Tensor, labels: np.ndarray) -> Tensor:
+    """Per-head biases from a [labels x heads] table.
+
+    ``labels`` is [... x q x k]; the result is [... x heads x q x k], holding
+    ``table[labels[..., i, j], h]`` at ``[..., h, i, j]``.
+    """
     labels = np.asarray(labels)
     if table.data.ndim != 2:
         raise ShapeError(f"bias_at needs a 2-D table, got {table.shape}")
+    if labels.ndim < 2:
+        raise ShapeError(f"bias_at needs [... x q x k] labels, got {labels.shape}")
     if labels.size and (labels.min() < 0 or labels.max() >= table.shape[0]):
         raise AutodiffError(
             f"bias labels out of range [0, {table.shape[0]}): "
             f"{int(labels.min())}..{int(labels.max())}"
         )
-    out = table.data[labels, column]
+    heads = table.shape[1]
+    out = np.moveaxis(np.take(table.data.T, labels, axis=1), 0, -3)
 
     def back(g, accum):
-        buf = np.zeros_like(table.data)
-        buf[:, column] = np.bincount(labels.ravel(), weights=g.ravel(),
-                                     minlength=table.shape[0])
-        accum(table, buf)
+        slots = labels[..., None, :, :] * heads + np.arange(heads)[:, None, None]
+        flat = np.bincount(np.broadcast_to(slots, g.shape).ravel(), weights=g.ravel(),
+                           minlength=table.size)
+        accum(table, flat.reshape(table.shape))
 
     return apply_op(out, (table,), back, what="bias_at")
 
@@ -388,10 +397,6 @@ def sum_all(a: Tensor) -> Tensor:
         accum(a, np.broadcast_to(g, a.shape).astype(np.float64))
 
     return apply_op(out, (a,), back, what="sum_all")
-
-
-def mean_all(a: Tensor) -> Tensor:
-    return scale(sum_all(a), 1.0 / a.size)
 
 
 # ---------------------------------------------------------------------------

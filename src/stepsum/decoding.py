@@ -55,14 +55,6 @@ class DecodeResult:
     incomplete: bool = False  # set when every expansion was pruned mid-decode
 
 
-def next_step_distribution(scorer: StepScorer,
-                           prefix: tuple[PlanStep, ...]) -> np.ndarray:
-    """Probability vector over candidates; rejects finished prefixes."""
-    if any(s.is_end for s in prefix):
-        raise ValueError("prefix is already finished")
-    return np.exp(scorer.step_log_probs(prefix))
-
-
 def trigram_block(candidate_tokens: Sequence[str], summary_tokens: Sequence[str]) -> bool:
     """True when the candidate shares any token trigram with the summary."""
     if len(candidate_tokens) < 3:
@@ -201,30 +193,11 @@ def greedy_decode_with_repeat_exceptions(scorer: StepScorer, max_steps: int,
     Breaks and records of exempt types may repeat; when every candidate is
     forbidden the plan ends immediately.
     """
-    steps: list[PlanStep] = []
-    used: set[PlanStep] = set()
-    while len(steps) < max_steps:
-        log_probs = scorer.step_log_probs(tuple(steps))
-        order = sorted(range(len(scorer.candidates)),
-                       key=lambda ci: (-log_probs[ci], ci))
-        chosen = None
-        for ci in order:
-            step = scorer.candidates[ci]
-            if step.kind == "unit" and step in used:
-                exempt = step.record is not None and step.record.type in exempt_types
-                if not exempt:
-                    continue
-            chosen = step
-            break
-        if chosen is None:
-            steps.append(END_STEP)
-            break
-        steps.append(chosen)
-        if chosen.kind == "unit":
-            used.add(chosen)
-        if chosen.is_end:
-            break
-    return steps
+    if max_steps < 1:
+        return []
+    hyp = greedy_rollout(scorer, max_steps, DecodeConstraints(
+        no_repeat=True, repeat_exceptions=True, repeat_exempt_types=exempt_types))
+    return list(hyp.steps) if hyp.finished else list(hyp.steps) + [END_STEP]
 
 
 def replay_log_prob(scorer: StepScorer, steps: Sequence[PlanStep]) -> float:

@@ -180,6 +180,9 @@ def parse_game(raw: dict) -> RotowireGame:
         _parse_team(raw["home"], "home", True, warnings),
         _parse_team(raw["visitor"], "visitor", False, warnings),
     ]
+    if teams[1].key == teams[0].key:
+        # the teams' records and players would share one entity
+        raise GameFormatError(f"visitor.key: {teams[1].key!r} is also the home team's key")
     players = []
     for i, p in enumerate(raw.get("players", [])):
         path = f"players[{i}]"

@@ -3,7 +3,7 @@ import pytest
 
 from stepsum.attention import (
     AttentionConfig,
-    AttentionMask,
+    MhaParams,
     RelPosLabels,
     band_pattern,
     band_pattern_for_positions,
@@ -15,12 +15,10 @@ from stepsum.attention import (
     glocal_attention,
     init_glocal_layer,
     init_mha,
-    local_attention_mask,
     multi_head_attention,
-    relative_position_bucket,
     score_counter,
 )
-from stepsum.autodiff import Tensor, mul, sum_all
+from stepsum.autodiff import Tape, Tensor, add, backward, mul, sum_all
 from stepsum.gradcheck import check_gradients
 
 
@@ -50,52 +48,68 @@ def test_config_rejects_tiny_relpos_vocab():
 
 
 def test_mask_rejects_dead_query_row():
+    params = init_mha(np.random.default_rng(0), 8, 0.1)
+    x = Tensor(np.zeros((3, 8)))
     allowed = np.ones((3, 3), dtype=bool)
     allowed[1] = False
     with pytest.raises(ValueError, match="row 1"):
-        AttentionMask(allowed)
+        multi_head_attention(x, x, x, allowed, params, 2)
 
 
 # -- relative position buckets ------------------------------------------------
 
 
 def test_bucket_center():
-    assert relative_position_bucket(5, 5, 4) == 4
+    assert bucket_matrix(np.array([5]), np.array([5]), 4)[0, 0] == 4
 
 
 def test_bucket_clipping():
-    assert relative_position_bucket(0, 7, 4) == relative_position_bucket(0, 4, 4)
-    assert relative_position_bucket(7, 0, 4) == 0
+    clipped = bucket_matrix(np.array([0, 7]), np.array([0, 4, 7]), 4)
+    assert clipped[0, 2] == clipped[0, 1] == 8
+    assert clipped[1, 0] == 0
 
 
 def test_bucket_matrix_matches_bruteforce():
-    n, maxd = 6, 2
-    got = bucket_matrix(np.arange(n), np.arange(n), maxd)
-    for i in range(n):
-        for j in range(n):
-            off = max(-maxd, min(maxd, j - i))
-            assert got[i, j] == off + maxd
+    cases = [
+        (np.arange(6), np.arange(6), 2),
+        (np.array([5]), np.array([5]), 4),           # center
+        (np.array([0, 7]), np.array([0, 4, 7]), 4),  # clipping on both sides
+    ]
+    for q_pos, k_pos, maxd in cases:
+        got = bucket_matrix(q_pos, k_pos, maxd)
+        assert got.shape == (q_pos.size, k_pos.size)
+        for a, i in enumerate(q_pos):
+            for b, j in enumerate(k_pos):
+                off = max(-maxd, min(maxd, j - i))
+                assert got[a, b] == off + maxd
 
 
-# -- local masks ---------------------------------------------------------------
+# -- local windows ---------------------------------------------------------------
+
+
+def _window_rows(length, radius):
+    pat = band_pattern(length, radius)
+    rows = np.zeros((length, length), dtype=bool)
+    rows[pat.ii, pat.jj] = True
+    return rows
 
 
 def test_local_mask_rows():
-    mask = local_attention_mask(4, 1)
-    assert mask.allowed[0].tolist() == [True, True, False, False]
-    assert mask.allowed[1].tolist() == [True, True, True, False]
+    rows = _window_rows(4, 1)
+    assert rows[0].tolist() == [True, True, False, False]
+    assert rows[1].tolist() == [True, True, True, False]
 
 
 def test_local_mask_full_when_radius_covers():
-    mask = local_attention_mask(5, 4)
-    assert mask.allowed.all()
+    assert _window_rows(5, 4).all()
 
 
 def test_local_mask_popcount_matches_clipped_window_sum():
     # sum of clipped windows: n*(2r+1) - r*(r+1) = 10*5 - 6 = 44
-    mask = local_attention_mask(10, 2)
-    assert mask.popcount() == 44
-    assert mask.popcount() == banded_pair_count(10, 2)
+    brute = sum(1 for i in range(10) for j in range(10) if abs(i - j) <= 2)
+    assert brute == 44
+    assert banded_pair_count(10, 2) == brute
+    assert band_pattern(10, 2).count == brute
 
 
 # -- dense multi-head attention -------------------------------------------------
@@ -105,12 +119,12 @@ def test_single_key_returns_value_row(rng):
     params = init_mha(rng, 8, 0.1)
     q = Tensor(rng.normal(size=(3, 8)))
     kv = Tensor(rng.normal(size=(1, 8)))
-    out = multi_head_attention(q, kv, kv, AttentionMask(np.ones((3, 1), bool)),
+    out = multi_head_attention(q, kv, kv, np.ones((3, 1), bool),
                                params, 2)
     # softmax over one key is 1, so every query gets the projected value row
     projected = multi_head_attention(
         Tensor(rng.normal(size=(1, 8))), kv, kv,
-        AttentionMask(np.ones((1, 1), bool)), params, 2)
+        np.ones((1, 1), bool), params, 2)
     for row in out.data:
         np.testing.assert_allclose(row, projected.data[0], atol=1e-12)
 
@@ -121,12 +135,12 @@ def test_two_identical_keys_average_values(rng):
     key = rng.normal(size=8)
     k = Tensor(np.stack([key, key]))
     v = Tensor(rng.normal(size=(2, 8)))
-    out = multi_head_attention(q, k, v, AttentionMask(np.ones((2, 2), bool)),
+    out = multi_head_attention(q, k, v, np.ones((2, 2), bool),
                                params, 2)
     # identical keys force 1/2-1/2 weights: same output as attending the mean value
     v_mean = Tensor(np.stack([v.data.mean(axis=0)]))
     want = multi_head_attention(q, Tensor(key[None, :]), v_mean,
-                                AttentionMask(np.ones((2, 1), bool)), params, 2)
+                                np.ones((2, 1), bool), params, 2)
     np.testing.assert_allclose(out.data, want.data, atol=1e-12)
 
 
@@ -136,7 +150,7 @@ def test_dense_attention_gradients(rng):
     k = Tensor(rng.normal(size=(6, 8)), requires_grad=True)
     v = Tensor(rng.normal(size=(6, 8)), requires_grad=True)
     labels = RelPosLabels(bucket_matrix(np.arange(6), np.arange(6), 4))
-    mask = AttentionMask(np.ones((6, 6), bool))
+    mask = np.ones((6, 6), bool)
     probe = Tensor(rng.normal(size=(6, 8)))
 
     def loss():
@@ -155,12 +169,12 @@ def test_mask_soundness_zeroing_masked_rows_bitwise(rng):
     allowed = np.ones((4, 4), dtype=bool)
     allowed[:, 3] = False
     out1 = multi_head_attention(q, Tensor(k_data), Tensor(v_data),
-                                AttentionMask(allowed), params, 2)
+                                allowed, params, 2)
     k2, v2 = k_data.copy(), v_data.copy()
     k2[3] = 0.0
     v2[3] = 0.0
     out2 = multi_head_attention(q, Tensor(k2), Tensor(v2),
-                                AttentionMask(allowed), params, 2)
+                                allowed, params, 2)
     assert np.array_equal(out1.data, out2.data)
 
 
@@ -174,9 +188,9 @@ def test_labels_on_masked_pairs_are_ignored(rng):
     labels_a = bucket_matrix(np.arange(4), np.arange(4), 4)
     labels_b = labels_a.copy()
     labels_b[:, 2] = 11  # different labels where the mask blocks anyway
-    out_a = multi_head_attention(q, k, v, AttentionMask(allowed), params, 2,
+    out_a = multi_head_attention(q, k, v, allowed, params, 2,
                                  RelPosLabels(labels_a))
-    out_b = multi_head_attention(q, k, v, AttentionMask(allowed), params, 2,
+    out_b = multi_head_attention(q, k, v, allowed, params, 2,
                                  RelPosLabels(labels_b))
     assert np.array_equal(out_a.data, out_b.data)
 
@@ -186,7 +200,7 @@ def test_permutation_equivariance_without_labels(rng):
     q = Tensor(rng.normal(size=(5, 8)))
     k_data = rng.normal(size=(5, 8))
     v_data = rng.normal(size=(5, 8))
-    mask = AttentionMask(np.ones((5, 5), bool))
+    mask = np.ones((5, 5), bool)
     out = multi_head_attention(q, Tensor(k_data), Tensor(v_data), mask, params, 2)
     perm = np.random.default_rng(3).permutation(5)
     out_kv = multi_head_attention(q, Tensor(k_data[perm]), Tensor(v_data[perm]),
@@ -222,22 +236,117 @@ def test_band_pattern_positions_respects_gaps():
 
 
 def test_banded_matches_dense_softmax_attention(rng):
-    length, dim, radius = 9, 4, 3
-    q = Tensor(rng.normal(size=(length, dim)))
-    k = Tensor(rng.normal(size=(length, dim)))
-    v = Tensor(rng.normal(size=(length, dim)))
+    heads, length, dim, radius = 2, 9, 4, 3
+    q = Tensor(rng.normal(size=(heads, length, dim)))
+    k = Tensor(rng.normal(size=(heads, length, dim)))
+    v = Tensor(rng.normal(size=(heads, length, dim)))
     pat = band_pattern(length, radius)
     from stepsum.autodiff import softmax
 
     w = softmax(banded_scores(q, k, pat), -1)
     out = banded_apply(w, v, pat)
+    assert out.shape == (heads, length, dim)
 
-    scores = q.data @ k.data.T
     idx = np.arange(length)
-    masked = np.where(np.abs(idx[:, None] - idx[None, :]) <= radius, scores, -np.inf)
-    e = np.exp(masked - masked.max(axis=1, keepdims=True))
-    dense = (e / e.sum(axis=1, keepdims=True)) @ v.data
-    np.testing.assert_allclose(out.data, dense, atol=1e-12)
+    for h in range(heads):
+        scores = q.data[h] @ k.data[h].T
+        masked = np.where(np.abs(idx[:, None] - idx[None, :]) <= radius, scores, -np.inf)
+        e = np.exp(masked - masked.max(axis=1, keepdims=True))
+        dense = (e / e.sum(axis=1, keepdims=True)) @ v.data[h]
+        np.testing.assert_allclose(out.data[h], dense, atol=1e-12)
+
+
+# -- head axis --------------------------------------------------------------------
+
+
+def _single_head_params(params: MhaParams, heads: int, h: int) -> MhaParams:
+    """Head ``h`` of ``params`` as a one-head block of the same width.
+
+    Projection columns (and output rows) of other heads are zeroed, and the
+    query projection is scaled by sqrt(heads) so the one-head 1/sqrt(dim)
+    score scale equals the multi-head 1/sqrt(head_dim).
+    """
+    dim = params.wq.shape[0]
+    dh = dim // heads
+    keep = np.zeros(dim)
+    keep[h * dh:(h + 1) * dh] = 1.0
+    boost = np.sqrt(heads)
+    return MhaParams(
+        Tensor(params.wq.data * keep * boost), Tensor(params.bq.data * keep * boost),
+        Tensor(params.wk.data * keep), Tensor(params.bk.data * keep),
+        Tensor(params.wv.data * keep), Tensor(params.bv.data * keep),
+        Tensor(params.wo.data * keep[:, None]),
+        Tensor(params.bo.data * (1.0 if h == 0 else 0.0)),
+        None if params.relpos is None else Tensor(params.relpos.data[:, h:h + 1]),
+    )
+
+
+def _outputs_and_input_grads(run, inputs, probes):
+    for x in inputs:
+        x.zero_grad()
+    with Tape() as tape:
+        outs = run()
+        loss = sum_all(mul(outs[0], probes[0]))
+        for o, p in zip(outs[1:], probes[1:]):
+            loss = add(loss, sum_all(mul(o, p)))
+        backward(tape, loss)
+    return [o.data for o in outs], [x.grad.copy() for x in inputs]
+
+
+def _assert_head_sum(run, params, heads, inputs, probes):
+    """H-head outputs and input gradients equal the sum of one-head runs."""
+    outs, grads = _outputs_and_input_grads(lambda: run(params, heads), inputs, probes)
+    sum_outs = [np.zeros_like(o) for o in outs]
+    sum_grads = [np.zeros_like(g) for g in grads]
+    for h in range(heads):
+        o1, g1 = _outputs_and_input_grads(
+            lambda: run(_single_head_params(params, heads, h), 1), inputs, probes)
+        for acc, x in zip(sum_outs + sum_grads, o1 + g1):
+            acc += x
+    for got, want in zip(outs + grads, sum_outs + sum_grads):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("batched", [False, True])
+@pytest.mark.parametrize("with_labels", [False, True])
+def test_dense_heads_sum_of_single_heads(rng, batched, with_labels):
+    heads, dim, q_len, k_len = 4, 8, 5, 6
+    lead = (3,) if batched else ()
+    params = init_mha(rng, dim, 0.3, relpos_vocab=12, num_heads=heads)
+    q = Tensor(rng.normal(size=lead + (q_len, dim)), requires_grad=True)
+    k = Tensor(rng.normal(size=lead + (k_len, dim)), requires_grad=True)
+    v = Tensor(rng.normal(size=lead + (k_len, dim)), requires_grad=True)
+    allowed = rng.random(lead + (q_len, k_len)) < 0.5
+    allowed[..., 0] = True
+    assert not allowed.all()
+    labels = (RelPosLabels(bucket_matrix(np.arange(q_len), np.arange(k_len), 4))
+              if with_labels else None)
+    probe = Tensor(rng.normal(size=lead + (q_len, dim)))
+
+    def run(p, h):
+        return (multi_head_attention(q, k, v, allowed, p, h, labels),)
+
+    _assert_head_sum(run, params, heads, [q, k, v], [probe])
+
+
+@pytest.mark.parametrize("enable_long_global", [True, False])
+def test_glocal_heads_sum_of_single_heads(rng, enable_long_global):
+    heads, dim, length, n_glob = 2, 8, 11, 3
+    params = init_mha(rng, dim, 0.3, 12, heads)
+    long = Tensor(rng.normal(size=(length, dim)), requires_grad=True)
+    glob = Tensor(rng.normal(size=(n_glob, dim)), requires_grad=True)
+    sid = np.array([0, 0, 0, 1, 1, 1, 1, 2, 2, -1, -1])
+    active = np.ones(length, dtype=bool)
+    active[4:6] = False  # padding inside the stream
+    probes = [Tensor(rng.normal(size=(length, dim))), Tensor(rng.normal(size=(n_glob, dim)))]
+
+    def run(p, h):
+        cfg = AttentionConfig(num_heads=h, model_dim=dim, local_radius=2,
+                              relpos_vocab_size=12, max_distance=4)
+        return glocal_attention(long, glob, sid, p, cfg, long_active=active,
+                                enable_long_global=enable_long_global)
+
+    _assert_head_sum(run, params, heads, [long, glob], probes)
 
 
 # -- global-local ----------------------------------------------------------------
@@ -264,6 +373,24 @@ def test_glocal_one_global_one_long_gradients(rng):
         return sum_all(mul(mul(lo, probe), mul(go, probe)))
 
     assert check_gradients(loss, {"long": long, "glob": glob}) == []
+
+
+def test_masked_links_cut_both_directions(rng):
+    cfg = small_cfg()
+    params = init_mha(rng, 8, 0.3, 12, 2)
+    long_data = rng.normal(size=(9, 8))
+    sid = np.zeros(9, dtype=np.int64)
+    outs = [glocal_attention(Tensor(long_data), Tensor(rng.normal(size=(2, 8))), sid,
+                             params, cfg, enable_long_global=False) for _ in range(2)]
+    # long rows see only their window, whatever the globals hold
+    assert np.array_equal(outs[0][0].data, outs[1][0].data)
+    glob = Tensor(rng.normal(size=(2, 8)))
+    g1 = glocal_attention(Tensor(long_data), glob, sid, params, cfg,
+                          enable_long_global=False)[1]
+    g2 = glocal_attention(Tensor(long_data + 1.0), glob, sid, params, cfg,
+                          enable_long_global=False)[1]
+    # global rows see only the globals, whatever the long stream holds
+    assert np.array_equal(g1.data, g2.data)
 
 
 def test_instrumented_count_L64_r3():

@@ -183,6 +183,32 @@ def test_non_finite_rejected():
         Tensor([np.inf])
 
 
+def test_op_producing_inf_names_the_op():
+    with np.errstate(over="ignore"), \
+            pytest.raises(NonFiniteError, match="^scale produced non-finite values$"):
+        ad.scale(Tensor([1e300]), 1e300)
+    with pytest.raises(NonFiniteError, match="^tensor construction produced"):
+        Tensor([1.0, np.inf])
+
+
+def test_bias_at_places_heads_before_label_axes():
+    table = Tensor(np.arange(12.0).reshape(4, 3))
+    labels = np.array([[[0, 3], [2, 1]], [[1, 1], [3, 0]]])
+    out = ad.bias_at(table, labels)
+    assert out.shape == (2, 3, 2, 2)
+    for b in range(2):
+        for h in range(3):
+            np.testing.assert_array_equal(out.data[b, h], table.data[labels[b], h])
+
+
+def test_add_const_broadcasts_but_never_grows():
+    a = Tensor(np.zeros((2, 3, 4)))
+    out = ad.add_const(a, np.arange(4.0))
+    np.testing.assert_array_equal(out.data[1, 2], np.arange(4.0))
+    with pytest.raises(ShapeError):
+        ad.add_const(Tensor(np.zeros((3, 4))), np.zeros((2, 3, 4)))
+
+
 def test_ops_outside_tape_do_not_record():
     x = Tensor([1.0], requires_grad=True)
     y = sum_all(x)  # no tape active

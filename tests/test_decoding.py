@@ -7,7 +7,6 @@ from stepsum.decoding import (
     beam_decode,
     greedy_decode_with_repeat_exceptions,
     greedy_rollout,
-    next_step_distribution,
     replay_log_prob,
     trigram_block,
 )
@@ -42,25 +41,6 @@ def two_unit_scorer():
         (2, 2): [0.6, 0.3, 0.1],
     }
     return TableScorer(candidates, tables)
-
-
-def test_distribution_sums_to_one():
-    scorer = ScriptedScorer(4, seed=0)
-    probs = next_step_distribution(scorer, ())
-    assert probs.sum() == pytest.approx(1.0, abs=1e-9)
-
-
-def test_distribution_rejects_finished_prefix():
-    scorer = ScriptedScorer(3, seed=0)
-    with pytest.raises(ValueError):
-        next_step_distribution(scorer, (END_STEP,))
-
-
-def test_distribution_deterministic_replay():
-    scorer = ScriptedScorer(4, seed=5)
-    a = next_step_distribution(scorer, (unit_step(1),))
-    b = next_step_distribution(scorer, (unit_step(1),))
-    assert np.array_equal(a, b)
 
 
 def test_uniform_distribution_on_symmetric_model():
@@ -216,6 +196,83 @@ def test_all_forbidden_emits_end():
     scorer = TableScorer(candidates, tables)
     steps = greedy_decode_with_repeat_exceptions(scorer, max_steps=3)
     assert steps == [candidates[0], END_STEP]
+
+
+def _reference_table_greedy(scorer, max_steps,
+                            exempt_types=frozenset({"TEAM-NAME", "TEAM-CITY"})):
+    """The stand-alone table-mode greedy loop that ``greedy_rollout`` replaced."""
+    steps = []
+    used = set()
+    while len(steps) < max_steps:
+        log_probs = scorer.step_log_probs(tuple(steps))
+        order = sorted(range(len(scorer.candidates)),
+                       key=lambda ci: (-log_probs[ci], ci))
+        chosen = None
+        for ci in order:
+            step = scorer.candidates[ci]
+            if step.kind == "unit" and step in used:
+                exempt = step.record is not None and step.record.type in exempt_types
+                if not exempt:
+                    continue
+            chosen = step
+            break
+        if chosen is None:
+            steps.append(END_STEP)
+            break
+        steps.append(chosen)
+        if chosen.kind == "unit":
+            used.add(chosen)
+        if chosen.is_end:
+            break
+    return steps
+
+
+class RandomTableScorer:
+    """Random table-mode candidates with step tables keyed by the index prefix.
+
+    Half the scorers draw log-probabilities from three levels, so exact ties
+    are common; some lack the end or break candidate, so every candidate can
+    end up forbidden.
+    """
+
+    TYPES = ("TEAM-NAME", "TEAM-CITY", "TEAM-PTS", "PLAYER-PTS", "PLAYER-REB")
+
+    def __init__(self, seed):
+        rng = np.random.default_rng(seed)
+        units = []
+        for i in range(int(rng.integers(1, 7))):
+            record = (None if rng.random() < 0.15 else
+                      RecordRef(f"E{i % 3}", self.TYPES[rng.integers(len(self.TYPES))], str(i)))
+            units.append(unit_step(i, record))
+        specials = [s for s, p in ((BREAK_STEP, 0.6), (END_STEP, 0.8)) if rng.random() < p]
+        pool = specials + units
+        self.candidates = [pool[i] for i in rng.permutation(len(pool))]
+        self.seed = seed
+        self.ties = rng.random() < 0.5
+
+    def step_log_probs(self, prefix):
+        key = tuple(self.candidates.index(s) for s in prefix)
+        rng = np.random.default_rng((self.seed, 31, *key))
+        n = len(self.candidates)
+        logits = (rng.integers(0, 3, size=n).astype(float) if self.ties
+                  else rng.normal(size=n) * 2.0)
+        return logits - np.log(np.exp(logits).sum())
+
+    def candidate_tokens(self, index):
+        return [f"u{index}"]
+
+
+def test_table_greedy_matches_reference_loop():
+    ended_stuck = exempt_repeats = 0
+    for seed in range(300):
+        scorer = RandomTableScorer(seed)
+        max_steps = seed % 8
+        want = _reference_table_greedy(scorer, max_steps)
+        assert greedy_decode_with_repeat_exceptions(scorer, max_steps) == want, seed
+        ended_stuck += END_STEP in want and END_STEP not in scorer.candidates
+        units = [s for s in want if s.kind == "unit"]
+        exempt_repeats += len(units) > len(set(units))
+    assert ended_stuck > 0 and exempt_repeats > 0
 
 
 # -- trigram blocking -----------------------------------------------------------

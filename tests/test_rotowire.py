@@ -64,6 +64,29 @@ def test_missing_team_line_rejected():
         parse_game(raw)
 
 
+def test_shared_team_key_rejected():
+    raw = table3_game()
+    raw["visitor"]["key"] = raw["home"]["key"]
+    with pytest.raises(GameFormatError, match="^visitor.key: "):
+        parse_game(raw)
+
+
+def test_shared_team_key_line_reported_and_skipped(tmp_path, capsys):
+    import json
+
+    from stepsum.cli import main
+
+    bad = table3_game()
+    bad["id"] = "bad"
+    bad["visitor"]["key"] = bad["home"]["key"]
+    src = tmp_path / "games.jsonl"
+    src.write_text(json.dumps(table3_game()) + "\n" + json.dumps(bad) + "\n")
+    out = tmp_path / "units.jsonl"
+    assert main(["linearize", "--in", str(src), "--out", str(out)]) == 1
+    assert f"{src}:2: visitor.key" in capsys.readouterr().err
+    assert [json.loads(line)["id"] for line in out.read_text().splitlines()] == ["table3"]
+
+
 def test_missing_player_field_rejected():
     raw = table3_game()
     del raw["players"][0]["team"]
