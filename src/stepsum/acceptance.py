@@ -36,7 +36,16 @@ from .decoding import DecodeConstraints, beam_decode, greedy_rollout
 from .etc_encoder import EtcConfig, StepwiseEtc, assemble_input
 from .gradcheck import check_gradients
 from .hibert import HibertConfig, StepwiseHibert
-from .metrics import bleu, co_score, cs_scores, dld, mean_rouge_f1, rouge_l, rouge_n
+from .metrics import (
+    _lcs_length,
+    bleu,
+    co_score,
+    cs_scores,
+    dld,
+    mean_rouge_f1,
+    rouge_l,
+    rouge_n,
+)
 from .oracle import brute_force_oracle, oracle_full
 from .plan import END_STEP, PlanStep, RecordRef, unit_step
 from .rotowire import (
@@ -513,6 +522,17 @@ def osa_search(a: tuple, b: tuple) -> int:
     return best
 
 
+def subsequences(a: tuple) -> set[tuple]:
+    """Every subsequence of ``a``, one per subset of its positions.
+
+    The longest one two strings share is their LCS, straight from the
+    definition and independent of any LCS table or bit vector.
+    """
+    return {tuple(a[i] for i in keep)
+            for k in range(len(a) + 1)
+            for keep in itertools.combinations(range(len(a)), k)}
+
+
 def criterion_metric_oracles(max_len: int = 5) -> tuple[bool, str]:
     problems = []
 
@@ -528,6 +548,19 @@ def criterion_metric_oracles(max_len: int = 5) -> tuple[bool, str]:
             got = dld(x, y)
             if got != want:
                 problems.append(f"dld({x}, {y}) = {got}, search says {want}")
+                break
+            checked += 1
+        if problems:
+            break
+
+    # exhaustive equality for the bit-parallel LCS over the same strings
+    subs = {x: subsequences(x) for x in strings}
+    for x in strings:
+        for y in strings:
+            want = max(map(len, subs[x] & subs[y]))
+            got = _lcs_length(x, y)
+            if got != want:
+                problems.append(f"lcs({x}, {y}) = {got}, search says {want}")
                 break
             checked += 1
         if problems:
@@ -584,7 +617,8 @@ def criterion_metric_oracles(max_len: int = 5) -> tuple[bool, str]:
             break
 
     detail = (problems[0] if problems
-              else f"{checked} exhaustive pairs, hand cases and axioms hold")
+              else f"{checked} exhaustive pairs (edit distance and LCS), hand cases "
+                   "and axioms hold")
     return not problems, detail
 
 

@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 from . import data as datalib
 from . import rotowire
@@ -51,7 +52,7 @@ def _err(msg: str) -> None:
 
 
 def _report_line_errors(path: str, errors: list[tuple[int, str]]) -> None:
-    for lineno, msg in errors:
+    for lineno, msg in sorted(errors):
         _err(f"{path}:{lineno}: {msg}")
 
 
@@ -62,36 +63,39 @@ def _thread_count() -> int:
         return 1
 
 
-def _load_documents(path: str) -> tuple[list[Document], list[tuple[int, str]]]:
-    rows, errors = read_jsonl(path)
+def _load_documents(path: str) -> tuple[list[tuple[int, Document]], list[tuple[int, str]]]:
+    """Documents with their file line numbers, and the lines that failed."""
+    rows, errors = read_jsonl(path, numbered=True)
     docs = []
-    for i, row in enumerate(rows):
+    for lineno, row in rows:
         try:
-            docs.append(parse_document(row))
+            docs.append((lineno, parse_document(row)))
         except ValueError as e:
-            errors.append((i + 1, str(e)))
+            errors.append((lineno, str(e)))
     return docs, errors
 
 
-def _load_games(path: str) -> tuple[list[rotowire.RotowireGame], list[tuple[int, str]]]:
-    rows, errors = read_jsonl(path)
+def _load_games(path: str) -> tuple[list[tuple[int, rotowire.RotowireGame]],
+                                    list[tuple[int, str]]]:
+    """Games with their file line numbers, and the lines that failed."""
+    rows, errors = read_jsonl(path, numbered=True)
     games = []
-    for i, row in enumerate(rows):
+    for lineno, row in rows:
         try:
-            games.append(parse_game(row))
+            games.append((lineno, parse_game(row)))
         except GameFormatError as e:
-            errors.append((i + 1, str(e)))
+            errors.append((lineno, str(e)))
     return games, errors
 
 
 def _load_plans(path: str) -> tuple[dict[str, list[PlanStep]], list[tuple[int, str]]]:
-    rows, errors = read_jsonl(path)
+    rows, errors = read_jsonl(path, numbered=True)
     plans = {}
-    for i, row in enumerate(rows):
+    for lineno, row in rows:
         try:
             plans[str(row["id"])] = plan_from_json(row["plan"])
         except (KeyError, ValueError) as e:
-            errors.append((i + 1, str(e)))
+            errors.append((lineno, str(e)))
     return plans, errors
 
 
@@ -101,26 +105,32 @@ def _load_plans(path: str) -> tuple[dict[str, list[PlanStep]], list[tuple[int, s
 
 
 def _oracle_worker(args: tuple[list[list[str]], list[str], int]):
+    """``(selected, score)``, or the message of a document it cannot label."""
     sentences, reference, max_size = args
-    result = oracle_full(sentences, reference, max_size)
+    try:
+        result = oracle_full(sentences, reference, max_size)
+    except ValueError as e:
+        return str(e)
     return result.selected, result.score
 
 
 def cmd_oracle(args) -> int:
     cfg = load_config(args.config)
     docs, errors = _load_documents(args.infile)
-    _report_line_errors(args.infile, errors)
-    jobs = [(d.sentences, d.abstract_tokens, cfg.max_steps) for d in docs]
+    jobs = [(d.sentences, d.abstract_tokens, cfg.max_steps) for _, d in docs]
     workers = _thread_count()
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_oracle_worker, jobs, chunksize=8))
     else:
         results = [_oracle_worker(j) for j in jobs]
-    rows = [
-        {"id": d.doc_id, "selected": sel, "score": score}
-        for d, (sel, score) in zip(docs, results)
-    ]
+    rows = []
+    for (lineno, d), result in zip(docs, results):
+        if isinstance(result, str):
+            errors.append((lineno, f"document {d.doc_id}: {result}"))
+        else:
+            rows.append({"id": d.doc_id, "selected": result[0], "score": result[1]})
+    _report_line_errors(args.infile, errors)
     write_jsonl(args.out, rows)
     return 1 if errors else 0
 
@@ -132,15 +142,18 @@ def cmd_oracle(args) -> int:
 
 def _prepare_corpus(cfg: RunConfig, path: str, plans_path: str | None,
                     vocab: Vocab | None):
-    """Returns (vocab, examples, prepared docs, line errors)."""
+    """Returns (vocab, examples, prepared docs, whether any line failed).
+
+    Failed lines are reported against the file they come from.
+    """
     errors: list[tuple[int, str]] = []
     if cfg.task == "cnndm":
         docs, errors = _load_documents(path)
         if vocab is None:
-            vocab = Vocab.from_corpus(s for d in docs for s in d.sentences)
+            vocab = Vocab.from_corpus(s for _, d in docs for s in d.sentences)
         prepared = []
         examples: list[StepExample] = []
-        for doc in docs:
+        for lineno, doc in docs:
             prep = prepare_cnndm(doc, vocab, max_doc_sents=cfg.max_doc_sents,
                                  max_sent_len=cfg.max_sent_len)
             if cfg.encoder == "etc":
@@ -149,7 +162,7 @@ def _prepare_corpus(cfg: RunConfig, path: str, plans_path: str | None,
                 result = oracle_full(doc.sentences[: prep.n_real_units],
                                      doc.abstract_tokens, cfg.max_steps)
             except ValueError as e:
-                errors.append((0, f"document {doc.doc_id}: {e}"))
+                errors.append((lineno, f"document {doc.doc_id}: {e}"))
                 continue
             pairs = make_stepwise_examples(doc.sentences[: prep.n_real_units],
                                            result)
@@ -157,21 +170,22 @@ def _prepare_corpus(cfg: RunConfig, path: str, plans_path: str | None,
                 examples.append(StepExample(
                     prep, prefix, datalib.candidate_index(prep, target)))
             prepared.append(prep)
-        return vocab, examples, prepared, errors
+        _report_line_errors(path, errors)
+        return vocab, examples, prepared, bool(errors)
 
     games, errors = _load_games(path)
     if plans_path is None:
         raise ConfigError("rotowire training needs --train-plans/--valid-plans")
-    plans, perr = _load_plans(plans_path)
-    errors.extend(perr)
+    plans, plan_errors = _load_plans(plans_path)
+    _report_line_errors(plans_path, plan_errors)
     if vocab is None:
-        corpus = rotowire_corpus_sentences(games, cfg.max_units)
+        corpus = rotowire_corpus_sentences([g for _, g in games], cfg.max_units)
         vocab = Vocab.from_corpus(corpus)
     prepared = []
     examples = []
-    for game in games:
+    for lineno, game in games:
         if game.game_id not in plans:
-            errors.append((0, f"game {game.game_id} has no reference plan"))
+            errors.append((lineno, f"game {game.game_id} has no reference plan"))
             continue
         prep = prepare_rotowire(game, vocab, max_units=cfg.max_units,
                                 max_sent_len=cfg.max_sent_len)
@@ -184,15 +198,14 @@ def _prepare_corpus(cfg: RunConfig, path: str, plans_path: str | None,
                  f"{ref.entity}|{ref.type} was prefiltered away")
         examples.extend(examples_from_plan(prep, aligned))
         prepared.append(prep)
-    return vocab, examples, prepared, errors
+    _report_line_errors(path, errors)
+    return vocab, examples, prepared, bool(errors or plan_errors)
 
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
-    vocab, train_ex, _, err1 = _prepare_corpus(cfg, args.train, args.train_plans, None)
-    _report_line_errors(args.train, err1)
-    _, valid_ex, _, err2 = _prepare_corpus(cfg, args.valid, args.valid_plans, vocab)
-    _report_line_errors(args.valid, err2)
+    vocab, train_ex, _, failed1 = _prepare_corpus(cfg, args.train, args.train_plans, None)
+    _, valid_ex, _, failed2 = _prepare_corpus(cfg, args.valid, args.valid_plans, vocab)
     model = build_model(cfg, len(vocab))
     try:
         result = train(cfg, model, vocab, train_ex, valid_ex, args.out,
@@ -201,7 +214,7 @@ def cmd_train(args) -> int:
         _err(str(e))
         return 2
     print(f"best step {result.best_step} valid loss {result.best_valid_loss:.4f}")
-    return 1 if (err1 or err2) else 0
+    return 1 if (failed1 or failed2) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -211,14 +224,18 @@ def cmd_train(args) -> int:
 
 def cmd_decode(args) -> int:
     cfg = load_config(args.config)
+    # the --beam and --max-steps overrides obey the same rules as the file
+    if args.beam is not None:
+        cfg = replace(cfg, beam_size=args.beam)
+    if args.max_steps is not None:
+        cfg = replace(cfg, max_steps=args.max_steps)
+    cfg.validate()
     manifest, arrays = load_checkpoint(args.ckpt)
     verify_config_match(manifest, cfg)
     vocab = Vocab.from_token_list(manifest.vocab)
     model = build_model(cfg, len(vocab))
     restore_params(model.named_parameters(), arrays)
 
-    beam = args.beam if args.beam is not None else cfg.beam_size
-    max_steps = args.max_steps if args.max_steps is not None else cfg.max_steps
     constraints = DecodeConstraints(
         no_repeat=cfg.no_repeat,
         trigram_blocking=args.triblk or cfg.trigram_blocking,
@@ -229,13 +246,13 @@ def cmd_decode(args) -> int:
     rows = []
     if cfg.task == "cnndm":
         docs, errors = _load_documents(args.infile)
-        for doc in docs:
+        for _, doc in docs:
             prep = prepare_cnndm(doc, vocab, max_doc_sents=cfg.max_doc_sents,
                                  max_sent_len=cfg.max_sent_len)
             if cfg.encoder == "etc":
                 prep = trim_for_flat_budget(prep, cfg, vocab)
             scorer = ModelStepScorer(model, cfg, vocab, prep)
-            result = beam_decode(scorer, beam, max_steps, constraints)
+            result = beam_decode(scorer, cfg.beam_size, cfg.max_steps, constraints)
             chosen = sorted(s.unit for s in result.steps if s.kind == "unit")
             rows.append({
                 "id": doc.doc_id,
@@ -246,13 +263,13 @@ def cmd_decode(args) -> int:
             })
     else:
         games, errors = _load_games(args.infile)
-        for game in games:
+        for _, game in games:
             prep = prepare_rotowire(game, vocab, max_units=cfg.max_units,
                                     max_sent_len=cfg.max_sent_len)
             if cfg.encoder == "etc":
                 prep = trim_for_flat_budget(prep, cfg, vocab)
             scorer = ModelStepScorer(model, cfg, vocab, prep)
-            steps = greedy_decode_with_repeat_exceptions(scorer, max_steps)
+            steps = greedy_decode_with_repeat_exceptions(scorer, cfg.max_steps)
             rows.append({"id": game.game_id, "plan": plan_to_json(steps)})
     _report_line_errors(args.infile, errors)
     write_jsonl(args.out, rows)
@@ -277,27 +294,24 @@ def _row_tokens(row: dict) -> list[str]:
 
 
 def cmd_eval(args) -> int:
-    gen_rows, gerr = read_jsonl(args.gen)
-    ref_rows, rerr = read_jsonl(args.ref)
-    _report_line_errors(args.gen, gerr)
-    _report_line_errors(args.ref, rerr)
-    errors = list(gerr) + list(rerr)
+    gen_rows, gerr = read_jsonl(args.gen, numbered=True)
+    ref_rows, rerr = read_jsonl(args.ref, numbered=True)
 
     report: dict = {"task": args.task, "examples": {}}
     if args.task == "rouge":
-        refs = {str(r.get("id")): r for r in ref_rows}
+        refs = {str(r.get("id")): r for _, r in ref_rows}
         f1_sums: dict[str, float] = {}
         n = 0
-        for row in gen_rows:
+        for lineno, row in gen_rows:
             rid = str(row.get("id"))
             if rid not in refs:
-                errors.append((0, f"id {rid} missing from reference file"))
+                gerr.append((lineno, f"id {rid} missing from reference file"))
                 continue
             try:
                 cand = _row_tokens(row)
                 ref = _row_tokens(refs[rid])
             except ValueError as e:
-                errors.append((0, f"id {rid}: {e}"))
+                gerr.append((lineno, f"id {rid}: {e}"))
                 continue
             if args.stem:
                 cand, ref = stem_tokens(cand), stem_tokens(ref)
@@ -315,23 +329,23 @@ def cmd_eval(args) -> int:
         report["corpus"] = {k: v / max(n, 1) for k, v in f1_sums.items()}
     elif args.task == "plan":
         refs = {}
-        for row in ref_rows:
+        for lineno, row in ref_rows:
             try:
                 refs[str(row["id"])] = plan_from_json(row["plan"])
             except (KeyError, ValueError) as e:
-                errors.append((0, f"reference plan: {e}"))
+                rerr.append((lineno, f"reference plan: {e}"))
         sums = {"cs_p": 0.0, "cs_r": 0.0, "cs_f1": 0.0,
                 "cs_filtered_f1": 0.0, "co": 0.0}
         n = 0
-        for row in gen_rows:
+        for lineno, row in gen_rows:
             rid = str(row.get("id"))
             if rid not in refs:
-                errors.append((0, f"id {rid} missing from reference file"))
+                gerr.append((lineno, f"id {rid} missing from reference file"))
                 continue
             try:
                 gen_plan = plan_from_json(row["plan"])
             except (KeyError, ValueError) as e:
-                errors.append((0, f"id {rid}: {e}"))
+                gerr.append((lineno, f"id {rid}: {e}"))
                 continue
             gen_recs = rotowire.plan_records(gen_plan)
             ref_recs = rotowire.plan_records(refs[rid])
@@ -356,10 +370,12 @@ def cmd_eval(args) -> int:
         _err(f"unknown eval task {args.task!r}")
         return 2
 
+    _report_line_errors(args.gen, gerr)
+    _report_line_errors(args.ref, rerr)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, sort_keys=True, indent=2)
         fh.write("\n")
-    return 1 if errors else 0
+    return 1 if (gerr or rerr) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +387,7 @@ def cmd_linearize(args) -> int:
     games, errors = _load_games(args.infile)
     _report_line_errors(args.infile, errors)
     rows = []
-    for game in games:
+    for _, game in games:
         refs, units = rotowire.templated_units(game, max_units=10**9)
         rows.append({
             "id": game.game_id,

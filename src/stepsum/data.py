@@ -98,9 +98,13 @@ def parse_document(obj: dict) -> Document:
     return Document(str(obj["id"]), sentences, abstract)
 
 
-def read_jsonl(path: str) -> tuple[list[dict], list[tuple[int, str]]]:
-    """Parse a JSONL file; malformed lines are collected, not fatal."""
-    rows: list[dict] = []
+def read_jsonl(path: str, *, numbered: bool = False) -> tuple[list, list[tuple[int, str]]]:
+    """Parse a JSONL file; malformed lines are collected, not fatal.
+
+    Blank lines are skipped. With ``numbered``, each row comes as
+    ``(line number, row)``, so later errors can name the file line.
+    """
+    rows: list = []
     errors: list[tuple[int, str]] = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -108,9 +112,11 @@ def read_jsonl(path: str) -> tuple[list[dict], list[tuple[int, str]]]:
             if not line:
                 continue
             try:
-                rows.append(json.loads(line))
+                row = json.loads(line)
             except json.JSONDecodeError as e:
                 errors.append((lineno, str(e)))
+                continue
+            rows.append((lineno, row) if numbered else row)
     return rows, errors
 
 

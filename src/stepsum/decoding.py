@@ -154,6 +154,8 @@ def beam_decode(scorer: StepScorer, beam_size: int, max_steps: int,
     """
     if beam_size < 1:
         raise ValueError("beam_size must be at least 1")
+    if max_steps < 1:
+        raise ValueError("max_steps must be at least 1")
     if constraints is None:
         constraints = DecodeConstraints()
 

@@ -1,8 +1,13 @@
 """Evaluation mathematics: Rouge, BLEU, edit-distance ordering, record overlap.
 
 Everything here is a pure function over token or record sequences. Rouge-L
-uses the plain LCS over concatenated tokens, Rouge-N uses clipped n-gram
-counts, and plan comparison uses multiset record intersection (selection)
+uses the longest common subsequence over concatenated tokens, computed
+bit-parallel (Allison & Dix 1986; Hyyro 2004): one bit mask per distinct
+reference token and a few big-int operations per candidate token, the same
+integer as the O(n*m) dynamic program. Rouge-N uses clipped n-gram counts,
+and one helper turns match counts into precision, recall and F1 for both
+(and for the greedy oracle's incremental counts). Plan comparison uses
+multiset record intersection (selection)
 and the complement of the normalized Damerau-Levenshtein distance
 (ordering). The default edit distance is the restricted variant (optimal
 string alignment), the one conventional for plan-ordering scores; the
@@ -14,13 +19,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from math import exp, log
-from typing import Hashable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 from .plan import RecordRef
 from .stemmer import stem_tokens
 
 __all__ = [
     "RougeScore", "CsResult", "rouge_n", "rouge_l", "mean_rouge_f1",
+    "mean_f1_from_counts", "lcs_masks", "lcs_scan", "lcs_from_state",
     "dld", "co_score", "cs_scores", "bleu", "stem_tokens", "PLAN_FILTER_TYPES",
 ]
 
@@ -51,8 +57,19 @@ def _f1(p: float, r: float) -> float:
     return 0.0 if p + r == 0 else 2 * p * r / (p + r)
 
 
+def _prf(hits: int, cand_total: int, ref_total: int) -> tuple[float, float, float]:
+    """Precision, recall and F1 of ``hits`` matches; no candidate units scores 0."""
+    p = hits / cand_total if cand_total > 0 else 0.0
+    r = hits / ref_total
+    return p, r, _f1(p, r)
+
+
 def _ngrams(tokens: Sequence[str], n: int) -> Counter:
     return Counter(tuple(tokens[i: i + n]) for i in range(len(tokens) - n + 1))
+
+
+def _overlap(candidate: Sequence[str], reference: Sequence[str], n: int) -> int:
+    return sum((_ngrams(candidate, n) & _ngrams(reference, n)).values())
 
 
 def rouge_n(candidate: Sequence[str], reference: Sequence[str], n: int) -> RougeScore:
@@ -61,43 +78,68 @@ def rouge_n(candidate: Sequence[str], reference: Sequence[str], n: int) -> Rouge
         raise ValueError("n must be at least 1")
     if len(reference) < n:
         return RougeScore(0.0, 0.0, 0.0, empty_reference=True)
-    cand = _ngrams(candidate, n)
-    ref = _ngrams(reference, n)
-    overlap = sum((cand & ref).values())
-    p = overlap / max(sum(cand.values()), 1) if cand else 0.0
-    r = overlap / sum(ref.values())
-    return RougeScore(p, r, _f1(p, r))
+    return RougeScore(*_prf(_overlap(candidate, reference, n),
+                            len(candidate) - n + 1, len(reference) - n + 1))
+
+
+def lcs_masks(reference: Sequence[Hashable]) -> dict[Hashable, int]:
+    """Bit j of a token's mask is set where ``reference[j]`` is that token."""
+    masks: dict[Hashable, int] = {}
+    for j, tok in enumerate(reference):
+        masks[tok] = masks.get(tok, 0) | (1 << j)
+    return masks
+
+
+def lcs_scan(state: int, masks: Iterable[int]) -> int:
+    """Advance a bit-parallel LCS state over candidate tokens' masks.
+
+    Start from ``(1 << len(reference)) - 1``; tokens absent from the
+    reference have mask 0 and leave the state unchanged, so callers may
+    drop them. Carries out of the low ``len(reference)`` bits are harmless.
+    """
+    for m in masks:
+        u = state & m
+        state = (state + u) | (state - u)
+    return state
+
+
+def lcs_from_state(state: int, ref_len: int) -> int:
+    """The LCS length: the number of cleared bits among the low ``ref_len``."""
+    return ref_len - (state & ((1 << ref_len) - 1)).bit_count()
 
 
 def _lcs_length(a: Sequence, b: Sequence) -> int:
-    if not a or not b:
-        return 0
-    prev = [0] * (len(b) + 1)
-    for x in a:
-        cur = [0]
-        for j, y in enumerate(b):
-            cur.append(prev[j] + 1 if x == y else max(prev[j + 1], cur[j]))
-        prev = cur
-    return prev[-1]
+    masks = lcs_masks(b)
+    state = lcs_scan((1 << len(b)) - 1, [masks[t] for t in a if t in masks])
+    return lcs_from_state(state, len(b))
 
 
 def rouge_l(candidate: Sequence[str], reference: Sequence[str]) -> RougeScore:
     """Longest-common-subsequence precision/recall/F1."""
     if not reference:
         return RougeScore(0.0, 0.0, 0.0, empty_reference=True)
-    if not candidate:
-        return RougeScore(0.0, 0.0, 0.0)
-    lcs = _lcs_length(candidate, reference)
-    p = lcs / len(candidate)
-    r = lcs / len(reference)
-    return RougeScore(p, r, _f1(p, r))
+    return RougeScore(*_prf(_lcs_length(candidate, reference),
+                            len(candidate), len(reference)))
+
+
+def mean_f1_from_counts(cand_len: int, ref_len: int, unigram_hits: int,
+                        bigram_hits: int, lcs: int) -> float:
+    """Mean Rouge-1/2/L F1 from token counts, clipped overlaps and the LCS.
+
+    A reference shorter than n scores 0 on Rouge-N, as in ``rouge_n``.
+    """
+    r1 = _prf(unigram_hits, cand_len, ref_len)[2] if ref_len >= 1 else 0.0
+    r2 = _prf(bigram_hits, cand_len - 1, ref_len - 1)[2] if ref_len >= 2 else 0.0
+    rl = _prf(lcs, cand_len, ref_len)[2] if ref_len >= 1 else 0.0
+    return (r1 + r2 + rl) / 3.0
 
 
 def mean_rouge_f1(candidate: Sequence[str], reference: Sequence[str]) -> float:
     """Arithmetic mean of Rouge-1, Rouge-2 and Rouge-L F1."""
-    return (rouge_n(candidate, reference, 1).f1
-            + rouge_n(candidate, reference, 2).f1
-            + rouge_l(candidate, reference).f1) / 3.0
+    return mean_f1_from_counts(len(candidate), len(reference),
+                               _overlap(candidate, reference, 1),
+                               _overlap(candidate, reference, 2),
+                               _lcs_length(candidate, reference))
 
 
 # ---------------------------------------------------------------------------

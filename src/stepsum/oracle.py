@@ -2,18 +2,23 @@
 
 The training oracle is greedy: starting from an empty selection, repeatedly
 add the sentence that most improves the mean of Rouge-1/2/L F1 against the
-reference, stopping at the first non-improving round or at the size cap. An
-exhaustive-subset oracle (small inputs only) exists purely to verify the
-greedy one.
+reference, stopping at the first non-improving round or at the size cap
+(the SummaRuNNer labelling of Nallapati et al. 2017). It scores candidates
+incrementally from per-sentence counts, with the same integers and the same
+float expressions as ``mean_rouge_f1`` on the concatenated selection, so
+its output equals the plain recompute-everything loop bit for bit. An
+exhaustive-subset oracle (small inputs only) exists purely to verify it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations
 from typing import Sequence
 
-from .metrics import mean_rouge_f1
+from .metrics import lcs_from_state, lcs_masks, lcs_scan, mean_f1_from_counts, mean_rouge_f1
 from .plan import END_STEP, PlanStep, unit_step, validate_plan
 
 
@@ -32,19 +37,72 @@ def _selection_score(doc: Sequence[Sequence[str]], reference: Sequence[str],
 
 def oracle_full(doc: Sequence[Sequence[str]], reference: Sequence[str],
                 max_size: int = 4) -> OracleResult:
-    """Greedy best-improvement selection; ties go to the lowest index."""
+    """Greedy best-improvement selection; ties go to the lowest index.
+
+    A candidate ``selected + [i]`` is scored on the sentences concatenated
+    in document order. Its clipped unigram and bigram overlaps are those of
+    the current selection updated by sentence ``i``'s tokens, its internal
+    bigrams and the bigrams it makes and breaks at its neighbours in that
+    order. Its LCS resumes from the bit-parallel state after the selected
+    sentences before ``i``. Empty sentences add nothing, so never improve.
+    """
     if not doc or not reference:
         raise ValueError("oracle needs a non-empty document and reference")
+    ref_len = len(reference)
+    ref1 = Counter(reference)
+    ref2 = Counter(zip(reference, reference[1:]))
+    masks = lcs_masks(reference)
+    # each sentence's share of the reference: unigrams, internal bigrams, LCS masks
+    uni = [Counter(t for t in s if t in ref1) for s in doc]
+    bi = [Counter(b for b in zip(s, s[1:]) if b in ref2) for s in doc]
+    rows = [[masks[t] for t in s if t in masks] for s in doc]
+
     selected: list[int] = []
     trace: list[tuple[int, float]] = []
     score = 0.0
     while len(selected) < max_size:
+        order = sorted(selected)
+        tokens = [t for j in order for t in doc[j]]
+        have1 = Counter(tokens)
+        have2 = Counter(zip(tokens, tokens[1:]))
+        hits1 = sum(min(c, ref1[t]) for t, c in have1.items())
+        hits2 = sum(min(c, ref2[b]) for b, c in have2.items())
+        states = [(1 << ref_len) - 1]  # LCS state after each selected sentence
+        for j in order:
+            states.append(lcs_scan(states[-1], rows[j]))
+
         best_idx = -1
         best_score = score
-        for i in range(len(doc)):
-            if i in selected:
+        for i, sent in enumerate(doc):
+            if not sent or i in selected:
                 continue
-            cand = _selection_score(doc, reference, selected + [i])
+            h1 = hits1
+            for t, c in uni[i].items():
+                have, cap = have1[t], ref1[t]
+                h1 += min(have + c, cap) - min(have, cap)
+
+            pos = bisect_left(order, i)
+            joins = bi[i].copy()
+            if pos > 0:
+                left = doc[order[pos - 1]][-1]
+                joins[left, sent[0]] += 1
+            if pos < len(order):
+                right = doc[order[pos]][0]
+                joins[sent[-1], right] += 1
+                if pos > 0:
+                    joins[left, right] -= 1
+            h2 = hits2
+            for b, c in joins.items():
+                cap = ref2[b]
+                if cap:
+                    have = have2[b]
+                    h2 += min(have + c, cap) - min(have, cap)
+
+            state = lcs_scan(states[pos], rows[i])
+            for j in order[pos:]:
+                state = lcs_scan(state, rows[j])
+            cand = mean_f1_from_counts(len(tokens) + len(sent), ref_len, h1, h2,
+                                       lcs_from_state(state, ref_len))
             if cand > best_score:
                 best_score = cand
                 best_idx = i
@@ -54,21 +112,6 @@ def oracle_full(doc: Sequence[Sequence[str]], reference: Sequence[str],
         score = best_score
         trace.append((best_idx, score))
     return OracleResult(selected, score, trace)
-
-
-def oracle_truncated(doc: Sequence[Sequence[str]], reference: Sequence[str],
-                     token_budget: int, max_size: int = 4) -> OracleResult:
-    """Greedy oracle over the sentence prefix that fits the token budget."""
-    kept = 0
-    used = 0
-    for sent in doc:
-        if used + len(sent) > token_budget:
-            break
-        used += len(sent)
-        kept += 1
-    if kept == 0:
-        return OracleResult([], 0.0, [])
-    return oracle_full(list(doc[:kept]), reference, max_size)
 
 
 def brute_force_oracle(doc: Sequence[Sequence[str]], reference: Sequence[str],

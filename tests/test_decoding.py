@@ -108,6 +108,15 @@ def test_beam_never_below_greedy():
         assert beam.log_prob >= greedy.log_prob - 1e-12
 
 
+def test_beam_rejects_budgets_below_one():
+    with pytest.raises(ValueError, match="max_steps"):
+        beam_decode(ScriptedScorer(3, 0), 3, 0)
+    with pytest.raises(ValueError, match="max_steps"):
+        beam_decode(ScriptedScorer(3, 0), 1, -2)
+    with pytest.raises(ValueError, match="beam_size"):
+        beam_decode(ScriptedScorer(3, 0), 0, 3)
+
+
 def test_replay_reproduces_log_prob():
     scorer = ScriptedScorer(5, seed=9)
     result = beam_decode(scorer, 3, 4, DecodeConstraints(no_repeat=True))

@@ -115,6 +115,14 @@ def test_read_jsonl_collects_malformed_lines(tmp_path):
     assert len(errors) == 1 and errors[0][0] == 2
 
 
+def test_read_jsonl_numbers_rows_by_file_line(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    path.write_text('{"id": "a"}\n\nnot json\n  \n{"id": "b"}\n')
+    rows, errors = read_jsonl(str(path), numbered=True)
+    assert [(lineno, r["id"]) for lineno, r in rows] == [(1, "a"), (5, "b")]
+    assert [lineno for lineno, _ in errors] == [3]
+
+
 # -- config ----------------------------------------------------------------------
 
 

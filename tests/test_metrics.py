@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import rouge_reference as old
 
 from stepsum.acceptance import osa_search
 from stepsum.metrics import (
     PLAN_FILTER_TYPES,
+    _lcs_length,
     bleu,
     co_score,
     cs_scores,
@@ -84,6 +86,57 @@ def test_rouge_self_is_one_and_in_range(tokens):
         assert 0.0 <= r.precision <= 1.0
         assert 0.0 <= r.recall <= 1.0
         assert 0.0 <= r.f1 <= 1.0
+
+
+# -- bit-parallel LCS against the dynamic program it replaced ----------------
+
+
+def test_lcs_empty_sequences():
+    assert _lcs_length([], []) == 0
+    assert _lcs_length([], ["a", "b"]) == 0
+    assert _lcs_length(["a", "b"], []) == 0
+
+
+def test_lcs_repeated_tokens():
+    cases = [("aaaa", "aa"), ("aa", "aaaa"), ("abab", "baba"), ("aab", "abb"),
+             ("abcabc", "cbacba"), ("a" * 70, "a" * 65)]
+    for a, b in cases:
+        assert _lcs_length(list(a), list(b)) == old.lcs_length_dp(list(a), list(b)), (a, b)
+
+
+def test_lcs_reference_longer_than_a_machine_word():
+    rng = np.random.default_rng(7)
+    for n_ref in (63, 64, 65, 128, 200):
+        ref = [f"w{t}" for t in rng.integers(0, 6, n_ref)]
+        cand = [f"w{t}" for t in rng.integers(0, 8, 90)]
+        assert _lcs_length(cand, ref) == old.lcs_length_dp(cand, ref)
+        assert _lcs_length(ref, ref) == n_ref
+
+
+@given(st.lists(st.sampled_from("abcd"), max_size=140),
+       st.lists(st.sampled_from("abcde"), max_size=140))
+@settings(max_examples=300)
+def test_lcs_matches_dynamic_program(a, b):
+    assert _lcs_length(a, b) == old.lcs_length_dp(a, b)
+
+
+@given(st.lists(st.sampled_from("abcd"), max_size=90),
+       st.lists(st.sampled_from("abcd"), max_size=90))
+@settings(max_examples=300)
+def test_rouge_matches_reference_exactly(cand, ref):
+    for n in (1, 2, 3):
+        assert rouge_n(cand, ref, n).f1 == old.rouge_n_f1(cand, ref, n)
+    assert rouge_l(cand, ref).f1 == old.rouge_l_f1(cand, ref)
+    assert mean_rouge_f1(cand, ref) == old.mean_rouge_f1(cand, ref)
+
+
+def test_rouge_edge_cases_match_reference():
+    for cand, ref in [([], ["a"]), (["a"], ["a"]), (["a", "b"], ["a"]),
+                      ([], []), (["a"], []), (["b", "a"], ["a", "b"])]:
+        assert mean_rouge_f1(cand, ref) == old.mean_rouge_f1(cand, ref)
+    r = rouge_l([], ["a"])
+    assert (r.precision, r.recall, r.f1, r.empty_reference) == (0.0, 0.0, 0.0, False)
+    assert rouge_l(["a"], []).empty_reference
 
 
 # -- edit distance ---------------------------------------------------------------

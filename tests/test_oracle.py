@@ -1,11 +1,15 @@
+import random
+
 import numpy as np
 import pytest
+import rouge_reference as old
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stepsum.oracle import (
     brute_force_oracle,
     make_stepwise_examples,
     oracle_full,
-    oracle_truncated,
     stepwise_examples_from_plan,
 )
 from stepsum.plan import BREAK_STEP, END_STEP, unit_step
@@ -68,29 +72,72 @@ def test_empty_inputs_rejected():
         oracle_full([["a"]], [])
 
 
-def test_truncated_with_generous_budget_equals_full():
-    doc = [["a", "b"], ["c", "d"], ["e", "f"]]
-    ref = "c d".split()
-    full = oracle_full(doc, ref)
-    trunc = oracle_truncated(doc, ref, token_budget=100)
-    assert trunc.selected == full.selected
-    assert trunc.score == full.score
+# -- the incremental oracle against the rescore-everything loop it replaced ---
 
 
-def test_truncated_zero_budget_is_empty():
-    result = oracle_truncated([["a", "b"]], ["a"], token_budget=0)
-    assert result.selected == []
-    assert result.score == 0.0
+def assert_same_as_reference(doc, ref, max_size):
+    got = oracle_full(doc, ref, max_size)
+    selected, score, trace = old.oracle_full(doc, ref, max_size)
+    assert got.selected == selected
+    assert got.score == score  # exact, not approximate
+    assert got.trace == trace
 
 
-def test_truncated_falls_back_to_prefix_sentence():
-    doc = [["partial", "match", "here"], ["exact", "match", "sentence"]]
-    ref = ["exact", "match", "sentence"]
-    full = oracle_full(doc, ref)
-    assert full.selected == [1]
-    trunc = oracle_truncated(doc, ref, token_budget=3)
-    assert trunc.selected == [0]  # only sentence 0 fits the budget
-    assert trunc.score < full.score
+small_tokens = st.sampled_from(["a", "b", "c", "d", "e"])
+
+
+@given(st.lists(st.lists(small_tokens, max_size=7), min_size=1, max_size=9),
+       st.lists(small_tokens, min_size=1, max_size=14),
+       st.integers(1, 4))
+@settings(max_examples=400, deadline=None)
+def test_oracle_matches_reference_on_small_documents(doc, ref, max_size):
+    assert_same_as_reference(doc, ref, max_size)
+
+
+def zipf_lexicon(rng, size=3000):
+    words = [f"w{i}" for i in range(size)]
+    weights = [1.0 / (r + 1) ** 1.1 for r in range(size)]
+    return lambda k: rng.choices(words, weights=weights, k=k)
+
+
+def benchmark_shaped_document(rng, sample):
+    """8-48 sentences of 6-30 Zipf tokens; a ~55-token abstract of fragments."""
+    doc = [sample(rng.randint(6, 30)) for _ in range(rng.randint(8, 48))]
+    ref = []
+    for si in sorted(rng.sample(range(min(len(doc), 12)), 4)):
+        sent = doc[si]
+        frag = max(3, round(0.7 * len(sent)))
+        start = rng.randint(0, len(sent) - frag)
+        ref += sent[start: start + frag] + sample(1)
+    return doc, ref
+
+
+def test_oracle_matches_reference_on_benchmark_shaped_documents():
+    rng = random.Random(11)
+    sample = zipf_lexicon(rng)
+    for k in range(16):
+        doc, ref = benchmark_shaped_document(rng, sample)
+        if k % 4 == 1:    # repeated sentences: exact ties between candidates
+            doc = doc + [list(s) for s in doc[:6]]
+        elif k % 4 == 2:  # a one-token reference
+            ref = ref[:1]
+        elif k % 4 == 3:  # the reference is a run of whole sentences
+            ref = [t for s in doc[3:6] for t in s]
+        assert_same_as_reference(doc, ref, max_size=k // 4 + 1)
+
+
+def test_oracle_matches_reference_on_ties_and_edge_cases():
+    cases = [
+        ([["a", "b"], ["a", "b"], ["b", "a"]], ["a", "b"]),        # exact ties
+        ([["x"], ["a"], ["a"]], ["a"]),                            # one-token reference
+        ([[], ["a", "b"], []], ["a", "b", "a"]),                   # empty sentences
+        ([["a"], ["b"], ["a"], ["b"]], ["a", "b", "a", "b"]),      # cross-sentence bigrams
+        ([["b", "c"], ["a", "b"], ["c", "a"]], ["a", "b", "c", "a", "b"]),
+        ([["a", "a", "a"], ["a"]], ["a", "a"]),                    # clipped repeats
+    ]
+    for doc, ref in cases:
+        for max_size in (1, 2, 3, 4):
+            assert_same_as_reference(doc, ref, max_size)
 
 
 def test_bruteforce_rejects_large_documents():

@@ -179,3 +179,27 @@ def test_cli_rotowire_round(tmp_path):
         str(plans_path), "--out", str(report))
     blob = json.load(open(report))
     assert "cs_f1" in blob["corpus"] and "co" in blob["corpus"]
+
+
+def test_cli_rotowire_train_names_plan_file_lines(tmp_path):
+    games_path = tmp_path / "games.jsonl"
+    plans_path = tmp_path / "plans.jsonl"
+    games_path.write_text(json.dumps(table3_game()) + "\n")
+    plan = {"id": "table3", "plan": [
+        {"entity": "Chicago_Bulls", "type": "TEAM-PTS"}, "EOT"]}
+    plans_path.write_text("\n\nnot json\n" + json.dumps(plan) + "\n")
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(
+        "[run]\ntask = rotowire\nencoder = hibert\nseed = 3\n"
+        "[model]\ndim = 16\nffn_dim = 32\nsent_layers = 1\ndoc_layers = 1\n"
+        "[optimizer]\ntrain_steps = 2\ncheckpoint_every = 1\nbatch_size = 2\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "stepsum.cli", "train", "--config", str(cfg_path),
+         "--train", str(games_path), "--train-plans", str(plans_path),
+         "--valid", str(games_path), "--valid-plans", str(plans_path),
+         "--out", str(tmp_path / "ckpt")],
+        capture_output=True, text=True, env=cli_env())
+    assert proc.returncode == 1, proc.stderr
+    errors = [ln for ln in proc.stderr.splitlines() if ln.startswith("error:")]
+    assert errors and all(ln.startswith(f"error: {plans_path}:3: ") for ln in errors), errors

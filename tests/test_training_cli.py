@@ -200,6 +200,60 @@ def test_cli_malformed_line_reported_run_continues(workspace, tmp_path):
     assert len(open(out).readlines()) == 3  # the good lines still processed
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_cli_oracle_skips_document_without_abstract(workspace, tmp_path, threads):
+    root, cfg_path, docs_path = workspace
+    lines = open(docs_path).readlines()
+    no_abstract = json.loads(lines[1])
+    del no_abstract["abstract"]
+    bad = str(tmp_path / "bad.jsonl")
+    with open(bad, "w") as fh:
+        fh.write(lines[0])
+        fh.write(json.dumps(no_abstract) + "\n")
+        fh.writelines(lines[2:4])
+    out = str(tmp_path / "oracles.jsonl")
+    r = run_cli("oracle", "--config", cfg_path, "--in", bad, "--out", out,
+                env_extra={"STEPSUM_THREADS": threads})
+    assert r.returncode == 1, r.stderr
+    assert f"error: {bad}:2: document {no_abstract['id']}: " in r.stderr
+    ids = [json.loads(line)["id"] for line in open(out)]
+    assert ids == [json.loads(line)["id"] for line in (lines[0], lines[2], lines[3])]
+
+
+def test_cli_errors_name_file_lines_not_row_indices(workspace, tmp_path):
+    root, cfg_path, docs_path = workspace
+    lines = open(docs_path).readlines()
+    empty_sentence = {"id": "hollow", "sentences": [["a"], []], "abstract": [["a"]]}
+    bad = str(tmp_path / "bad.jsonl")
+    with open(bad, "w") as fh:
+        fh.write(lines[0])
+        fh.write("not json\n")
+        fh.write("\n")
+        fh.write(json.dumps(empty_sentence) + "\n")
+        fh.write(lines[1])
+    out = str(tmp_path / "oracles.jsonl")
+    r = run_cli("oracle", "--config", cfg_path, "--in", bad, "--out", out)
+    assert r.returncode == 1
+    errors = [ln for ln in r.stderr.splitlines() if ln.startswith("error:")]
+    lines_named = [ln[len(f"error: {bad}:"):].split(":")[0] for ln in errors]
+    assert lines_named == ["2", "4"], errors
+    assert len(open(out).readlines()) == 2
+
+
+def test_cli_eval_reports_unmatched_ids(workspace, tmp_path):
+    root, cfg_path, docs_path = workspace
+    gen = str(tmp_path / "gen.jsonl")
+    with open(gen, "w") as fh:
+        fh.write(open(docs_path).readline())
+        fh.write(json.dumps({"id": "nowhere", "sentences": [["a"]]}) + "\n")
+    report = str(tmp_path / "report.json")
+    r = run_cli("eval", "--task", "rouge", "--gen", gen, "--ref", docs_path,
+                "--out", report)
+    assert r.returncode == 1
+    assert f"error: {gen}:2: id nowhere missing from reference file" in r.stderr
+    assert json.load(open(report))["count"] == 1
+
+
 def test_cli_train_decode_eval_round(workspace, trained_ckpt):
     root, cfg_path, docs_path = workspace
     assert os.path.isdir(trained_ckpt)
@@ -230,6 +284,18 @@ def test_cli_decode_config_mismatch_fails(workspace, trained_ckpt, tmp_path):
                 "--in", docs_path, "--out", str(tmp_path / "x.jsonl"))
     assert r.returncode == 2
     assert "hash" in r.stderr
+
+
+@pytest.mark.parametrize("flag", [["--max-steps", "0"], ["--max-steps", "-1"],
+                                  ["--beam", "0"]])
+def test_cli_decode_rejects_budgets_below_one(workspace, trained_ckpt, tmp_path, flag):
+    root, cfg_path, docs_path = workspace
+    out = str(tmp_path / "x.jsonl")
+    r = run_cli("decode", "--config", cfg_path, "--ckpt", trained_ckpt,
+                "--in", docs_path, "--out", out, *flag)
+    assert r.returncode == 2
+    assert "must be positive" in r.stderr
+    assert not os.path.exists(out)
 
 
 def test_cli_eval_plan_identical_plans(tmp_path):
