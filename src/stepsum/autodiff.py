@@ -57,9 +57,9 @@ class Tensor:
     caller zeroes it between optimizer steps via ``zero_grad``.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "name")
+    __slots__ = ("data", "requires_grad", "grad")
 
-    def __init__(self, data, requires_grad: bool = False, name: str | None = None, *,
+    def __init__(self, data, requires_grad: bool = False, *,
                  what: str = "tensor construction"):
         arr = np.asarray(data, dtype=np.float64)
         if not arr.flags["C_CONTIGUOUS"]:
@@ -68,7 +68,6 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self.name = name
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -87,8 +86,7 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def __repr__(self) -> str:
-        nm = f" name={self.name}" if self.name else ""
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{nm})"
+        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
 @dataclass

@@ -78,7 +78,13 @@ def load_checkpoint(path: str) -> tuple[Manifest, dict[str, np.ndarray]]:
     expected = config.arch_hash(len(vocab))
     if raw["config_hash"] != expected:
         raise CheckpointError("checkpoint config hash does not match its config")
-    payload = np.frombuffer(open(payload_path, "rb").read(), dtype="<f8")
+    with open(payload_path, "rb") as fh:
+        blob = fh.read()
+    want = 8 * sum(entry["size"] for entry in raw["tensors"])
+    if len(blob) != want:
+        raise CheckpointError(f"{payload_path} holds {len(blob)} bytes, "
+                              f"its manifest lists {want}")
+    payload = np.frombuffer(blob, dtype="<f8")
     arrays: dict[str, np.ndarray] = {}
     for entry in raw["tensors"]:
         start = entry["offset"] // 8

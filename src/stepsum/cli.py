@@ -18,7 +18,6 @@ from dataclasses import replace
 
 from . import data as datalib
 from . import rotowire
-from .acceptance import run_fast_criteria
 from .checkpoint import (
     CheckpointError,
     load_checkpoint,
@@ -41,8 +40,8 @@ from .data import (
 from .decoding import DecodeConstraints, beam_decode, greedy_decode_with_repeat_exceptions
 from .metrics import co_score, cs_scores, rouge_l, rouge_n, stem_tokens
 from .models import ModelStepScorer, build_model, trim_for_flat_budget
-from .oracle import make_stepwise_examples, oracle_full
-from .plan import PlanStep
+from .oracle import oracle_full
+from .plan import PlanStep, unit_step
 from .rotowire import GameFormatError, parse_game, plan_from_json, plan_to_json
 from .training import TrainingDiverged, train
 
@@ -57,10 +56,14 @@ def _report_line_errors(path: str, errors: list[tuple[int, str]]) -> None:
 
 
 def _thread_count() -> int:
+    raw = os.environ.get("STEPSUM_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("STEPSUM_THREADS", "1")))
+        count = int(raw)
     except ValueError:
-        return 1
+        count = 0
+    if count < 1:
+        raise ConfigError(f"STEPSUM_THREADS must be a positive integer, got {raw!r}")
+    return count
 
 
 def _load_documents(path: str) -> tuple[list[tuple[int, Document]], list[tuple[int, str]]]:
@@ -115,10 +118,10 @@ def _oracle_worker(args: tuple[list[list[str]], list[str], int]):
 
 
 def cmd_oracle(args) -> int:
+    workers = _thread_count()
     cfg = load_config(args.config)
     docs, errors = _load_documents(args.infile)
     jobs = [(d.sentences, d.abstract_tokens, cfg.max_steps) for _, d in docs]
-    workers = _thread_count()
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_oracle_worker, jobs, chunksize=8))
@@ -164,11 +167,8 @@ def _prepare_corpus(cfg: RunConfig, path: str, plans_path: str | None,
             except ValueError as e:
                 errors.append((lineno, f"document {doc.doc_id}: {e}"))
                 continue
-            pairs = make_stepwise_examples(doc.sentences[: prep.n_real_units],
-                                           result)
-            for prefix, target in pairs:
-                examples.append(StepExample(
-                    prep, prefix, datalib.candidate_index(prep, target)))
+            examples.extend(examples_from_plan(
+                prep, [unit_step(i) for i in sorted(result.selected)]))
             prepared.append(prep)
         _report_line_errors(path, errors)
         return vocab, examples, prepared, bool(errors)
@@ -224,6 +224,9 @@ def cmd_train(args) -> int:
 
 def cmd_decode(args) -> int:
     cfg = load_config(args.config)
+    if cfg.task == "rotowire" and (args.triblk or args.beam not in (None, 1)):
+        raise ConfigError("table-mode decode is greedy and has no trigram blocking; "
+                          "drop --beam (or pass 1) and --triblk")
     # the --beam and --max-steps overrides obey the same rules as the file
     if args.beam is not None:
         cfg = replace(cfg, beam_size=args.beam)
@@ -236,15 +239,13 @@ def cmd_decode(args) -> int:
     model = build_model(cfg, len(vocab))
     restore_params(model.named_parameters(), arrays)
 
-    constraints = DecodeConstraints(
-        no_repeat=cfg.no_repeat,
-        trigram_blocking=args.triblk or cfg.trigram_blocking,
-        repeat_exceptions=(cfg.task == "rotowire"),
-    )
-
     errors: list[tuple[int, str]] = []
     rows = []
     if cfg.task == "cnndm":
+        constraints = DecodeConstraints(
+            no_repeat=cfg.no_repeat,
+            trigram_blocking=args.triblk or cfg.trigram_blocking,
+        )
         docs, errors = _load_documents(args.infile)
         for _, doc in docs:
             prep = prepare_cnndm(doc, vocab, max_doc_sents=cfg.max_doc_sents,
@@ -417,6 +418,9 @@ def cmd_stats(args) -> int:
 
 
 def cmd_selfcheck(_args) -> int:
+    # imported here, so that no other command pays for loading the release gate
+    from .acceptance import run_fast_criteria
+
     return 0 if run_fast_criteria(print) else 1
 
 

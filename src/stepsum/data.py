@@ -1,4 +1,4 @@
-"""Dataset ingestion: tokenization, vocabulary, and per-task unit preparation.
+"""Dataset ingestion: vocabulary and per-task unit preparation.
 
 Documents arrive as JSONL with pre-tokenized sentences; games use the
 box-score schema from the rotowire module. Either way a document becomes a
@@ -10,7 +10,6 @@ candidate steps, and everything the two encoders need to score a step.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -26,14 +25,6 @@ CLS = "[CLS]"
 SEP = "[SEP]"
 
 SPECIAL_TOKENS = [PAD, UNK, EOT, EOS, BEG, CLS, SEP]
-
-_TOKEN_RE = re.compile(r"[\w']+|[^\w\s]")
-
-
-def tokenize(text: str) -> list[str]:
-    """Lowercased whitespace-plus-punctuation word tokenizer."""
-    return _TOKEN_RE.findall(text.lower())
-
 
 class Vocab:
     """Corpus-built token table with a reserved padding/unknown prefix."""
@@ -207,6 +198,9 @@ def candidate_index(prepared: PreparedDoc, step: PlanStep) -> int:
         if prepared.break_slot is None:
             raise ValueError("break step in a task without sentence breaks")
         return prepared.break_slot
+    if not 0 <= step.unit < prepared.n_real_units:
+        raise ValueError(f"plan unit {step.unit} outside the {prepared.n_real_units} "
+                         f"units of {prepared.doc_id}")
     return prepared.special_count + step.unit
 
 

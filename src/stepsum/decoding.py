@@ -31,13 +31,16 @@ class StepScorer(Protocol):
         ...
 
 
+# table mode: records of these types may repeat even under no_repeat
+REPEAT_EXEMPT_TYPES = frozenset({"TEAM-NAME", "TEAM-CITY"})
+
+
 @dataclass(frozen=True)
 class DecodeConstraints:
     no_repeat: bool = True
     trigram_blocking: bool = False
-    # table mode: breaks plus these record types may repeat even under no_repeat
+    # table mode: breaks plus REPEAT_EXEMPT_TYPES records may repeat
     repeat_exceptions: bool = False
-    repeat_exempt_types: frozenset[str] = frozenset({"TEAM-NAME", "TEAM-CITY"})
 
 
 @dataclass(frozen=True)
@@ -88,7 +91,7 @@ def _step_blocked(scorer: StepScorer, hyp: Hypothesis, step: PlanStep,
         return False
     if constraints.no_repeat and step in hyp.steps:
         if not (constraints.repeat_exceptions and step.record is not None
-                and step.record.type in constraints.repeat_exempt_types):
+                and step.record.type in REPEAT_EXEMPT_TYPES):
             return True
     if constraints.trigram_blocking and trigram_block(
             scorer.candidate_tokens(index), _summary_tokens(scorer, hyp.steps)):
@@ -187,18 +190,17 @@ def beam_decode(scorer: StepScorer, beam_size: int, max_steps: int,
     return DecodeResult(list(best.steps), best.log_prob, incomplete=True)
 
 
-def greedy_decode_with_repeat_exceptions(scorer: StepScorer, max_steps: int,
-                                         exempt_types: frozenset[str] = frozenset(
-                                             {"TEAM-NAME", "TEAM-CITY"})) -> list[PlanStep]:
+def greedy_decode_with_repeat_exceptions(scorer: StepScorer,
+                                         max_steps: int) -> list[PlanStep]:
     """Table-mode greedy decode: skip forbidden repeats, fall to the next rank.
 
-    Breaks and records of exempt types may repeat; when every candidate is
-    forbidden the plan ends immediately.
+    Breaks and records of ``REPEAT_EXEMPT_TYPES`` may repeat; when every
+    candidate is forbidden the plan ends immediately.
     """
     if max_steps < 1:
         return []
-    hyp = greedy_rollout(scorer, max_steps, DecodeConstraints(
-        no_repeat=True, repeat_exceptions=True, repeat_exempt_types=exempt_types))
+    hyp = greedy_rollout(scorer, max_steps,
+                         DecodeConstraints(no_repeat=True, repeat_exceptions=True))
     return list(hyp.steps) if hyp.finished else list(hyp.steps) + [END_STEP]
 
 

@@ -87,10 +87,6 @@ class EtcAssembly:
     warnings: list[str] = field(default_factory=list)
 
     @property
-    def total_length(self) -> int:
-        return int(self.long_ids.shape[0])
-
-    @property
     def active(self) -> np.ndarray:
         return self.segment != SEG_PAD
 
@@ -99,7 +95,7 @@ def assemble_input(doc_units: list[list[int]], plan_units: list[list[int]],
                    special_units: list[list[int]], candidate_special_count: int,
                    *, long_budget: int, summary_budget: int, global_cap: int,
                    pad_id: int, cls_id: int, sep_id: int, beg_id: int,
-                   eos_id: int | None = None) -> EtcAssembly:
+                   eos_id: int) -> EtcAssembly:
     """Lay out the flat input; a pure function of its arguments.
 
     ``plan_units`` are the already-selected elements in prediction order,
@@ -188,7 +184,7 @@ def assemble_input(doc_units: list[list[int]], plan_units: list[list[int]],
         segment[pos: pos + len(unit)] = SEG_SUM
         sentence_id[pos: pos + len(unit)] = current_gid
         pos += len(unit)
-        if eos_id is not None and len(unit) == 1 and unit[0] == eos_id:
+        if len(unit) == 1 and unit[0] == eos_id:
             current_gid = None  # a break closes the sentence group
 
     # final [SEP]

@@ -1,4 +1,4 @@
-"""Evaluation mathematics: Rouge, BLEU, edit-distance ordering, record overlap.
+"""Evaluation mathematics: Rouge, edit-distance ordering, record overlap.
 
 Everything here is a pure function over token or record sequences. Rouge-L
 uses the longest common subsequence over concatenated tokens, computed
@@ -9,16 +9,14 @@ and one helper turns match counts into precision, recall and F1 for both
 (and for the greedy oracle's incremental counts). Plan comparison uses
 multiset record intersection (selection)
 and the complement of the normalized Damerau-Levenshtein distance
-(ordering). The default edit distance is the restricted variant (optimal
-string alignment), the one conventional for plan-ordering scores; the
-unrestricted variant is available behind a flag.
+(ordering). The edit distance is the restricted variant (optimal string
+alignment), the one conventional for plan-ordering scores.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from math import exp, log
 from typing import Hashable, Iterable, Sequence
 
 from .plan import RecordRef
@@ -27,7 +25,7 @@ from .stemmer import stem_tokens
 __all__ = [
     "RougeScore", "CsResult", "rouge_n", "rouge_l", "mean_rouge_f1",
     "mean_f1_from_counts", "lcs_masks", "lcs_scan", "lcs_from_state",
-    "dld", "co_score", "cs_scores", "bleu", "stem_tokens", "PLAN_FILTER_TYPES",
+    "dld", "co_score", "cs_scores", "stem_tokens", "PLAN_FILTER_TYPES",
 ]
 
 # dropped before content-selection scoring when the filter flag is on
@@ -147,20 +145,12 @@ def mean_rouge_f1(candidate: Sequence[str], reference: Sequence[str]) -> float:
 # ---------------------------------------------------------------------------
 
 
-def dld(a: Sequence[Hashable], b: Sequence[Hashable], *,
-        restricted: bool = True) -> int:
-    """Damerau-Levenshtein distance (insert, delete, substitute, transpose).
+def dld(a: Sequence[Hashable], b: Sequence[Hashable]) -> int:
+    """Restricted Damerau-Levenshtein distance (optimal string alignment).
 
-    The default is the restricted (optimal string alignment) variant; pass
-    ``restricted=False`` for the unrestricted distance, which is a true
-    metric but allows edits inside previously transposed pairs.
+    Insert, delete, substitute and adjacent transpose, where no substring
+    is edited more than once: nothing is edited inside a transposed pair.
     """
-    if restricted:
-        return _dld_osa(a, b)
-    return _dld_unrestricted(a, b)
-
-
-def _dld_osa(a: Sequence, b: Sequence) -> int:
     la, lb = len(a), len(b)
     if la == 0:
         return lb
@@ -180,45 +170,11 @@ def _dld_osa(a: Sequence, b: Sequence) -> int:
     return prev[lb]
 
 
-def _dld_unrestricted(a: Sequence, b: Sequence) -> int:
-    la, lb = len(a), len(b)
-    if la == 0:
-        return lb
-    if lb == 0:
-        return la
-    alphabet = {s: i for i, s in enumerate(dict.fromkeys(list(a) + list(b)))}
-    inf = la + lb
-    d = [[inf] * (lb + 2) for _ in range(la + 2)]
-    d[1][1] = 0
-    for i in range(la + 1):
-        d[i + 1][1] = i
-    for j in range(lb + 1):
-        d[1][j + 1] = j
-    last_row = [0] * len(alphabet)
-    for i in range(1, la + 1):
-        last_col = 0
-        for j in range(1, lb + 1):
-            i1 = last_row[alphabet[b[j - 1]]]
-            j1 = last_col
-            cost = 0 if a[i - 1] == b[j - 1] else 1
-            if cost == 0:
-                last_col = j
-            d[i + 1][j + 1] = min(
-                d[i][j] + cost,
-                d[i + 1][j] + 1,
-                d[i][j + 1] + 1,
-                d[i1][j1] + (i - i1 - 1) + 1 + (j - j1 - 1),
-            )
-        last_row[alphabet[a[i - 1]]] = i
-    return d[la + 1][lb + 1]
-
-
-def co_score(gen: Sequence[Hashable], ref: Sequence[Hashable], *,
-             restricted: bool = True) -> float:
+def co_score(gen: Sequence[Hashable], ref: Sequence[Hashable]) -> float:
     """Ordering agreement: 1 - normalized edit distance; both empty scores 1."""
     if not gen and not ref:
         return 1.0
-    return 1.0 - dld(gen, ref, restricted=restricted) / max(len(gen), len(ref))
+    return 1.0 - dld(gen, ref) / max(len(gen), len(ref))
 
 
 def cs_scores(gen: Sequence[RecordRef], ref: Sequence[RecordRef],
@@ -233,35 +189,3 @@ def cs_scores(gen: Sequence[RecordRef], ref: Sequence[RecordRef],
     p = overlap / len(gen)
     r = overlap / len(ref) if ref else 0.0
     return CsResult(p, r, _f1(p, r))
-
-
-# ---------------------------------------------------------------------------
-# BLEU
-# ---------------------------------------------------------------------------
-
-
-def bleu(candidates: Sequence[Sequence[str]], references: Sequence[Sequence[str]],
-         max_n: int = 4) -> float:
-    """Corpus BLEU with uniform weights and brevity penalty, no smoothing."""
-    if len(candidates) != len(references):
-        raise ValueError("candidate and reference corpora differ in length")
-    if not candidates:
-        return 0.0
-    cand_len = sum(len(c) for c in candidates)
-    ref_len = sum(len(r) for r in references)
-    if cand_len == 0:
-        return 0.0
-    log_sum = 0.0
-    for n in range(1, max_n + 1):
-        matched = 0
-        total = 0
-        for cand, ref in zip(candidates, references):
-            cg = _ngrams(cand, n)
-            rg = _ngrams(ref, n)
-            matched += sum((cg & rg).values())
-            total += sum(cg.values())
-        if matched == 0 or total == 0:
-            return 0.0
-        log_sum += log(matched / total)
-    bp = 1.0 if cand_len > ref_len else exp(1.0 - ref_len / cand_len)
-    return bp * exp(log_sum / max_n)

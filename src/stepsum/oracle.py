@@ -1,4 +1,4 @@
-"""Extractive oracles and the stepwise training examples derived from them.
+"""Extractive oracles: the greedy training oracle and its exhaustive check.
 
 The training oracle is greedy: starting from an empty selection, repeatedly
 add the sentence that most improves the mean of Rouge-1/2/L F1 against the
@@ -19,7 +19,6 @@ from itertools import chain, combinations
 from typing import Sequence
 
 from .metrics import lcs_from_state, lcs_masks, lcs_scan, mean_f1_from_counts, mean_rouge_f1
-from .plan import END_STEP, PlanStep, unit_step, validate_plan
 
 
 @dataclass
@@ -135,34 +134,3 @@ def brute_force_oracle(doc: Sequence[Sequence[str]], reference: Sequence[str],
             best = subset
             best_score = score
     return OracleResult(list(best), best_score, [])
-
-
-def stepwise_examples_from_plan(
-        plan: Sequence[PlanStep]) -> list[tuple[tuple[PlanStep, ...], PlanStep]]:
-    """One (prefix, next step) pair per plan element, ending at the end marker."""
-    steps = list(plan)
-    if not steps or not steps[-1].is_end:
-        steps.append(END_STEP)
-    validate_plan(steps)
-    out = []
-    for k, step in enumerate(steps):
-        out.append((tuple(steps[:k]), step))
-    return out
-
-
-def make_stepwise_examples(doc: Sequence[Sequence[str]], oracle: OracleResult,
-                           order: str = "position") -> list[tuple[tuple[PlanStep, ...], PlanStep]]:
-    """Training pairs from an oracle selection.
-
-    ``order`` fixes the supervision order of the selected sentences:
-    ``position`` (document order, the default, matching how summaries are
-    assembled) or ``selection`` (greedy pick order).
-    """
-    if order not in ("position", "selection"):
-        raise ValueError(f"unknown order {order!r}")
-    for i in oracle.selected:
-        if not (0 <= i < len(doc)):
-            raise ValueError(f"oracle index {i} outside the document")
-    indices = sorted(oracle.selected) if order == "position" else list(oracle.selected)
-    plan = [unit_step(i) for i in indices]
-    return stepwise_examples_from_plan(plan)

@@ -218,30 +218,6 @@ def parse_game(raw: dict) -> RotowireGame:
     )
 
 
-def serialize_game(game: RotowireGame) -> dict:
-    """Canonical raw form; parse(serialize(g)) is the identity on typed fields."""
-    y, m, d, wd = game.date
-    out = {
-        "id": game.game_id,
-        "date": {"year": y, "month": m, "day": d, "weekday": WEEKDAYS[wd]},
-        "home": _team_raw(game.teams[0]),
-        "visitor": _team_raw(game.teams[1]),
-        "players": [
-            {"key": p.key, "first_name": p.first_name, "second_name": p.second_name,
-             "team": p.team_key, "stats": dict(p.stats)}
-            for p in game.players
-        ],
-    }
-    if game.reference_summary is not None:
-        out["summary"] = list(game.reference_summary)
-    return out
-
-
-def _team_raw(team: TeamEntry) -> dict:
-    return {"key": team.key, "name": team.name, "city": team.city,
-            "stats": dict(team.stats)}
-
-
 # ---------------------------------------------------------------------------
 # records, ranks, prefiltering
 # ---------------------------------------------------------------------------
@@ -406,13 +382,6 @@ def record_token(ref: RecordRef) -> str:
     return f"{ref.entity}|{ref.type}"
 
 
-def parse_record_token(token: str) -> RecordRef:
-    entity, _, rtype = token.partition("|")
-    if not entity or not rtype:
-        raise ValueError(f"malformed record token {token!r}")
-    return RecordRef(entity, rtype)
-
-
 def linearize_plan(steps: Sequence[PlanStep]) -> list[str]:
     """Begin marker, record tokens in order, break markers, end marker."""
     validate_plan(list(steps))
@@ -428,31 +397,6 @@ def linearize_plan(steps: Sequence[PlanStep]) -> list[str]:
             out.append(record_token(step.record))
     out.append(EOT_TOKEN)
     return out
-
-
-def parse_linearized_plan(tokens: Sequence[str]) -> list[PlanStep]:
-    if not tokens or tokens[0] != BEG_TOKEN or tokens[-1] != EOT_TOKEN:
-        raise ValueError("linearized plan must start with the begin marker "
-                         "and end with the end marker")
-    steps: list[PlanStep] = []
-    for i, tok in enumerate(tokens[1:-1]):
-        if tok == EOS_TOKEN:
-            steps.append(BREAK_STEP)
-        elif tok in (BEG_TOKEN, EOT_TOKEN):
-            raise ValueError(f"marker {tok} in plan body at position {i + 1}")
-        else:
-            steps.append(PlanStep("unit", unit=i, record=parse_record_token(tok)))
-    # unit indices above are positional placeholders; re-number cleanly
-    renumbered = []
-    u = 0
-    for step in steps:
-        if step.kind == "unit":
-            renumbered.append(PlanStep("unit", unit=u, record=step.record))
-            u += 1
-        else:
-            renumbered.append(step)
-    renumbered.append(END_STEP)
-    return renumbered
 
 
 def plan_to_json(steps: Sequence[PlanStep]) -> list:

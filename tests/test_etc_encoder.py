@@ -33,7 +33,7 @@ def assemble(doc_units, plan_units, special_units=None, cand_specials=1,
 def test_paper_scale_budget_arithmetic():
     asm = assemble([[10, 11]], [], long_budget=6141, summary_budget=2048,
                    global_cap=512)
-    assert asm.total_length == 6141 + 2048 + 3 == 8192
+    assert asm.long_ids.size == 6141 + 2048 + 3 == 8192
 
 
 def test_empty_plan_layout_valid():
@@ -48,7 +48,7 @@ def test_hand_checked_delimiter_positions():
     assert asm.long_ids[0] == IDS["cls_id"]
     assert asm.long_ids[33] == IDS["sep_id"]
     assert asm.long_ids[50] == IDS["sep_id"]
-    assert asm.total_length == 51
+    assert asm.long_ids.size == 51
 
 
 def test_layout_is_deterministic():

@@ -23,7 +23,6 @@ from stepsum.data import (
     prepare_cnndm,
     prepare_rotowire,
     read_jsonl,
-    tokenize,
 )
 from stepsum.models import build_model
 from stepsum.plan import BREAK_STEP, END_STEP, unit_step
@@ -31,13 +30,7 @@ from stepsum.rotowire import parse_game
 from stepsum.acceptance import table3_game
 
 
-# -- tokenizer and vocab ----------------------------------------------------------
-
-
-def test_tokenizer_lowercase_and_punctuation():
-    assert tokenize("The cat, sat!") == ["the", "cat", ",", "sat", "!"]
-    assert tokenize("Chicago_Bulls scored 100.") == ["chicago_bulls", "scored",
-                                                     "100", "."]
+# -- vocab -----------------------------------------------------------------------
 
 
 def test_vocab_reserved_prefix_and_oov():
@@ -262,6 +255,20 @@ def test_tampered_manifest_rejected(tmp_path):
     blob["config"]["dim"] = 32
     json.dump(blob, open(manifest_path, "w"))
     with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("cut", [1, 8])
+def test_truncated_payload_rejected(tmp_path, cut):
+    cfg, vocab, model = small_model_and_cfg()
+    path = str(tmp_path / "ck")
+    save_checkpoint(path, model.named_parameters(), cfg, vocab.id_to_token)
+    payload = os.path.join(path, "params.bin")
+    size = os.path.getsize(payload)
+    with open(payload, "r+b") as fh:
+        fh.truncate(size - cut)
+    with pytest.raises(CheckpointError,
+                       match=f"params.bin holds {size - cut} bytes, its manifest lists {size}"):
         load_checkpoint(path)
 
 

@@ -8,7 +8,6 @@ from stepsum.acceptance import osa_search
 from stepsum.metrics import (
     PLAN_FILTER_TYPES,
     _lcs_length,
-    bleu,
     co_score,
     cs_scores,
     dld,
@@ -155,35 +154,19 @@ def test_dld_empty_cases():
     assert dld(["a", "b"], []) == 2
 
 
-def test_dld_restricted_vs_unrestricted_divergence():
-    # the classic case: restricted alignment cannot edit inside a transposed
-    # pair, so "ca" -> "abc" costs 3 restricted but 2 unrestricted
-    assert dld("ca", "abc", restricted=True) == 3
-    assert dld("ca", "abc", restricted=False) == 2
-
-
 @given(short_seq, short_seq)
 @settings(max_examples=300)
-def test_dld_symmetry_both_variants(a, b):
+def test_dld_symmetry(a, b):
     assert dld(a, b) == dld(b, a)
-    assert dld(a, b, restricted=False) == dld(b, a, restricted=False)
 
 
 @given(short_seq, short_seq)
 @settings(max_examples=300)
 def test_dld_identity_and_dominance(a, b):
     assert (dld(a, b) == 0) == (a == b)
-    # the restricted variant never undercuts the unrestricted one
-    assert dld(a, b) >= dld(a, b, restricted=False)
-
-
-@given(short_seq, short_seq, short_seq)
-@settings(max_examples=200)
-def test_dld_triangle_inequality_unrestricted(a, b, c):
-    ab = dld(a, b, restricted=False)
-    bc = dld(b, c, restricted=False)
-    ac = dld(a, c, restricted=False)
-    assert ac <= ab + bc
+    # bounded by the length gap below and by substitute-then-insert above,
+    # which keeps co_score inside [0, 1]
+    assert abs(len(a) - len(b)) <= dld(a, b) <= max(len(a), len(b))
 
 
 @given(short_seq, short_seq)
@@ -255,44 +238,6 @@ def test_cs_swap_symmetry(xs, ys):
     rev = cs_scores(ref, gen)
     assert fwd.precision == pytest.approx(rev.recall, abs=1e-12)
     assert fwd.recall == pytest.approx(rev.precision, abs=1e-12)
-
-
-# -- bleu -----------------------------------------------------------------------
-
-
-def test_bleu_identical_corpora():
-    corpus = ["the quick brown fox jumps".split(), "over the lazy dog today".split()]
-    assert bleu(corpus, corpus) == pytest.approx(1.0)
-
-
-def test_bleu_disjoint_vocab_zero():
-    assert bleu(["a b c d e".split()], ["v w x y z".split()]) == 0.0
-
-
-def test_bleu_hand_case():
-    # cand: 6 tokens, ref: 6 tokens sharing a 5-token prefix
-    cand = "a b c d e f".split()
-    ref = "a b c d e x".split()
-    p1, p2, p3, p4 = 5 / 6, 4 / 5, 3 / 4, 2 / 3
-    want = (p1 * p2 * p3 * p4) ** 0.25  # no brevity penalty: equal lengths
-    assert bleu([cand], [ref]) == pytest.approx(want, abs=1e-12)
-
-
-def test_bleu_brevity_penalty():
-    cand = "a b c d".split()
-    ref = "a b c d e f g h".split()
-    got = bleu([cand], [ref])
-    assert got == pytest.approx(np.exp(1 - 8 / 4) * 1.0, abs=1e-12)
-
-
-def test_bleu_empty_candidate_zero():
-    assert bleu([[]], [["a"]]) == 0.0
-    assert bleu([], []) == 0.0
-
-
-def test_bleu_length_mismatch_rejected():
-    with pytest.raises(ValueError):
-        bleu([["a"]], [])
 
 
 # -- stemming -------------------------------------------------------------------

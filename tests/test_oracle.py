@@ -6,12 +6,8 @@ import rouge_reference as old
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stepsum.oracle import (
-    brute_force_oracle,
-    make_stepwise_examples,
-    oracle_full,
-    stepwise_examples_from_plan,
-)
+from stepsum.data import Document, PreparedDoc, Vocab, examples_from_plan, prepare_cnndm
+from stepsum.oracle import brute_force_oracle, oracle_full
 from stepsum.plan import BREAK_STEP, END_STEP, unit_step
 
 
@@ -151,10 +147,17 @@ def test_bruteforce_single_sentence_cases():
     assert brute_force_oracle([["a", "b"]], ["x"]).selected == []
 
 
+def _oracle_examples(n_sentences, selected):
+    """Training pairs the way ``train`` builds them from an oracle selection."""
+    doc = Document("d", [[f"s{i}"] for i in range(n_sentences)])
+    prep = prepare_cnndm(doc, Vocab.from_corpus(doc.sentences),
+                         max_doc_sents=8, max_sent_len=4)
+    examples = examples_from_plan(prep, [unit_step(i) for i in sorted(selected)])
+    return [(ex.prefix, prep.candidates[ex.target]) for ex in examples]
+
+
 def test_stepwise_examples_position_order():
-    doc = [["s0"], ["s1"], ["s2"], ["s3"], ["s4"]]
-    oracle = type("R", (), {"selected": [4, 1], "score": 1.0, "trace": []})()
-    pairs = make_stepwise_examples(doc, oracle)
+    pairs = _oracle_examples(5, [4, 1])
     assert pairs == [
         ((), unit_step(1)),
         ((unit_step(1),), unit_step(4)),
@@ -162,25 +165,19 @@ def test_stepwise_examples_position_order():
     ]
 
 
-def test_stepwise_examples_selection_order():
-    doc = [["s0"], ["s1"], ["s2"], ["s3"], ["s4"]]
-    oracle = type("R", (), {"selected": [4, 1], "score": 1.0, "trace": []})()
-    pairs = make_stepwise_examples(doc, oracle, order="selection")
-    assert pairs[0] == ((), unit_step(4))
-    assert pairs[1] == ((unit_step(4),), unit_step(1))
-
-
 def test_empty_oracle_yields_single_stop_example():
-    doc = [["s0"]]
-    oracle = type("R", (), {"selected": [], "score": 0.0, "trace": []})()
-    pairs = make_stepwise_examples(doc, oracle)
-    assert pairs == [((), END_STEP)]
+    assert _oracle_examples(1, []) == [((), END_STEP)]
 
 
 def test_plan_with_breaks_one_example_per_element():
     plan = [unit_step(0), unit_step(1), BREAK_STEP, unit_step(2), BREAK_STEP,
             unit_step(3), unit_step(4), BREAK_STEP]
-    pairs = stepwise_examples_from_plan(plan)
+    # table-mode layout: break slot, stop slot, then five units
+    prep = PreparedDoc("t", [[0]] * 7, [["u"]] * 7,
+                       [BREAK_STEP, END_STEP] + [unit_step(i) for i in range(5)],
+                       special_count=2, break_slot=0)
+    pairs = [(ex.prefix, prep.candidates[ex.target])
+             for ex in examples_from_plan(prep, plan)]
     assert len(pairs) == len(plan) + 1  # every element plus the final stop
     assert pairs[-1][1] == END_STEP
     assert pairs[2][1] == BREAK_STEP
@@ -189,14 +186,13 @@ def test_plan_with_breaks_one_example_per_element():
 
 
 def test_targets_round_trip_reproduces_selection():
-    doc = [[f"s{i}"] for i in range(6)]
-    oracle = type("R", (), {"selected": [3, 0, 5], "score": 1.0, "trace": []})()
-    pairs = make_stepwise_examples(doc, oracle)
+    pairs = _oracle_examples(6, [3, 0, 5])
     units = [t.unit for _, t in pairs if t.kind == "unit"]
-    assert units == sorted(oracle.selected)
+    assert units == [0, 3, 5]
 
 
 def test_oracle_index_outside_document_rejected():
-    oracle = type("R", (), {"selected": [9], "score": 1.0, "trace": []})()
-    with pytest.raises(ValueError):
-        make_stepwise_examples([["a"]], oracle)
+    with pytest.raises(ValueError, match="outside"):
+        _oracle_examples(1, [9])
+    with pytest.raises(ValueError, match="outside"):
+        _oracle_examples(1, [-1])

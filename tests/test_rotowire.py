@@ -12,13 +12,11 @@ from stepsum.rotowire import (
     linearize_plan,
     missing_plan_records,
     parse_game,
-    parse_linearized_plan,
     plan_from_json,
     plan_stats,
     plan_to_json,
     prefilter,
     rank_records,
-    serialize_game,
     templated_sentence,
     templated_units,
 )
@@ -109,13 +107,6 @@ def test_unknown_entry_type_preserved_with_warning():
     assert any("TEAM-MOJO" in w for w in game.warnings)
     refs = game_records(game)
     assert RecordRef("Chicago_Bulls", "TEAM-MOJO", "11") in refs
-
-
-def test_round_trip_parse_serialize_parse(game):
-    again = parse_game(serialize_game(game))
-    assert again.date == game.date
-    assert [t.__dict__ for t in again.teams] == [t.__dict__ for t in game.teams]
-    assert [p.__dict__ for p in again.players] == [p.__dict__ for p in game.players]
 
 
 # -- ranking --------------------------------------------------------------------
@@ -324,8 +315,9 @@ def test_table3_s1_fragment_order():
 
 
 def test_linearize_round_trip():
+    # through the plan JSON that decode writes and eval and train read
     tokens = linearize_plan(table3_s1_plan())
-    steps = parse_linearized_plan(tokens)
+    steps = plan_from_json(plan_to_json(table3_s1_plan() + [END_STEP]))
     assert linearize_plan(steps) == tokens
 
 

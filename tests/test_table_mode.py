@@ -181,6 +181,28 @@ def test_cli_rotowire_round(tmp_path):
     assert "cs_f1" in blob["corpus"] and "co" in blob["corpus"]
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--beam", "3"], "table-mode decode is greedy"),
+    (["--triblk"], "table-mode decode is greedy"),
+    # beam 1 is what table mode does: decode goes on as far as the checkpoint
+    (["--beam", "1"], "is not a checkpoint directory"),
+])
+def test_cli_table_decode_rejects_flags_it_cannot_honour(tmp_path, flags, message):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("[run]\ntask = rotowire\n")
+    games_path = tmp_path / "games.jsonl"
+    games_path.write_text(json.dumps(table3_game()) + "\n")
+    out = tmp_path / "decoded.jsonl"
+    proc = subprocess.run(
+        [sys.executable, "-m", "stepsum.cli", "decode", "--config", str(cfg_path),
+         "--ckpt", str(tmp_path / "none"), "--in", str(games_path), "--out", str(out),
+         *flags],
+        capture_output=True, text=True, env=cli_env())
+    assert proc.returncode == 2
+    assert message in proc.stderr
+    assert not out.exists()
+
+
 def test_cli_rotowire_train_names_plan_file_lines(tmp_path):
     games_path = tmp_path / "games.jsonl"
     plans_path = tmp_path / "plans.jsonl"

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -185,6 +186,27 @@ def test_cli_oracle_parallel_matches_serial(workspace):
     assert open(out1, "rb").read() == open(out2, "rb").read()
 
 
+@pytest.mark.parametrize("threads", ["abc", "0", "-1"])
+def test_cli_oracle_rejects_bad_thread_count(workspace, tmp_path, threads):
+    root, cfg_path, docs_path = workspace
+    out = str(tmp_path / "oracles.jsonl")
+    r = run_cli("oracle", "--config", cfg_path, "--in", docs_path, "--out", out,
+                env_extra={"STEPSUM_THREADS": threads})
+    assert r.returncode == 2
+    assert (f"error: STEPSUM_THREADS must be a positive integer, got '{threads}'"
+            in r.stderr)
+    assert not os.path.exists(out)
+
+
+def test_cli_import_leaves_release_suite_unloaded():
+    r = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, stepsum.cli; print('stepsum.acceptance' in sys.modules)"],
+        capture_output=True, text=True, env=cli_env(), cwd=os.path.dirname(__file__))
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False"
+
+
 def test_cli_malformed_line_reported_run_continues(workspace, tmp_path):
     root, cfg_path, docs_path = workspace
     bad = str(tmp_path / "bad.jsonl")
@@ -284,6 +306,22 @@ def test_cli_decode_config_mismatch_fails(workspace, trained_ckpt, tmp_path):
                 "--in", docs_path, "--out", str(tmp_path / "x.jsonl"))
     assert r.returncode == 2
     assert "hash" in r.stderr
+
+
+def test_cli_decode_torn_checkpoint_fails(workspace, trained_ckpt, tmp_path):
+    root, cfg_path, docs_path = workspace
+    torn = str(tmp_path / "torn")
+    shutil.copytree(trained_ckpt, torn)
+    payload = os.path.join(torn, "params.bin")
+    size = os.path.getsize(payload)
+    with open(payload, "r+b") as fh:
+        fh.truncate(size - 12)
+    out = str(tmp_path / "x.jsonl")
+    r = run_cli("decode", "--config", cfg_path, "--ckpt", torn,
+                "--in", docs_path, "--out", out)
+    assert r.returncode == 2
+    assert f"holds {size - 12} bytes, its manifest lists {size}" in r.stderr
+    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("flag", [["--max-steps", "0"], ["--max-steps", "-1"],
