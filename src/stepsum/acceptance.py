@@ -179,15 +179,21 @@ def _op_cases(seed: int):
     cases.append(("bias_at", {"table": bt},
                   lambda: ad.sum_all(ad.mul(ad.bias_at(bt, labels),
                                             ad.bias_at(bt, labels)))))
-    pat = band_pattern(6, 2, None)
     bq, bk, bv = t(2, 6, 4), t(2, 6, 4), t(2, 6, 4)
 
-    def banded_loss():
+    def banded_loss(pat):
         w = ad.softmax(banded_scores(bq, bk, pat), -1)
         out = banded_apply(w, bv, pat)
         return ad.sum_all(ad.mul(out, out))
 
-    cases.append(("banded", {"q": bq, "k": bk, "v": bv}, banded_loss))
+    cases.append(("banded", {"q": bq, "k": bk, "v": bv},
+                  lambda: banded_loss(band_pattern(np.arange(6), 2))))
+    # a one-position gap inside the radius: some pairs attend across it and
+    # some index-offset slots are masked; then padding marked inactive
+    gapped = band_pattern(np.array([0, 1, 2, 4, 5, 6]), 2)
+    padded = band_pattern(np.arange(6), 2, np.array([1, 1, 0, 1, 1, 1], dtype=bool))
+    cases.append(("banded_gapped", {"q": bq, "k": bk, "v": bv},
+                  lambda: ad.add(banded_loss(gapped), banded_loss(padded))))
     return cases
 
 

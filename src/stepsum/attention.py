@@ -1,11 +1,13 @@
 """Attention blocks: dense masked multi-head, banded local, and global-local.
 
-The banded long-to-long path evaluates scores only for key positions inside
-each query's clipped window, so its cost is linear in sequence length for a
-fixed radius. A module-level counter tracks how many (query, key) score
-entries each call actually evaluates, per attention part, which lets tests
-pin the sparse paths to their closed-form pattern sizes. Head count is a
-constant factor and is excluded from the counts.
+The banded long-to-long path computes each query's clipped window as 2r+1
+index-offset slots, one contiguous slice product per offset, so its cost is
+linear in sequence length for a fixed radius; a mask drops slots that touch
+padding or lie past the radius in original position. A module-level counter
+tracks how many (query, key) score entries each call actually evaluates, per
+attention part, masked slots included, which lets tests pin the sparse paths
+to their closed-form pattern sizes. Head count is a constant factor and is
+excluded from the counts.
 
 Heads ride along as an array axis: projections are split into
 [... x heads x len x head_dim] once, every attention part runs on all heads
@@ -295,34 +297,26 @@ def multi_head_attention(q_in: Tensor, k_in: Tensor, v_in: Tensor, mask: np.ndar
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class BandPattern:
-    """Precomputed valid (query, key) pairs of a clipped local window.
+    """A clipped local window laid out as [rows x (2r+1)] index-offset slots.
 
-    ``ii``/``jj`` index the long sequence and ``ww`` is the window slot
-    j - i + radius. Pairs touching inactive (padding) positions are dropped
-    at construction, so downstream ops never evaluate them. When every row
-    owns at least one pair, segment boundaries for both pair orders are
-    precomputed so the banded ops can use contiguous-segment reductions
-    instead of scattered accumulation.
+    Slot ``w`` of row ``i`` is row ``i + w - r``. ``valid`` marks the slots
+    that attend: both rows exist and are active, and their original
+    positions lie within ``radius`` of each other. ``offsets`` holds each
+    slot's original-position offset, which ``band_labels`` clips; it is
+    meaningful only where ``valid`` holds. Positions are strictly increasing,
+    so every pair within ``radius`` in position is within ``radius`` in
+    index and owns a slot.
     """
 
-    length: int
     radius: int
-    ii: np.ndarray
-    jj: np.ndarray
-    ww: np.ndarray
-    i_starts: np.ndarray | None = None
-    j_order: np.ndarray | None = None
-    j_starts: np.ndarray | None = None
+    valid: np.ndarray
+    offsets: np.ndarray
 
-    def __post_init__(self) -> None:
-        counts = np.bincount(self.ii, minlength=self.length)
-        if self.count and counts.min() > 0:
-            self.i_starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-            self.j_order = np.argsort(self.jj, kind="stable")
-            jcounts = np.bincount(self.jj, minlength=self.length)
-            self.j_starts = np.concatenate(([0], np.cumsum(jcounts)[:-1]))
+    @property
+    def length(self) -> int:
+        return self.valid.shape[0]
 
     @property
     def width(self) -> int:
@@ -330,116 +324,96 @@ class BandPattern:
 
     @property
     def count(self) -> int:
-        return int(self.ii.size)
-
-    @property
-    def slots(self) -> np.ndarray:
-        """Flat index of each pair in a row-major [len x (2r+1)] window buffer."""
-        return self.ii * self.width + self.ww
+        """Slots the banded ops evaluate: every slot whose neighbour row exists."""
+        return banded_pair_count(self.length, self.radius)
 
 
-def band_pattern(length: int, radius: int, active: np.ndarray | None = None) -> BandPattern:
-    offs = np.arange(-radius, radius + 1)
-    ii = np.repeat(np.arange(length), offs.size)
-    jj = ii + np.tile(offs, length)
-    keep = (jj >= 0) & (jj < length)
-    if active is not None:
-        act = np.asarray(active, dtype=bool)
-        keep &= act[ii] & act[np.clip(jj, 0, length - 1)]
-    ii, jj = ii[keep], jj[keep]
-    return BandPattern(length, radius, ii, jj, jj - ii + radius)
+def band_pattern(positions: np.ndarray, radius: int,
+                 active: np.ndarray | None = None) -> BandPattern:
+    """Band over rows at strictly increasing original ``positions``.
 
-
-def band_pattern_for_positions(positions: np.ndarray, radius: int) -> BandPattern:
-    """Band pattern over a compacted stream.
-
-    ``positions`` are the original (strictly increasing) sequence positions
-    of the rows that remain after dropping padding; window membership and
-    slot offsets are judged on those original positions, so compaction does
-    not change which pairs attend or their relative-position labels.
+    A padded stream passes ``np.arange(len)`` and marks its padding inactive;
+    a compacted stream passes the original positions of the rows it kept, so
+    compaction changes neither which pairs attend nor their labels.
     """
     pos = np.asarray(positions, dtype=np.int64)
     n = pos.size
-    lo = np.searchsorted(pos, pos - radius, side="left")
-    hi = np.searchsorted(pos, pos + radius, side="right")
-    counts = hi - lo
-    ii = np.repeat(np.arange(n), counts)
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    jj = np.repeat(lo, counts) + (np.arange(int(counts.sum()))
-                                  - np.repeat(starts, counts))
-    return BandPattern(n, radius, ii, jj, pos[jj] - pos[ii] + radius)
+    act = np.ones(n, dtype=bool) if active is None else np.asarray(active, dtype=bool)
+    nb = np.arange(n)[:, None] + np.arange(-radius, radius + 1)
+    inside = (nb >= 0) & (nb < n)
+    nb = np.clip(nb, 0, max(n - 1, 0))
+    offsets = pos[nb] - pos[:, None]
+    valid = inside & act[:, None] & act[nb] & (np.abs(offsets) <= radius)
+    return BandPattern(radius, valid, offsets)
 
 
-def _segment_sum_i(pat: BandPattern, per_pair: np.ndarray) -> np.ndarray:
-    """Sum [heads x pairs x d] values into query rows (pairs are query-major)."""
-    if pat.i_starts is not None:
-        return np.add.reduceat(per_pair, pat.i_starts, axis=1)
-    out = np.zeros((per_pair.shape[0], pat.length, per_pair.shape[2]))
-    np.add.at(out, (slice(None), pat.ii), per_pair)
-    return out
-
-
-def _segment_sum_j(pat: BandPattern, per_pair: np.ndarray) -> np.ndarray:
-    """Sum [heads x pairs x d] values into key rows via the key-major order."""
-    if pat.j_starts is not None:
-        return np.add.reduceat(np.take(per_pair, pat.j_order, axis=1), pat.j_starts,
-                               axis=1)
-    out = np.zeros((per_pair.shape[0], pat.length, per_pair.shape[2]))
-    np.add.at(out, (slice(None), pat.jj), per_pair)
-    return out
+def _offset_slices(pat: BandPattern):
+    """(slot, query rows, key rows) of every window offset some row has."""
+    n = pat.length
+    for w in range(pat.width):
+        o = w - pat.radius
+        lo, hi = max(0, -o), min(n, n - o)
+        if lo < hi:
+            yield w, slice(lo, hi), slice(lo + o, hi + o)
 
 
 def banded_scores(q: Tensor, k: Tensor, pat: BandPattern) -> Tensor:
     """Windowed scores [heads x len x (2r+1)] of [heads x len x d] queries and keys.
 
-    Absent window slots hold the mask value.
+    Each window offset is one slice product over the rows that have that
+    neighbour. Invalid slots hold the mask value and pass no gradient.
     """
     if q.shape != k.shape or q.data.ndim != 3 or q.shape[1] != pat.length:
         raise ValueError(f"banded_scores got shapes {q.shape}, {k.shape}")
-    heads = q.shape[0]
-    qd, kd, slots = q.data, k.data, pat.slots
-    buf = np.full((heads, pat.length * pat.width), MASK_NEG)
-    buf[:, slots] = np.einsum("hnd,hnd->hn", np.take(qd, pat.ii, axis=1),
-                              np.take(kd, pat.jj, axis=1))
+    qd, kd = q.data, k.data
+    out = np.full((q.shape[0], pat.length, pat.width), MASK_NEG)
+    for w, qi, kj in _offset_slices(pat):
+        out[:, qi, w] = np.einsum("hnd,hnd->hn", qd[:, qi], kd[:, kj])
+    out[:, ~pat.valid] = MASK_NEG
 
     def back(g, accum):
-        gpairs = g.reshape(heads, -1)[:, slots][..., None]
-        accum(q, _segment_sum_i(pat, gpairs * np.take(kd, pat.jj, axis=1)))
-        accum(k, _segment_sum_j(pat, gpairs * np.take(qd, pat.ii, axis=1)))
+        g = np.where(pat.valid, g, 0.0)
+        gq, gk = np.zeros_like(qd), np.zeros_like(kd)
+        for w, qi, kj in _offset_slices(pat):
+            gw = g[:, qi, w, None]
+            gq[:, qi] += gw * kd[:, kj]
+            gk[:, kj] += gw * qd[:, qi]
+        accum(q, gq)
+        accum(k, gk)
 
-    return apply_op(buf.reshape(heads, pat.length, pat.width), (q, k), back,
-                    what="banded_scores")
+    return apply_op(out, (q, k), back, what="banded_scores")
 
 
 def banded_apply(weights: Tensor, v: Tensor, pat: BandPattern) -> Tensor:
     """Weighted sum of windowed values per head.
 
-    ``out[h, i] = sum_w weights[h, i, w] * v[h, j(i, w)]`` for [heads x len x
-    (2r+1)] weights and [heads x len x d] values.
+    ``out[h, i] = sum_w weights[h, i, w] * v[h, i + w - r]`` over the valid
+    slots, for [heads x len x (2r+1)] weights and [heads x len x d] values;
+    invalid slots count as zero weight.
     """
     heads = v.shape[0]
     if (weights.shape != (heads, pat.length, pat.width) or v.data.ndim != 3
             or v.shape[1] != pat.length):
         raise ValueError(f"banded_apply got shapes {weights.shape}, {v.shape}")
-    wd, vd, slots = weights.data, v.data, pat.slots
-    wpairs = wd.reshape(heads, -1)[:, slots][..., None]
-    out = _segment_sum_i(pat, wpairs * np.take(vd, pat.jj, axis=1))
+    wd, vd = np.where(pat.valid, weights.data, 0.0), v.data
+    out = np.zeros_like(vd)
+    for w, qi, kj in _offset_slices(pat):
+        out[:, qi] += wd[:, qi, w, None] * vd[:, kj]
 
     def back(g, accum):
-        gi = np.take(g, pat.ii, axis=1)
-        gw = np.zeros((heads, pat.length * pat.width))
-        gw[:, slots] = np.einsum("hnd,hnd->hn", gi, np.take(vd, pat.jj, axis=1))
-        accum(weights, gw.reshape(wd.shape))
-        accum(v, _segment_sum_j(pat, wpairs * gi))
+        gw, gv = np.zeros_like(wd), np.zeros_like(vd)
+        for w, qi, kj in _offset_slices(pat):
+            gw[:, qi, w] = np.einsum("hnd,hnd->hn", g[:, qi], vd[:, kj])
+            gv[:, kj] += wd[:, qi, w, None] * g[:, qi]
+        accum(weights, np.where(pat.valid, gw, 0.0))
+        accum(v, gv)
 
     return apply_op(out, (weights, v), back, what="banded_apply")
 
 
 def band_labels(pat: BandPattern, max_distance: int) -> np.ndarray:
-    """Per-slot clipped-offset labels; identical for every query row."""
-    offs = np.arange(-pat.radius, pat.radius + 1)
-    row = np.clip(offs, -max_distance, max_distance) + max_distance
-    return np.broadcast_to(row, (pat.length, pat.width)).copy()
+    """Per-slot labels: each slot's original-position offset, clipped."""
+    return np.clip(pat.offsets, -max_distance, max_distance) + max_distance
 
 
 # ---------------------------------------------------------------------------
@@ -468,11 +442,12 @@ def glocal_attention(long: Tensor, glob: Tensor, sentence_id: np.ndarray,
     output-projected attention results, before any residual wiring.
 
     ``long_active`` marks real (non-padding) long positions; inactive rows
-    are excluded from every pattern, so they receive no gradient and
+    are masked out of every pattern, so they receive no gradient and
     contribute to no other row. ``enable_long_global`` exists for gradient
     reachability probes; switching it off masks the long/global links in
     both directions. ``pattern`` lets a caller that compacted the long
-    stream supply the band over original positions.
+    stream supply the band over original positions. ``long_to_long`` counts
+    every evaluated window slot, masked ones included.
     """
     if glob.shape[0] == 0:
         raise ValueError("at least one global token is required")
@@ -492,7 +467,7 @@ def glocal_attention(long: Tensor, glob: Tensor, sentence_id: np.ndarray,
     active = (np.ones(L, dtype=bool) if long_active is None
               else np.asarray(long_active, dtype=bool))
 
-    pat = pattern if pattern is not None else band_pattern(L, cfg.local_radius, active)
+    pat = pattern or band_pattern(np.arange(L), cfg.local_radius, active)
     score_counter.add("long_to_long", pat.count)
     n_active = int(active.sum())
     if enable_long_global:

@@ -3,8 +3,10 @@
 A checkpoint directory holds ``manifest.json`` (format version, config hash,
 the architecture config, the vocabulary, and a named-tensor directory with
 shapes and byte offsets) and ``params.bin`` (little-endian 64-bit floats in
-manifest order). Loading verifies the config hash; a mismatch is a hard
-error rather than a silent shape coercion.
+manifest order). Each file is written to a temporary file in the directory
+and renamed over the old one, so a failed or interrupted save leaves the
+previous checkpoint loadable. Loading verifies the config hash; a mismatch
+is a hard error rather than a silent shape coercion.
 """
 
 from __future__ import annotations
@@ -58,10 +60,19 @@ def save_checkpoint(path: str, named_params: dict[str, Tensor],
         "vocab": vocab,
         "tensors": tensors,
     }
-    with open(os.path.join(path, MANIFEST_NAME), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, separators=(",", ":"))
-    with open(os.path.join(path, PAYLOAD_NAME), "wb") as fh:
-        fh.write(b"".join(chunks))
+    # Payload first: every save of one run writes the same manifest, so a
+    # crash between the two replaces still leaves a matching pair.
+    for name, blob in ((PAYLOAD_NAME, b"".join(chunks)),
+                       (MANIFEST_NAME, json.dumps(manifest, sort_keys=True,
+                                                  separators=(",", ":")).encode())):
+        tmp = os.path.join(path, f"{name}.{os.getpid()}.tmp")
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write(blob)
+            os.replace(tmp, os.path.join(path, name))
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
 
 
 def load_checkpoint(path: str) -> tuple[Manifest, dict[str, np.ndarray]]:

@@ -224,9 +224,13 @@ def cmd_train(args) -> int:
 
 def cmd_decode(args) -> int:
     cfg = load_config(args.config)
-    if cfg.task == "rotowire" and (args.triblk or args.beam not in (None, 1)):
-        raise ConfigError("table-mode decode is greedy and has no trigram blocking; "
-                          "drop --beam (or pass 1) and --triblk")
+    if cfg.task == "rotowire":
+        if args.triblk or args.beam not in (None, 1):
+            raise ConfigError("table-mode decode is greedy and has no trigram blocking; "
+                              "drop --beam (or pass 1) and --triblk")
+        if cfg.trigram_blocking or not cfg.no_repeat:
+            raise ConfigError("table-mode decode always blocks repeated records and never "
+                              "blocks trigrams; drop no_repeat and trigram_blocking")
     # the --beam and --max-steps overrides obey the same rules as the file
     if args.beam is not None:
         cfg = replace(cfg, beam_size=args.beam)

@@ -18,7 +18,7 @@ from .attention import (
     NO_GLOBAL,
     AttentionConfig,
     GlocalLayerParams,
-    band_pattern_for_positions,
+    band_pattern,
     etc_global_local_attention,
     init_glocal_layer,
 )
@@ -262,14 +262,14 @@ class StepwiseEtc:
 
         Padding positions are dropped before encoding; the band pattern is
         built over the surviving tokens' original positions, so attention
-        windows, relative-position labels and the evaluated score count are
-        exactly those of the padded layout (pads never attend or get
-        attended anyway).
+        windows and relative-position labels are those of the padded layout.
+        The ``long_to_long`` count also has the masked slots that reach
+        across a padding gap, at most r(r+1) per gap.
         """
         cfg = self.cfg
         acfg = cfg.attention()
         active_idx = np.flatnonzero(assembly.active)
-        pattern = band_pattern_for_positions(active_idx, cfg.local_radius)
+        pattern = band_pattern(active_idx, cfg.local_radius)
         long = take(self.params.token, assembly.long_ids[active_idx])
         glob = take(self.params.global_kind, assembly.global_kind)
         sentence_id = assembly.sentence_id[active_idx]

@@ -94,6 +94,7 @@ def _overfit_one(encoder: str, docs, gold) -> tuple[bool, str, float]:
     return ok, detail, elapsed
 
 
+@pytest.mark.slow
 def test_criterion_4_overfit_learning():
     docs, gold = make_overfit_corpus(n_docs=64, n_sents=12, n_gold=3, seed=7)
     ok_h, detail_h, t_h = _overfit_one("hibert", docs, gold)

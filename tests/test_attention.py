@@ -1,12 +1,14 @@
+import band_reference
 import numpy as np
 import pytest
 
+from stepsum import attention
 from stepsum.attention import (
     AttentionConfig,
     MhaParams,
     RelPosLabels,
+    band_labels,
     band_pattern,
-    band_pattern_for_positions,
     banded_apply,
     banded_pair_count,
     banded_scores,
@@ -18,7 +20,7 @@ from stepsum.attention import (
     multi_head_attention,
     score_counter,
 )
-from stepsum.autodiff import Tape, Tensor, add, backward, mul, sum_all
+from stepsum.autodiff import MASK_NEG, Tape, Tensor, add, backward, mul, softmax, sum_all
 from stepsum.gradcheck import check_gradients
 
 
@@ -87,21 +89,22 @@ def test_bucket_matrix_matches_bruteforce():
 # -- local windows ---------------------------------------------------------------
 
 
-def _window_rows(length, radius):
-    pat = band_pattern(length, radius)
-    rows = np.zeros((length, length), dtype=bool)
-    rows[pat.ii, pat.jj] = True
+def _window_rows(pat):
+    """Dense [len x len] attend matrix read off the pattern's slot mask."""
+    rows = np.zeros((pat.length, pat.length), dtype=bool)
+    i, w = np.nonzero(pat.valid)
+    rows[i, i + w - pat.radius] = True
     return rows
 
 
 def test_local_mask_rows():
-    rows = _window_rows(4, 1)
+    rows = _window_rows(band_pattern(np.arange(4), 1))
     assert rows[0].tolist() == [True, True, False, False]
     assert rows[1].tolist() == [True, True, True, False]
 
 
 def test_local_mask_full_when_radius_covers():
-    assert _window_rows(5, 4).all()
+    assert _window_rows(band_pattern(np.arange(5), 4)).all()
 
 
 def test_local_mask_popcount_matches_clipped_window_sum():
@@ -109,7 +112,7 @@ def test_local_mask_popcount_matches_clipped_window_sum():
     brute = sum(1 for i in range(10) for j in range(10) if abs(i - j) <= 2)
     assert brute == 44
     assert banded_pair_count(10, 2) == brute
-    assert band_pattern(10, 2).count == brute
+    assert band_pattern(np.arange(10), 2).count == brute
 
 
 # -- dense multi-head attention -------------------------------------------------
@@ -215,24 +218,24 @@ def test_permutation_equivariance_without_labels(rng):
 
 
 def test_band_pattern_examples():
-    pat = band_pattern(4, 1)
+    pat = band_pattern(np.arange(4), 1)
     assert pat.count == banded_pair_count(4, 1) == 10
     assert banded_pair_count(64, 3) == 64 * 7 - 2 * (3 + 2 + 1)
 
 
-def test_band_pattern_positions_matches_dense_pattern():
-    pat_a = band_pattern(7, 2)
-    pat_b = band_pattern_for_positions(np.arange(7), 2)
-    assert np.array_equal(pat_a.ii, pat_b.ii)
-    assert np.array_equal(pat_a.jj, pat_b.jj)
-    assert np.array_equal(pat_a.ww, pat_b.ww)
-
-
 def test_band_pattern_positions_respects_gaps():
     # positions 0, 1, 9: the gap breaks the window
-    pat = band_pattern_for_positions(np.array([0, 1, 9]), 2)
-    pairs = set(zip(pat.ii.tolist(), pat.jj.tolist()))
-    assert pairs == {(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)}
+    pat = band_pattern(np.array([0, 1, 9]), 2)
+    assert set(zip(*np.nonzero(_window_rows(pat)))) == {(0, 0), (0, 1), (1, 0), (1, 1),
+                                                         (2, 2)}
+    # positions 0, 1, 3: offsets across a gap narrower than the radius
+    pat = band_pattern(np.array([0, 1, 3]), 2)
+    assert _window_rows(pat).tolist() == [[True, True, False],
+                                          [True, True, True],
+                                          [False, True, True]]
+    assert pat.offsets[1, 3] == 2 and pat.offsets[2, 1] == -2
+    # the masked slots (0, 2) and (2, 0) are evaluated and counted
+    assert pat.count == banded_pair_count(3, 2) == 9
 
 
 def test_banded_matches_dense_softmax_attention(rng):
@@ -240,9 +243,7 @@ def test_banded_matches_dense_softmax_attention(rng):
     q = Tensor(rng.normal(size=(heads, length, dim)))
     k = Tensor(rng.normal(size=(heads, length, dim)))
     v = Tensor(rng.normal(size=(heads, length, dim)))
-    pat = band_pattern(length, radius)
-    from stepsum.autodiff import softmax
-
+    pat = band_pattern(np.arange(length), radius)
     w = softmax(banded_scores(q, k, pat), -1)
     out = banded_apply(w, v, pat)
     assert out.shape == (heads, length, dim)
@@ -254,6 +255,63 @@ def test_banded_matches_dense_softmax_attention(rng):
         e = np.exp(masked - masked.max(axis=1, keepdims=True))
         dense = (e / e.sum(axis=1, keepdims=True)) @ v.data[h]
         np.testing.assert_allclose(out.data[h], dense, atol=1e-12)
+
+
+# -- per-offset slices against the gather-based reference ---------------------
+
+REFERENCE_PATTERNS = {
+    "no_gap": (np.arange(9), 3, None),
+    # one gap narrower than the radius (3 -> 4), one wider (6 -> 20)
+    "compacted_gaps": (np.array([0, 1, 2, 4, 5, 6, 20, 21, 22]), 3, None),
+    "padded_active": (np.arange(10), 2, np.array([1, 1, 1, 0, 1, 0, 0, 1, 1, 1], bool)),
+    "radius_0": (np.arange(5), 0, None),
+    "radius_covers_rows": (np.arange(4), 6, None),
+    "single_row": (np.arange(1), 2, None),
+}
+
+
+def _run_band_ops(ops, pat, q, k, v, wts, probe):
+    """Scores feed a softmax and, with the weights as probe, the loss directly."""
+    for x in (q, k, v, wts):
+        x.zero_grad()
+    with Tape() as tape:
+        scores = ops.banded_scores(q, k, pat)
+        attn = ops.banded_apply(softmax(scores, -1), v, pat)
+        mixed = ops.banded_apply(wts, v, pat)
+        loss = add(sum_all(mul(attn, probe)), sum_all(mul(mixed, probe)))
+        backward(tape, add(loss, sum_all(mul(scores, Tensor(wts.data)))))
+    return scores.data, [attn.data, mixed.data, q.grad, k.grad, v.grad], wts.grad
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+@pytest.mark.parametrize("name", sorted(REFERENCE_PATTERNS))
+def test_banded_ops_match_gather_reference(rng, heads, name):
+    positions, radius, active = REFERENCE_PATTERNS[name]
+    n, dim = positions.size, 4
+    pat = band_pattern(positions, radius, active)
+    old = (band_reference.band_pattern_for_positions(positions, radius) if active is None
+           else band_reference.band_pattern(n, radius, active))
+    # the reference's pair (i, j) sits in slot ww; here it sits in slot j - i + r
+    i, ww, w = old.ii, old.ww, old.jj - old.ii + radius
+    assert sorted(zip(*np.nonzero(pat.valid))) == sorted(zip(i, w))
+    assert pat.count == banded_pair_count(n, radius)
+    assert np.array_equal(band_labels(pat, 4)[i, w], band_reference.band_labels(old, 4)[i, ww])
+
+    q, k, v = (Tensor(rng.normal(size=(heads, n, dim)), requires_grad=True) for _ in range(3))
+    wts = Tensor(rng.normal(size=(heads, n, pat.width)), requires_grad=True)
+    old_wts = np.zeros_like(wts.data)
+    old_wts[:, i, ww] = wts.data[:, i, w]
+    old_wts = Tensor(old_wts, requires_grad=True)
+    probe = Tensor(rng.normal(size=(heads, n, dim)))
+    scores, outs, gw = _run_band_ops(attention, pat, q, k, v, wts, probe)
+    old_scores, old_outs, old_gw = _run_band_ops(band_reference, old, q, k, v, old_wts, probe)
+
+    np.testing.assert_allclose(scores[:, i, w], old_scores[:, i, ww], rtol=0, atol=1e-12)
+    assert (scores[:, ~pat.valid] == MASK_NEG).all()
+    for got, want in zip(outs, old_outs):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(gw[:, i, w], old_gw[:, i, ww], rtol=0, atol=1e-12)
+    assert (gw[:, ~pat.valid] == 0.0).all()
 
 
 # -- head axis --------------------------------------------------------------------
@@ -424,26 +482,36 @@ def test_glocal_pad_rows_influence_nothing(rng):
 
 def test_two_layer_compacted_equals_padded(rng):
     """Compaction is an encoding choice, not a model change."""
+    from stepsum.autodiff import take
     from stepsum.etc_encoder import EtcConfig, StepwiseEtc, assemble_input
 
-    cfg = EtcConfig(dim=8, num_heads=2, ffn_dim=16, layers=2, vocab_size=30,
-                    long_budget=20, summary_budget=10, global_cap=8,
-                    local_radius=2, relpos_vocab_size=12, max_distance=4)
-    model = StepwiseEtc(cfg, rng)
-    asm = assemble_input([[10, 11], [12, 13, 14]], [[12]], [[2]], 1,
-                         long_budget=20, summary_budget=10, global_cap=8,
-                         pad_id=0, cls_id=5, sep_id=6, beg_id=4, eos_id=3)
-    compact = model.etc_encode(asm).data
+    layouts = [
+        ([[10, 11], [12, 13, 14]], 2, False),
+        # 1 + 17 tokens leave 2 padding tokens before [SEP], inside radius 3
+        ([[10, 11, 12, 13, 14, 15], [16, 17, 18, 19, 20, 21], [22, 23, 24, 25, 26]], 3,
+         True),
+    ]
+    for doc_units, radius, narrow_gap in layouts:
+        cfg = EtcConfig(dim=8, num_heads=2, ffn_dim=16, layers=2, vocab_size=30,
+                        long_budget=20, summary_budget=10, global_cap=8,
+                        local_radius=radius, relpos_vocab_size=12, max_distance=4)
+        model = StepwiseEtc(cfg, rng)
+        asm = assemble_input(doc_units, [[12]], [[2]], 1,
+                             long_budget=20, summary_budget=10, global_cap=8,
+                             pad_id=0, cls_id=5, sep_id=6, beg_id=4, eos_id=3)
+        compact = model.etc_encode(asm).data
+        # does some valid slot's position offset differ from its index offset?
+        pat = band_pattern(np.flatnonzero(asm.active), radius)
+        index_offset = np.arange(pat.width) - radius
+        assert (pat.valid & (pat.offsets != index_offset)).any() == narrow_gap
 
-    # padded reference path: run the layers over the full padded stream
-    from stepsum.autodiff import take
-
-    acfg = cfg.attention()
-    long = take(model.params.token, asm.long_ids)
-    glob = take(model.params.global_kind, asm.global_kind)
-    for layer in model.params.layers:
-        long, glob = etc_global_local_attention(
-            long, glob, asm.sentence_id, layer, acfg,
-            long_active=asm.active, ln_eps=cfg.ln_eps)
-    padded = long.data[asm.candidate_anchor]
-    np.testing.assert_allclose(compact, padded, atol=1e-12)
+        # padded reference path: run the layers over the full padded stream
+        acfg = cfg.attention()
+        long = take(model.params.token, asm.long_ids)
+        glob = take(model.params.global_kind, asm.global_kind)
+        for layer in model.params.layers:
+            long, glob = etc_global_local_attention(
+                long, glob, asm.sentence_id, layer, acfg,
+                long_active=asm.active, ln_eps=cfg.ln_eps)
+        padded = long.data[asm.candidate_anchor]
+        np.testing.assert_allclose(compact, padded, atol=1e-12)

@@ -236,6 +236,52 @@ def test_checkpoint_restores_exact_values(tmp_path):
         assert np.array_equal(p.data, fresh.named_parameters()[name].data), name
 
 
+def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    from stepsum import checkpoint
+
+    cfg, vocab, model = small_model_and_cfg()
+    path = str(tmp_path / "ck")
+    save_checkpoint(path, model.named_parameters(), cfg, vocab.id_to_token)
+    saved = {name: p.data.copy() for name, p in model.named_parameters().items()}
+    for p in model.named_parameters().values():
+        p.data += 1.0
+
+    class HalfWritten:
+        """A payload file whose write stops halfway with a full disk."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[: len(data) // 2])
+            raise OSError("No space left on device")
+
+    def payload_write_fails(file, mode="r", *args, **kwargs):
+        fh = open(file, mode, *args, **kwargs)
+        return HalfWritten(fh) if "params.bin" in str(file) and "w" in mode else fh
+
+    monkeypatch.setattr(checkpoint, "open", payload_write_fails, raising=False)
+    with pytest.raises(OSError, match="No space"):
+        save_checkpoint(path, model.named_parameters(), cfg, vocab.id_to_token)
+    monkeypatch.undo()
+
+    assert sorted(os.listdir(path)) == ["manifest.json", "params.bin"]
+    _, arrays = load_checkpoint(path)
+    for name, want in saved.items():
+        assert np.array_equal(arrays[name], want), name
+    # the next save goes through and replaces both files
+    save_checkpoint(path, model.named_parameters(), cfg, vocab.id_to_token)
+    _, arrays = load_checkpoint(path)
+    for name, p in model.named_parameters().items():
+        assert np.array_equal(arrays[name], p.data), name
+
+
 def test_config_hash_mismatch_is_hard_error(tmp_path):
     cfg, vocab, model = small_model_and_cfg()
     path = str(tmp_path / "ck")

@@ -181,15 +181,9 @@ def test_cli_rotowire_round(tmp_path):
     assert "cs_f1" in blob["corpus"] and "co" in blob["corpus"]
 
 
-@pytest.mark.parametrize("flags,message", [
-    (["--beam", "3"], "table-mode decode is greedy"),
-    (["--triblk"], "table-mode decode is greedy"),
-    # beam 1 is what table mode does: decode goes on as far as the checkpoint
-    (["--beam", "1"], "is not a checkpoint directory"),
-])
-def test_cli_table_decode_rejects_flags_it_cannot_honour(tmp_path, flags, message):
+def _table_decode_without_checkpoint(tmp_path, flags, decode_rules=""):
     cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text("[run]\ntask = rotowire\n")
+    cfg_path.write_text("[run]\ntask = rotowire\n[decode]\n" + decode_rules)
     games_path = tmp_path / "games.jsonl"
     games_path.write_text(json.dumps(table3_game()) + "\n")
     out = tmp_path / "decoded.jsonl"
@@ -198,6 +192,31 @@ def test_cli_table_decode_rejects_flags_it_cannot_honour(tmp_path, flags, messag
          "--ckpt", str(tmp_path / "none"), "--in", str(games_path), "--out", str(out),
          *flags],
         capture_output=True, text=True, env=cli_env())
+    return proc, out
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--beam", "3"], "table-mode decode is greedy"),
+    (["--triblk"], "table-mode decode is greedy"),
+    # beam 1 is what table mode does: decode goes on as far as the checkpoint
+    (["--beam", "1"], "is not a checkpoint directory"),
+])
+def test_cli_table_decode_rejects_flags_it_cannot_honour(tmp_path, flags, message):
+    proc, out = _table_decode_without_checkpoint(tmp_path, flags)
+    assert proc.returncode == 2
+    assert message in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("decode_rules,message", [
+    ("trigram_blocking = true\n", "never blocks trigrams"),
+    ("no_repeat = false\n", "always blocks repeated records"),
+    # the rules table mode follows anyway: decode goes on as far as the checkpoint
+    ("no_repeat = true\ntrigram_blocking = false\n", "is not a checkpoint directory"),
+])
+def test_cli_table_decode_rejects_config_rules_it_cannot_honour(tmp_path, decode_rules,
+                                                                message):
+    proc, out = _table_decode_without_checkpoint(tmp_path, [], decode_rules)
     assert proc.returncode == 2
     assert message in proc.stderr
     assert not out.exists()
