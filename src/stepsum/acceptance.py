@@ -32,7 +32,13 @@ from .attention import (
 )
 from .attention import RelPosLabels
 from .autodiff import Tape, Tensor, backward, cross_entropy
-from .decoding import REPEAT_EXEMPT_TYPES, DecodeConstraints, beam_decode, greedy_rollout
+from .decoding import (
+    REPEAT_EXEMPT_TYPES,
+    DecodeConstraints,
+    StepScorer,
+    beam_decode,
+    greedy_rollout,
+)
 from .etc_encoder import EtcConfig, StepwiseEtc, assemble_input
 from .gradcheck import check_gradients
 from .hibert import HibertConfig, StepwiseHibert
@@ -330,7 +336,7 @@ def criterion_reachability() -> tuple[bool, str]:
 # ---------------------------------------------------------------------------
 
 
-class ScriptedScorer:
+class ScriptedScorer(StepScorer):
     """Deterministic random step tables keyed by the chosen-index prefix."""
 
     def __init__(self, n_units: int, seed: int, records: list[RecordRef] | None = None):

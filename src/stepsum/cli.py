@@ -27,6 +27,7 @@ from .checkpoint import (
 from .config import ConfigError, RunConfig, load_config
 from .data import (
     Document,
+    PreparedDoc,
     StepExample,
     Vocab,
     examples_from_plan,
@@ -50,6 +51,10 @@ def _err(msg: str) -> None:
     print(f"error: {msg}", file=sys.stderr)
 
 
+def _warn(msg: str) -> None:
+    print(f"warning: {msg}", file=sys.stderr)
+
+
 def _report_line_errors(path: str, errors: list[tuple[int, str]]) -> None:
     for lineno, msg in sorted(errors):
         _err(f"{path}:{lineno}: {msg}")
@@ -64,6 +69,19 @@ def _thread_count() -> int:
     if count < 1:
         raise ConfigError(f"STEPSUM_THREADS must be a positive integer, got {raw!r}")
     return count
+
+
+def _fit_flat_budget(prep: PreparedDoc, cfg: RunConfig, vocab: Vocab,
+                     path: str, lineno: int) -> PreparedDoc:
+    """For the flat encoder, drop the units past the long budget and say so."""
+    if cfg.encoder != "etc":
+        return prep
+    trimmed = trim_for_flat_budget(prep, cfg, vocab)
+    dropped = prep.n_real_units - trimmed.n_real_units
+    if dropped:
+        _warn(f"{path}:{lineno}: document {prep.doc_id}: dropped {dropped} trailing "
+              "units over long_budget")
+    return trimmed
 
 
 def _load_documents(path: str) -> tuple[list[tuple[int, Document]], list[tuple[int, str]]]:
@@ -157,10 +175,10 @@ def _prepare_corpus(cfg: RunConfig, path: str, plans_path: str | None,
         prepared = []
         examples: list[StepExample] = []
         for lineno, doc in docs:
-            prep = prepare_cnndm(doc, vocab, max_doc_sents=cfg.max_doc_sents,
-                                 max_sent_len=cfg.max_sent_len)
-            if cfg.encoder == "etc":
-                prep = trim_for_flat_budget(prep, cfg, vocab)
+            prep = _fit_flat_budget(
+                prepare_cnndm(doc, vocab, max_doc_sents=cfg.max_doc_sents,
+                              max_sent_len=cfg.max_sent_len),
+                cfg, vocab, path, lineno)
             try:
                 result = oracle_full(doc.sentences[: prep.n_real_units],
                                      doc.abstract_tokens, cfg.max_steps)
@@ -187,10 +205,10 @@ def _prepare_corpus(cfg: RunConfig, path: str, plans_path: str | None,
         if game.game_id not in plans:
             errors.append((lineno, f"game {game.game_id} has no reference plan"))
             continue
-        prep = prepare_rotowire(game, vocab, max_units=cfg.max_units,
-                                max_sent_len=cfg.max_sent_len)
-        if cfg.encoder == "etc":
-            prep = trim_for_flat_budget(prep, cfg, vocab)
+        prep = _fit_flat_budget(
+            prepare_rotowire(game, vocab, max_units=cfg.max_units,
+                             max_sent_len=cfg.max_sent_len),
+            cfg, vocab, path, lineno)
         aligned = datalib.align_plan_to_units(plans[game.game_id], prep)
         missing = rotowire.missing_plan_records(prep.records, plans[game.game_id])
         for ref in missing:
@@ -245,19 +263,21 @@ def cmd_decode(args) -> int:
 
     errors: list[tuple[int, str]] = []
     rows = []
+    incomplete = 0
     if cfg.task == "cnndm":
         constraints = DecodeConstraints(
             no_repeat=cfg.no_repeat,
             trigram_blocking=args.triblk or cfg.trigram_blocking,
         )
         docs, errors = _load_documents(args.infile)
-        for _, doc in docs:
-            prep = prepare_cnndm(doc, vocab, max_doc_sents=cfg.max_doc_sents,
-                                 max_sent_len=cfg.max_sent_len)
-            if cfg.encoder == "etc":
-                prep = trim_for_flat_budget(prep, cfg, vocab)
+        for lineno, doc in docs:
+            prep = _fit_flat_budget(
+                prepare_cnndm(doc, vocab, max_doc_sents=cfg.max_doc_sents,
+                              max_sent_len=cfg.max_sent_len),
+                cfg, vocab, args.infile, lineno)
             scorer = ModelStepScorer(model, cfg, vocab, prep)
             result = beam_decode(scorer, cfg.beam_size, cfg.max_steps, constraints)
+            incomplete += result.incomplete
             chosen = sorted(s.unit for s in result.steps if s.kind == "unit")
             rows.append({
                 "id": doc.doc_id,
@@ -268,15 +288,17 @@ def cmd_decode(args) -> int:
             })
     else:
         games, errors = _load_games(args.infile)
-        for _, game in games:
-            prep = prepare_rotowire(game, vocab, max_units=cfg.max_units,
-                                    max_sent_len=cfg.max_sent_len)
-            if cfg.encoder == "etc":
-                prep = trim_for_flat_budget(prep, cfg, vocab)
+        for lineno, game in games:
+            prep = _fit_flat_budget(
+                prepare_rotowire(game, vocab, max_units=cfg.max_units,
+                                 max_sent_len=cfg.max_sent_len),
+                cfg, vocab, args.infile, lineno)
             scorer = ModelStepScorer(model, cfg, vocab, prep)
             steps = greedy_decode_with_repeat_exceptions(scorer, cfg.max_steps)
             rows.append({"id": game.game_id, "plan": plan_to_json(steps)})
     _report_line_errors(args.infile, errors)
+    if incomplete:
+        _warn(f"{incomplete} of {len(rows)} plans incomplete")
     write_jsonl(args.out, rows)
     return 1 if errors else 0
 

@@ -1,10 +1,11 @@
 """Turn a trained step scorer into plans.
 
 The decoder is generic over a scorer: anything exposing the candidate list
-and a per-prefix log-probability vector. Plans are compared by raw log
-probability (sum of step log-probs, no length normalization); ties break
-toward the lexicographically smaller candidate-index sequence, then the
-shorter hypothesis, which keeps every decode reproducible.
+and a log-probability vector per prefix, for one prefix or a batch of them.
+Plans are compared by raw log probability (sum of step log-probs, no length
+normalization); ties break toward the lexicographically smaller
+candidate-index sequence, then the shorter hypothesis, which keeps every
+decode reproducible.
 """
 
 from __future__ import annotations
@@ -18,13 +19,24 @@ from .plan import END_STEP, PlanStep
 
 
 class StepScorer(Protocol):
-    """What the decoder needs from a model."""
+    """What the decoder needs from a model.
+
+    ``beam_decode`` scores all live hypotheses of a depth with one
+    ``step_log_probs_batch`` call; the greedy floor asks for one prefix at a
+    time. A scorer with no faster batch path may subclass this protocol and
+    inherit the default batch, one ``step_log_probs`` call per prefix.
+    """
 
     candidates: list[PlanStep]
 
     def step_log_probs(self, prefix: tuple[PlanStep, ...]) -> np.ndarray:
         """Log probabilities over ``candidates`` given an unfinished prefix."""
         ...
+
+    def step_log_probs_batch(self, prefixes: Sequence[tuple[PlanStep, ...]]
+                             ) -> list[np.ndarray]:
+        """One ``step_log_probs`` row per prefix, in the order given."""
+        return [self.step_log_probs(prefix) for prefix in prefixes]
 
     def candidate_tokens(self, index: int) -> list[str]:
         """Surface tokens of a candidate unit (for trigram blocking)."""
@@ -58,53 +70,52 @@ class DecodeResult:
     incomplete: bool = False  # set when every expansion was pruned mid-decode
 
 
-def trigram_block(candidate_tokens: Sequence[str], summary_tokens: Sequence[str]) -> bool:
-    """True when the candidate shares any token trigram with the summary."""
-    if len(candidate_tokens) < 3:
-        return False
-    summary_tris = {
-        tuple(summary_tokens[i: i + 3]) for i in range(len(summary_tokens) - 2)
-    }
-    if not summary_tris:
-        return False
+def token_trigrams(tokens: Sequence[str]) -> set[tuple[str, ...]]:
+    """Every run of three consecutive tokens."""
+    return {tuple(tokens[i: i + 3]) for i in range(len(tokens) - 2)}
+
+
+def trigram_block(candidate_tokens: Sequence[str],
+                  summary_trigrams: set[tuple[str, ...]]) -> bool:
+    """True when the candidate has a token trigram among ``summary_trigrams``."""
     return any(
-        tuple(candidate_tokens[i: i + 3]) in summary_tris
+        tuple(candidate_tokens[i: i + 3]) in summary_trigrams
         for i in range(len(candidate_tokens) - 2)
     )
-
-
-def _candidate_index(scorer: StepScorer, step: PlanStep) -> int:
-    return scorer.candidates.index(step)
 
 
 def _summary_tokens(scorer: StepScorer, steps: Sequence[PlanStep]) -> list[str]:
     out: list[str] = []
     for step in steps:
         if step.kind == "unit":
-            out.extend(scorer.candidate_tokens(_candidate_index(scorer, step)))
+            out.extend(scorer.candidate_tokens(scorer.candidates.index(step)))
     return out
 
 
-def _step_blocked(scorer: StepScorer, hyp: Hypothesis, step: PlanStep,
-                  index: int, constraints: DecodeConstraints) -> bool:
+def _step_blocked(scorer: StepScorer, hyp: Hypothesis, step: PlanStep, index: int,
+                  constraints: DecodeConstraints,
+                  summary_trigrams: set[tuple[str, ...]] | None) -> bool:
     if step.is_end or step.is_break:
         return False
     if constraints.no_repeat and step in hyp.steps:
         if not (constraints.repeat_exceptions and step.record is not None
                 and step.record.type in REPEAT_EXEMPT_TYPES):
             return True
-    if constraints.trigram_blocking and trigram_block(
-            scorer.candidate_tokens(index), _summary_tokens(scorer, hyp.steps)):
+    if summary_trigrams and trigram_block(scorer.candidate_tokens(index),
+                                          summary_trigrams):
         return True
     return False
 
 
-def _expand(scorer: StepScorer, hyp: Hypothesis, max_steps: int,
-            constraints: DecodeConstraints) -> list[Hypothesis]:
-    log_probs = scorer.step_log_probs(hyp.steps)
+def _expand(scorer: StepScorer, hyp: Hypothesis, log_probs: np.ndarray,
+            max_steps: int, constraints: DecodeConstraints) -> list[Hypothesis]:
+    """Every allowed one-step extension of ``hyp``, scored by ``log_probs``."""
+    summary_trigrams = None
+    if constraints.trigram_blocking:
+        summary_trigrams = token_trigrams(_summary_tokens(scorer, hyp.steps))
     out = []
     for ci, step in enumerate(scorer.candidates):
-        if _step_blocked(scorer, hyp, step, ci, constraints):
+        if _step_blocked(scorer, hyp, step, ci, constraints, summary_trigrams):
             continue
         steps = hyp.steps + (step,)
         out.append(Hypothesis(
@@ -138,7 +149,8 @@ def greedy_rollout(scorer: StepScorer, max_steps: int,
     """Always take the best allowed step; may return unfinished when stuck."""
     hyp = Hypothesis((), (), 0.0, False)
     while not hyp.finished:
-        expansions = _expand(scorer, hyp, max_steps, constraints)
+        expansions = _expand(scorer, hyp, scorer.step_log_probs(hyp.steps),
+                             max_steps, constraints)
         if not expansions:
             return hyp
         hyp = min(expansions, key=lambda h: (-h.log_prob, h.index_trace))
@@ -149,6 +161,7 @@ def beam_decode(scorer: StepScorer, beam_size: int, max_steps: int,
                 constraints: DecodeConstraints | None = None) -> DecodeResult:
     """Beam search over step distributions.
 
+    All live hypotheses of a depth are scored with one batch call.
     Constraint-violating expansions are pruned before the top-k cut. The
     greedy rollout is kept as a floor, so the result never scores below
     greedy; with beam_size 1 the result is exactly the greedy plan. When
@@ -166,9 +179,10 @@ def beam_decode(scorer: StepScorer, beam_size: int, max_steps: int,
     finished: list[Hypothesis] = []
     stuck: list[Hypothesis] = []
     while beams:
+        rows = scorer.step_log_probs_batch([hyp.steps for hyp in beams])
         expansions: list[Hypothesis] = []
-        for hyp in beams:
-            expansions.extend(_expand(scorer, hyp, max_steps, constraints))
+        for hyp, log_probs in zip(beams, rows):
+            expansions.extend(_expand(scorer, hyp, log_probs, max_steps, constraints))
         if not expansions:
             stuck = beams
             break
@@ -202,14 +216,3 @@ def greedy_decode_with_repeat_exceptions(scorer: StepScorer,
     hyp = greedy_rollout(scorer, max_steps,
                          DecodeConstraints(no_repeat=True, repeat_exceptions=True))
     return list(hyp.steps) if hyp.finished else list(hyp.steps) + [END_STEP]
-
-
-def replay_log_prob(scorer: StepScorer, steps: Sequence[PlanStep]) -> float:
-    """Recompute a plan's log probability step by step."""
-    total = 0.0
-    prefix: tuple[PlanStep, ...] = ()
-    for step in steps:
-        log_probs = scorer.step_log_probs(prefix)
-        total += float(log_probs[_candidate_index(scorer, step)])
-        prefix = prefix + (step,)
-    return total

@@ -230,15 +230,16 @@ class StepwiseHibert:
     def encode_document_stepwise(self, doc_reps: Tensor, summary_reps: Tensor) -> Tensor:
         """Summary-informed contextual unit vectors.
 
-        ``doc_reps``/``summary_reps`` already carry their positional terms;
-        the summary stream always starts with the learned begin-of-plan slot,
-        so it is never empty.
+        ``doc_reps`` is [n x dim] and ``summary_reps`` [k x dim], or both carry
+        the same leading batch axis, one document/summary pair per entry.
+        They already carry their positional terms; the summary stream always
+        starts with the learned begin-of-plan slot, so it is never empty.
         """
         cfg = self.cfg
-        if summary_reps.shape[0] == 0:
+        if summary_reps.shape[-2] == 0:
             raise ValueError("summary stream must hold at least the begin slot")
-        n = doc_reps.shape[0]
-        k = summary_reps.shape[0]
+        n = doc_reps.shape[-2]
+        k = summary_reps.shape[-2]
         full_dd = np.ones((n, n), dtype=bool)
         full_ss = np.ones((k, k), dtype=bool)
         full_ds = np.ones((n, k), dtype=bool)
@@ -257,9 +258,8 @@ class StepwiseHibert:
 
     def score_candidates(self, contextual: Tensor) -> Tensor:
         """One logit per candidate row; the trainer applies softmax + loss."""
-        n = contextual.shape[0]
         return reshape(linear(contextual, self.params.scorer_w, self.params.scorer_b),
-                       (n,))
+                       contextual.shape[:-1])
 
     # -- full step ----------------------------------------------------------
 
@@ -277,20 +277,65 @@ class StepwiseHibert:
         on the summary side. ``unit_reps`` short-circuits the sentence
         encoder when the caller already holds the unit vectors.
         """
-        cfg = self.cfg
-        if len(prefix) + 1 > cfg.max_plan_len:
-            raise ValueError(
-                f"prefix of {len(prefix)} steps exceeds max_plan_len {cfg.max_plan_len}"
-            )
+        rows = self._summary_rows(prefix, special_count, break_slot)
         reps = unit_reps if unit_reps is not None else self.unit_representations(units)
+        d = self._document_stream(reps)
+        if rows:
+            row_idx = np.asarray(rows, dtype=np.int64)
+            s = concat([self.params.embeddings.begin_summary, take(reps, row_idx)], axis=0)
+        else:
+            s = self.params.embeddings.begin_summary
+        s = add(s, take(self.params.embeddings.pos_sum, np.arange(len(rows) + 1)))
+
+        ctx = self.encode_document_stepwise(d, s)
+        return self.score_candidates(ctx)
+
+    def logits_batch(self, units: list[list[int]],
+                     prefixes: list[tuple[planlib.PlanStep, ...]],
+                     special_count: int, break_slot: int | None = None,
+                     unit_reps: Tensor | None = None) -> Tensor:
+        """[B x n] candidate logits for B prefixes of one length, one pass.
+
+        Row b equals ``logits`` for ``prefixes[b]``: the document stream is
+        [B x n x dim], the same rows for every prefix, and the summary stream
+        [B x (t+1) x dim] gathers the begin slot and each prefix's unit
+        vectors from one table.
+        """
+        if not prefixes:
+            raise ValueError("logits_batch needs at least one prefix")
+        t = len(prefixes[0])
+        if any(len(p) != t for p in prefixes):
+            raise ValueError("logits_batch needs prefixes of one length")
+        # row 0 of the table is the begin slot, row 1 + r is unit vector r
+        ids = np.array([[0] + [1 + r for r in self._summary_rows(p, special_count,
+                                                                break_slot)]
+                        for p in prefixes], dtype=np.int64)
+        reps = unit_reps if unit_reps is not None else self.unit_representations(units)
+        d = self._document_stream(reps)
         n = reps.shape[0]
-        if n > cfg.max_doc_sents:
-            raise ValueError(f"{n} units exceed max_doc_sents {cfg.max_doc_sents}")
+        d = take(d, np.broadcast_to(np.arange(n), (len(prefixes), n)))
+        table = concat([self.params.embeddings.begin_summary, reps], axis=0)
+        s = add(take(table, ids), take(self.params.embeddings.pos_sum, np.arange(t + 1)))
 
-        d = reps
-        if cfg.use_doc_pos:
-            d = add(d, take(self.params.embeddings.pos_doc, np.arange(n)))
+        ctx = self.encode_document_stepwise(d, s)
+        return self.score_candidates(ctx)
 
+    def _document_stream(self, reps: Tensor) -> Tensor:
+        """Unit vectors plus their document positions."""
+        n = reps.shape[0]
+        if n > self.cfg.max_doc_sents:
+            raise ValueError(f"{n} units exceed max_doc_sents {self.cfg.max_doc_sents}")
+        if self.cfg.use_doc_pos:
+            return add(reps, take(self.params.embeddings.pos_doc, np.arange(n)))
+        return reps
+
+    def _summary_rows(self, prefix: tuple[planlib.PlanStep, ...], special_count: int,
+                      break_slot: int | None) -> list[int]:
+        """The unit-vector row that stands for each step of an unfinished prefix."""
+        if len(prefix) + 1 > self.cfg.max_plan_len:
+            raise ValueError(
+                f"prefix of {len(prefix)} steps exceeds max_plan_len {self.cfg.max_plan_len}"
+            )
         rows = []
         for step in prefix:
             if step.is_end:
@@ -301,15 +346,7 @@ class StepwiseHibert:
                 rows.append(break_slot)
             else:
                 rows.append(special_count + step.unit)
-        if rows:
-            row_idx = np.asarray(rows, dtype=np.int64)
-            s = concat([self.params.embeddings.begin_summary, take(reps, row_idx)], axis=0)
-        else:
-            s = self.params.embeddings.begin_summary
-        s = add(s, take(self.params.embeddings.pos_sum, np.arange(len(rows) + 1)))
-
-        ctx = self.encode_document_stepwise(d, s)
-        return self.score_candidates(ctx)
+        return rows
 
 
 def _ln(x: Tensor, p: LayerNormParams, eps: float) -> Tensor:

@@ -2,8 +2,12 @@
 
 Both encoders expose the same contract here: given a prepared document and a
 plan prefix, produce one logit per candidate. ``ModelStepScorer`` adapts
-that to the decoder protocol, caching whatever is prefix-independent (the
-hierarchical encoder's unit vectors in particular).
+that to the decoder protocol. It caches whatever is prefix-independent (the
+hierarchical encoder's unit vectors in particular) and memoizes each
+prefix's log-probabilities, so a decode runs the model once per distinct
+prefix. The hierarchical encoder scores the new prefixes of one length,
+such as all live hypotheses of a beam depth, in one batched pass; the flat
+encoder scores prefixes one at a time.
 """
 
 from __future__ import annotations
@@ -118,11 +122,10 @@ def assemble_for(cfg: RunConfig, vocab: Vocab, prepared: PreparedDoc,
 
 
 def model_logits(model: Model, cfg: RunConfig, vocab: Vocab,
-                 prepared: PreparedDoc, prefix: tuple[PlanStep, ...],
-                 unit_reps: Tensor | None = None) -> Tensor:
+                 prepared: PreparedDoc, prefix: tuple[PlanStep, ...]) -> Tensor:
     if isinstance(model, StepwiseHibert):
         return model.logits(prepared.units, prefix, prepared.special_count,
-                            prepared.break_slot, unit_reps=unit_reps)
+                            prepared.break_slot)
     assembly = assemble_for(cfg, vocab, prepared, prefix)
     if assembly.truncated_doc_units:
         raise ValueError(
@@ -177,7 +180,14 @@ def batch_mean_loss(model: Model, cfg: RunConfig, vocab: Vocab,
 
 
 class ModelStepScorer:
-    """Decoder-facing view of one (model, document) pair."""
+    """Decoder-facing view of one (model, document) pair.
+
+    Log-probabilities are memoized by prefix, so no prefix of the document
+    runs the model twice. The hierarchical encoder scores each group of new
+    prefixes that share a length in one batched pass; the flat encoder
+    scores them one at a time, since its summary side differs in length from
+    prefix to prefix.
+    """
 
     def __init__(self, model: Model, cfg: RunConfig, vocab: Vocab,
                  prepared: PreparedDoc):
@@ -189,11 +199,31 @@ class ModelStepScorer:
         self._unit_reps: Tensor | None = None
         if isinstance(model, StepwiseHibert):
             self._unit_reps = model.unit_representations(prepared.units)
+        self._memo: dict[tuple[PlanStep, ...], np.ndarray] = {}
 
     def step_log_probs(self, prefix: tuple[PlanStep, ...]) -> np.ndarray:
-        logits = model_logits(self.model, self.cfg, self.vocab, self.prepared,
-                              prefix, unit_reps=self._unit_reps)
-        return log_softmax(logits.data)
+        return self.step_log_probs_batch([prefix])[0]
+
+    def step_log_probs_batch(self, prefixes: list[tuple[PlanStep, ...]]
+                             ) -> list[np.ndarray]:
+        """One row per prefix; rows are the memo's own arrays, not copies."""
+        new = [p for p in dict.fromkeys(prefixes) if p not in self._memo]
+        if isinstance(self.model, StepwiseHibert):
+            by_length: dict[int, list[tuple[PlanStep, ...]]] = {}
+            for prefix in new:
+                by_length.setdefault(len(prefix), []).append(prefix)
+            prep = self.prepared
+            for group in by_length.values():
+                logits = self.model.logits_batch(prep.units, group, prep.special_count,
+                                                 prep.break_slot, unit_reps=self._unit_reps)
+                for prefix, row in zip(group, logits.data):
+                    self._memo[prefix] = log_softmax(row)
+        else:
+            for prefix in new:
+                logits = model_logits(self.model, self.cfg, self.vocab, self.prepared,
+                                      prefix)
+                self._memo[prefix] = log_softmax(logits.data)
+        return [self._memo[p] for p in prefixes]
 
     def candidate_tokens(self, index: int) -> list[str]:
         return self.prepared.unit_tokens[index]

@@ -1,19 +1,23 @@
+from dataclasses import replace
+
+import decode_reference
 import numpy as np
 import pytest
 
 from stepsum.acceptance import ScriptedScorer, exhaustive_best_plan
 from stepsum.decoding import (
     DecodeConstraints,
+    StepScorer,
     beam_decode,
     greedy_decode_with_repeat_exceptions,
     greedy_rollout,
-    replay_log_prob,
+    token_trigrams,
     trigram_block,
 )
 from stepsum.plan import BREAK_STEP, END_STEP, RecordRef, unit_step
 
 
-class TableScorer:
+class TableScorer(StepScorer):
     """Hand-written step tables keyed by chosen-index prefixes."""
 
     def __init__(self, candidates, tables, tokens=None):
@@ -115,6 +119,17 @@ def test_beam_rejects_budgets_below_one():
         beam_decode(ScriptedScorer(3, 0), 1, -2)
     with pytest.raises(ValueError, match="beam_size"):
         beam_decode(ScriptedScorer(3, 0), 0, 3)
+
+
+def replay_log_prob(scorer, steps):
+    """Recompute a plan's log probability step by step."""
+    total = 0.0
+    prefix = ()
+    for step in steps:
+        log_probs = scorer.step_log_probs(prefix)
+        total += float(log_probs[scorer.candidates.index(step)])
+        prefix = prefix + (step,)
+    return total
 
 
 def test_replay_reproduces_log_prob():
@@ -236,7 +251,7 @@ def _reference_table_greedy(scorer, max_steps,
     return steps
 
 
-class RandomTableScorer:
+class RandomTableScorer(StepScorer):
     """Random table-mode candidates with step tables keyed by the index prefix.
 
     Half the scorers draw log-probabilities from three levels, so exact ties
@@ -271,6 +286,39 @@ class RandomTableScorer:
         return [f"u{index}"]
 
 
+class RandomWordsScorer(RandomTableScorer):
+    """A ``RandomTableScorer`` whose candidates read as 1-5 tokens over three
+    words, so trigram blocking prunes often."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        rng = np.random.default_rng((seed, 7))
+        self.tokens = [[str(w) for w in rng.choice(["a", "b", "c"], size=rng.integers(1, 6))]
+                       for _ in self.candidates]
+
+    def candidate_tokens(self, index):
+        return self.tokens[index]
+
+
+def test_beam_decode_matches_reference_decoder():
+    stuck = pruned = 0
+    for seed in range(400):
+        scorer = RandomWordsScorer(seed)
+        beam, max_steps = 1 + seed % 4, 1 + seed % 7
+        constraints = DecodeConstraints(no_repeat=seed % 5 != 0,
+                                        trigram_blocking=seed % 2 == 0,
+                                        repeat_exceptions=seed % 3 == 0)
+        got = beam_decode(scorer, beam, max_steps, constraints)
+        want = decode_reference.beam_decode(scorer, beam, max_steps, constraints)
+        assert (got.steps, got.log_prob, got.incomplete) == (
+            want.steps, want.log_prob, want.incomplete), seed
+        stuck += want.incomplete
+        if constraints.trigram_blocking:
+            free = replace(constraints, trigram_blocking=False)
+            pruned += decode_reference.beam_decode(scorer, beam, max_steps, free) != want
+    assert stuck > 0 and pruned > 0
+
+
 def test_table_greedy_matches_reference_loop():
     ended_stuck = exempt_repeats = 0
     for seed in range(300):
@@ -289,19 +337,19 @@ def test_table_greedy_matches_reference_loop():
 
 def test_trigram_blocks_verbatim_repeat():
     sent = "the cat sat on the mat".split()
-    assert trigram_block(sent, sent)
+    assert trigram_block(sent, token_trigrams(sent))
 
 
 def test_trigram_disjoint_not_blocked():
-    assert not trigram_block("a b c d".split(), "e f g h".split())
+    assert not trigram_block("a b c d".split(), token_trigrams("e f g h".split()))
 
 
 def test_trigram_shared_interior():
-    assert trigram_block("a b c d".split(), "x a b c".split())
+    assert trigram_block("a b c d".split(), token_trigrams("x a b c".split()))
 
 
 def test_trigram_short_candidate_never_blocked():
-    assert not trigram_block(["a", "b"], "a b c d".split())
+    assert not trigram_block(["a", "b"], token_trigrams("a b c d".split()))
 
 
 def test_trigram_constraint_in_beam():

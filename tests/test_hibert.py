@@ -210,3 +210,28 @@ def test_overfit_tiny_doc_selects_target_unit():
         opt.step()
     final = model.logits(units, (), 1, None)
     assert int(np.argmax(final.data)) == target
+
+
+@pytest.mark.parametrize("case", ["too_long", "finished", "break_without_slot",
+                                  "too_many_units"])
+def test_batched_logits_keep_every_prefix_check(case):
+    from stepsum.plan import BREAK_STEP, END_STEP
+
+    model = make_model(max_plan_len=3, max_doc_sents=4)
+    units = [[2], [4, 5], [6], [7, 8]]
+    prefix = {"too_long": (unit_step(0), unit_step(1), unit_step(2)),
+              "finished": (unit_step(0), END_STEP),
+              "break_without_slot": (unit_step(0), BREAK_STEP),
+              "too_many_units": (unit_step(0),)}[case]
+    if case == "too_many_units":
+        units = units + [[9]]
+    with pytest.raises(ValueError):
+        model.logits(units, prefix, 1, None)
+    with pytest.raises(ValueError):
+        model.logits_batch(units, [(unit_step(1),) * len(prefix), prefix], 1, None)
+
+
+def test_batched_logits_need_prefixes_of_one_length():
+    model = make_model()
+    with pytest.raises(ValueError, match="one length"):
+        model.logits_batch([[2], [4, 5], [6]], [(), (unit_step(0),)], 1, None)

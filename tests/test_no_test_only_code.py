@@ -15,7 +15,6 @@ ALLOWED = {
     "gold_plan": "test fixture: the overfit corpus's reference plans (criterion 4)",
     "make_overfit_corpus": "test fixture: the synthetic corpus of criterion 4 and the CLI tests",
     "next_step_accuracy": "test reference: the accuracy criterion 4 gates on",
-    "replay_log_prob": "test reference: recomputes a decoded plan's score step by step",
 }
 
 

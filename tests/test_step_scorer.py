@@ -1,0 +1,111 @@
+"""ModelStepScorer: batched and memoized scoring against one-prefix forwards."""
+
+import numpy as np
+import pytest
+
+from stepsum.acceptance import table3_game
+from stepsum.config import config_from_dict
+from stepsum.data import Vocab, prepare_cnndm, prepare_rotowire, rotowire_corpus_sentences
+from stepsum.decoding import DecodeConstraints, beam_decode
+from stepsum.etc_encoder import StepwiseEtc
+from stepsum.hibert import StepwiseHibert
+from stepsum.models import (
+    ModelStepScorer,
+    build_model,
+    log_softmax,
+    model_logits,
+    trim_for_flat_budget,
+)
+from stepsum.plan import BREAK_STEP
+from stepsum.rotowire import parse_game
+from stepsum.synthetic import make_overfit_corpus
+
+
+def doc_setup(encoder):
+    cfg = config_from_dict(dict(
+        encoder=encoder, dim=16, ffn_dim=32, sent_layers=1, doc_layers=1,
+        etc_layers=1, max_sent_len=8, max_doc_sents=16, long_budget=64,
+        summary_budget=32, global_cap=16, local_radius=3, seed=3))
+    docs, _ = make_overfit_corpus(n_docs=3, n_sents=7, n_gold=2, sent_len=5, seed=3)
+    vocab = Vocab.from_corpus(s for d in docs for s in d.sentences)
+    preps = []
+    for d in docs:
+        prep = prepare_cnndm(d, vocab, max_doc_sents=cfg.max_doc_sents,
+                             max_sent_len=cfg.max_sent_len)
+        preps.append(trim_for_flat_budget(prep, cfg, vocab) if encoder == "etc" else prep)
+    return cfg, vocab, build_model(cfg, len(vocab)), preps
+
+
+def table_setup():
+    cfg = config_from_dict(dict(
+        task="rotowire", encoder="hibert", dim=16, ffn_dim=32, sent_layers=1,
+        doc_layers=1, max_sent_len=12, max_doc_sents=64, max_plan_len=8,
+        max_units=62, seed=5))
+    game = parse_game(table3_game())
+    vocab = Vocab.from_corpus(rotowire_corpus_sentences([game], cfg.max_units))
+    prep = prepare_rotowire(game, vocab, max_units=cfg.max_units,
+                            max_sent_len=cfg.max_sent_len)
+    return cfg, vocab, build_model(cfg, len(vocab)), prep
+
+
+def assert_rows_exact(cfg, vocab, model, prep, prefixes):
+    scorer = ModelStepScorer(model, cfg, vocab, prep)
+    rows = scorer.step_log_probs_batch(prefixes)
+    assert len(rows) == len(prefixes)
+    for prefix, row in zip(prefixes, rows):
+        want = log_softmax(model_logits(model, cfg, vocab, prep, prefix).data)
+        assert np.array_equal(row, want), prefix
+        assert np.array_equal(scorer.step_log_probs(prefix), want), prefix
+
+
+@pytest.mark.parametrize("encoder", ["hibert", "etc"])
+def test_batched_rows_equal_one_prefix_forwards(encoder):
+    cfg, vocab, model, preps = doc_setup(encoder)
+    prep = preps[0]
+    u = prep.candidates[prep.special_count:]
+    # mixed lengths and repeated prefixes in one call
+    prefixes = [(u[0],), (), (u[1],), (u[0], u[2]), (u[2],), (u[0],),
+                (u[2], u[0]), (), (u[1], u[0], u[2])]
+    assert_rows_exact(cfg, vocab, model, prep, prefixes)
+
+
+def test_batched_rows_equal_one_prefix_forwards_table_mode():
+    cfg, vocab, model, prep = table_setup()
+    c = prep.candidates
+    r = prep.special_count
+    prefixes = [(c[r], BREAK_STEP), (BREAK_STEP,), (c[r + 1], BREAK_STEP),
+                (c[r],), (c[r], BREAK_STEP), (BREAK_STEP, c[r + 2]),
+                (c[r], BREAK_STEP, c[r + 3], BREAK_STEP)]
+    assert_rows_exact(cfg, vocab, model, prep, prefixes)
+
+
+def count_calls(monkeypatch, cls, name):
+    calls = []
+    original = getattr(cls, name)
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("encoder", ["hibert", "etc"])
+def test_decode_forward_counts(monkeypatch, encoder):
+    cfg, vocab, model, preps = doc_setup(encoder)
+    forward = {"hibert": (StepwiseHibert, "encode_document_stepwise"),
+               "etc": (StepwiseEtc, "etc_encode")}[encoder]
+    forwards = count_calls(monkeypatch, *forward)
+    asked = count_calls(monkeypatch, ModelStepScorer, "step_log_probs_batch")
+    for prep in preps:
+        forwards.clear()
+        asked.clear()
+        scorer = ModelStepScorer(model, cfg, vocab, prep)
+        beam_decode(scorer, 3, 4, DecodeConstraints())
+        distinct = {prefix for (prefixes,) in asked for prefix in prefixes}
+        if encoder == "hibert":
+            # every live prefix of a depth shares one document-encoder pass
+            assert len(forwards) <= 4 < len(distinct)
+        else:
+            assert len(forwards) == len(distinct)

@@ -387,3 +387,59 @@ def test_cli_linearize(workspace, tmp_path):
     row = json.loads(open(out).readline())
     assert "team points scored of Chicago_Bulls is 100 which is 1st best" in row["units"]
     assert "Chicago_Bulls|TEAM-PTS" in row["records"]
+
+
+def test_cli_reports_units_dropped_over_long_budget(workspace, tmp_path):
+    root, _, docs_path = workspace
+    cfg_path = str(tmp_path / "etc.cfg")
+    # 6 units of 5 tokens behind a 1-token stop unit: a budget of 20 keeps 3
+    write_config(cfg_path, **{
+        "run.encoder": "etc", "model.etc_layers": 1, "model.long_budget": 20,
+        "model.summary_budget": 16, "model.global_cap": 16, "model.local_radius": 2,
+        "optimizer.train_steps": 2, "optimizer.checkpoint_every": 1})
+    ckpt = str(tmp_path / "ckpt")
+    r = run_cli("train", "--config", cfg_path, "--train", docs_path,
+                "--valid", docs_path, "--out", ckpt)
+    assert r.returncode == 0, r.stderr
+    ids = [json.loads(line)["id"] for line in open(docs_path)]
+    want = [f"warning: {docs_path}:{i + 1}: document {doc_id}: dropped 3 trailing "
+            "units over long_budget" for i, doc_id in enumerate(ids)]
+    assert r.stderr.splitlines() == want + want  # train file, then valid file
+
+    out = str(tmp_path / "plans.jsonl")
+    r = run_cli("decode", "--config", cfg_path, "--ckpt", os.path.join(ckpt, "best"),
+                "--in", docs_path, "--out", out)
+    assert r.returncode == 0, r.stderr
+    assert r.stderr.splitlines() == want
+    assert r.stdout == ""
+    for line in open(out):
+        units = [s["unit"] for s in json.loads(line)["plan"] if isinstance(s, dict)]
+        assert all(u < 3 for u in units)
+
+
+def test_cli_decode_reports_incomplete_plans(workspace, trained_ckpt, tmp_path,
+                                             monkeypatch, capsys):
+    # a document always keeps its stop candidate, so real plans never come
+    # back incomplete; flag every other one to see the count reported
+    from stepsum import cli
+
+    decode = cli.beam_decode
+    seen = []
+
+    def flag_every_other(*args, **kwargs):
+        result = decode(*args, **kwargs)
+        seen.append(result)
+        result.incomplete = len(seen) % 2 == 1
+        return result
+
+    monkeypatch.setattr(cli, "beam_decode", flag_every_other)
+    root, cfg_path, docs_path = workspace
+    out = str(tmp_path / "plans.jsonl")
+    rc = cli.main(["decode", "--config", cfg_path, "--ckpt", trained_ckpt,
+                   "--in", docs_path, "--out", out])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["warning: 3 of 6 plans incomplete"]
+    assert [json.loads(line)["incomplete"] for line in open(out)] == [
+        True, False, True, False, True, False]
