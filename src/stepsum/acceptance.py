@@ -214,10 +214,21 @@ def criterion_gradient_suite(samples_per_tensor: int = 8) -> tuple[bool, str]:
                 failures.append(f"{name}[seed {seed}]: {fails[0]}")
 
     hm, hunits = toy_hibert()
-    fails = check_gradients(
-        lambda: cross_entropy(hm.logits(hunits, (unit_step(1),), 1, None), 2),
-        hm.named_parameters(), samples_per_tensor=samples_per_tensor,
-        rng=np.random.default_rng(1))
+    # two pairs in one padded pass: the first has the longer document, the
+    # second the longer prefix, so each row has masked keys
+    summaries = [hm.summary_rows((unit_step(1),), 1, None),
+                 hm.summary_rows((unit_step(0), unit_step(1)), 1, None)]
+
+    def hibert_loss():
+        logits = hm.logits_batch(hm.unit_representations(hunits),
+                                 [range(5), range(3)], summaries)
+        flat = ad.reshape(logits, (10,))
+        return ad.add(cross_entropy(ad.narrow(flat, 0, 0, 5), 2),
+                      cross_entropy(ad.narrow(flat, 0, 5, 3), 0))
+
+    fails = check_gradients(hibert_loss, hm.named_parameters(),
+                            samples_per_tensor=samples_per_tensor,
+                            rng=np.random.default_rng(1))
     if fails:
         failures.append(f"hibert encoder: {len(fails)} mismatches, first {fails[0]}")
 

@@ -194,9 +194,9 @@ def assemble_input(doc_units: list[list[int]], plan_units: list[list[int]],
 
     warnings = []
     if truncated:
-        warnings.append(f"dropped {truncated} trailing document units over budget")
+        warnings.append(f"dropped {truncated} trailing document units over long_budget")
     if truncated_plan:
-        warnings.append(f"dropped {truncated_plan} trailing plan elements over budget")
+        warnings.append(f"dropped {truncated_plan} trailing plan elements over summary_budget")
 
     return EtcAssembly(
         long_ids=long_ids,

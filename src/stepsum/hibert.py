@@ -11,6 +11,7 @@ cross attention lets every unit see what the plan already covers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -227,30 +228,39 @@ class StepwiseHibert:
 
     # -- document level ----------------------------------------------------
 
-    def encode_document_stepwise(self, doc_reps: Tensor, summary_reps: Tensor) -> Tensor:
+    def encode_document_stepwise(self, doc_reps: Tensor, summary_reps: Tensor,
+                                 doc_valid: np.ndarray | None = None,
+                                 summary_valid: np.ndarray | None = None) -> Tensor:
         """Summary-informed contextual unit vectors.
 
         ``doc_reps`` is [n x dim] and ``summary_reps`` [k x dim], or both carry
         the same leading batch axis, one document/summary pair per entry.
         They already carry their positional terms; the summary stream always
         starts with the learned begin-of-plan slot, so it is never empty.
+        ``doc_valid`` [... x n] and ``summary_valid`` [... x k] mark the real
+        rows of padded streams: padding is never attended to as a key, and
+        its own output rows carry no meaning. Omitted, every row is real.
         """
         cfg = self.cfg
         if summary_reps.shape[-2] == 0:
             raise ValueError("summary stream must hold at least the begin slot")
-        n = doc_reps.shape[-2]
+        *lead, n, _ = doc_reps.shape
         k = summary_reps.shape[-2]
-        full_dd = np.ones((n, n), dtype=bool)
-        full_ss = np.ones((k, k), dtype=bool)
-        full_ds = np.ones((n, k), dtype=bool)
+        if doc_valid is None:
+            doc_valid = np.ones((*lead, n), dtype=bool)
+        if summary_valid is None:
+            summary_valid = np.ones((*lead, k), dtype=bool)
+        # key-validity masks: every query row sees the real keys
+        dd = np.broadcast_to(doc_valid[..., None, :], (*lead, n, n))
+        ss = np.broadcast_to(summary_valid[..., None, :], (*lead, k, k))
+        ds = np.broadcast_to(summary_valid[..., None, :], (*lead, n, k))
         d, s = doc_reps, summary_reps
         for layer in self.params.doc_layers:
-            ds = multi_head_attention(d, d, d, full_dd, layer.self_attn, cfg.num_heads)
-            ss = multi_head_attention(s, s, s, full_ss, layer.self_attn, cfg.num_heads)
-            d1 = _ln(add(d, ds), layer.ln_self, cfg.ln_eps)
-            s1 = _ln(add(s, ss), layer.ln_self, cfg.ln_eps)
-            cross = multi_head_attention(d1, s1, s1, full_ds, layer.cross_attn,
-                                         cfg.num_heads)
+            dsa = multi_head_attention(d, d, d, dd, layer.self_attn, cfg.num_heads)
+            ssa = multi_head_attention(s, s, s, ss, layer.self_attn, cfg.num_heads)
+            d1 = _ln(add(d, dsa), layer.ln_self, cfg.ln_eps)
+            s1 = _ln(add(s, ssa), layer.ln_self, cfg.ln_eps)
+            cross = multi_head_attention(d1, s1, s1, ds, layer.cross_attn, cfg.num_heads)
             d2 = _ln(add(d1, cross), layer.ln_cross, cfg.ln_eps)
             d = _ln(add(d2, feed_forward(d2, layer.ffn)), layer.ln_ffn, cfg.ln_eps)
             s = s1
@@ -266,72 +276,47 @@ class StepwiseHibert:
     def unit_representations(self, units: list[list[int]]) -> Tensor:
         return self.encode_sentences(SentenceBatch.from_units(units))
 
-    def logits(self, units: list[list[int]], prefix: tuple[planlib.PlanStep, ...],
-               special_count: int, break_slot: int | None = None,
-               unit_reps: Tensor | None = None) -> Tensor:
-        """Candidate logits given the document's units and a plan prefix.
+    def logits_batch(self, reps: Tensor, docs: Sequence[Sequence[int]],
+                     summaries: Sequence[Sequence[int]]) -> Tensor:
+        """[B x n_max] candidate logits for B (document, plan prefix) pairs, one pass.
 
-        ``units`` lists the pseudo-units first (stop marker, and the sentence
-        break marker in table mode), then the real units. ``break_slot`` is
-        the row index of the break pseudo-unit, used to represent break steps
-        on the summary side. ``unit_reps`` short-circuits the sentence
-        encoder when the caller already holds the unit vectors.
+        ``reps`` holds unit vectors. Pair b's document is the rows
+        ``docs[b]`` of ``reps``, pseudo-units first; its summary stream is
+        the learned begin slot followed by the rows ``summaries[b]`` (see
+        ``summary_rows``). Documents and summaries shorter than the batch's
+        longest are padded and masked as attention keys, so the first
+        ``len(docs[b])`` logits of row b score pair b and the rest are
+        padding. Without padding, every row is the arithmetic of a one-pair
+        pass.
         """
-        rows = self._summary_rows(prefix, special_count, break_slot)
-        reps = unit_reps if unit_reps is not None else self.unit_representations(units)
-        d = self._document_stream(reps)
-        if rows:
-            row_idx = np.asarray(rows, dtype=np.int64)
-            s = concat([self.params.embeddings.begin_summary, take(reps, row_idx)], axis=0)
-        else:
-            s = self.params.embeddings.begin_summary
-        s = add(s, take(self.params.embeddings.pos_sum, np.arange(len(rows) + 1)))
-
-        ctx = self.encode_document_stepwise(d, s)
-        return self.score_candidates(ctx)
-
-    def logits_batch(self, units: list[list[int]],
-                     prefixes: list[tuple[planlib.PlanStep, ...]],
-                     special_count: int, break_slot: int | None = None,
-                     unit_reps: Tensor | None = None) -> Tensor:
-        """[B x n] candidate logits for B prefixes of one length, one pass.
-
-        Row b equals ``logits`` for ``prefixes[b]``: the document stream is
-        [B x n x dim], the same rows for every prefix, and the summary stream
-        [B x (t+1) x dim] gathers the begin slot and each prefix's unit
-        vectors from one table.
-        """
-        if not prefixes:
-            raise ValueError("logits_batch needs at least one prefix")
-        t = len(prefixes[0])
-        if any(len(p) != t for p in prefixes):
-            raise ValueError("logits_batch needs prefixes of one length")
-        # row 0 of the table is the begin slot, row 1 + r is unit vector r
-        ids = np.array([[0] + [1 + r for r in self._summary_rows(p, special_count,
-                                                                break_slot)]
-                        for p in prefixes], dtype=np.int64)
-        reps = unit_reps if unit_reps is not None else self.unit_representations(units)
-        d = self._document_stream(reps)
-        n = reps.shape[0]
-        d = take(d, np.broadcast_to(np.arange(n), (len(prefixes), n)))
-        table = concat([self.params.embeddings.begin_summary, reps], axis=0)
-        s = add(take(table, ids), take(self.params.embeddings.pos_sum, np.arange(t + 1)))
-
-        ctx = self.encode_document_stepwise(d, s)
-        return self.score_candidates(ctx)
-
-    def _document_stream(self, reps: Tensor) -> Tensor:
-        """Unit vectors plus their document positions."""
-        n = reps.shape[0]
+        if not docs or len(docs) != len(summaries):
+            raise ValueError("logits_batch needs one summary per document, at least one")
+        sizes = np.array([len(rows) for rows in docs], dtype=np.int64)
+        lengths = np.array([1 + len(rows) for rows in summaries], dtype=np.int64)
+        n, k = int(sizes.max()), int(lengths.max())
         if n > self.cfg.max_doc_sents:
             raise ValueError(f"{n} units exceed max_doc_sents {self.cfg.max_doc_sents}")
+        # padding gathers row 0; row 0 of the summary table is the begin slot
+        # and row 1 + r is unit vector r
+        doc_ids = np.zeros((len(docs), n), dtype=np.int64)
+        sum_ids = np.zeros((len(docs), k), dtype=np.int64)
+        for b, (rows, summary) in enumerate(zip(docs, summaries)):
+            doc_ids[b, : len(rows)] = rows
+            sum_ids[b, 1: 1 + len(summary)] = np.asarray(summary, dtype=np.int64) + 1
+        emb = self.params.embeddings
+        d = take(reps, doc_ids)
         if self.cfg.use_doc_pos:
-            return add(reps, take(self.params.embeddings.pos_doc, np.arange(n)))
-        return reps
+            d = add(d, take(emb.pos_doc, np.arange(n)))
+        table = concat([emb.begin_summary, reps], axis=0)
+        s = add(take(table, sum_ids), take(emb.pos_sum, np.arange(k)))
 
-    def _summary_rows(self, prefix: tuple[planlib.PlanStep, ...], special_count: int,
-                      break_slot: int | None) -> list[int]:
-        """The unit-vector row that stands for each step of an unfinished prefix."""
+        ctx = self.encode_document_stepwise(d, s, np.arange(n) < sizes[:, None],
+                                            np.arange(k) < lengths[:, None])
+        return self.score_candidates(ctx)
+
+    def summary_rows(self, prefix: tuple[planlib.PlanStep, ...], special_count: int,
+                     break_slot: int | None) -> list[int]:
+        """The document's unit row that stands for each unfinished-prefix step."""
         if len(prefix) + 1 > self.cfg.max_plan_len:
             raise ValueError(
                 f"prefix of {len(prefix)} steps exceeds max_plan_len {self.cfg.max_plan_len}"

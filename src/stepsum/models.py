@@ -1,21 +1,26 @@
 """Task-level glue: build either encoder and score steps for a document.
 
-Both encoders expose the same contract here: given a prepared document and a
-plan prefix, produce one logit per candidate. ``ModelStepScorer`` adapts
-that to the decoder protocol. It caches whatever is prefix-independent (the
-hierarchical encoder's unit vectors in particular) and memoizes each
-prefix's log-probabilities, so a decode runs the model once per distinct
-prefix. The hierarchical encoder scores the new prefixes of one length,
-such as all live hypotheses of a beam depth, in one batched pass; the flat
-encoder scores prefixes one at a time.
+``score_pairs`` is the one scoring path: given (prepared document, plan
+prefix) pairs, it returns one logit per candidate for each pair, and it is
+the only place that tells the encoders apart. The hierarchical encoder
+scores all pairs in one padded document-encoder pass, after one
+sentence-encoder pass over their distinct documents; the flat encoder
+assembles and encodes each pair on its own. Training, validation and decode
+all score through it. ``ModelStepScorer`` adapts it to the decoder protocol:
+it keeps what is prefix-independent (the hierarchical encoder's unit
+vectors) and memoizes each prefix's log-probabilities, so a decode runs the
+model once per distinct prefix and scores a beam depth's new prefixes in
+one call.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from . import data as datalib
-from .autodiff import Tensor
+from .autodiff import Tensor, add, cross_entropy, narrow, reshape, scale
 from .config import RunConfig
 from .data import PreparedDoc, Vocab
 from .etc_encoder import EtcAssembly, EtcConfig, StepwiseEtc, assemble_input
@@ -121,18 +126,42 @@ def assemble_for(cfg: RunConfig, vocab: Vocab, prepared: PreparedDoc,
     )
 
 
-def model_logits(model: Model, cfg: RunConfig, vocab: Vocab,
-                 prepared: PreparedDoc, prefix: tuple[PlanStep, ...]) -> Tensor:
+def score_pairs(model: Model, cfg: RunConfig, vocab: Vocab,
+                pairs: Sequence[tuple[PreparedDoc, tuple[PlanStep, ...]]],
+                reps_cache: dict | None = None) -> list[Tensor]:
+    """Candidate logits, one 1-D tensor per (document, plan prefix) pair.
+
+    ``reps_cache``, when given, keeps the hierarchical encoder's unit
+    vectors across calls on the same documents. A flat-encoder assembly
+    that would drop document units or plan elements is an error, never a
+    silently shortened input.
+    """
     if isinstance(model, StepwiseHibert):
-        return model.logits(prepared.units, prefix, prepared.special_count,
-                            prepared.break_slot)
-    assembly = assemble_for(cfg, vocab, prepared, prefix)
-    if assembly.truncated_doc_units:
-        raise ValueError(
-            f"{assembly.truncated_doc_units} units truncated at assembly; "
-            "trim the document before scoring"
-        )
-    return model.logits(assembly)
+        starts: dict[int, int] = {}
+        units: list[list[int]] = []
+        for doc, _ in pairs:
+            if id(doc) not in starts:
+                starts[id(doc)] = len(units)
+                units.extend(doc.units)
+        cache = {} if reps_cache is None else reps_cache
+        key = tuple(starts)
+        if key not in cache:
+            cache[key] = model.unit_representations(units)
+        docs = [range(starts[id(doc)], starts[id(doc)] + len(doc.units)) for doc, _ in pairs]
+        summaries = [[starts[id(doc)] + r
+                      for r in model.summary_rows(prefix, doc.special_count, doc.break_slot)]
+                     for doc, prefix in pairs]
+        logits = model.logits_batch(cache[key], docs, summaries)
+        width = logits.shape[1]
+        flat = reshape(logits, (len(pairs) * width,))
+        return [narrow(flat, 0, b * width, len(rows)) for b, rows in enumerate(docs)]
+    out = []
+    for doc, prefix in pairs:
+        assembly = assemble_for(cfg, vocab, doc, prefix)
+        if assembly.truncated_doc_units or assembly.truncated_plan_elements:
+            raise ValueError(f"document {doc.doc_id}: " + "; ".join(assembly.warnings))
+        out.append(model.logits(assembly))
+    return out
 
 
 def log_softmax(values: np.ndarray) -> np.ndarray:
@@ -143,36 +172,9 @@ def log_softmax(values: np.ndarray) -> np.ndarray:
 
 def batch_mean_loss(model: Model, cfg: RunConfig, vocab: Vocab,
                     batch: list) -> Tensor:
-    """Mean cross-entropy over a minibatch of step examples.
-
-    With the hierarchical encoder, unit vectors depend only on the document,
-    so the batch's unique documents share one sentence-encoder pass and each
-    example reuses its document's rows from that joint computation.
-    """
-    from .autodiff import add, cross_entropy, narrow, scale
-
-    losses = []
-    if isinstance(model, StepwiseHibert):
-        unique: dict[int, PreparedDoc] = {}
-        for ex in batch:
-            unique.setdefault(id(ex.doc), ex.doc)
-        all_units: list[list[int]] = []
-        offsets: dict[int, tuple[int, int]] = {}
-        for key, prep in unique.items():
-            offsets[key] = (len(all_units), len(prep.units))
-            all_units.extend(prep.units)
-        reps_all = model.unit_representations(all_units)
-        reps_of = {
-            key: narrow(reps_all, 0, off, n) for key, (off, n) in offsets.items()
-        }
-        for ex in batch:
-            logits = model.logits(ex.doc.units, ex.prefix, ex.doc.special_count,
-                                  ex.doc.break_slot, unit_reps=reps_of[id(ex.doc)])
-            losses.append(cross_entropy(logits, ex.target))
-    else:
-        for ex in batch:
-            logits = model_logits(model, cfg, vocab, ex.doc, ex.prefix)
-            losses.append(cross_entropy(logits, ex.target))
+    """Mean cross-entropy over a minibatch of step examples, scored in one call."""
+    logits = score_pairs(model, cfg, vocab, [(ex.doc, ex.prefix) for ex in batch])
+    losses = [cross_entropy(row, ex.target) for row, ex in zip(logits, batch)]
     total = losses[0]
     for piece in losses[1:]:
         total = add(total, piece)
@@ -183,10 +185,7 @@ class ModelStepScorer:
     """Decoder-facing view of one (model, document) pair.
 
     Log-probabilities are memoized by prefix, so no prefix of the document
-    runs the model twice. The hierarchical encoder scores each group of new
-    prefixes that share a length in one batched pass; the flat encoder
-    scores them one at a time, since its summary side differs in length from
-    prefix to prefix.
+    runs the model twice, and each call scores its new prefixes together.
     """
 
     def __init__(self, model: Model, cfg: RunConfig, vocab: Vocab,
@@ -196,9 +195,7 @@ class ModelStepScorer:
         self.vocab = vocab
         self.prepared = prepared
         self.candidates = list(prepared.candidates)
-        self._unit_reps: Tensor | None = None
-        if isinstance(model, StepwiseHibert):
-            self._unit_reps = model.unit_representations(prepared.units)
+        self._reps_cache: dict = {}
         self._memo: dict[tuple[PlanStep, ...], np.ndarray] = {}
 
     def step_log_probs(self, prefix: tuple[PlanStep, ...]) -> np.ndarray:
@@ -208,21 +205,11 @@ class ModelStepScorer:
                              ) -> list[np.ndarray]:
         """One row per prefix; rows are the memo's own arrays, not copies."""
         new = [p for p in dict.fromkeys(prefixes) if p not in self._memo]
-        if isinstance(self.model, StepwiseHibert):
-            by_length: dict[int, list[tuple[PlanStep, ...]]] = {}
-            for prefix in new:
-                by_length.setdefault(len(prefix), []).append(prefix)
-            prep = self.prepared
-            for group in by_length.values():
-                logits = self.model.logits_batch(prep.units, group, prep.special_count,
-                                                 prep.break_slot, unit_reps=self._unit_reps)
-                for prefix, row in zip(group, logits.data):
-                    self._memo[prefix] = log_softmax(row)
-        else:
-            for prefix in new:
-                logits = model_logits(self.model, self.cfg, self.vocab, self.prepared,
-                                      prefix)
-                self._memo[prefix] = log_softmax(logits.data)
+        if new:
+            logits = score_pairs(self.model, self.cfg, self.vocab,
+                                 [(self.prepared, p) for p in new], self._reps_cache)
+            for prefix, row in zip(new, logits):
+                self._memo[prefix] = log_softmax(row.data)
         return [self._memo[p] for p in prefixes]
 
     def candidate_tokens(self, index: int) -> list[str]:

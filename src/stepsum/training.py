@@ -12,14 +12,13 @@ from .autodiff import (
     Adam,
     NonFiniteError,
     Tape,
-    Tensor,
     backward,
     cross_entropy,
 )
 from .checkpoint import save_checkpoint
 from .config import RunConfig
 from .data import StepExample, Vocab
-from .models import Model, batch_mean_loss, model_logits
+from .models import Model, batch_mean_loss, score_pairs
 
 
 class TrainingDiverged(RuntimeError):
@@ -35,27 +34,27 @@ class TrainResult:
     stopped_early: bool = False
 
 
-def example_loss(model: Model, cfg: RunConfig, vocab: Vocab,
-                 ex: StepExample) -> Tensor:
-    logits = model_logits(model, cfg, vocab, ex.doc, ex.prefix)
-    return cross_entropy(logits, ex.target)
+def _chunk_logits(model: Model, cfg: RunConfig, vocab: Vocab,
+                  examples: Sequence[StepExample]):
+    """(example, candidate logits) pairs, scored ``cfg.batch_size`` at a time."""
+    for start in range(0, len(examples), cfg.batch_size):
+        chunk = examples[start: start + cfg.batch_size]
+        yield from zip(chunk, score_pairs(model, cfg, vocab,
+                                          [(ex.doc, ex.prefix) for ex in chunk]))
 
 
 def evaluate_loss(model: Model, cfg: RunConfig, vocab: Vocab,
                   examples: Sequence[StepExample]) -> float:
     total = 0.0
-    for ex in examples:
-        total += example_loss(model, cfg, vocab, ex).item()
+    for ex, logits in _chunk_logits(model, cfg, vocab, examples):
+        total += cross_entropy(logits, ex.target).item()
     return total / max(len(examples), 1)
 
 
 def next_step_accuracy(model: Model, cfg: RunConfig, vocab: Vocab,
                        examples: Sequence[StepExample]) -> float:
-    hits = 0
-    for ex in examples:
-        logits = model_logits(model, cfg, vocab, ex.doc, ex.prefix)
-        if int(np.argmax(logits.data)) == ex.target:
-            hits += 1
+    hits = sum(int(np.argmax(logits.data)) == ex.target
+               for ex, logits in _chunk_logits(model, cfg, vocab, examples))
     return hits / max(len(examples), 1)
 
 

@@ -62,7 +62,8 @@ def test_uniform_distribution_on_symmetric_model():
     emb.pos_token.data[:] = 0.0
     emb.pos_doc.data[:] = 0.0
     units = [[2], [3], [4], [5]]
-    probs = np.exp(log_softmax(model.logits(units, (), 1, None).data))
+    logits = model.logits_batch(model.unit_representations(units), [range(4)], [[]])
+    probs = np.exp(log_softmax(logits.data[0]))
     np.testing.assert_allclose(probs, np.full(4, 0.25), atol=1e-9)
 
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hibert_reference import reference_logits
 
 from stepsum.attention import score_counter
-from stepsum.autodiff import Tape, Tensor, backward, cross_entropy, narrow, sum_all
+from stepsum.autodiff import Tape, Tensor, backward, cross_entropy, narrow, reshape, sum_all
 from stepsum.gradcheck import check_gradients
 from stepsum.hibert import HibertConfig, SentenceBatch, StepwiseHibert
 from stepsum.plan import unit_step
@@ -13,6 +14,13 @@ def make_model(seed=5, **overrides):
                   vocab_size=50, max_sent_len=6, max_doc_sents=8, max_plan_len=4)
     kwargs.update(overrides)
     return StepwiseHibert(HibertConfig(**kwargs), np.random.default_rng(seed))
+
+
+def one_pair(model, units, prefix=(), special_count=1, break_slot=None):
+    """1-D logits of one (document, prefix) pair through the batched pass."""
+    logits = model.logits_batch(model.unit_representations(units), [range(len(units))],
+                                [model.summary_rows(prefix, special_count, break_slot)])
+    return reshape(logits, (len(units),))
 
 
 def test_sentence_batch_rejects_empty_sentence():
@@ -38,7 +46,7 @@ def test_concurrent_models_on_threads():
         model = make_model(seed=seed, sent_layers=1, doc_layers=1)
         units = [[2], [4, 5], [6, 7]]
         with Tape() as tape:
-            loss = cross_entropy(model.logits(units, (), 1, None), 1)
+            loss = cross_entropy(one_pair(model, units), 1)
             backward(tape, loss)
         results[seed] = loss.item()
 
@@ -50,7 +58,7 @@ def test_concurrent_models_on_threads():
     assert len(results) == 4
     # same-seed serial run agrees with what the thread computed
     model = make_model(seed=1, sent_layers=1, doc_layers=1)
-    serial = cross_entropy(model.logits([[2], [4, 5], [6, 7]], (), 1, None), 1)
+    serial = cross_entropy(one_pair(model, [[2], [4, 5], [6, 7]]), 1)
     assert results[1] == serial.item()
 
 
@@ -76,7 +84,7 @@ def test_token_table_gradient_on_two_sentence_toy():
     units = [[2], [4, 5], [6, 7]]
 
     def loss():
-        return cross_entropy(model.logits(units, (), 1, None), 1)
+        return cross_entropy(one_pair(model, units), 1)
 
     fails = check_gradients(loss, {"token": model.params.embeddings.token},
                             samples_per_tensor=40,
@@ -174,8 +182,8 @@ def test_replay_same_prefix_bitwise_identical():
     model = make_model()
     units = [[2], [4, 5, 6], [7, 8], [9, 10, 11]]
     prefix = (unit_step(2),)
-    a = model.logits(units, prefix, 1, None).data
-    b = model.logits(units, prefix, 1, None).data
+    a = one_pair(model, units, prefix).data
+    b = one_pair(model, units, prefix).data
     assert np.array_equal(a, b)
 
 
@@ -183,7 +191,7 @@ def test_prefix_too_long_rejected():
     model = make_model(max_plan_len=2)
     units = [[2], [4, 5]]
     with pytest.raises(ValueError):
-        model.logits(units, (unit_step(0), unit_step(0)), 1, None)
+        one_pair(model, units, (unit_step(0), unit_step(0)))
 
 
 def test_finished_prefix_rejected():
@@ -191,7 +199,7 @@ def test_finished_prefix_rejected():
 
     model = make_model()
     with pytest.raises(ValueError):
-        model.logits([[2], [4]], (END_STEP,), 1, None)
+        one_pair(model, [[2], [4]], (END_STEP,))
 
 
 def test_overfit_tiny_doc_selects_target_unit():
@@ -205,10 +213,10 @@ def test_overfit_tiny_doc_selects_target_unit():
     for _ in range(60):
         opt.zero_grad()
         with Tape() as tape:
-            loss = cross_entropy(model.logits(units, (), 1, None), target)
+            loss = cross_entropy(one_pair(model, units), target)
             backward(tape, loss)
         opt.step()
-    final = model.logits(units, (), 1, None)
+    final = one_pair(model, units)
     assert int(np.argmax(final.data)) == target
 
 
@@ -226,12 +234,11 @@ def test_batched_logits_keep_every_prefix_check(case):
     if case == "too_many_units":
         units = units + [[9]]
     with pytest.raises(ValueError):
-        model.logits(units, prefix, 1, None)
+        reference_logits(model, units, prefix, 1, None)
     with pytest.raises(ValueError):
-        model.logits_batch(units, [(unit_step(1),) * len(prefix), prefix], 1, None)
-
-
-def test_batched_logits_need_prefixes_of_one_length():
-    model = make_model()
-    with pytest.raises(ValueError, match="one length"):
-        model.logits_batch([[2], [4, 5], [6]], [(), (unit_step(0),)], 1, None)
+        one_pair(model, units, prefix)
+    # nor in a batch whose other pair is valid
+    with pytest.raises(ValueError):
+        model.logits_batch(model.unit_representations(units),
+                           [range(2), range(len(units))],
+                           [[], model.summary_rows(prefix, 1, None)])

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hibert_reference import reference_logits
 
 from stepsum.acceptance import table3_game
 from stepsum.config import config_from_dict
@@ -11,9 +12,9 @@ from stepsum.etc_encoder import StepwiseEtc
 from stepsum.hibert import StepwiseHibert
 from stepsum.models import (
     ModelStepScorer,
+    assemble_for,
     build_model,
     log_softmax,
-    model_logits,
     trim_for_flat_budget,
 )
 from stepsum.plan import BREAK_STEP
@@ -48,12 +49,19 @@ def table_setup():
     return cfg, vocab, build_model(cfg, len(vocab)), prep
 
 
+def one_prefix_logits(cfg, vocab, model, prep, prefix):
+    if isinstance(model, StepwiseHibert):
+        return reference_logits(model, prep.units, prefix, prep.special_count,
+                                prep.break_slot)
+    return model.logits(assemble_for(cfg, vocab, prep, prefix))
+
+
 def assert_rows_exact(cfg, vocab, model, prep, prefixes):
     scorer = ModelStepScorer(model, cfg, vocab, prep)
     rows = scorer.step_log_probs_batch(prefixes)
     assert len(rows) == len(prefixes)
     for prefix, row in zip(prefixes, rows):
-        want = log_softmax(model_logits(model, cfg, vocab, prep, prefix).data)
+        want = log_softmax(one_prefix_logits(cfg, vocab, model, prep, prefix).data)
         assert np.array_equal(row, want), prefix
         assert np.array_equal(scorer.step_log_probs(prefix), want), prefix
 

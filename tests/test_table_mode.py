@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from stepsum.data import (
     prepare_rotowire,
     rotowire_corpus_sentences,
 )
-from stepsum.models import ModelStepScorer, build_model, trim_for_flat_budget
+from stepsum.models import ModelStepScorer, build_model, score_pairs, trim_for_flat_budget
 from stepsum.plan import BREAK_STEP, END_STEP, RecordRef, unit_step
 from stepsum.rotowire import parse_game, plan_from_json
 
@@ -48,14 +49,11 @@ def test_no_document_positions_means_unit_order_irrelevant(table_setup):
     game, cfg, vocab, prep = table_setup
     assert not cfg.doc_positions_enabled()
     model = build_model(cfg, len(vocab))
-    logits = model.logits(prep.units, (), prep.special_count, prep.break_slot)
-
     perm = np.random.default_rng(0).permutation(prep.n_real_units)
-    permuted_units = prep.units[: prep.special_count] + [
+    permuted = replace(prep, units=prep.units[: prep.special_count] + [
         prep.units[prep.special_count + int(i)] for i in perm
-    ]
-    logits_p = model.logits(permuted_units, (), prep.special_count,
-                            prep.break_slot)
+    ])
+    logits, logits_p = score_pairs(model, cfg, vocab, [(prep, ()), (permuted, ())])
     real = logits.data[prep.special_count:]
     real_p = logits_p.data[prep.special_count:]
     np.testing.assert_allclose(real[perm], real_p, atol=1e-10)
@@ -68,11 +66,9 @@ def test_document_positions_break_permutation_symmetry():
     prep = prepare_rotowire(game, vocab, max_units=cfg.max_units,
                             max_sent_len=cfg.max_sent_len)
     model = build_model(cfg, len(vocab))
-    logits = model.logits(prep.units, (), prep.special_count, prep.break_slot)
-    reversed_units = prep.units[: prep.special_count] + list(
-        reversed(prep.units[prep.special_count:]))
-    logits_r = model.logits(reversed_units, (), prep.special_count,
-                            prep.break_slot)
+    reversed_doc = replace(prep, units=prep.units[: prep.special_count] + list(
+        reversed(prep.units[prep.special_count:])))
+    logits, logits_r = score_pairs(model, cfg, vocab, [(prep, ()), (reversed_doc, ())])
     real = logits.data[prep.special_count:]
     real_r = logits_r.data[prep.special_count:]
     assert not np.allclose(real[::-1], real_r, atol=1e-10)
@@ -84,8 +80,7 @@ def test_plan_positions_still_order_the_prefix(table_setup):
     model = build_model(cfg, len(vocab))
     a = prep.candidates[prep.special_count]
     b = prep.candidates[prep.special_count + 3]
-    la = model.logits(prep.units, (a, b), prep.special_count, prep.break_slot)
-    lb = model.logits(prep.units, (b, a), prep.special_count, prep.break_slot)
+    la, lb = score_pairs(model, cfg, vocab, [(prep, (a, b)), (prep, (b, a))])
     assert not np.allclose(la.data, lb.data, atol=1e-10)
 
 
@@ -244,3 +239,34 @@ def test_cli_rotowire_train_names_plan_file_lines(tmp_path):
     assert proc.returncode == 1, proc.stderr
     errors = [ln for ln in proc.stderr.splitlines() if ln.startswith("error:")]
     assert errors and all(ln.startswith(f"error: {plans_path}:3: ") for ln in errors), errors
+
+
+def test_cli_etc_train_rejects_plan_over_summary_budget(tmp_path):
+    """A prefix that does not fit the plan segment is an error, not a shorter input."""
+    games_path = tmp_path / "games.jsonl"
+    plans_path = tmp_path / "plans.jsonl"
+    games_path.write_text(json.dumps(table3_game()) + "\n")
+    plan = {"id": "table3", "plan": [
+        {"entity": "Chicago_Bulls", "type": "TEAM-PTS"},
+        {"entity": "LA_Lakers", "type": "TEAM-PTS"},
+        "EOS",
+        {"entity": "Michael_Jordan", "type": "PLAYER-PTS"},
+        "EOT"]}
+    plans_path.write_text(json.dumps(plan) + "\n")
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(
+        "[run]\ntask = rotowire\nencoder = etc\nseed = 5\n"
+        "[model]\ndim = 16\nffn_dim = 32\netc_layers = 1\nmax_sent_len = 12\n"
+        "long_budget = 240\nsummary_budget = 12\nglobal_cap = 32\nlocal_radius = 4\n"
+        "[optimizer]\ntrain_steps = 2\ncheckpoint_every = 1\nbatch_size = 8\n"
+        "[data]\nmax_units = 62\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "stepsum.cli", "train", "--config", str(cfg_path),
+         "--train", str(games_path), "--train-plans", str(plans_path),
+         "--valid", str(games_path), "--valid-plans", str(plans_path),
+         "--out", str(tmp_path / "ckpt")],
+        capture_output=True, text=True, env=cli_env())
+    assert proc.returncode == 2, proc.stderr
+    assert "document table3: dropped " in proc.stderr
+    assert "trailing plan elements over summary_budget" in proc.stderr
