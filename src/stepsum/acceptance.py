@@ -30,7 +30,6 @@ from .attention import (
     multi_head_attention,
     score_counter,
 )
-from .attention import RelPosLabels
 from .autodiff import Tape, Tensor, backward, cross_entropy
 from .decoding import (
     REPEAT_EXEMPT_TYPES,
@@ -283,8 +282,7 @@ def criterion_sparsity() -> tuple[bool, str]:
     sid = np.zeros(length, dtype=np.int64)
     long_out, _ = glocal_attention(long, glob, sid, params, cfg,
                                    enable_long_global=False)
-    labels = RelPosLabels(bucket_matrix(np.arange(length), np.arange(length),
-                                        cfg.max_distance))
+    labels = bucket_matrix(np.arange(length), np.arange(length), cfg.max_distance)
     dense = multi_head_attention(long, long, long,
                                  np.ones((length, length), dtype=bool),
                                  params, cfg.num_heads, labels)

@@ -109,18 +109,6 @@ class AttentionConfig:
         return 2 * self.max_distance + LABEL_OTHER_OFFSET
 
 
-class RelPosLabels:
-    """Integer label per (query, key) pair; masked pairs may hold any value."""
-
-    def __init__(self, label: np.ndarray):
-        label = np.asarray(label, dtype=np.int64)
-        if label.ndim != 2:
-            raise ValueError(f"labels must be 2-D, got shape {label.shape}")
-        if label.size and label.min() < 0:
-            raise ValueError("labels must be non-negative")
-        self.label = label
-
-
 def bucket_matrix(q_pos: np.ndarray, k_pos: np.ndarray, max_distance: int) -> np.ndarray:
     """Label per (query, key): the offset k - q clipped into [0, 2*max_distance]."""
     off = np.asarray(k_pos)[None, :] - np.asarray(q_pos)[:, None]
@@ -152,17 +140,6 @@ class MhaParams:
     bo: Tensor
     relpos: Tensor | None = None  # [relpos_vocab_size x num_heads] bias table
 
-    def named(self, prefix: str) -> dict[str, Tensor]:
-        out = {
-            f"{prefix}.wq": self.wq, f"{prefix}.bq": self.bq,
-            f"{prefix}.wk": self.wk, f"{prefix}.bk": self.bk,
-            f"{prefix}.wv": self.wv, f"{prefix}.bv": self.bv,
-            f"{prefix}.wo": self.wo, f"{prefix}.bo": self.bo,
-        }
-        if self.relpos is not None:
-            out[f"{prefix}.relpos"] = self.relpos
-        return out
-
 
 @dataclass
 class FfnParams:
@@ -171,20 +148,11 @@ class FfnParams:
     w2: Tensor
     b2: Tensor
 
-    def named(self, prefix: str) -> dict[str, Tensor]:
-        return {
-            f"{prefix}.w1": self.w1, f"{prefix}.b1": self.b1,
-            f"{prefix}.w2": self.w2, f"{prefix}.b2": self.b2,
-        }
-
 
 @dataclass
 class LayerNormParams:
     gain: Tensor
     bias: Tensor
-
-    def named(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}.gain": self.gain, f"{prefix}.bias": self.bias}
 
 
 def init_mha(rng: np.random.Generator, dim: int, std: float,
@@ -218,8 +186,43 @@ def init_layer_norm(dim: int) -> LayerNormParams:
     )
 
 
+@dataclass
+class LayerParams:
+    """One post-norm transformer layer, of hibert's sentence stack or the etc stack."""
+
+    attn: MhaParams
+    ln_attn: LayerNormParams
+    ffn: FfnParams
+    ln_ffn: LayerNormParams
+
+
+def init_layer(rng: np.random.Generator, dim: int, ffn_dim: int, std: float,
+               relpos_vocab: int | None = None, num_heads: int = 1) -> LayerParams:
+    return LayerParams(
+        attn=init_mha(rng, dim, std, relpos_vocab, num_heads),
+        ln_attn=init_layer_norm(dim),
+        ffn=init_ffn(rng, dim, ffn_dim, std),
+        ln_ffn=init_layer_norm(dim),
+    )
+
+
 def feed_forward(x: Tensor, p: FfnParams) -> Tensor:
     return linear(gelu(linear(x, p.w1, p.b1)), p.w2, p.b2)
+
+
+def add_norm(x: Tensor, y: Tensor, p: LayerNormParams, eps: float) -> Tensor:
+    """Residual then layer norm: ``norm(x + y)``."""
+    return layer_norm(add(x, y), p.gain, p.bias, eps)
+
+
+def post_norm_block(x: Tensor, attended: Tensor, ln_attn: LayerNormParams,
+                    ffn: FfnParams, ln_ffn: LayerNormParams, eps: float) -> Tensor:
+    """The tail of a post-norm layer, given its attention result.
+
+    Residual and norm around ``attended``, then around the feed-forward.
+    """
+    x = add_norm(x, attended, ln_attn, eps)
+    return add_norm(x, feed_forward(x, ffn), ln_ffn, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -247,14 +250,15 @@ def merge_heads(x: Tensor) -> Tensor:
 
 def multi_head_attention(q_in: Tensor, k_in: Tensor, v_in: Tensor, mask: np.ndarray,
                          params: MhaParams, num_heads: int,
-                         labels: RelPosLabels | None = None) -> Tensor:
+                         labels: np.ndarray | None = None) -> Tensor:
     """Masked scaled dot-product attention with optional relative-position bias.
 
     Inputs are [len x dim] or batched [... x len x dim]; the boolean mask must
     broadcast to the [... x q_len x k_len] score shape and every query row
     must keep at least one allowed key. Masked pairs receive a large negative
     additive term before the softmax, which underflows to an exact zero
-    weight; an all-allowed mask adds nothing.
+    weight; an all-allowed mask adds nothing. ``labels`` is a [q_len x k_len]
+    integer array of relative-position labels, whatever masked pairs hold.
     """
     dim = q_in.shape[-1]
     if dim % num_heads != 0:
@@ -273,8 +277,9 @@ def multi_head_attention(q_in: Tensor, k_in: Tensor, v_in: Tensor, mask: np.ndar
     if labels is not None:
         if params.relpos is None:
             raise ValueError("labels given but params carry no relpos table")
-        if labels.label.shape != (q_len, k_len):
-            raise ValueError(f"labels shape {labels.label.shape} != ({q_len}, {k_len})")
+        labels = np.asarray(labels)
+        if labels.shape != (q_len, k_len):
+            raise ValueError(f"labels shape {labels.shape} != ({q_len}, {k_len})")
 
     score_counter.add("dense", int(np.prod(lead, dtype=np.int64)) * q_len * k_len)
 
@@ -285,7 +290,7 @@ def multi_head_attention(q_in: Tensor, k_in: Tensor, v_in: Tensor, mask: np.ndar
     s = scale(matmul(q, k_t), 1.0 / math.sqrt(dh))
     if labels is not None:
         s = add(s, bias_at(params.relpos,
-                           np.broadcast_to(labels.label, lead + (q_len, k_len))))
+                           np.broadcast_to(labels, lead + (q_len, k_len))))
     if not allowed.all():
         s = add_const(s, np.where(allowed, 0.0, MASK_NEG)[..., None, :, :])
     heads = matmul(softmax(s, axis=-1), v)
@@ -430,7 +435,6 @@ def membership_labels(sentence_id: np.ndarray, n_global: int,
 
 def glocal_attention(long: Tensor, glob: Tensor, sentence_id: np.ndarray,
                      params: MhaParams, cfg: AttentionConfig, *,
-                     long_active: np.ndarray | None = None,
                      enable_long_global: bool = True,
                      pattern: BandPattern | None = None) -> tuple[Tensor, Tensor]:
     """Raw four-part attention over a (long, global) pair of streams.
@@ -441,13 +445,15 @@ def glocal_attention(long: Tensor, glob: Tensor, sentence_id: np.ndarray,
     their sparsity pattern and relative-position labels. Returns the two
     output-projected attention results, before any residual wiring.
 
-    ``long_active`` marks real (non-padding) long positions; inactive rows
-    are masked out of every pattern, so they receive no gradient and
-    contribute to no other row. ``enable_long_global`` exists for gradient
+    ``pattern`` is the band over the long rows, by default every row active
+    at its index. A padded stream marks its padding rows inactive there
+    (``band_pattern(np.arange(L), r, active)``): inactive rows are masked out
+    of every part, so they receive no gradient and contribute to no other
+    row. A caller that compacted the long stream passes the band over the
+    original positions instead. ``enable_long_global`` exists for gradient
     reachability probes; switching it off masks the long/global links in
-    both directions. ``pattern`` lets a caller that compacted the long
-    stream supply the band over original positions. ``long_to_long`` counts
-    every evaluated window slot, masked ones included.
+    both directions. ``long_to_long`` counts every evaluated window slot,
+    masked ones included.
     """
     if glob.shape[0] == 0:
         raise ValueError("at least one global token is required")
@@ -464,10 +470,8 @@ def glocal_attention(long: Tensor, glob: Tensor, sentence_id: np.ndarray,
     if params.relpos is None:
         raise ValueError("global-local attention requires a relpos table")
 
-    active = (np.ones(L, dtype=bool) if long_active is None
-              else np.asarray(long_active, dtype=bool))
-
-    pat = pattern or band_pattern(np.arange(L), cfg.local_radius, active)
+    pat = pattern or band_pattern(np.arange(L), cfg.local_radius)
+    active = pat.valid[:, pat.radius]  # a row's own slot is valid iff it is active
     score_counter.add("long_to_long", pat.count)
     n_active = int(active.sum())
     if enable_long_global:
@@ -519,50 +523,21 @@ def glocal_attention(long: Tensor, glob: Tensor, sentence_id: np.ndarray,
     return long_out, glob_out
 
 
-@dataclass
-class GlocalLayerParams:
-    attn: MhaParams
-    ln_attn: LayerNormParams
-    ffn: FfnParams
-    ln_ffn: LayerNormParams
-
-    def named(self, prefix: str) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        out.update(self.attn.named(f"{prefix}.attn"))
-        out.update(self.ln_attn.named(f"{prefix}.ln_attn"))
-        out.update(self.ffn.named(f"{prefix}.ffn"))
-        out.update(self.ln_ffn.named(f"{prefix}.ln_ffn"))
-        return out
-
-
 def init_glocal_layer(rng: np.random.Generator, cfg: AttentionConfig,
-                      ffn_dim: int, std: float) -> GlocalLayerParams:
-    return GlocalLayerParams(
-        attn=init_mha(rng, cfg.model_dim, std, cfg.relpos_vocab_size, cfg.num_heads),
-        ln_attn=init_layer_norm(cfg.model_dim),
-        ffn=init_ffn(rng, cfg.model_dim, ffn_dim, std),
-        ln_ffn=init_layer_norm(cfg.model_dim),
-    )
+                      ffn_dim: int, std: float) -> LayerParams:
+    return init_layer(rng, cfg.model_dim, ffn_dim, std, cfg.relpos_vocab_size,
+                      cfg.num_heads)
 
 
 def etc_global_local_attention(long: Tensor, glob: Tensor, sentence_id: np.ndarray,
-                               params: GlocalLayerParams, cfg: AttentionConfig, *,
-                               long_active: np.ndarray | None = None,
+                               params: LayerParams, cfg: AttentionConfig, *,
                                enable_long_global: bool = True,
                                pattern: BandPattern | None = None,
                                ln_eps: float = 1e-6) -> tuple[Tensor, Tensor]:
-    """One full global-local layer: attention, residuals, norms, feed-forward."""
+    """One full global-local layer: attention, then each stream's post-norm block."""
     attn_l, attn_g = glocal_attention(
         long, glob, sentence_id, params.attn, cfg,
-        long_active=long_active, enable_long_global=enable_long_global,
-        pattern=pattern,
+        enable_long_global=enable_long_global, pattern=pattern,
     )
-    long_mid = layer_norm(add(long, attn_l), params.ln_attn.gain,
-                          params.ln_attn.bias, ln_eps)
-    glob_mid = layer_norm(add(glob, attn_g), params.ln_attn.gain,
-                          params.ln_attn.bias, ln_eps)
-    long_out = layer_norm(add(long_mid, feed_forward(long_mid, params.ffn)),
-                          params.ln_ffn.gain, params.ln_ffn.bias, ln_eps)
-    glob_out = layer_norm(add(glob_mid, feed_forward(glob_mid, params.ffn)),
-                          params.ln_ffn.gain, params.ln_ffn.bias, ln_eps)
-    return long_out, glob_out
+    tail = (params.ln_attn, params.ffn, params.ln_ffn, ln_eps)
+    return post_norm_block(long, attn_l, *tail), post_norm_block(glob, attn_g, *tail)

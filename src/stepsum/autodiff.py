@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -482,6 +482,33 @@ def cross_entropy(logits: Tensor, target_index: int) -> Tensor:
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return add(matmul(x, w), b)
+
+
+# ---------------------------------------------------------------------------
+# parameter trees
+# ---------------------------------------------------------------------------
+
+
+def named_tensors(tree, prefix: str = "") -> dict[str, Tensor]:
+    """Every tensor of a parameter tree by dotted path, in declaration order.
+
+    A tree is a tensor, or a list, dict or dataclass of trees. List entries
+    are named by index and ``None`` entries are skipped. These names and
+    their order are the checkpoint format.
+    """
+    if isinstance(tree, Tensor):
+        return {prefix: tree}
+    if isinstance(tree, list):
+        items = enumerate(tree)
+    elif isinstance(tree, dict):
+        items = tree.items()
+    else:
+        items = ((f.name, getattr(tree, f.name)) for f in fields(tree))
+    out: dict[str, Tensor] = {}
+    for key, sub in items:
+        if sub is not None:
+            out.update(named_tensors(sub, f"{prefix}.{key}" if prefix else str(key)))
+    return out
 
 
 # ---------------------------------------------------------------------------

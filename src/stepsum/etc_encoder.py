@@ -17,12 +17,12 @@ import numpy as np
 from .attention import (
     NO_GLOBAL,
     AttentionConfig,
-    GlocalLayerParams,
+    LayerParams,
     band_pattern,
     etc_global_local_attention,
     init_glocal_layer,
 )
-from .autodiff import Tensor, linear, reshape, take
+from .autodiff import Tensor, linear, named_tensors, reshape, take
 
 SEG_SPECIAL = 0
 SEG_DOC = 1
@@ -81,7 +81,6 @@ class EtcAssembly:
     global_count: int
     global_kind: np.ndarray
     candidate_anchor: np.ndarray
-    n_doc_units: int
     truncated_doc_units: int = 0
     truncated_plan_elements: int = 0
     warnings: list[str] = field(default_factory=list)
@@ -123,11 +122,11 @@ def assemble_input(doc_units: list[list[int]], plan_units: list[list[int]],
     segment[0] = SEG_SPECIAL
     sentence_id[0] = new_global(GLOBAL_DELIM)
 
-    # flat input: special pseudo-units then document units
+    # flat input: special pseudo-units then document units; the anchors come
+    # in the scorers' candidate order, candidate specials first
     anchors: list[int] = []
     pos = 1
     flat_end = 1 + long_budget
-    n_doc_units = 0
     truncated = 0
     all_units = special_units + doc_units
     for ui, unit in enumerate(all_units):
@@ -142,20 +141,12 @@ def assemble_input(doc_units: list[list[int]], plan_units: list[list[int]],
             truncated = len(all_units) - ui
             break
         gid = new_global(GLOBAL_SPECIAL if is_special else GLOBAL_DOC)
-        if is_special and ui < candidate_special_count:
+        if not is_special or ui < candidate_special_count:
             anchors.append(pos)
-        elif not is_special:
-            anchors.append(pos)
-            n_doc_units += 1
         long_ids[pos: pos + len(unit)] = unit
         segment[pos: pos + len(unit)] = SEG_SPECIAL if is_special else SEG_DOC
         sentence_id[pos: pos + len(unit)] = gid
         pos += len(unit)
-
-    # candidate anchors: specials first, then document units, matching the
-    # candidate order used by the scorers
-    special_anchors = anchors[:candidate_special_count]
-    doc_anchors = anchors[candidate_special_count:]
 
     # first [SEP]
     sep1 = flat_end
@@ -204,8 +195,7 @@ def assemble_input(doc_units: list[list[int]], plan_units: list[list[int]],
         segment=segment,
         global_count=len(globals_kind),
         global_kind=np.asarray(globals_kind, dtype=np.int64),
-        candidate_anchor=np.asarray(special_anchors + doc_anchors, dtype=np.int64),
-        n_doc_units=n_doc_units,
+        candidate_anchor=np.asarray(anchors, dtype=np.int64),
         truncated_doc_units=truncated,
         truncated_plan_elements=truncated_plan,
         warnings=warnings,
@@ -216,17 +206,9 @@ def assemble_input(doc_units: list[list[int]], plan_units: list[list[int]],
 class EtcParams:
     token: Tensor
     global_kind: Tensor
-    layers: list[GlocalLayerParams]
+    layers: list[LayerParams]
     scorer_w: Tensor
     scorer_b: Tensor
-
-    def named(self) -> dict[str, Tensor]:
-        out = {"emb.token": self.token, "emb.global_kind": self.global_kind}
-        for i, layer in enumerate(self.layers):
-            out.update(layer.named(f"layer.{i}"))
-        out["scorer.w"] = self.scorer_w
-        out["scorer.b"] = self.scorer_b
-        return out
 
 
 def init_etc(cfg: EtcConfig, rng: np.random.Generator) -> EtcParams:
@@ -247,15 +229,15 @@ def init_etc(cfg: EtcConfig, rng: np.random.Generator) -> EtcParams:
 class StepwiseEtc:
     """Global-local next-unit scorer over the flat document-plus-plan input."""
 
-    def __init__(self, cfg: EtcConfig, rng: np.random.Generator | None = None,
-                 params: EtcParams | None = None):
+    def __init__(self, cfg: EtcConfig, rng: np.random.Generator):
         self.cfg = cfg
-        if params is None:
-            params = init_etc(cfg, rng if rng is not None else np.random.default_rng(0))
-        self.params = params
+        self.params = init_etc(cfg, rng)
 
     def named_parameters(self) -> dict[str, Tensor]:
-        return self.params.named()
+        """The checkpoint's tensors, by name, in payload order."""
+        p = self.params
+        return named_tensors({"emb": {"token": p.token, "global_kind": p.global_kind},
+                              "layer": p.layers, "scorer": {"w": p.scorer_w, "b": p.scorer_b}})
 
     def etc_encode(self, assembly: EtcAssembly) -> Tensor:
         """Candidate vectors: run the stack, pool each unit's anchor token.

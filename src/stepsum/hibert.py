@@ -19,14 +19,17 @@ from . import plan as planlib
 from .attention import (
     FfnParams,
     LayerNormParams,
+    LayerParams,
     MhaParams,
-    feed_forward,
+    add_norm,
     init_ffn,
+    init_layer,
     init_layer_norm,
     init_mha,
     multi_head_attention,
+    post_norm_block,
 )
-from .autodiff import Tensor, add, concat, layer_norm, linear, narrow, reshape, take
+from .autodiff import Tensor, add, concat, linear, named_tensors, narrow, reshape, take
 
 
 @dataclass
@@ -55,31 +58,6 @@ class EmbeddingTables:
     pos_sum: Tensor
     begin_summary: Tensor
 
-    def named(self, prefix: str) -> dict[str, Tensor]:
-        return {
-            f"{prefix}.token": self.token,
-            f"{prefix}.pos_token": self.pos_token,
-            f"{prefix}.pos_doc": self.pos_doc,
-            f"{prefix}.pos_sum": self.pos_sum,
-            f"{prefix}.begin_summary": self.begin_summary,
-        }
-
-
-@dataclass
-class SentLayerParams:
-    attn: MhaParams
-    ln_attn: LayerNormParams
-    ffn: FfnParams
-    ln_ffn: LayerNormParams
-
-    def named(self, prefix: str) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        out.update(self.attn.named(f"{prefix}.attn"))
-        out.update(self.ln_attn.named(f"{prefix}.ln_attn"))
-        out.update(self.ffn.named(f"{prefix}.ffn"))
-        out.update(self.ln_ffn.named(f"{prefix}.ln_ffn"))
-        return out
-
 
 @dataclass
 class DocLayerParams:
@@ -92,34 +70,14 @@ class DocLayerParams:
     ffn: FfnParams
     ln_ffn: LayerNormParams
 
-    def named(self, prefix: str) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        out.update(self.self_attn.named(f"{prefix}.self_attn"))
-        out.update(self.ln_self.named(f"{prefix}.ln_self"))
-        out.update(self.cross_attn.named(f"{prefix}.cross_attn"))
-        out.update(self.ln_cross.named(f"{prefix}.ln_cross"))
-        out.update(self.ffn.named(f"{prefix}.ffn"))
-        out.update(self.ln_ffn.named(f"{prefix}.ln_ffn"))
-        return out
-
 
 @dataclass
 class HibertParams:
     embeddings: EmbeddingTables
-    sent_layers: list[SentLayerParams]
+    sent_layers: list[LayerParams]
     doc_layers: list[DocLayerParams]
     scorer_w: Tensor
     scorer_b: Tensor
-
-    def named(self) -> dict[str, Tensor]:
-        out = self.embeddings.named("emb")
-        for i, layer in enumerate(self.sent_layers):
-            out.update(layer.named(f"sent.{i}"))
-        for i, layer in enumerate(self.doc_layers):
-            out.update(layer.named(f"doc.{i}"))
-        out["scorer.w"] = self.scorer_w
-        out["scorer.b"] = self.scorer_b
-        return out
 
 
 @dataclass
@@ -165,15 +123,7 @@ def init_hibert(cfg: HibertConfig, rng: np.random.Generator) -> HibertParams:
         pos_sum=table(cfg.max_plan_len),
         begin_summary=table(1),
     )
-    sent_layers = [
-        SentLayerParams(
-            attn=init_mha(rng, cfg.dim, std),
-            ln_attn=init_layer_norm(cfg.dim),
-            ffn=init_ffn(rng, cfg.dim, cfg.ffn_dim, std),
-            ln_ffn=init_layer_norm(cfg.dim),
-        )
-        for _ in range(cfg.sent_layers)
-    ]
+    sent_layers = [init_layer(rng, cfg.dim, cfg.ffn_dim, std) for _ in range(cfg.sent_layers)]
     doc_layers = [
         DocLayerParams(
             self_attn=init_mha(rng, cfg.dim, std),
@@ -197,15 +147,15 @@ def init_hibert(cfg: HibertConfig, rng: np.random.Generator) -> HibertParams:
 class StepwiseHibert:
     """Hierarchical next-unit scorer conditioned on the selected plan prefix."""
 
-    def __init__(self, cfg: HibertConfig, rng: np.random.Generator | None = None,
-                 params: HibertParams | None = None):
+    def __init__(self, cfg: HibertConfig, rng: np.random.Generator):
         self.cfg = cfg
-        if params is None:
-            params = init_hibert(cfg, rng if rng is not None else np.random.default_rng(0))
-        self.params = params
+        self.params = init_hibert(cfg, rng)
 
     def named_parameters(self) -> dict[str, Tensor]:
-        return self.params.named()
+        """The checkpoint's tensors, by name, in payload order."""
+        p = self.params
+        return named_tensors({"emb": p.embeddings, "sent": p.sent_layers, "doc": p.doc_layers,
+                              "scorer": {"w": p.scorer_w, "b": p.scorer_b}})
 
     # -- sentence level ----------------------------------------------------
 
@@ -222,8 +172,7 @@ class StepwiseHibert:
         mask = np.broadcast_to(valid[:, None, :], (n, width, width))
         for layer in self.params.sent_layers:
             a = multi_head_attention(x, x, x, mask, layer.attn, cfg.num_heads)
-            x = _ln(add(x, a), layer.ln_attn, cfg.ln_eps)
-            x = _ln(add(x, feed_forward(x, layer.ffn)), layer.ln_ffn, cfg.ln_eps)
+            x = post_norm_block(x, a, layer.ln_attn, layer.ffn, layer.ln_ffn, cfg.ln_eps)
         return reshape(narrow(x, 1, 0, 1), (n, cfg.dim))
 
     # -- document level ----------------------------------------------------
@@ -258,12 +207,11 @@ class StepwiseHibert:
         for layer in self.params.doc_layers:
             dsa = multi_head_attention(d, d, d, dd, layer.self_attn, cfg.num_heads)
             ssa = multi_head_attention(s, s, s, ss, layer.self_attn, cfg.num_heads)
-            d1 = _ln(add(d, dsa), layer.ln_self, cfg.ln_eps)
-            s1 = _ln(add(s, ssa), layer.ln_self, cfg.ln_eps)
-            cross = multi_head_attention(d1, s1, s1, ds, layer.cross_attn, cfg.num_heads)
-            d2 = _ln(add(d1, cross), layer.ln_cross, cfg.ln_eps)
-            d = _ln(add(d2, feed_forward(d2, layer.ffn)), layer.ln_ffn, cfg.ln_eps)
-            s = s1
+            d1 = add_norm(d, dsa, layer.ln_self, cfg.ln_eps)
+            s = add_norm(s, ssa, layer.ln_self, cfg.ln_eps)
+            cross = multi_head_attention(d1, s, s, ds, layer.cross_attn, cfg.num_heads)
+            d = post_norm_block(d1, cross, layer.ln_cross, layer.ffn, layer.ln_ffn,
+                                cfg.ln_eps)
         return d
 
     def score_candidates(self, contextual: Tensor) -> Tensor:
@@ -332,7 +280,3 @@ class StepwiseHibert:
             else:
                 rows.append(special_count + step.unit)
         return rows
-
-
-def _ln(x: Tensor, p: LayerNormParams, eps: float) -> Tensor:
-    return layer_norm(x, p.gain, p.bias, eps)

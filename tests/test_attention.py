@@ -6,7 +6,6 @@ from stepsum import attention
 from stepsum.attention import (
     AttentionConfig,
     MhaParams,
-    RelPosLabels,
     band_labels,
     band_pattern,
     banded_apply,
@@ -152,7 +151,7 @@ def test_dense_attention_gradients(rng):
     q = Tensor(rng.normal(size=(6, 8)), requires_grad=True)
     k = Tensor(rng.normal(size=(6, 8)), requires_grad=True)
     v = Tensor(rng.normal(size=(6, 8)), requires_grad=True)
-    labels = RelPosLabels(bucket_matrix(np.arange(6), np.arange(6), 4))
+    labels = bucket_matrix(np.arange(6), np.arange(6), 4)
     mask = np.ones((6, 6), bool)
     probe = Tensor(rng.normal(size=(6, 8)))
 
@@ -191,10 +190,8 @@ def test_labels_on_masked_pairs_are_ignored(rng):
     labels_a = bucket_matrix(np.arange(4), np.arange(4), 4)
     labels_b = labels_a.copy()
     labels_b[:, 2] = 11  # different labels where the mask blocks anyway
-    out_a = multi_head_attention(q, k, v, allowed, params, 2,
-                                 RelPosLabels(labels_a))
-    out_b = multi_head_attention(q, k, v, allowed, params, 2,
-                                 RelPosLabels(labels_b))
+    out_a = multi_head_attention(q, k, v, allowed, params, 2, labels_a)
+    out_b = multi_head_attention(q, k, v, allowed, params, 2, labels_b)
     assert np.array_equal(out_a.data, out_b.data)
 
 
@@ -377,8 +374,7 @@ def test_dense_heads_sum_of_single_heads(rng, batched, with_labels):
     allowed = rng.random(lead + (q_len, k_len)) < 0.5
     allowed[..., 0] = True
     assert not allowed.all()
-    labels = (RelPosLabels(bucket_matrix(np.arange(q_len), np.arange(k_len), 4))
-              if with_labels else None)
+    labels = bucket_matrix(np.arange(q_len), np.arange(k_len), 4) if with_labels else None
     probe = Tensor(rng.normal(size=lead + (q_len, dim)))
 
     def run(p, h):
@@ -401,7 +397,8 @@ def test_glocal_heads_sum_of_single_heads(rng, enable_long_global):
     def run(p, h):
         cfg = AttentionConfig(num_heads=h, model_dim=dim, local_radius=2,
                               relpos_vocab_size=12, max_distance=4)
-        return glocal_attention(long, glob, sid, p, cfg, long_active=active,
+        return glocal_attention(long, glob, sid, p, cfg,
+                                pattern=band_pattern(np.arange(length), 2, active),
                                 enable_long_global=enable_long_global)
 
     _assert_head_sum(run, params, heads, [long, glob], probes)
@@ -470,12 +467,13 @@ def test_glocal_pad_rows_influence_nothing(rng):
     active[4:6] = False
     sid = np.zeros(length, dtype=np.int64)
     base = rng.normal(size=(length, 8))
+    pattern = band_pattern(np.arange(length), cfg.local_radius, active)
     lo1, go1 = etc_global_local_attention(
-        Tensor(base), Tensor(np.ones((1, 8))), sid, layer, cfg, long_active=active)
+        Tensor(base), Tensor(np.ones((1, 8))), sid, layer, cfg, pattern=pattern)
     mutated = base.copy()
     mutated[4:6] = 123.0
     lo2, go2 = etc_global_local_attention(
-        Tensor(mutated), Tensor(np.ones((1, 8))), sid, layer, cfg, long_active=active)
+        Tensor(mutated), Tensor(np.ones((1, 8))), sid, layer, cfg, pattern=pattern)
     assert np.array_equal(lo1.data[active], lo2.data[active])
     assert np.array_equal(go1.data, go2.data)
 
@@ -507,11 +505,12 @@ def test_two_layer_compacted_equals_padded(rng):
 
         # padded reference path: run the layers over the full padded stream
         acfg = cfg.attention()
+        padded_band = band_pattern(np.arange(asm.long_ids.size), radius, asm.active)
         long = take(model.params.token, asm.long_ids)
         glob = take(model.params.global_kind, asm.global_kind)
         for layer in model.params.layers:
             long, glob = etc_global_local_attention(
                 long, glob, asm.sentence_id, layer, acfg,
-                long_active=asm.active, ln_eps=cfg.ln_eps)
+                pattern=padded_band, ln_eps=cfg.ln_eps)
         padded = long.data[asm.candidate_anchor]
         np.testing.assert_allclose(compact, padded, atol=1e-12)

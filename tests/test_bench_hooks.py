@@ -11,7 +11,7 @@ import sys
 import pytest
 
 from stepsum import cli, models
-from stepsum.config import config_from_dict
+from stepsum.config import RunConfig, config_from_dict
 from stepsum.data import Vocab, prepare_cnndm
 from stepsum.decoding import DecodeConstraints
 from stepsum.synthetic import make_overfit_corpus
@@ -88,3 +88,16 @@ def test_doc_clock_times_each_decode_and_restores_cli(perfbench):
         cli.beam_decode(scorer, 2, 3, DecodeConstraints())
     assert len(clock.spans) == 1 and clock.spans[0][0] <= clock.spans[0][1]
     assert_restored(before)
+
+
+def test_attention_sweep_counts_the_clipped_band(perfbench):
+    """The sweep builds a desk-shaped global-local layer and calls it positionally."""
+    tracer_mod, _ = perfbench
+    out = tracer_mod.attention_sweep(101)
+    radius = RunConfig().local_radius
+    for length in tracer_mod.SWEEP_LENGTHS:
+        # every row's window of 2r+1 slots, less the r(r+1) slots clipped at the ends
+        assert out[f"attention.sweep.L{length}_long_to_long"] == (
+            length * (2 * radius + 1) - radius * (radius + 1))
+        assert out[f"attention.sweep.L{length}_ms"] > 0
+    assert out["attention.glocal_ns_per_entry"] > 0

@@ -68,7 +68,7 @@ def test_unit_wider_than_budget_rejected():
 def test_trailing_units_dropped_whole():
     asm = assemble([[10] * 20, [11] * 20, [12] * 2], [], long_budget=32)
     # unit 1 does not fit after unit 0; everything from it on is dropped
-    assert asm.n_doc_units == 1
+    assert asm.candidate_anchor.size == 1 + 1  # the candidate special, then unit 0
     assert asm.truncated_doc_units == 2
 
 
