@@ -3,7 +3,10 @@
 The banded long-to-long path computes each query's clipped window as 2r+1
 index-offset slots, one contiguous slice product per offset, so its cost is
 linear in sequence length for a fixed radius; a mask drops slots that touch
-padding or lie past the radius in original position. A module-level counter
+padding or lie past the radius in original position. A band may also hold
+the queries of a few rows only (a stack's last layer, which computes the
+rows its reader uses); its offsets then index with integer arrays, and a
+global-local layer over it skips the global stream. A module-level counter
 tracks how many (query, key) score entries each call actually evaluates, per
 attention part, masked slots included, which lets tests pin the sparse paths
 to their closed-form pattern sizes. Head count is a constant factor and is
@@ -37,6 +40,7 @@ from .autodiff import (
     reshape,
     scale,
     softmax,
+    take,
     transpose,
 )
 
@@ -115,9 +119,12 @@ def bucket_matrix(q_pos: np.ndarray, k_pos: np.ndarray, max_distance: int) -> np
     return np.clip(off, -max_distance, max_distance) + max_distance
 
 
-def banded_pair_count(n: int, radius: int) -> int:
-    """Closed-form number of (i, j) pairs with |i - j| <= radius."""
-    idx = np.arange(n)
+def banded_pair_count(n: int, radius: int, rows: np.ndarray | None = None) -> int:
+    """Closed-form number of (i, j) pairs of [0, n) with |i - j| <= radius.
+
+    ``rows`` limits i to those rows; by default i ranges over every row.
+    """
+    idx = np.arange(n) if rows is None else np.asarray(rows)
     lo = np.maximum(idx - radius, 0)
     hi = np.minimum(idx + radius, n - 1)
     return int((hi - lo + 1).sum())
@@ -304,24 +311,24 @@ def multi_head_attention(q_in: Tensor, k_in: Tensor, v_in: Tensor, mask: np.ndar
 
 @dataclass(frozen=True)
 class BandPattern:
-    """A clipped local window laid out as [rows x (2r+1)] index-offset slots.
+    """A clipped local window laid out as [queries x (2r+1)] index-offset slots.
 
-    Slot ``w`` of row ``i`` is row ``i + w - r``. ``valid`` marks the slots
-    that attend: both rows exist and are active, and their original
-    positions lie within ``radius`` of each other. ``offsets`` holds each
-    slot's original-position offset, which ``band_labels`` clips; it is
-    meaningful only where ``valid`` holds. Positions are strictly increasing,
-    so every pair within ``radius`` in position is within ``radius`` in
-    index and owns a slot.
+    Keys are the ``length`` rows of a stream. A full band has one query per
+    row; a band ``at`` some rows has queries at those rows only, and
+    ``rows`` names them. Slot ``w`` of the query at row ``i`` is key row
+    ``i + w - r``. ``valid`` marks the slots that attend: both rows exist and
+    are active, and their original positions lie within ``radius`` of each
+    other. ``offsets`` holds each slot's original-position offset, which
+    ``band_labels`` clips; it is meaningful only where ``valid`` holds.
+    Positions are strictly increasing, so every pair within ``radius`` in
+    position is within ``radius`` in index and owns a slot.
     """
 
     radius: int
     valid: np.ndarray
     offsets: np.ndarray
-
-    @property
-    def length(self) -> int:
-        return self.valid.shape[0]
+    length: int
+    rows: np.ndarray | None = None  # None: every row is a query, in order
 
     @property
     def width(self) -> int:
@@ -330,12 +337,20 @@ class BandPattern:
     @property
     def count(self) -> int:
         """Slots the banded ops evaluate: every slot whose neighbour row exists."""
-        return banded_pair_count(self.length, self.radius)
+        return banded_pair_count(self.length, self.radius, self.rows)
+
+    def at(self, rows: np.ndarray) -> "BandPattern":
+        """This full band with queries at ``rows`` only; keys stay every row."""
+        rows = np.asarray(rows, dtype=np.int64)
+        if self.rows is not None or np.any(np.diff(rows) <= 0):
+            raise ValueError("a band's query rows come from a full band, strictly increasing")
+        return BandPattern(self.radius, self.valid[rows], self.offsets[rows], self.length,
+                           rows)
 
 
 def band_pattern(positions: np.ndarray, radius: int,
                  active: np.ndarray | None = None) -> BandPattern:
-    """Band over rows at strictly increasing original ``positions``.
+    """Full band over rows at strictly increasing original ``positions``.
 
     A padded stream passes ``np.arange(len)`` and marks its padding inactive;
     a compacted stream passes the original positions of the rows it kept, so
@@ -349,29 +364,41 @@ def band_pattern(positions: np.ndarray, radius: int,
     nb = np.clip(nb, 0, max(n - 1, 0))
     offsets = pos[nb] - pos[:, None]
     valid = inside & act[:, None] & act[nb] & (np.abs(offsets) <= radius)
-    return BandPattern(radius, valid, offsets)
+    return BandPattern(radius, valid, offsets, n)
 
 
 def _offset_slices(pat: BandPattern):
-    """(slot, query rows, key rows) of every window offset some row has."""
+    """(slot, query index, key index) of every window offset some query has.
+
+    A full band indexes with slices. A band at some rows indexes with
+    integer arrays; its query rows are distinct, so within one offset its
+    key rows are too, and scatter-adds through them are exact.
+    """
     n = pat.length
     for w in range(pat.width):
         o = w - pat.radius
-        lo, hi = max(0, -o), min(n, n - o)
-        if lo < hi:
-            yield w, slice(lo, hi), slice(lo + o, hi + o)
+        if pat.rows is None:
+            lo, hi = max(0, -o), min(n, n - o)
+            if lo < hi:
+                yield w, slice(lo, hi), slice(lo + o, hi + o)
+        else:
+            qi = np.flatnonzero((pat.rows + o >= 0) & (pat.rows + o < n))
+            if qi.size:
+                yield w, qi, pat.rows[qi] + o
 
 
 def banded_scores(q: Tensor, k: Tensor, pat: BandPattern) -> Tensor:
-    """Windowed scores [heads x len x (2r+1)] of [heads x len x d] queries and keys.
+    """Windowed scores [heads x queries x (2r+1)].
 
-    Each window offset is one slice product over the rows that have that
-    neighbour. Invalid slots hold the mask value and pass no gradient.
+    Queries are [heads x queries x d] and keys [heads x length x d]. Each
+    window offset is one product over the queries that have that neighbour.
+    Invalid slots hold the mask value and pass no gradient.
     """
-    if q.shape != k.shape or q.data.ndim != 3 or q.shape[1] != pat.length:
+    if (q.data.ndim != 3 or k.data.ndim != 3 or q.shape[0::2] != k.shape[0::2]
+            or q.shape[1] != pat.valid.shape[0] or k.shape[1] != pat.length):
         raise ValueError(f"banded_scores got shapes {q.shape}, {k.shape}")
     qd, kd = q.data, k.data
-    out = np.full((q.shape[0], pat.length, pat.width), MASK_NEG)
+    out = np.full((q.shape[0], *pat.valid.shape), MASK_NEG)
     for w, qi, kj in _offset_slices(pat):
         out[:, qi, w] = np.einsum("hnd,hnd->hn", qd[:, qi], kd[:, kj])
     out[:, ~pat.valid] = MASK_NEG
@@ -392,16 +419,16 @@ def banded_scores(q: Tensor, k: Tensor, pat: BandPattern) -> Tensor:
 def banded_apply(weights: Tensor, v: Tensor, pat: BandPattern) -> Tensor:
     """Weighted sum of windowed values per head.
 
-    ``out[h, i] = sum_w weights[h, i, w] * v[h, i + w - r]`` over the valid
-    slots, for [heads x len x (2r+1)] weights and [heads x len x d] values;
-    invalid slots count as zero weight.
+    ``out[h, j] = sum_w weights[h, j, w] * v[h, i + w - r]`` over the valid
+    slots of the query at row ``i``, for [heads x queries x (2r+1)] weights
+    and [heads x length x d] values; invalid slots count as zero weight.
     """
     heads = v.shape[0]
-    if (weights.shape != (heads, pat.length, pat.width) or v.data.ndim != 3
+    if (weights.shape != (heads, *pat.valid.shape) or v.data.ndim != 3
             or v.shape[1] != pat.length):
         raise ValueError(f"banded_apply got shapes {weights.shape}, {v.shape}")
     wd, vd = np.where(pat.valid, weights.data, 0.0), v.data
-    out = np.zeros_like(vd)
+    out = np.zeros((heads, pat.valid.shape[0], vd.shape[2]))
     for w, qi, kj in _offset_slices(pat):
         out[:, qi] += wd[:, qi, w, None] * vd[:, kj]
 
@@ -436,7 +463,7 @@ def membership_labels(sentence_id: np.ndarray, n_global: int,
 def glocal_attention(long: Tensor, glob: Tensor, sentence_id: np.ndarray,
                      params: MhaParams, cfg: AttentionConfig, *,
                      enable_long_global: bool = True,
-                     pattern: BandPattern | None = None) -> tuple[Tensor, Tensor]:
+                     pattern: BandPattern | None = None) -> tuple[Tensor, Tensor | None]:
     """Raw four-part attention over a (long, global) pair of streams.
 
     Long rows attend to their clipped local window plus every global token;
@@ -450,7 +477,10 @@ def glocal_attention(long: Tensor, glob: Tensor, sentence_id: np.ndarray,
     (``band_pattern(np.arange(L), r, active)``): inactive rows are masked out
     of every part, so they receive no gradient and contribute to no other
     row. A caller that compacted the long stream passes the band over the
-    original positions instead. ``enable_long_global`` exists for gradient
+    original positions instead. A band ``at`` some rows queries from those
+    rows only: the result holds one long row per query, and the global
+    stream, which no query reads, is not computed (None). Keys and values
+    still come from every row. ``enable_long_global`` exists for gradient
     reachability probes; switching it off masks the long/global links in
     both directions. ``long_to_long`` counts every evaluated window slot,
     masked ones included.
@@ -471,44 +501,49 @@ def glocal_attention(long: Tensor, glob: Tensor, sentence_id: np.ndarray,
         raise ValueError("global-local attention requires a relpos table")
 
     pat = pattern or band_pattern(np.arange(L), cfg.local_radius)
-    active = pat.valid[:, pat.radius]  # a row's own slot is valid iff it is active
+    full = pat.rows is None
+    active = pat.valid[:, pat.radius]  # a query's own slot is valid iff its row is active
     score_counter.add("long_to_long", pat.count)
     n_active = int(active.sum())
     if enable_long_global:
         score_counter.add("long_to_global", n_active * G)
-        score_counter.add("global", G * G + G * n_active)
-    else:
-        score_counter.add("global", G * G)
+    if full:
+        score_counter.add("global", G * G + G * n_active * enable_long_global)
 
     H, W = cfg.num_heads, pat.width
-    ql = split_heads(linear(long, params.wq, params.bq), H)
+    ql = split_heads(linear(long if full else take(long, pat.rows), params.wq, params.bq), H)
     kl = split_heads(linear(long, params.wk, params.bk), H)
     vl = split_heads(linear(long, params.wv, params.bv), H)
-    qg = split_heads(linear(glob, params.wq, params.bq), H)
+    # glob's query projection stays first of its three: moving it would
+    # reorder the sum that forms glob's gradient
+    qg = split_heads(linear(glob, params.wq, params.bq), H) if full else None
     kg_t = split_heads(linear(glob, params.wk, params.bk), H, keys_last=True)
     vg = split_heads(linear(glob, params.wv, params.bv), H)
     inv_sqrt = 1.0 / math.sqrt(cfg.head_dim)
 
     # Each stream's query rows take one softmax over [its own part | the
     # other stream]; labels and masks are laid out the same way.
-    l2g_labels = membership_labels(sentence_id, G, cfg)
+    l2g_labels = membership_labels(sentence_id if full else sentence_id[pat.rows], G, cfg)
     long_labels = np.concatenate([band_labels(pat, cfg.max_distance), l2g_labels], axis=1)
-    glob_labels = np.concatenate(
-        [bucket_matrix(np.arange(G), np.arange(G), cfg.max_distance), l2g_labels.T], axis=1)
-    linked = active & enable_long_global  # long rows that exchange attention with globals
+    linked = active & enable_long_global  # query rows that exchange attention with globals
 
     # long stream: band (long_to_long) | globals (long_to_global)
     s_long = concat([banded_scores(ql, kl, pat), matmul(ql, kg_t)], axis=-1)
     s_long = add(scale(s_long, inv_sqrt), bias_at(params.relpos, long_labels))
     if not linked.all():
-        long_mask = np.zeros((L, W + G))
+        long_mask = np.zeros((linked.size, W + G))
         long_mask[~linked, W:] = MASK_NEG
         s_long = add_const(s_long, long_mask)
     a = softmax(s_long, axis=-1)
     long_heads = add(banded_apply(narrow(a, -1, 0, W), vl, pat),
                      matmul(narrow(a, -1, W, G), vg))
+    long_out = linear(merge_heads(long_heads), params.wo, params.bo)
+    if not full:
+        return long_out, None
 
     # global stream (both halves are the "global" part): globals | long
+    glob_labels = np.concatenate(
+        [bucket_matrix(np.arange(G), np.arange(G), cfg.max_distance), l2g_labels.T], axis=1)
     s_glob = concat([matmul(qg, kg_t), matmul(qg, transpose(kl))], axis=-1)
     s_glob = add(scale(s_glob, inv_sqrt), bias_at(params.relpos, glob_labels))
     if not linked.all():
@@ -517,10 +552,7 @@ def glocal_attention(long: Tensor, glob: Tensor, sentence_id: np.ndarray,
         s_glob = add_const(s_glob, glob_mask)
     ag = softmax(s_glob, axis=-1)
     glob_heads = add(matmul(narrow(ag, -1, 0, G), vg), matmul(narrow(ag, -1, G, L), vl))
-
-    long_out = linear(merge_heads(long_heads), params.wo, params.bo)
-    glob_out = linear(merge_heads(glob_heads), params.wo, params.bo)
-    return long_out, glob_out
+    return long_out, linear(merge_heads(glob_heads), params.wo, params.bo)
 
 
 def init_glocal_layer(rng: np.random.Generator, cfg: AttentionConfig,
@@ -533,11 +565,17 @@ def etc_global_local_attention(long: Tensor, glob: Tensor, sentence_id: np.ndarr
                                params: LayerParams, cfg: AttentionConfig, *,
                                enable_long_global: bool = True,
                                pattern: BandPattern | None = None,
-                               ln_eps: float = 1e-6) -> tuple[Tensor, Tensor]:
-    """One full global-local layer: attention, then each stream's post-norm block."""
+                               ln_eps: float = 1e-6) -> tuple[Tensor, Tensor | None]:
+    """One global-local layer: attention, then each stream's post-norm block.
+
+    With a band ``at`` some rows, the layer computes those long rows only,
+    and no global stream (None).
+    """
     attn_l, attn_g = glocal_attention(
         long, glob, sentence_id, params.attn, cfg,
         enable_long_global=enable_long_global, pattern=pattern,
     )
     tail = (params.ln_attn, params.ffn, params.ln_ffn, ln_eps)
+    if attn_g is None:
+        return post_norm_block(take(long, pattern.rows), attn_l, *tail), None
     return post_norm_block(long, attn_l, *tail), post_norm_block(glob, attn_g, *tail)

@@ -5,8 +5,10 @@ the architecture config, the vocabulary, and a named-tensor directory with
 shapes and byte offsets) and ``params.bin`` (little-endian 64-bit floats in
 manifest order). Each file is written to a temporary file in the directory
 and renamed over the old one, so a failed or interrupted save leaves the
-previous checkpoint loadable. Loading verifies the config hash; a mismatch
-is a hard error rather than a silent shape coercion.
+previous checkpoint loadable. Each file reaches the disk before its rename,
+and each rename before the next write, so a crash of the machine leaves
+the same guarantee as a crash of the process. Loading verifies the config
+hash; a mismatch is a hard error rather than a silent shape coercion.
 """
 
 from __future__ import annotations
@@ -69,10 +71,22 @@ def save_checkpoint(path: str, named_params: dict[str, Tensor],
         try:
             with open(tmp, "wb") as fh:
                 fh.write(blob)
+                fh.flush()
+                os.fsync(fh.fileno())
             os.replace(tmp, os.path.join(path, name))
+            _fsync_dir(path)
         finally:
             if os.path.exists(tmp):
                 os.remove(tmp)
+
+
+def _fsync_dir(path: str) -> None:
+    """Make a rename in ``path`` durable."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def load_checkpoint(path: str) -> tuple[Manifest, dict[str, np.ndarray]]:

@@ -4,8 +4,10 @@ The document's units and the partial plan are laid out as one long token
 sequence with fixed per-segment budgets, one auxiliary global token per
 unit/sentence/delimiter, and relative-position labels tying long tokens to
 their sentence's global token. A stack of global-local layers then yields a
-vector per candidate unit (pooled at the unit's first token), which feeds
-the same scoring head contract as the hierarchical encoder.
+vector per candidate unit (pooled at the unit's first token, its anchor),
+which feeds the same scoring head contract as the hierarchical encoder. The
+last layer computes the anchor rows alone and leaves the global stream
+as it is, since nothing reads either beyond it.
 """
 
 from __future__ import annotations
@@ -245,25 +247,28 @@ class StepwiseEtc:
         Padding positions are dropped before encoding; the band pattern is
         built over the surviving tokens' original positions, so attention
         windows and relative-position labels are those of the padded layout.
-        The ``long_to_long`` count also has the masked slots that reach
-        across a padding gap, at most r(r+1) per gap.
+        The last layer computes only what the pooling reads: it queries from
+        the anchor rows alone (keys and values still come from every row)
+        and skips the global stream. The ``long_to_long`` count also has the
+        masked slots that reach across a padding gap, at most r(r+1) per gap.
         """
         cfg = self.cfg
         acfg = cfg.attention()
         active_idx = np.flatnonzero(assembly.active)
+        anchors = np.searchsorted(active_idx, assembly.candidate_anchor)
+        if not np.array_equal(active_idx[anchors], assembly.candidate_anchor):
+            raise ValueError("candidate anchor points at a padding position")
         pattern = band_pattern(active_idx, cfg.local_radius)
         long = take(self.params.token, assembly.long_ids[active_idx])
         glob = take(self.params.global_kind, assembly.global_kind)
         sentence_id = assembly.sentence_id[active_idx]
-        for layer in self.params.layers:
+        last = len(self.params.layers) - 1
+        for i, layer in enumerate(self.params.layers):
             long, glob = etc_global_local_attention(
                 long, glob, sentence_id, layer, acfg,
-                pattern=pattern, ln_eps=cfg.ln_eps,
+                pattern=pattern.at(anchors) if i == last else pattern, ln_eps=cfg.ln_eps,
             )
-        anchors = np.searchsorted(active_idx, assembly.candidate_anchor)
-        if not np.array_equal(active_idx[anchors], assembly.candidate_anchor):
-            raise ValueError("candidate anchor points at a padding position")
-        return take(long, anchors)
+        return long
 
     def score_candidates(self, contextual: Tensor) -> Tensor:
         n = contextual.shape[0]

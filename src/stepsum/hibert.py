@@ -1,11 +1,13 @@
 """Stepwise hierarchical encoder.
 
 A sentence encoder turns each content unit into one vector (independently,
-so attention maps stay per-sentence), and a document encoder fuses the unit
-vectors with the representations of the already-selected plan through three
-nested attentions per layer: document self-attention and summary
-self-attention run in parallel on shared weights, then a document-summary
-cross attention lets every unit see what the plan already covers.
+so attention maps stay per-sentence; the vector is token 0's, so the last
+sentence layer computes that token alone), and a document encoder fuses
+the unit vectors with the representations of the already-selected plan
+through three nested attentions per layer: document self-attention and
+summary self-attention run in parallel on shared weights, then a
+document-summary cross attention lets every unit see what the plan already
+covers.
 """
 
 from __future__ import annotations
@@ -160,7 +162,11 @@ class StepwiseHibert:
     # -- sentence level ----------------------------------------------------
 
     def encode_sentences(self, batch: SentenceBatch) -> Tensor:
-        """One vector per unit: embed, run the sentence stack, pool token 0."""
+        """One vector per unit: embed, run the sentence stack, pool token 0.
+
+        The last layer computes only the pooled row: token 0 is its one
+        query, over keys and values from every token.
+        """
         cfg = self.cfg
         n, width = batch.token_ids.shape
         if width > cfg.max_sent_len:
@@ -170,10 +176,12 @@ class StepwiseHibert:
         # keys limited to real tokens; every query row keeps at least token 0
         valid = np.arange(width)[None, :] < batch.lengths[:, None]
         mask = np.broadcast_to(valid[:, None, :], (n, width, width))
-        for layer in self.params.sent_layers:
-            a = multi_head_attention(x, x, x, mask, layer.attn, cfg.num_heads)
-            x = post_norm_block(x, a, layer.ln_attn, layer.ffn, layer.ln_ffn, cfg.ln_eps)
-        return reshape(narrow(x, 1, 0, 1), (n, cfg.dim))
+        last = len(self.params.sent_layers) - 1
+        for i, layer in enumerate(self.params.sent_layers):
+            q, m = (narrow(x, 1, 0, 1), mask[:, :1, :]) if i == last else (x, mask)
+            a = multi_head_attention(q, x, x, m, layer.attn, cfg.num_heads)
+            x = post_norm_block(q, a, layer.ln_attn, layer.ffn, layer.ln_ffn, cfg.ln_eps)
+        return reshape(x, (n, cfg.dim))
 
     # -- document level ----------------------------------------------------
 

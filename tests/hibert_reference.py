@@ -1,15 +1,18 @@
-"""Reference copy of the one-pair hierarchical forward that the padded
-batch pass replaced, kept as a differential test oracle.
+"""Reference copies of hierarchical forwards that faster paths replaced,
+kept as differential test oracles: the one-pair document forward that the
+padded batch pass replaced, and the all-token sentence stack that the
+token-0 last layer replaced.
 
-It scores one (document, plan prefix) pair: the document stream is the
-unit vectors plus their document positions, the summary stream the begin
-slot plus the unit vectors of the prefix's steps, and neither is padded,
-so ``encode_document_stepwise`` runs without masks.
+The one-pair forward scores one (document, plan prefix) pair: the document
+stream is the unit vectors plus their document positions, the summary
+stream the begin slot plus the unit vectors of the prefix's steps, and
+neither is padded, so ``encode_document_stepwise`` runs without masks.
 """
 
 import numpy as np
 
-from stepsum.autodiff import add, concat, take
+from stepsum.attention import multi_head_attention, post_norm_block
+from stepsum.autodiff import add, concat, narrow, reshape, take
 
 
 def reference_logits(model, units, prefix, special_count, break_slot=None,
@@ -36,3 +39,18 @@ def reference_logits(model, units, prefix, special_count, break_slot=None,
         s = emb.begin_summary
     s = add(s, take(emb.pos_sum, np.arange(len(rows) + 1)))
     return model.score_candidates(model.encode_document_stepwise(d, s))
+
+
+def reference_encode_sentences(model, batch):
+    """Unit vectors from the all-token sentence stack: every layer computes
+    every token, and token 0 is pooled at the end."""
+    cfg = model.cfg
+    n, width = batch.token_ids.shape
+    x = take(model.params.embeddings.token, batch.token_ids)
+    x = add(x, take(model.params.embeddings.pos_token, np.arange(width)))
+    valid = np.arange(width)[None, :] < batch.lengths[:, None]
+    mask = np.broadcast_to(valid[:, None, :], (n, width, width))
+    for layer in model.params.sent_layers:
+        a = multi_head_attention(x, x, x, mask, layer.attn, cfg.num_heads)
+        x = post_norm_block(x, a, layer.ln_attn, layer.ffn, layer.ln_ffn, cfg.ln_eps)
+    return reshape(narrow(x, 1, 0, 1), (n, cfg.dim))

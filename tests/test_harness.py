@@ -282,6 +282,41 @@ def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
         assert np.array_equal(arrays[name], p.data), name
 
 
+def test_save_syncs_each_file_before_its_rename_and_the_directory_after(tmp_path,
+                                                                        monkeypatch):
+    import stat
+
+    from stepsum import checkpoint
+
+    cfg, vocab, model = small_model_and_cfg()
+    path = str(tmp_path / "ck")
+    events = []
+    fsync, replace = os.fsync, os.replace
+
+    def recording_fsync(fd):
+        kind = "dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"
+        events.append(("fsync", kind, os.fstat(fd).st_size))
+        fsync(fd)
+
+    def recording_replace(src, dst):
+        events.append(("replace", os.path.basename(dst), os.path.getsize(src)))
+        replace(src, dst)
+
+    monkeypatch.setattr(checkpoint.os, "fsync", recording_fsync)
+    monkeypatch.setattr(checkpoint.os, "replace", recording_replace)
+    save_checkpoint(path, model.named_parameters(), cfg, vocab.id_to_token)
+    monkeypatch.undo()
+
+    sizes = {name: os.path.getsize(os.path.join(path, name))
+             for name in ("params.bin", "manifest.json")}
+    assert [e[:2] for e in events] == [
+        ("fsync", "file"), ("replace", "params.bin"), ("fsync", "dir"),
+        ("fsync", "file"), ("replace", "manifest.json"), ("fsync", "dir")]
+    # each file is synced whole, then renamed
+    assert events[0][2] == events[1][2] == sizes["params.bin"]
+    assert events[3][2] == events[4][2] == sizes["manifest.json"]
+
+
 def test_config_hash_mismatch_is_hard_error(tmp_path):
     cfg, vocab, model = small_model_and_cfg()
     path = str(tmp_path / "ck")

@@ -170,12 +170,13 @@ def test_parameter_sharing_doc_and_summary_self_attention():
 
 
 def test_sentence_encoder_score_count_is_per_sentence():
-    model = make_model(sent_layers=1)
+    model = make_model(sent_layers=2)
     n, width = 4, 6
     units = [[2, 3, 4, 5, 6, 7] for _ in range(n)]
     score_counter.reset()
     model.unit_representations(units)
-    assert score_counter.get("dense") == n * width * width
+    # every token of the first layer, token 0 alone in the last
+    assert score_counter.get("dense") == n * width * width + n * width
 
 
 def test_replay_same_prefix_bitwise_identical():
