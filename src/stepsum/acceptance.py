@@ -31,6 +31,7 @@ from .attention import (
     score_counter,
 )
 from .autodiff import Tape, Tensor, backward, cross_entropy
+from .config import config_from_dict
 from .decoding import (
     REPEAT_EXEMPT_TYPES,
     DecodeConstraints,
@@ -38,9 +39,9 @@ from .decoding import (
     beam_decode,
     greedy_rollout,
 )
-from .etc_encoder import EtcConfig, StepwiseEtc, assemble_input
+from .etc_encoder import StepwiseEtc, assemble_input
 from .gradcheck import check_gradients
-from .hibert import HibertConfig, StepwiseHibert
+from .hibert import StepwiseHibert
 from .metrics import (
     _lcs_length,
     co_score,
@@ -70,22 +71,23 @@ MASKED_OK = 1e-12
 
 def toy_hibert(seed: int = 5) -> tuple[StepwiseHibert, list[list[int]]]:
     """The standard gradient-check fixture: 4 sentences of 6 tokens plus stop."""
-    cfg = HibertConfig(dim=16, num_heads=2, ffn_dim=32, sent_layers=2,
-                       doc_layers=2, vocab_size=50, max_sent_len=6,
-                       max_doc_sents=8, max_plan_len=4)
+    cfg = config_from_dict({"encoder": "hibert", "dim": 16, "num_heads": 2, "ffn_dim": 32,
+                            "sent_layers": 2, "doc_layers": 2, "max_sent_len": 6,
+                            "max_doc_sents": 8, "max_plan_len": 4, "max_steps": 3})
     rng = np.random.default_rng(seed)
     units = [[2]] + [[int(t) for t in rng.integers(3, 50, size=6)]
                      for _ in range(4)]
-    return StepwiseHibert(cfg, rng), units
+    return StepwiseHibert(cfg, 50, rng), units
 
 
 def toy_etc(seed: int = 6) -> tuple[StepwiseEtc, "object"]:
-    cfg = EtcConfig(dim=16, num_heads=2, ffn_dim=32, layers=2, vocab_size=50,
-                    long_budget=40, summary_budget=16, global_cap=16,
-                    local_radius=3, relpos_vocab_size=12, max_distance=4)
+    cfg = config_from_dict({"encoder": "etc", "dim": 16, "num_heads": 2, "ffn_dim": 32,
+                            "etc_layers": 2, "long_budget": 40, "summary_budget": 16,
+                            "global_cap": 16, "local_radius": 3, "relpos_vocab_size": 12,
+                            "relpos_max_distance": 4})
     rng = np.random.default_rng(seed)
     doc_units = [[int(t) for t in rng.integers(7, 50, size=6)] for _ in range(4)]
-    model = StepwiseEtc(cfg, rng)
+    model = StepwiseEtc(cfg, 50, rng)
     assembly = assemble_input(
         doc_units, [doc_units[1]], [[2]], 1,
         long_budget=cfg.long_budget, summary_budget=cfg.summary_budget,

@@ -217,19 +217,19 @@ def feed_forward(x: Tensor, p: FfnParams) -> Tensor:
     return linear(gelu(linear(x, p.w1, p.b1)), p.w2, p.b2)
 
 
-def add_norm(x: Tensor, y: Tensor, p: LayerNormParams, eps: float) -> Tensor:
+def add_norm(x: Tensor, y: Tensor, p: LayerNormParams) -> Tensor:
     """Residual then layer norm: ``norm(x + y)``."""
-    return layer_norm(add(x, y), p.gain, p.bias, eps)
+    return layer_norm(add(x, y), p.gain, p.bias)
 
 
 def post_norm_block(x: Tensor, attended: Tensor, ln_attn: LayerNormParams,
-                    ffn: FfnParams, ln_ffn: LayerNormParams, eps: float) -> Tensor:
+                    ffn: FfnParams, ln_ffn: LayerNormParams) -> Tensor:
     """The tail of a post-norm layer, given its attention result.
 
     Residual and norm around ``attended``, then around the feed-forward.
     """
-    x = add_norm(x, attended, ln_attn, eps)
-    return add_norm(x, feed_forward(x, ffn), ln_ffn, eps)
+    x = add_norm(x, attended, ln_attn)
+    return add_norm(x, feed_forward(x, ffn), ln_ffn)
 
 
 # ---------------------------------------------------------------------------
@@ -564,8 +564,8 @@ def init_glocal_layer(rng: np.random.Generator, cfg: AttentionConfig,
 def etc_global_local_attention(long: Tensor, glob: Tensor, sentence_id: np.ndarray,
                                params: LayerParams, cfg: AttentionConfig, *,
                                enable_long_global: bool = True,
-                               pattern: BandPattern | None = None,
-                               ln_eps: float = 1e-6) -> tuple[Tensor, Tensor | None]:
+                               pattern: BandPattern | None = None
+                               ) -> tuple[Tensor, Tensor | None]:
     """One global-local layer: attention, then each stream's post-norm block.
 
     With a band ``at`` some rows, the layer computes those long rows only,
@@ -575,7 +575,7 @@ def etc_global_local_attention(long: Tensor, glob: Tensor, sentence_id: np.ndarr
         long, glob, sentence_id, params.attn, cfg,
         enable_long_global=enable_long_global, pattern=pattern,
     )
-    tail = (params.ln_attn, params.ffn, params.ln_ffn, ln_eps)
+    tail = (params.ln_attn, params.ffn, params.ln_ffn)
     if attn_g is None:
         return post_norm_block(take(long, pattern.rows), attn_l, *tail), None
     return post_norm_block(long, attn_l, *tail), post_norm_block(glob, attn_g, *tail)

@@ -529,16 +529,8 @@ class AdamState:
     epsilon: float = 1e-8
 
     @classmethod
-    def for_param(cls, param: Tensor, learning_rate: float, beta1: float = 0.9,
-                  beta2: float = 0.999, epsilon: float = 1e-8) -> "AdamState":
-        return cls(
-            learning_rate=learning_rate,
-            m=np.zeros_like(param.data),
-            v=np.zeros_like(param.data),
-            beta1=beta1,
-            beta2=beta2,
-            epsilon=epsilon,
-        )
+    def for_param(cls, param: Tensor, learning_rate: float) -> "AdamState":
+        return cls(learning_rate, np.zeros_like(param.data), np.zeros_like(param.data))
 
 
 def adam_step(param: Tensor, state: AdamState) -> None:
@@ -558,13 +550,10 @@ def adam_step(param: Tensor, state: AdamState) -> None:
 class Adam:
     """Convenience wrapper holding one AdamState per named parameter."""
 
-    def __init__(self, params: dict[str, Tensor], learning_rate: float,
-                 beta1: float = 0.9, beta2: float = 0.999, epsilon: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor], learning_rate: float):
         self.params = dict(params)
-        self.states = {
-            name: AdamState.for_param(p, learning_rate, beta1, beta2, epsilon)
-            for name, p in self.params.items()
-        }
+        self.states = {name: AdamState.for_param(p, learning_rate)
+                       for name, p in self.params.items()}
 
     def step(self) -> None:
         for name, p in self.params.items():

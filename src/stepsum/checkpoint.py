@@ -22,7 +22,7 @@ import numpy as np
 from .autodiff import Tensor
 from .config import RunConfig, config_from_dict, config_to_dict
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 MANIFEST_NAME = "manifest.json"
 PAYLOAD_NAME = "params.bin"
 

@@ -40,7 +40,7 @@ from .data import (
 )
 from .decoding import DecodeConstraints, beam_decode, greedy_decode_with_repeat_exceptions
 from .metrics import co_score, cs_scores, rouge_l, rouge_n, stem_tokens
-from .models import ModelStepScorer, build_model, trim_for_flat_budget
+from .models import ModelStepScorer, assemble_for, build_model, trim_for_flat_budget
 from .oracle import oracle_full
 from .plan import PlanStep, unit_step
 from .rotowire import GameFormatError, parse_game, plan_from_json, plan_to_json
@@ -103,9 +103,13 @@ def _load_games(path: str) -> tuple[list[tuple[int, rotowire.RotowireGame]],
     games = []
     for lineno, row in rows:
         try:
-            games.append((lineno, parse_game(row)))
+            game = parse_game(row)
         except GameFormatError as e:
             errors.append((lineno, str(e)))
+            continue
+        for msg in game.warnings:
+            _warn(f"{path}:{lineno}: game {game.game_id}: {msg}")
+        games.append((lineno, game))
     return games, errors
 
 
@@ -220,10 +224,24 @@ def _prepare_corpus(cfg: RunConfig, path: str, plans_path: str | None,
     return vocab, examples, prepared, bool(errors or plan_errors)
 
 
+def _check_flat_layouts(cfg: RunConfig, vocab: Vocab, examples: list[StepExample]) -> None:
+    """Fail before training when some reference prefix does not fit the flat layout.
+
+    Each document's examples come in growing-prefix order, so its last one
+    holds the longest prefix, and a prefix that fits leaves room for all
+    shorter ones.
+    """
+    if cfg.encoder != "etc":
+        return
+    for ex in {id(ex.doc): ex for ex in examples}.values():
+        assemble_for(cfg, vocab, ex.doc, ex.prefix)
+
+
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
     vocab, train_ex, _, failed1 = _prepare_corpus(cfg, args.train, args.train_plans, None)
     _, valid_ex, _, failed2 = _prepare_corpus(cfg, args.valid, args.valid_plans, vocab)
+    _check_flat_layouts(cfg, vocab, train_ex + valid_ex)
     model = build_model(cfg, len(vocab))
     try:
         result = train(cfg, model, vocab, train_ex, valid_ex, args.out,

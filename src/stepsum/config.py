@@ -4,7 +4,8 @@ Config files are INI-style text (sections of ``key = value`` lines). A
 ``preset`` key in [run] picks the base values (``desk`` by default, sized so
 gradient checks and overfit runs finish in minutes on one core; ``paper``
 carries the full-scale hyperparameters); every other key overrides the
-preset. Unknown keys are rejected outright.
+preset. Unknown keys are rejected outright. ``RunConfig`` is the only
+model config: both encoders read it directly.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import configparser
 import hashlib
 import json
 from dataclasses import asdict, dataclass, fields
+
+from .attention import AttentionConfig
 
 
 class ConfigError(ValueError):
@@ -42,12 +45,8 @@ class RunConfig:
     relpos_vocab_size: int = 24
     relpos_max_distance: int = 10
     init_std: float = 0.02
-    use_doc_pos: str = "auto"         # auto | on | off
     # optimizer
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     batch_size: int = 8
     train_steps: int = 5000
     checkpoint_every: int = 200
@@ -60,42 +59,40 @@ class RunConfig:
     max_units: int = 46
 
     def doc_positions_enabled(self) -> bool:
-        if self.use_doc_pos == "auto":
-            # table entries are a set, not a sequence; plan positions stay
-            return self.task != "rotowire"
-        return self.use_doc_pos == "on"
+        # table entries are a set, not a sequence; plan positions stay
+        return self.task == "cnndm"
+
+    def attention(self) -> AttentionConfig:
+        """The attention settings of the flat encoder's layers."""
+        return AttentionConfig(
+            num_heads=self.num_heads,
+            model_dim=self.dim,
+            local_radius=self.local_radius,
+            relpos_vocab_size=self.relpos_vocab_size,
+            max_distance=self.relpos_max_distance,
+        )
 
     def validate(self) -> None:
         if self.task not in ("cnndm", "rotowire"):
             raise ConfigError(f"task must be cnndm or rotowire, got {self.task!r}")
         if self.encoder not in ("hibert", "etc"):
             raise ConfigError(f"encoder must be hibert or etc, got {self.encoder!r}")
-        if self.use_doc_pos not in ("auto", "on", "off"):
-            raise ConfigError("use_doc_pos must be auto, on or off")
         positive = [
             "dim", "num_heads", "ffn_dim", "sent_layers", "doc_layers",
             "etc_layers", "max_sent_len", "max_doc_sents", "max_plan_len",
-            "long_budget", "summary_budget", "global_cap", "relpos_vocab_size",
-            "relpos_max_distance", "batch_size", "train_steps",
-            "checkpoint_every", "beam_size", "max_steps", "max_units",
+            "long_budget", "summary_budget", "global_cap", "batch_size",
+            "train_steps", "checkpoint_every", "beam_size", "max_steps", "max_units",
         ]
         for name in positive:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")
-        if self.local_radius < 0:
-            raise ConfigError("local_radius must be non-negative")
-        if self.dim % self.num_heads != 0:
-            raise ConfigError("dim must be divisible by num_heads")
-        if 2 * self.relpos_max_distance + 3 > self.relpos_vocab_size:
-            raise ConfigError(
-                "relpos_vocab_size must cover 2*relpos_max_distance + 3 labels"
-            )
-        for name in ("learning_rate", "init_std", "epsilon"):
+        try:
+            self.attention()
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
+        for name in ("learning_rate", "init_std"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
-        for name in ("beta1", "beta2"):
-            if not (0.0 <= getattr(self, name) < 1.0):
-                raise ConfigError(f"{name} must lie in [0, 1)")
         if self.max_steps + 1 > self.max_plan_len:
             raise ConfigError("max_plan_len must exceed max_steps (begin slot included)")
 
@@ -106,11 +103,9 @@ class RunConfig:
             "doc_layers", "etc_layers", "max_sent_len", "max_doc_sents",
             "max_plan_len", "long_budget", "summary_budget", "global_cap",
             "local_radius", "relpos_vocab_size", "relpos_max_distance",
-            "use_doc_pos",
         ]
         payload = {k: getattr(self, k) for k in keys}
         payload["vocab_size"] = vocab_size
-        payload["doc_pos_enabled"] = self.doc_positions_enabled()
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
@@ -123,12 +118,9 @@ _SECTIONS = {
         "dim", "num_heads", "ffn_dim", "sent_layers", "doc_layers",
         "etc_layers", "max_sent_len", "max_doc_sents", "max_plan_len",
         "long_budget", "summary_budget", "global_cap", "local_radius",
-        "relpos_vocab_size", "relpos_max_distance", "init_std", "use_doc_pos",
+        "relpos_vocab_size", "relpos_max_distance", "init_std",
     ],
-    "optimizer": [
-        "learning_rate", "beta1", "beta2", "epsilon", "batch_size",
-        "train_steps", "checkpoint_every",
-    ],
+    "optimizer": ["learning_rate", "batch_size", "train_steps", "checkpoint_every"],
     "decode": ["beam_size", "max_steps", "no_repeat", "trigram_blocking"],
     "data": ["max_units"],
 }

@@ -24,7 +24,8 @@ from .attention import (
     etc_global_local_attention,
     init_glocal_layer,
 )
-from .autodiff import Tensor, linear, named_tensors, reshape, take
+from .autodiff import Tensor, matmul, named_tensors, reshape, take
+from .config import RunConfig
 
 SEG_SPECIAL = 0
 SEG_DOC = 1
@@ -37,32 +38,6 @@ GLOBAL_SPECIAL = 1
 GLOBAL_DOC = 2
 GLOBAL_SUM = 3
 N_GLOBAL_KINDS = 4
-
-
-@dataclass
-class EtcConfig:
-    dim: int = 64
-    num_heads: int = 2
-    ffn_dim: int = 256
-    layers: int = 2
-    vocab_size: int = 64
-    long_budget: int = 381
-    summary_budget: int = 126
-    global_cap: int = 64
-    local_radius: int = 8
-    relpos_vocab_size: int = 24
-    max_distance: int = 10
-    init_std: float = 0.02
-    ln_eps: float = 1e-6
-
-    def attention(self) -> AttentionConfig:
-        return AttentionConfig(
-            num_heads=self.num_heads,
-            model_dim=self.dim,
-            local_radius=self.local_radius,
-            relpos_vocab_size=self.relpos_vocab_size,
-            max_distance=self.max_distance,
-        )
 
 
 @dataclass
@@ -210,36 +185,34 @@ class EtcParams:
     global_kind: Tensor
     layers: list[LayerParams]
     scorer_w: Tensor
-    scorer_b: Tensor
 
 
-def init_etc(cfg: EtcConfig, rng: np.random.Generator) -> EtcParams:
+def init_etc(cfg: RunConfig, acfg: AttentionConfig, vocab_size: int,
+             rng: np.random.Generator) -> EtcParams:
     std = cfg.init_std
-    acfg = cfg.attention()
     return EtcParams(
-        token=Tensor(rng.normal(0.0, std, size=(cfg.vocab_size, cfg.dim)),
-                     requires_grad=True),
+        token=Tensor(rng.normal(0.0, std, size=(vocab_size, cfg.dim)), requires_grad=True),
         global_kind=Tensor(rng.normal(0.0, std, size=(N_GLOBAL_KINDS, cfg.dim)),
                            requires_grad=True),
         layers=[init_glocal_layer(rng, acfg, cfg.ffn_dim, std)
-                for _ in range(cfg.layers)],
+                for _ in range(cfg.etc_layers)],
         scorer_w=Tensor(rng.normal(0.0, std, size=(cfg.dim, 1)), requires_grad=True),
-        scorer_b=Tensor(np.zeros(1), requires_grad=True),
     )
 
 
 class StepwiseEtc:
     """Global-local next-unit scorer over the flat document-plus-plan input."""
 
-    def __init__(self, cfg: EtcConfig, rng: np.random.Generator):
+    def __init__(self, cfg: RunConfig, vocab_size: int, rng: np.random.Generator):
         self.cfg = cfg
-        self.params = init_etc(cfg, rng)
+        self.attention = cfg.attention()
+        self.params = init_etc(cfg, self.attention, vocab_size, rng)
 
     def named_parameters(self) -> dict[str, Tensor]:
         """The checkpoint's tensors, by name, in payload order."""
         p = self.params
         return named_tensors({"emb": {"token": p.token, "global_kind": p.global_kind},
-                              "layer": p.layers, "scorer": {"w": p.scorer_w, "b": p.scorer_b}})
+                              "layer": p.layers, "scorer": {"w": p.scorer_w}})
 
     def etc_encode(self, assembly: EtcAssembly) -> Tensor:
         """Candidate vectors: run the stack, pool each unit's anchor token.
@@ -252,28 +225,24 @@ class StepwiseEtc:
         and skips the global stream. The ``long_to_long`` count also has the
         masked slots that reach across a padding gap, at most r(r+1) per gap.
         """
-        cfg = self.cfg
-        acfg = cfg.attention()
         active_idx = np.flatnonzero(assembly.active)
         anchors = np.searchsorted(active_idx, assembly.candidate_anchor)
         if not np.array_equal(active_idx[anchors], assembly.candidate_anchor):
             raise ValueError("candidate anchor points at a padding position")
-        pattern = band_pattern(active_idx, cfg.local_radius)
+        pattern = band_pattern(active_idx, self.cfg.local_radius)
         long = take(self.params.token, assembly.long_ids[active_idx])
         glob = take(self.params.global_kind, assembly.global_kind)
         sentence_id = assembly.sentence_id[active_idx]
         last = len(self.params.layers) - 1
         for i, layer in enumerate(self.params.layers):
             long, glob = etc_global_local_attention(
-                long, glob, sentence_id, layer, acfg,
-                pattern=pattern.at(anchors) if i == last else pattern, ln_eps=cfg.ln_eps,
+                long, glob, sentence_id, layer, self.attention,
+                pattern=pattern.at(anchors) if i == last else pattern,
             )
         return long
 
     def score_candidates(self, contextual: Tensor) -> Tensor:
-        n = contextual.shape[0]
-        return reshape(linear(contextual, self.params.scorer_w, self.params.scorer_b),
-                       (n,))
+        return reshape(matmul(contextual, self.params.scorer_w), (contextual.shape[0],))
 
     def logits(self, assembly: EtcAssembly) -> Tensor:
         return self.score_candidates(self.etc_encode(assembly))

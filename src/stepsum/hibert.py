@@ -31,23 +31,8 @@ from .attention import (
     multi_head_attention,
     post_norm_block,
 )
-from .autodiff import Tensor, add, concat, linear, named_tensors, narrow, reshape, take
-
-
-@dataclass
-class HibertConfig:
-    dim: int = 64
-    num_heads: int = 2
-    ffn_dim: int = 256
-    sent_layers: int = 2
-    doc_layers: int = 2
-    vocab_size: int = 64
-    max_sent_len: int = 16
-    max_doc_sents: int = 32
-    max_plan_len: int = 8
-    use_doc_pos: bool = True
-    init_std: float = 0.02
-    ln_eps: float = 1e-6
+from .autodiff import Tensor, add, concat, matmul, named_tensors, narrow, reshape, take
+from .config import RunConfig
 
 
 @dataclass
@@ -79,7 +64,6 @@ class HibertParams:
     sent_layers: list[LayerParams]
     doc_layers: list[DocLayerParams]
     scorer_w: Tensor
-    scorer_b: Tensor
 
 
 @dataclass
@@ -112,14 +96,14 @@ class SentenceBatch:
         return cls(ids, np.array([len(u) for u in units], dtype=np.int64))
 
 
-def init_hibert(cfg: HibertConfig, rng: np.random.Generator) -> HibertParams:
+def init_hibert(cfg: RunConfig, vocab_size: int, rng: np.random.Generator) -> HibertParams:
     std = cfg.init_std
 
     def table(rows: int) -> Tensor:
         return Tensor(rng.normal(0.0, std, size=(rows, cfg.dim)), requires_grad=True)
 
     emb = EmbeddingTables(
-        token=table(cfg.vocab_size),
+        token=table(vocab_size),
         pos_token=table(cfg.max_sent_len),
         pos_doc=table(cfg.max_doc_sents),
         pos_sum=table(cfg.max_plan_len),
@@ -142,22 +126,21 @@ def init_hibert(cfg: HibertConfig, rng: np.random.Generator) -> HibertParams:
         sent_layers=sent_layers,
         doc_layers=doc_layers,
         scorer_w=Tensor(rng.normal(0.0, std, size=(cfg.dim, 1)), requires_grad=True),
-        scorer_b=Tensor(np.zeros(1), requires_grad=True),
     )
 
 
 class StepwiseHibert:
     """Hierarchical next-unit scorer conditioned on the selected plan prefix."""
 
-    def __init__(self, cfg: HibertConfig, rng: np.random.Generator):
+    def __init__(self, cfg: RunConfig, vocab_size: int, rng: np.random.Generator):
         self.cfg = cfg
-        self.params = init_hibert(cfg, rng)
+        self.params = init_hibert(cfg, vocab_size, rng)
 
     def named_parameters(self) -> dict[str, Tensor]:
         """The checkpoint's tensors, by name, in payload order."""
         p = self.params
         return named_tensors({"emb": p.embeddings, "sent": p.sent_layers, "doc": p.doc_layers,
-                              "scorer": {"w": p.scorer_w, "b": p.scorer_b}})
+                              "scorer": {"w": p.scorer_w}})
 
     # -- sentence level ----------------------------------------------------
 
@@ -180,14 +163,13 @@ class StepwiseHibert:
         for i, layer in enumerate(self.params.sent_layers):
             q, m = (narrow(x, 1, 0, 1), mask[:, :1, :]) if i == last else (x, mask)
             a = multi_head_attention(q, x, x, m, layer.attn, cfg.num_heads)
-            x = post_norm_block(q, a, layer.ln_attn, layer.ffn, layer.ln_ffn, cfg.ln_eps)
+            x = post_norm_block(q, a, layer.ln_attn, layer.ffn, layer.ln_ffn)
         return reshape(x, (n, cfg.dim))
 
     # -- document level ----------------------------------------------------
 
     def encode_document_stepwise(self, doc_reps: Tensor, summary_reps: Tensor,
-                                 doc_valid: np.ndarray | None = None,
-                                 summary_valid: np.ndarray | None = None) -> Tensor:
+                                 doc_valid: np.ndarray, summary_valid: np.ndarray) -> Tensor:
         """Summary-informed contextual unit vectors.
 
         ``doc_reps`` is [n x dim] and ``summary_reps`` [k x dim], or both carry
@@ -196,17 +178,13 @@ class StepwiseHibert:
         starts with the learned begin-of-plan slot, so it is never empty.
         ``doc_valid`` [... x n] and ``summary_valid`` [... x k] mark the real
         rows of padded streams: padding is never attended to as a key, and
-        its own output rows carry no meaning. Omitted, every row is real.
+        its own output rows carry no meaning.
         """
         cfg = self.cfg
         if summary_reps.shape[-2] == 0:
             raise ValueError("summary stream must hold at least the begin slot")
         *lead, n, _ = doc_reps.shape
         k = summary_reps.shape[-2]
-        if doc_valid is None:
-            doc_valid = np.ones((*lead, n), dtype=bool)
-        if summary_valid is None:
-            summary_valid = np.ones((*lead, k), dtype=bool)
         # key-validity masks: every query row sees the real keys
         dd = np.broadcast_to(doc_valid[..., None, :], (*lead, n, n))
         ss = np.broadcast_to(summary_valid[..., None, :], (*lead, k, k))
@@ -215,17 +193,15 @@ class StepwiseHibert:
         for layer in self.params.doc_layers:
             dsa = multi_head_attention(d, d, d, dd, layer.self_attn, cfg.num_heads)
             ssa = multi_head_attention(s, s, s, ss, layer.self_attn, cfg.num_heads)
-            d1 = add_norm(d, dsa, layer.ln_self, cfg.ln_eps)
-            s = add_norm(s, ssa, layer.ln_self, cfg.ln_eps)
+            d1 = add_norm(d, dsa, layer.ln_self)
+            s = add_norm(s, ssa, layer.ln_self)
             cross = multi_head_attention(d1, s, s, ds, layer.cross_attn, cfg.num_heads)
-            d = post_norm_block(d1, cross, layer.ln_cross, layer.ffn, layer.ln_ffn,
-                                cfg.ln_eps)
+            d = post_norm_block(d1, cross, layer.ln_cross, layer.ffn, layer.ln_ffn)
         return d
 
     def score_candidates(self, contextual: Tensor) -> Tensor:
         """One logit per candidate row; the trainer applies softmax + loss."""
-        return reshape(linear(contextual, self.params.scorer_w, self.params.scorer_b),
-                       contextual.shape[:-1])
+        return reshape(matmul(contextual, self.params.scorer_w), contextual.shape[:-1])
 
     # -- full step ----------------------------------------------------------
 
@@ -261,7 +237,7 @@ class StepwiseHibert:
             sum_ids[b, 1: 1 + len(summary)] = np.asarray(summary, dtype=np.int64) + 1
         emb = self.params.embeddings
         d = take(reps, doc_ids)
-        if self.cfg.use_doc_pos:
+        if self.cfg.doc_positions_enabled():
             d = add(d, take(emb.pos_doc, np.arange(n)))
         table = concat([emb.begin_summary, reps], axis=0)
         s = add(take(table, sum_ids), take(emb.pos_sum, np.arange(k)))

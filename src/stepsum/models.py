@@ -23,8 +23,8 @@ from . import data as datalib
 from .autodiff import Tensor, add, cross_entropy, narrow, reshape, scale
 from .config import RunConfig
 from .data import PreparedDoc, Vocab
-from .etc_encoder import EtcAssembly, EtcConfig, StepwiseEtc, assemble_input
-from .hibert import HibertConfig, StepwiseHibert
+from .etc_encoder import EtcAssembly, StepwiseEtc, assemble_input
+from .hibert import StepwiseHibert
 from .plan import PlanStep
 
 Model = StepwiseHibert | StepwiseEtc
@@ -32,36 +32,8 @@ Model = StepwiseHibert | StepwiseEtc
 
 def build_model(cfg: RunConfig, vocab_size: int, seed: int | None = None) -> Model:
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
-    if cfg.encoder == "hibert":
-        hcfg = HibertConfig(
-            dim=cfg.dim,
-            num_heads=cfg.num_heads,
-            ffn_dim=cfg.ffn_dim,
-            sent_layers=cfg.sent_layers,
-            doc_layers=cfg.doc_layers,
-            vocab_size=vocab_size,
-            max_sent_len=cfg.max_sent_len,
-            max_doc_sents=cfg.max_doc_sents,
-            max_plan_len=cfg.max_plan_len,
-            use_doc_pos=cfg.doc_positions_enabled(),
-            init_std=cfg.init_std,
-        )
-        return StepwiseHibert(hcfg, rng)
-    ecfg = EtcConfig(
-        dim=cfg.dim,
-        num_heads=cfg.num_heads,
-        ffn_dim=cfg.ffn_dim,
-        layers=cfg.etc_layers,
-        vocab_size=vocab_size,
-        long_budget=cfg.long_budget,
-        summary_budget=cfg.summary_budget,
-        global_cap=cfg.global_cap,
-        local_radius=cfg.local_radius,
-        relpos_vocab_size=cfg.relpos_vocab_size,
-        max_distance=cfg.relpos_max_distance,
-        init_std=cfg.init_std,
-    )
-    return StepwiseEtc(ecfg, rng)
+    model_cls = StepwiseHibert if cfg.encoder == "hibert" else StepwiseEtc
+    return model_cls(cfg, vocab_size, rng)
 
 
 def trim_for_flat_budget(prepared: PreparedDoc, cfg: RunConfig,
@@ -98,6 +70,8 @@ def trim_for_flat_budget(prepared: PreparedDoc, cfg: RunConfig,
 
 def assemble_for(cfg: RunConfig, vocab: Vocab, prepared: PreparedDoc,
                  prefix: tuple[PlanStep, ...]) -> EtcAssembly:
+    """The flat layout of one pair; one that would drop document units or
+    plan elements is an error, never a silently shortened input."""
     eos_id = vocab[datalib.EOS]
     special_units = list(prepared.units[: prepared.special_count])
     if prepared.break_slot is not None:
@@ -110,7 +84,7 @@ def assemble_for(cfg: RunConfig, vocab: Vocab, prepared: PreparedDoc,
             plan_units.append([eos_id])
         else:
             plan_units.append(prepared.units[prepared.special_count + step.unit])
-    return assemble_input(
+    assembly = assemble_input(
         prepared.units[prepared.special_count:],
         plan_units,
         special_units,
@@ -124,6 +98,9 @@ def assemble_for(cfg: RunConfig, vocab: Vocab, prepared: PreparedDoc,
         beg_id=vocab[datalib.BEG],
         eos_id=eos_id,
     )
+    if assembly.truncated_doc_units or assembly.truncated_plan_elements:
+        raise ValueError(f"document {prepared.doc_id}: " + "; ".join(assembly.warnings))
+    return assembly
 
 
 def score_pairs(model: Model, cfg: RunConfig, vocab: Vocab,
@@ -132,9 +109,8 @@ def score_pairs(model: Model, cfg: RunConfig, vocab: Vocab,
     """Candidate logits, one 1-D tensor per (document, plan prefix) pair.
 
     ``reps_cache``, when given, keeps the hierarchical encoder's unit
-    vectors across calls on the same documents. A flat-encoder assembly
-    that would drop document units or plan elements is an error, never a
-    silently shortened input.
+    vectors across calls on the same documents. A flat-encoder pair that
+    does not fit its layout is an error (``assemble_for``).
     """
     if isinstance(model, StepwiseHibert):
         starts: dict[int, int] = {}
@@ -155,13 +131,7 @@ def score_pairs(model: Model, cfg: RunConfig, vocab: Vocab,
         width = logits.shape[1]
         flat = reshape(logits, (len(pairs) * width,))
         return [narrow(flat, 0, b * width, len(rows)) for b, rows in enumerate(docs)]
-    out = []
-    for doc, prefix in pairs:
-        assembly = assemble_for(cfg, vocab, doc, prefix)
-        if assembly.truncated_doc_units or assembly.truncated_plan_elements:
-            raise ValueError(f"document {doc.doc_id}: " + "; ".join(assembly.warnings))
-        out.append(model.logits(assembly))
-    return out
+    return [model.logits(assemble_for(cfg, vocab, doc, prefix)) for doc, prefix in pairs]
 
 
 def log_softmax(values: np.ndarray) -> np.ndarray:

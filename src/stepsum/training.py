@@ -76,7 +76,7 @@ def train(cfg: RunConfig, model: Model, vocab: Vocab,
         raise ValueError("no training examples")
     rng = np.random.default_rng(cfg.seed)
     params = model.named_parameters()
-    optimizer = Adam(params, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.epsilon)
+    optimizer = Adam(params, cfg.learning_rate)
 
     order = rng.permutation(len(train_examples))
     cursor = 0

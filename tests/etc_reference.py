@@ -13,14 +13,12 @@ from stepsum.autodiff import take
 
 def reference_etc_encode(model, assembly):
     """Candidate vectors of ``assembly``, from the full last layer."""
-    cfg = model.cfg
-    acfg = cfg.attention()
     active_idx = np.flatnonzero(assembly.active)
-    pattern = band_pattern(active_idx, cfg.local_radius)
+    pattern = band_pattern(active_idx, model.cfg.local_radius)
     long = take(model.params.token, assembly.long_ids[active_idx])
     glob = take(model.params.global_kind, assembly.global_kind)
     sentence_id = assembly.sentence_id[active_idx]
     for layer in model.params.layers:
         long, glob = etc_global_local_attention(
-            long, glob, sentence_id, layer, acfg, pattern=pattern, ln_eps=cfg.ln_eps)
+            long, glob, sentence_id, layer, model.attention, pattern=pattern)
     return take(long, np.searchsorted(active_idx, assembly.candidate_anchor))

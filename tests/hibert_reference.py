@@ -6,7 +6,7 @@ token-0 last layer replaced.
 The one-pair forward scores one (document, plan prefix) pair: the document
 stream is the unit vectors plus their document positions, the summary
 stream the begin slot plus the unit vectors of the prefix's steps, and
-neither is padded, so ``encode_document_stepwise`` runs without masks.
+neither is padded, so ``encode_document_stepwise`` runs with all-true masks.
 """
 
 import numpy as np
@@ -31,14 +31,15 @@ def reference_logits(model, units, prefix, special_count, break_slot=None,
     n = reps.shape[0]
     if n > model.cfg.max_doc_sents:
         raise ValueError(f"{n} units exceed max_doc_sents {model.cfg.max_doc_sents}")
-    d = add(reps, take(emb.pos_doc, np.arange(n))) if model.cfg.use_doc_pos else reps
+    d = add(reps, take(emb.pos_doc, np.arange(n))) if model.cfg.doc_positions_enabled() else reps
     if rows:
         s = concat([emb.begin_summary, take(reps, np.asarray(rows, dtype=np.int64))],
                    axis=0)
     else:
         s = emb.begin_summary
     s = add(s, take(emb.pos_sum, np.arange(len(rows) + 1)))
-    return model.score_candidates(model.encode_document_stepwise(d, s))
+    return model.score_candidates(model.encode_document_stepwise(
+        d, s, np.ones(n, dtype=bool), np.ones(s.shape[0], dtype=bool)))
 
 
 def reference_encode_sentences(model, batch):
@@ -52,5 +53,5 @@ def reference_encode_sentences(model, batch):
     mask = np.broadcast_to(valid[:, None, :], (n, width, width))
     for layer in model.params.sent_layers:
         a = multi_head_attention(x, x, x, mask, layer.attn, cfg.num_heads)
-        x = post_norm_block(x, a, layer.ln_attn, layer.ffn, layer.ln_ffn, cfg.ln_eps)
+        x = post_norm_block(x, a, layer.ln_attn, layer.ffn, layer.ln_ffn)
     return reshape(narrow(x, 1, 0, 1), (n, cfg.dim))

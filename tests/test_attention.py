@@ -481,7 +481,8 @@ def test_glocal_pad_rows_influence_nothing(rng):
 def test_two_layer_compacted_equals_padded(rng):
     """Compaction is an encoding choice, not a model change."""
     from stepsum.autodiff import take
-    from stepsum.etc_encoder import EtcConfig, StepwiseEtc, assemble_input
+    from stepsum.config import config_from_dict
+    from stepsum.etc_encoder import StepwiseEtc, assemble_input
 
     layouts = [
         ([[10, 11], [12, 13, 14]], 2, False),
@@ -490,10 +491,11 @@ def test_two_layer_compacted_equals_padded(rng):
          True),
     ]
     for doc_units, radius, narrow_gap in layouts:
-        cfg = EtcConfig(dim=8, num_heads=2, ffn_dim=16, layers=2, vocab_size=30,
-                        long_budget=20, summary_budget=10, global_cap=8,
-                        local_radius=radius, relpos_vocab_size=12, max_distance=4)
-        model = StepwiseEtc(cfg, rng)
+        cfg = config_from_dict(dict(encoder="etc", dim=8, num_heads=2, ffn_dim=16,
+                                    etc_layers=2, long_budget=20, summary_budget=10,
+                                    global_cap=8, local_radius=radius, relpos_vocab_size=12,
+                                    relpos_max_distance=4))
+        model = StepwiseEtc(cfg, 30, rng)
         asm = assemble_input(doc_units, [[12]], [[2]], 1,
                              long_budget=20, summary_budget=10, global_cap=8,
                              pad_id=0, cls_id=5, sep_id=6, beg_id=4, eos_id=3)
@@ -504,13 +506,11 @@ def test_two_layer_compacted_equals_padded(rng):
         assert (pat.valid & (pat.offsets != index_offset)).any() == narrow_gap
 
         # padded reference path: run the layers over the full padded stream
-        acfg = cfg.attention()
         padded_band = band_pattern(np.arange(asm.long_ids.size), radius, asm.active)
         long = take(model.params.token, asm.long_ids)
         glob = take(model.params.global_kind, asm.global_kind)
         for layer in model.params.layers:
             long, glob = etc_global_local_attention(
-                long, glob, asm.sentence_id, layer, acfg,
-                pattern=padded_band, ln_eps=cfg.ln_eps)
+                long, glob, asm.sentence_id, layer, model.attention, pattern=padded_band)
         padded = long.data[asm.candidate_anchor]
         np.testing.assert_allclose(compact, padded, atol=1e-12)

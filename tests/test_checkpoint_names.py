@@ -3,7 +3,8 @@
 ``named_parameters()`` decides the tensor directory of ``manifest.json`` and
 the byte layout of ``params.bin``, so a renamed or reordered field would
 make every saved checkpoint unreadable. The literal lists below were taken
-from the models before their names came from ``named_tensors``.
+from the models before their names came from ``named_tensors``, less the
+scorer bias ``scorer.b``, which checkpoint format 2 dropped.
 """
 
 from dataclasses import dataclass
@@ -45,7 +46,7 @@ HIBERT_NAMES = [
     "doc.1.ln_cross.gain", "doc.1.ln_cross.bias",
     "doc.1.ffn.w1", "doc.1.ffn.b1", "doc.1.ffn.w2", "doc.1.ffn.b2",
     "doc.1.ln_ffn.gain", "doc.1.ln_ffn.bias",
-    "scorer.w", "scorer.b",
+    "scorer.w",
 ]
 
 ETC_NAMES = [
@@ -60,7 +61,7 @@ ETC_NAMES = [
     "layer.1.attn.relpos", "layer.1.ln_attn.gain", "layer.1.ln_attn.bias",
     "layer.1.ffn.w1", "layer.1.ffn.b1", "layer.1.ffn.w2", "layer.1.ffn.b2",
     "layer.1.ln_ffn.gain", "layer.1.ln_ffn.bias",
-    "scorer.w", "scorer.b",
+    "scorer.w",
 ]
 
 

@@ -49,14 +49,14 @@ def two_unit_scorer():
 
 def test_uniform_distribution_on_symmetric_model():
     """All-equal embeddings give indistinguishable candidates."""
-    from stepsum.hibert import HibertConfig, StepwiseHibert
+    from stepsum.config import config_from_dict
+    from stepsum.hibert import StepwiseHibert
     from stepsum.models import log_softmax
 
-    model = StepwiseHibert(
-        HibertConfig(dim=16, num_heads=2, ffn_dim=32, sent_layers=1,
-                     doc_layers=1, vocab_size=20, max_sent_len=4,
-                     max_doc_sents=8, max_plan_len=4),
-        np.random.default_rng(0))
+    cfg = config_from_dict(dict(encoder="hibert", dim=16, num_heads=2, ffn_dim=32,
+                                sent_layers=1, doc_layers=1, max_sent_len=4,
+                                max_doc_sents=8, max_plan_len=4, max_steps=3))
+    model = StepwiseHibert(cfg, 20, np.random.default_rng(0))
     emb = model.params.embeddings
     emb.token.data[:] = emb.token.data[0]
     emb.pos_token.data[:] = 0.0

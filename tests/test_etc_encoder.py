@@ -2,20 +2,22 @@ import numpy as np
 import pytest
 
 from stepsum.autodiff import Tape, backward, mul, narrow, sum_all
+from stepsum.config import config_from_dict
 from stepsum.etc_encoder import (
     SEG_SUM,
-    EtcConfig,
     StepwiseEtc,
     assemble_input,
 )
 
+VOCAB_SIZE = 50
+
 
 def tiny_cfg(**overrides):
-    kwargs = dict(dim=16, num_heads=2, ffn_dim=32, layers=2, vocab_size=50,
+    values = dict(encoder="etc", dim=16, num_heads=2, ffn_dim=32, etc_layers=2,
                   long_budget=32, summary_budget=16, global_cap=16,
-                  local_radius=3, relpos_vocab_size=12, max_distance=4)
-    kwargs.update(overrides)
-    return EtcConfig(**kwargs)
+                  local_radius=3, relpos_vocab_size=12, relpos_max_distance=4)
+    values.update(overrides)
+    return config_from_dict(values)
 
 
 IDS = dict(pad_id=0, cls_id=5, sep_id=6, beg_id=4, eos_id=3)
@@ -110,7 +112,7 @@ def test_candidate_anchors_point_at_first_tokens():
 
 def test_encode_output_shape():
     cfg = tiny_cfg()
-    model = StepwiseEtc(cfg, np.random.default_rng(0))
+    model = StepwiseEtc(cfg, VOCAB_SIZE, np.random.default_rng(0))
     asm = assemble([[10, 11], [12, 13], [14]], [[12, 13]])
     out = model.etc_encode(asm)
     assert out.shape == (1 + 3, cfg.dim)
@@ -118,7 +120,7 @@ def test_encode_output_shape():
 
 def test_pad_embedding_mutation_leaves_candidates_unchanged():
     cfg = tiny_cfg()
-    model = StepwiseEtc(cfg, np.random.default_rng(0))
+    model = StepwiseEtc(cfg, VOCAB_SIZE, np.random.default_rng(0))
     asm = assemble([[10, 11], [12, 13]], [[12]])
     before = model.logits(asm).data.copy()
     model.params.token.data[IDS["pad_id"]] += 100.0
@@ -129,7 +131,7 @@ def test_pad_embedding_mutation_leaves_candidates_unchanged():
 def test_summary_token_reaches_candidates_through_globals():
     """A plan token farther than the local radius still influences candidates."""
     cfg = tiny_cfg(local_radius=2)
-    model = StepwiseEtc(cfg, np.random.default_rng(1))
+    model = StepwiseEtc(cfg, VOCAB_SIZE, np.random.default_rng(1))
     asm = assemble([[10, 11], [12, 13]], [[25]])
     plan_pos = int(np.flatnonzero(asm.long_ids == 25)[0])
     anchor = int(asm.candidate_anchor[1])
@@ -145,7 +147,7 @@ def test_summary_token_reaches_candidates_through_globals():
 
 def test_scorer_tied_rows_tied_logits():
     cfg = tiny_cfg()
-    model = StepwiseEtc(cfg, np.random.default_rng(0))
+    model = StepwiseEtc(cfg, VOCAB_SIZE, np.random.default_rng(0))
     from stepsum.autodiff import Tensor
 
     row = np.random.default_rng(2).normal(size=cfg.dim)
@@ -156,8 +158,8 @@ def test_scorer_tied_rows_tied_logits():
 def test_overfit_tiny_assembly_reaches_target():
     from stepsum.autodiff import Adam, cross_entropy
 
-    cfg = tiny_cfg(layers=1)
-    model = StepwiseEtc(cfg, np.random.default_rng(3))
+    cfg = tiny_cfg(etc_layers=1)
+    model = StepwiseEtc(cfg, VOCAB_SIZE, np.random.default_rng(3))
     asm = assemble([[10, 11], [12, 13], [14, 15]], [])
     target = 2
     opt = Adam(model.named_parameters(), learning_rate=0.01)

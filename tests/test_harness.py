@@ -149,14 +149,14 @@ def test_invalid_ranges_rejected():
     with pytest.raises(ConfigError):
         config_from_dict({"relpos_vocab_size": 4, "relpos_max_distance": 4})
     with pytest.raises(ConfigError):
+        config_from_dict({"local_radius": -1})
+    with pytest.raises(ConfigError):
         config_from_dict({"task": "sports"})
 
 
 def test_doc_positions_follow_task():
     assert config_from_dict({"task": "cnndm"}).doc_positions_enabled()
     assert not config_from_dict({"task": "rotowire"}).doc_positions_enabled()
-    assert config_from_dict({"task": "rotowire",
-                             "use_doc_pos": "on"}).doc_positions_enabled()
 
 
 def test_config_file_parsing(tmp_path):

@@ -5,15 +5,22 @@ from hibert_reference import reference_logits
 from stepsum.attention import score_counter
 from stepsum.autodiff import Tape, Tensor, backward, cross_entropy, narrow, reshape, sum_all
 from stepsum.gradcheck import check_gradients
-from stepsum.hibert import HibertConfig, SentenceBatch, StepwiseHibert
+from stepsum.config import config_from_dict
+from stepsum.hibert import SentenceBatch, StepwiseHibert
 from stepsum.plan import unit_step
 
 
 def make_model(seed=5, **overrides):
-    kwargs = dict(dim=16, num_heads=2, ffn_dim=32, sent_layers=2, doc_layers=2,
-                  vocab_size=50, max_sent_len=6, max_doc_sents=8, max_plan_len=4)
-    kwargs.update(overrides)
-    return StepwiseHibert(HibertConfig(**kwargs), np.random.default_rng(seed))
+    values = dict(encoder="hibert", dim=16, num_heads=2, ffn_dim=32, sent_layers=2,
+                  doc_layers=2, max_sent_len=6, max_doc_sents=8, max_plan_len=4, max_steps=1)
+    values.update(overrides)
+    return StepwiseHibert(config_from_dict(values), 50, np.random.default_rng(seed))
+
+
+def encode_unpadded(model, doc, summary):
+    """The document encoder on one unpadded (document, summary) pair."""
+    return model.encode_document_stepwise(doc, summary, np.ones(doc.shape[:-1], dtype=bool),
+                                          np.ones(summary.shape[:-1], dtype=bool))
 
 
 def one_pair(model, units, prefix=(), special_count=1, break_slot=None):
@@ -96,7 +103,7 @@ def test_stepwise_shapes_minimal():
     model = make_model()
     doc = Tensor(np.random.default_rng(0).normal(size=(1, 16)))
     summary = Tensor(np.random.default_rng(1).normal(size=(1, 16)))
-    out = model.encode_document_stepwise(doc, summary)
+    out = encode_unpadded(model, doc, summary)
     assert out.shape == (1, 16)
     assert np.all(np.isfinite(out.data))
 
@@ -105,7 +112,7 @@ def test_stepwise_rejects_empty_summary():
     model = make_model()
     doc = Tensor(np.zeros((2, 16)))
     with pytest.raises(ValueError):
-        model.encode_document_stepwise(doc, Tensor(np.zeros((0, 16))))
+        encode_unpadded(model, doc, Tensor(np.zeros((0, 16))))
 
 
 def test_document_permutation_equivariance_without_positions():
@@ -113,9 +120,9 @@ def test_document_permutation_equivariance_without_positions():
     rng = np.random.default_rng(9)
     doc = rng.normal(size=(3, 16))
     summary = Tensor(rng.normal(size=(2, 16)))
-    out = model.encode_document_stepwise(Tensor(doc), summary)
+    out = encode_unpadded(model, Tensor(doc), summary)
     perm = np.array([2, 0, 1])
-    out_p = model.encode_document_stepwise(Tensor(doc[perm]), summary)
+    out_p = encode_unpadded(model, Tensor(doc[perm]), summary)
     np.testing.assert_allclose(out.data[perm], out_p.data, atol=1e-12)
 
 
@@ -127,7 +134,7 @@ def test_every_summary_row_reaches_every_output_row():
     for i in range(3):
         summary = Tensor(sum_data, requires_grad=True)
         with Tape() as tape:
-            out = model.encode_document_stepwise(Tensor(doc_data), summary)
+            out = encode_unpadded(model, Tensor(doc_data), summary)
             row = narrow(out, 0, i, 1)
             from stepsum.autodiff import mul
 
@@ -159,10 +166,10 @@ def test_parameter_sharing_doc_and_summary_self_attention():
     rng = np.random.default_rng(3)
     doc = Tensor(rng.normal(size=(2, 16)))
     summary = Tensor(rng.normal(size=(2, 16)))
-    before = model.encode_document_stepwise(doc, summary).data.copy()
+    before = encode_unpadded(model, doc, summary).data.copy()
     # mutating the shared tensor changes both attention call sites
     layer.self_attn.wq.data += 0.05
-    after = model.encode_document_stepwise(doc, summary).data
+    after = encode_unpadded(model, doc, summary).data
     assert not np.allclose(before, after)
     # and the parameter truly appears once in the manifest
     names = [n for n in model.named_parameters() if "self_attn.wq" in n]

@@ -31,8 +31,8 @@ from stepsum.data import (
     prepare_rotowire,
     rotowire_corpus_sentences,
 )
-from stepsum.etc_encoder import EtcConfig, StepwiseEtc, assemble_input
-from stepsum.hibert import HibertConfig, SentenceBatch, StepwiseHibert
+from stepsum.etc_encoder import StepwiseEtc, assemble_input
+from stepsum.hibert import SentenceBatch, StepwiseHibert
 from stepsum.models import batch_mean_loss, build_model, score_pairs, trim_for_flat_budget
 from stepsum.plan import BREAK_STEP, unit_step
 from stepsum.rotowire import parse_game
@@ -182,14 +182,20 @@ ASSEMBLIES = {
 }
 
 
+def layout_model(layers, radius):
+    """A small flat model over the layouts above: 20 + 10 budgets, 30 tokens."""
+    cfg = config_from_dict(dict(encoder="etc", dim=8, num_heads=2, ffn_dim=16,
+                                etc_layers=layers, long_budget=20, summary_budget=10,
+                                global_cap=8, local_radius=radius, relpos_vocab_size=12,
+                                relpos_max_distance=4))
+    return StepwiseEtc(cfg, 30, np.random.default_rng(8))
+
+
 @pytest.mark.parametrize("layers", [1, 2])
 @pytest.mark.parametrize("name", sorted(ASSEMBLIES))
 def test_etc_logits_match_full_last_layer_on_layouts(name, layers):
     doc_units, plan_units, cand_specials, radius = ASSEMBLIES[name]
-    cfg = EtcConfig(dim=8, num_heads=2, ffn_dim=16, layers=layers, vocab_size=30,
-                    long_budget=20, summary_budget=10, global_cap=8, local_radius=radius,
-                    relpos_vocab_size=12, max_distance=4)
-    model = StepwiseEtc(cfg, np.random.default_rng(8))
+    model = layout_model(layers, radius)
     asm = assemble_input(doc_units, plan_units, [[2]], cand_specials, long_budget=20,
                          summary_budget=10, global_cap=8, **IDS)
     if name == "single_candidate":
@@ -203,16 +209,13 @@ def test_etc_logits_match_full_last_layer_on_layouts(name, layers):
 
 
 def test_etc_counts_name_the_anchor_layer():
-    cfg = EtcConfig(dim=8, num_heads=2, ffn_dim=16, layers=2, vocab_size=30,
-                    long_budget=20, summary_budget=10, global_cap=8, local_radius=3,
-                    relpos_vocab_size=12, max_distance=4)
-    model = StepwiseEtc(cfg, np.random.default_rng(8))
+    model = layout_model(2, 3)
     doc_units, plan_units, cand_specials, _ = ASSEMBLIES["narrow_and_wide_gaps"]
     asm = assemble_input(doc_units, plan_units, [[2]], cand_specials, long_budget=20,
                          summary_budget=10, global_cap=8, **IDS)
     active_idx = np.flatnonzero(asm.active)
     anchors = np.searchsorted(active_idx, asm.candidate_anchor)
-    n, g, r = active_idx.size, asm.global_count, cfg.local_radius
+    n, g, r = active_idx.size, asm.global_count, model.cfg.local_radius
     score_counter.reset()
     model.etc_encode(asm)
     # the first layer as ever; the last one queries from the anchors alone,
@@ -230,9 +233,10 @@ def test_etc_counts_name_the_anchor_layer():
 @pytest.mark.parametrize("sent_layers", [1, 2])
 @pytest.mark.parametrize("widths", [[1, 1, 1], [1, 4, 2, 6]], ids=["width_1", "mixed"])
 def test_sentence_stack_matches_all_token_reference(sent_layers, widths):
-    cfg = HibertConfig(dim=16, num_heads=2, ffn_dim=32, sent_layers=sent_layers,
-                       doc_layers=1, vocab_size=20, max_sent_len=8)
-    model = StepwiseHibert(cfg, np.random.default_rng(4))
+    cfg = config_from_dict(dict(encoder="hibert", dim=16, num_heads=2, ffn_dim=32,
+                                sent_layers=sent_layers, doc_layers=1, max_sent_len=8,
+                                max_doc_sents=32, max_plan_len=8))
+    model = StepwiseHibert(cfg, 20, np.random.default_rng(4))
     rng = np.random.default_rng(9)
     batch = SentenceBatch.from_units([[int(t) for t in rng.integers(2, 20, size=w)]
                                       for w in widths])

@@ -109,6 +109,21 @@ def test_unknown_entry_type_preserved_with_warning():
     assert RecordRef("Chicago_Bulls", "TEAM-MOJO", "11") in refs
 
 
+def test_cli_prints_game_warnings_and_keeps_exit_code(tmp_path, capsys):
+    import json
+
+    from stepsum.cli import main
+
+    raw = table3_game()
+    # an N/A player value is prefiltered away, so no template is asked for
+    raw["players"][1]["stats"]["PLAYER-MOJO"] = "N/A"
+    src = tmp_path / "games.jsonl"
+    src.write_text(json.dumps(table3_game()) + "\n" + json.dumps(raw) + "\n")
+    assert main(["linearize", "--in", str(src), "--out", str(tmp_path / "units.jsonl")]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: {src}:2: game table3: players[1].stats: unknown entry type PLAYER-MOJO"]
+
+
 # -- ranking --------------------------------------------------------------------
 
 

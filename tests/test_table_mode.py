@@ -13,9 +13,11 @@ from conftest import cli_env
 from stepsum.acceptance import table3_game
 from stepsum.config import config_from_dict
 from stepsum.data import (
+    Document,
     Vocab,
     align_plan_to_units,
     examples_from_plan,
+    prepare_cnndm,
     prepare_rotowire,
     rotowire_corpus_sentences,
 )
@@ -59,12 +61,14 @@ def test_no_document_positions_means_unit_order_irrelevant(table_setup):
     np.testing.assert_allclose(real[perm], real_p, atol=1e-10)
 
 
-def test_document_positions_break_permutation_symmetry():
-    cfg = table_cfg(use_doc_pos="on")
-    game = parse_game(table3_game())
-    vocab = Vocab.from_corpus(rotowire_corpus_sentences([game], cfg.max_units))
-    prep = prepare_rotowire(game, vocab, max_units=cfg.max_units,
-                            max_sent_len=cfg.max_sent_len)
+def test_document_positions_break_permutation_symmetry(table_setup):
+    """The same units as a cnndm document, where positions are on, are ordered."""
+    game, table, vocab, table_prep = table_setup
+    cfg = table_cfg(task="cnndm")
+    assert cfg.doc_positions_enabled()
+    doc = Document(game.game_id, table_prep.unit_tokens[table_prep.special_count:])
+    prep = prepare_cnndm(doc, vocab, max_doc_sents=cfg.max_doc_sents,
+                         max_sent_len=cfg.max_sent_len)
     model = build_model(cfg, len(vocab))
     reversed_doc = replace(prep, units=prep.units[: prep.special_count] + list(
         reversed(prep.units[prep.special_count:])))
@@ -270,3 +274,5 @@ def test_cli_etc_train_rejects_plan_over_summary_budget(tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert "document table3: dropped " in proc.stderr
     assert "trailing plan elements over summary_budget" in proc.stderr
+    # refused before training starts, so no checkpoint was written
+    assert not os.path.exists(tmp_path / "ckpt" / "last")

@@ -324,6 +324,30 @@ def test_cli_decode_torn_checkpoint_fails(workspace, trained_ckpt, tmp_path):
     assert not os.path.exists(out)
 
 
+def test_cli_decode_refuses_format_1_checkpoint(workspace, trained_ckpt, tmp_path):
+    """A format-1 checkpoint (with the optimizer and document-position keys
+    and the scorer bias) is refused by its version, before its config is read."""
+    root, cfg_path, docs_path = workspace
+    old = str(tmp_path / "old")
+    shutil.copytree(trained_ckpt, old)
+    manifest_path = os.path.join(old, "manifest.json")
+    manifest = json.load(open(manifest_path))
+    manifest["format_version"] = 1
+    manifest["config"].update(use_doc_pos="auto", beta1=0.9, beta2=0.999, epsilon=1e-8)
+    size = os.path.getsize(os.path.join(old, "params.bin"))
+    manifest["tensors"].append({"name": "scorer.b", "shape": [1], "offset": size, "size": 1})
+    json.dump(manifest, open(manifest_path, "w"))
+    with open(os.path.join(old, "params.bin"), "ab") as fh:
+        fh.write(bytes(8))
+    out = str(tmp_path / "x.jsonl")
+    r = run_cli("decode", "--config", cfg_path, "--ckpt", old, "--in", docs_path,
+                "--out", out)
+    assert r.returncode == 2
+    assert "unsupported checkpoint format 1" in r.stderr
+    assert "unknown config key" not in r.stderr
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("flag", [["--max-steps", "0"], ["--max-steps", "-1"],
                                   ["--beam", "0"]])
 def test_cli_decode_rejects_budgets_below_one(workspace, trained_ckpt, tmp_path, flag):
