@@ -91,8 +91,7 @@ def toy_etc(seed: int = 6) -> tuple[StepwiseEtc, "object"]:
     assembly = assemble_input(
         doc_units, [doc_units[1]], [[2]], 1,
         long_budget=cfg.long_budget, summary_budget=cfg.summary_budget,
-        global_cap=cfg.global_cap, pad_id=0, cls_id=5, sep_id=6, beg_id=4,
-        eos_id=3,
+        global_cap=cfg.global_cap, cls_id=5, sep_id=6, beg_id=4, eos_id=3,
     )
     return model, assembly
 

@@ -476,8 +476,8 @@ def glocal_attention(long: Tensor, glob: Tensor, sentence_id: np.ndarray,
     at its index. A padded stream marks its padding rows inactive there
     (``band_pattern(np.arange(L), r, active)``): inactive rows are masked out
     of every part, so they receive no gradient and contribute to no other
-    row. A caller that compacted the long stream passes the band over the
-    original positions instead. A band ``at`` some rows queries from those
+    row. A stream whose rows sit at gapped positions (the flat encoder's
+    rows at their layout slots) passes the band over those positions. A band ``at`` some rows queries from those
     rows only: the result holds one long row per query, and the global
     stream, which no query reads, is not computed (None). Keys and values
     still come from every row. ``enable_long_global`` exists for gradient

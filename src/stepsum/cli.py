@@ -273,6 +273,13 @@ def cmd_decode(args) -> int:
     if args.max_steps is not None:
         cfg = replace(cfg, max_steps=args.max_steps)
     cfg.validate()
+    # the longest prefix decode scores: the plan-begin marker, then
+    # max_steps - 1 elements of up to max_sent_len tokens each
+    need = 1 + (cfg.max_steps - 1) * cfg.max_sent_len
+    if cfg.encoder == "etc" and need > cfg.summary_budget:
+        raise ConfigError(f"summary_budget {cfg.summary_budget} cannot hold a decoded plan "
+                          f"prefix: max_steps {cfg.max_steps} and max_sent_len "
+                          f"{cfg.max_sent_len} need {need}")
     manifest, arrays = load_checkpoint(args.ckpt)
     verify_config_match(manifest, cfg)
     vocab = Vocab.from_token_list(manifest.vocab)

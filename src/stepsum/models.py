@@ -22,7 +22,7 @@ import numpy as np
 from . import data as datalib
 from .autodiff import Tensor, add, cross_entropy, narrow, reshape, scale
 from .config import RunConfig
-from .data import PreparedDoc, Vocab
+from .data import PreparedDoc, Vocab, candidate_index
 from .etc_encoder import EtcAssembly, StepwiseEtc, assemble_input
 from .hibert import StepwiseHibert
 from .plan import PlanStep
@@ -38,12 +38,13 @@ def build_model(cfg: RunConfig, vocab_size: int, seed: int | None = None) -> Mod
 
 def trim_for_flat_budget(prepared: PreparedDoc, cfg: RunConfig,
                          vocab: Vocab) -> PreparedDoc:
-    """Drop trailing real units so the flat layout never truncates mid-run.
+    """Drop the trailing real units that do not fit the flat layout.
 
     The flat input holds the special units (plus the plan-begin marker in
     table mode) and then the document units; whatever does not fit the long
     budget could never be a candidate, so it is removed up front to keep the
-    candidate list aligned with the layout.
+    candidate list aligned with the layout. This is the only place that
+    drops document units; ``assemble_input`` rejects a unit that overflows.
     """
     specials = [len(u) for u in prepared.units[: prepared.special_count]]
     extra = 1 if prepared.break_slot is not None else 0  # begin marker unit
@@ -70,37 +71,30 @@ def trim_for_flat_budget(prepared: PreparedDoc, cfg: RunConfig,
 
 def assemble_for(cfg: RunConfig, vocab: Vocab, prepared: PreparedDoc,
                  prefix: tuple[PlanStep, ...]) -> EtcAssembly:
-    """The flat layout of one pair; one that would drop document units or
-    plan elements is an error, never a silently shortened input."""
-    eos_id = vocab[datalib.EOS]
+    """The flat layout of one pair; a pair that does not fit it is an error,
+    never a silently shortened input."""
+    if any(step.is_end for step in prefix):
+        raise ValueError("prefix must be unfinished")
     special_units = list(prepared.units[: prepared.special_count])
     if prepared.break_slot is not None:
         special_units.append([vocab[datalib.BEG]])
-    plan_units = []
-    for step in prefix:
-        if step.is_end:
-            raise ValueError("prefix must be unfinished")
-        if step.is_break:
-            plan_units.append([eos_id])
-        else:
-            plan_units.append(prepared.units[prepared.special_count + step.unit])
-    assembly = assemble_input(
-        prepared.units[prepared.special_count:],
-        plan_units,
-        special_units,
-        prepared.special_count,
-        long_budget=cfg.long_budget,
-        summary_budget=cfg.summary_budget,
-        global_cap=cfg.global_cap,
-        pad_id=vocab.pad_id,
-        cls_id=vocab[datalib.CLS],
-        sep_id=vocab[datalib.SEP],
-        beg_id=vocab[datalib.BEG],
-        eos_id=eos_id,
-    )
-    if assembly.truncated_doc_units or assembly.truncated_plan_elements:
-        raise ValueError(f"document {prepared.doc_id}: " + "; ".join(assembly.warnings))
-    return assembly
+    plan_units = [prepared.units[candidate_index(prepared, step)] for step in prefix]
+    try:
+        return assemble_input(
+            prepared.units[prepared.special_count:],
+            plan_units,
+            special_units,
+            prepared.special_count,
+            long_budget=cfg.long_budget,
+            summary_budget=cfg.summary_budget,
+            global_cap=cfg.global_cap,
+            cls_id=vocab[datalib.CLS],
+            sep_id=vocab[datalib.SEP],
+            beg_id=vocab[datalib.BEG],
+            eos_id=vocab[datalib.EOS],
+        )
+    except ValueError as e:
+        raise ValueError(f"document {prepared.doc_id}: {e}") from None
 
 
 def score_pairs(model: Model, cfg: RunConfig, vocab: Vocab,

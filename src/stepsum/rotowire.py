@@ -153,22 +153,31 @@ def _parse_date(raw, path: str) -> tuple[int, int, int, int]:
     raise GameFormatError(f"{path}: date must be an object or string")
 
 
+def _known_stats(raw, templates: dict[str, str], path: str,
+                 warnings: list[str]) -> dict[str, str]:
+    """The stats whose entry type has a template; any other key is dropped,
+    with a warning, since no record could be rendered from it."""
+    stats = {}
+    for k, v in dict(raw).items():
+        if k in templates:
+            stats[str(k)] = str(v)
+        else:
+            warnings.append(f"{path}.stats: dropped unknown entry type {k}")
+    return stats
+
+
 def _parse_team(raw, path: str, home: bool, warnings: list[str]) -> TeamEntry:
     if not isinstance(raw, dict):
         raise GameFormatError(f"{path}: missing team line")
     for fld in ("key", "name", "city"):
         if fld not in raw:
             raise GameFormatError(f"{path}.{fld}: missing")
-    stats = {}
-    for k, v in dict(raw.get("stats", {})).items():
-        if k not in TEAM_TEMPLATES:
-            warnings.append(f"{path}.stats: unknown entry type {k}")
-        stats[str(k)] = str(v)
+    stats = _known_stats(raw.get("stats", {}), TEAM_TEMPLATES, path, warnings)
     return TeamEntry(str(raw["key"]), str(raw["name"]), str(raw["city"]), home, stats)
 
 
 def parse_game(raw: dict) -> RotowireGame:
-    """Parse one raw game object; unknown entry types survive with a warning."""
+    """Parse one raw game object; unknown entry types are dropped with a warning."""
     if not isinstance(raw, dict):
         raise GameFormatError("game must be an object")
     warnings: list[str] = []
@@ -198,11 +207,7 @@ def parse_game(raw: dict) -> RotowireGame:
             team_key = team
         else:
             raise GameFormatError(f"{path}.team: {team!r} names no team in this game")
-        stats = {}
-        for k, v in dict(p.get("stats", {})).items():
-            if k not in PLAYER_TEMPLATES:
-                warnings.append(f"{path}.stats: unknown entry type {k}")
-            stats[str(k)] = str(v)
+        stats = _known_stats(p.get("stats", {}), PLAYER_TEMPLATES, path, warnings)
         players.append(PlayerEntry(str(p["key"]), str(p["first_name"]),
                                    str(p["second_name"]), team_key, stats))
     if not players:
@@ -237,9 +242,6 @@ def game_records(game: RotowireGame) -> list[RecordRef]:
                 out.append(RecordRef(team.key, t, "home" if team.home else "away"))
             elif t in team.stats:
                 out.append(RecordRef(team.key, t, team.stats[t]))
-        for t in team.stats:
-            if t not in TEAM_TEMPLATES:
-                out.append(RecordRef(team.key, t, team.stats[t]))
     for player in game.players:
         out.append(RecordRef(player.key, PLAYER_FIRST_NAME, player.first_name))
         out.append(RecordRef(player.key, PLAYER_SECOND_NAME, player.second_name))
@@ -249,9 +251,6 @@ def game_records(game: RotowireGame) -> list[RecordRef]:
             if t == PLAYER_TEAM:
                 out.append(RecordRef(player.key, t, player.team_key))
             elif t in player.stats:
-                out.append(RecordRef(player.key, t, player.stats[t]))
-        for t in player.stats:
-            if t not in PLAYER_TEMPLATES:
                 out.append(RecordRef(player.key, t, player.stats[t]))
     return out
 

@@ -5,20 +5,16 @@ Every layer, the last included, runs over every long row and updates the
 global stream; the candidate vectors are then gathered at the anchors.
 """
 
-import numpy as np
-
 from stepsum.attention import band_pattern, etc_global_local_attention
 from stepsum.autodiff import take
 
 
 def reference_etc_encode(model, assembly):
     """Candidate vectors of ``assembly``, from the full last layer."""
-    active_idx = np.flatnonzero(assembly.active)
-    pattern = band_pattern(active_idx, model.cfg.local_radius)
-    long = take(model.params.token, assembly.long_ids[active_idx])
+    pattern = band_pattern(assembly.position, model.cfg.local_radius)
+    long = take(model.params.token, assembly.long_ids)
     glob = take(model.params.global_kind, assembly.global_kind)
-    sentence_id = assembly.sentence_id[active_idx]
     for layer in model.params.layers:
         long, glob = etc_global_local_attention(
-            long, glob, sentence_id, layer, model.attention, pattern=pattern)
-    return take(long, np.searchsorted(active_idx, assembly.candidate_anchor))
+            long, glob, assembly.sentence_id, layer, model.attention, pattern=pattern)
+    return take(long, assembly.candidate_anchor)

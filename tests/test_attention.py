@@ -4,6 +4,7 @@ import pytest
 
 from stepsum import attention
 from stepsum.attention import (
+    NO_GLOBAL,
     AttentionConfig,
     MhaParams,
     band_labels,
@@ -486,7 +487,7 @@ def test_two_layer_compacted_equals_padded(rng):
 
     layouts = [
         ([[10, 11], [12, 13, 14]], 2, False),
-        # 1 + 17 tokens leave 2 padding tokens before [SEP], inside radius 3
+        # 1 + 17 tokens leave 2 empty slots before [SEP], inside radius 3
         ([[10, 11, 12, 13, 14, 15], [16, 17, 18, 19, 20, 21], [22, 23, 24, 25, 26]], 3,
          True),
     ]
@@ -498,19 +499,27 @@ def test_two_layer_compacted_equals_padded(rng):
         model = StepwiseEtc(cfg, 30, rng)
         asm = assemble_input(doc_units, [[12]], [[2]], 1,
                              long_budget=20, summary_budget=10, global_cap=8,
-                             pad_id=0, cls_id=5, sep_id=6, beg_id=4, eos_id=3)
+                             cls_id=5, sep_id=6, beg_id=4, eos_id=3)
         compact = model.etc_encode(asm).data
         # does some valid slot's position offset differ from its index offset?
-        pat = band_pattern(np.flatnonzero(asm.active), radius)
+        pat = band_pattern(asm.position, radius)
         index_offset = np.arange(pat.width) - radius
         assert (pat.valid & (pat.offsets != index_offset)).any() == narrow_gap
 
-        # padded reference path: run the layers over the full padded stream
-        padded_band = band_pattern(np.arange(asm.long_ids.size), radius, asm.active)
-        long = take(model.params.token, asm.long_ids)
+        # padded reference path: rows back at their layout positions, padding
+        # rows (id 0, no global) in the empty slots, over the full stream
+        total = int(asm.position[-1]) + 1
+        active = np.zeros(total, dtype=bool)
+        active[asm.position] = True
+        ids = np.zeros(total, dtype=np.int64)
+        ids[asm.position] = asm.long_ids
+        sentence_id = np.full(total, NO_GLOBAL, dtype=np.int64)
+        sentence_id[asm.position] = asm.sentence_id
+        padded_band = band_pattern(np.arange(total), radius, active)
+        long = take(model.params.token, ids)
         glob = take(model.params.global_kind, asm.global_kind)
         for layer in model.params.layers:
             long, glob = etc_global_local_attention(
-                long, glob, asm.sentence_id, layer, model.attention, pattern=padded_band)
-        padded = long.data[asm.candidate_anchor]
+                long, glob, sentence_id, layer, model.attention, pattern=padded_band)
+        padded = long.data[asm.position[asm.candidate_anchor]]
         np.testing.assert_allclose(compact, padded, atol=1e-12)

@@ -48,9 +48,12 @@ def assert_restored(before):
     assert not changed, f"not restored: {changed[:5]}"
 
 
-def decode_setup():
-    cfg = config_from_dict(dict(encoder="hibert", dim=16, ffn_dim=32, sent_layers=1,
-                                doc_layers=1, max_sent_len=8, max_doc_sents=16, seed=3))
+def decode_setup(encoder="hibert"):
+    # the flat layout's long budget holds the stop unit and 2 of the 5 units
+    cfg = config_from_dict(dict(encoder=encoder, dim=16, ffn_dim=32, sent_layers=1,
+                                doc_layers=1, etc_layers=1, max_sent_len=8,
+                                max_doc_sents=16, long_budget=12, summary_budget=16,
+                                global_cap=16, local_radius=2, seed=3))
     docs, _ = make_overfit_corpus(n_docs=1, n_sents=5, n_gold=2, sent_len=4, seed=3)
     vocab = Vocab.from_corpus(docs[0].sentences)
     prep = prepare_cnndm(docs[0], vocab, max_doc_sents=cfg.max_doc_sents,
@@ -77,6 +80,27 @@ def test_tracer_attaches_and_restores_every_original(perfbench):
             "hibert.encode_document", "attention.dense"} <= names
     assert all(span[4] == prep.doc_id for span in tracer.spans)
     assert_restored(before)
+
+
+def test_tracer_counts_etc_rows_and_restores_every_original(perfbench):
+    tracer_mod, _ = perfbench
+    model, cfg, vocab, prep = decode_setup("etc")
+    before = snapshot()
+    tracer = tracer_mod.Tracer()
+    tracer.install()
+    try:
+        trimmed = models.trim_for_flat_budget(prep, cfg, vocab)
+        cli.ModelStepScorer(model, cfg, vocab, trimmed).step_log_probs(())
+    finally:
+        tracer.uninstall()
+    assert_restored(before)
+    names = {span[0] for span in tracer.spans}
+    assert {"models.trim_for_flat_budget", "etc_encoder.assemble_input",
+            "etc_encoder.etc_encode", "attention.etc_layer"} <= names
+    rows = models.assemble_for(cfg, vocab, trimmed, ()).long_ids.size
+    assert tracer.counts["etc_encoder.long_tokens"] == rows
+    assert tracer.counts["etc_encoder.assembly_warnings"] == 0
+    assert tracer.counts["models.units_trimmed"] == 3
 
 
 def test_doc_clock_times_each_decode_and_restores_cli(perfbench):

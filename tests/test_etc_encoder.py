@@ -1,13 +1,19 @@
 import numpy as np
 import pytest
+from assembly_reference import reference_assemble_input
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stepsum.autodiff import Tape, backward, mul, narrow, sum_all
 from stepsum.config import config_from_dict
+from stepsum.data import PreparedDoc, Vocab
 from stepsum.etc_encoder import (
     SEG_SUM,
     StepwiseEtc,
     assemble_input,
 )
+from stepsum.models import trim_for_flat_budget
+from stepsum.plan import END_STEP, unit_step
 
 VOCAB_SIZE = 50
 
@@ -20,7 +26,8 @@ def tiny_cfg(**overrides):
     return config_from_dict(values)
 
 
-IDS = dict(pad_id=0, cls_id=5, sep_id=6, beg_id=4, eos_id=3)
+IDS = dict(cls_id=5, sep_id=6, beg_id=4, eos_id=3)
+PAD_ID = 0  # the vocabulary's padding id, which no row holds
 
 
 def assemble(doc_units, plan_units, special_units=None, cand_specials=1,
@@ -35,31 +42,34 @@ def assemble(doc_units, plan_units, special_units=None, cand_specials=1,
 def test_paper_scale_budget_arithmetic():
     asm = assemble([[10, 11]], [], long_budget=6141, summary_budget=2048,
                    global_cap=512)
-    assert asm.long_ids.size == 6141 + 2048 + 3 == 8192
+    # [CLS], stop unit, document unit, [SEP], begin marker, [SEP]; the
+    # closing [SEP] sits at the last slot of the 8192-slot layout
+    assert asm.position.tolist() == [0, 1, 2, 3, 6142, 6143, 8191]
+    assert asm.position[-1] + 1 == 6141 + 2048 + 3 == 8192
 
 
 def test_empty_plan_layout_valid():
     asm = assemble([[10, 11], [12]], [])
-    sum_positions = np.flatnonzero(asm.segment == SEG_SUM)
-    assert sum_positions.tolist() == [34]  # only the begin marker
-    assert asm.long_ids[34] == IDS["beg_id"]
+    sum_rows = np.flatnonzero(asm.segment == SEG_SUM)
+    assert asm.position[sum_rows].tolist() == [34]  # only the begin marker
+    assert asm.long_ids[sum_rows].tolist() == [IDS["beg_id"]]
 
 
 def test_hand_checked_delimiter_positions():
     asm = assemble([[10, 11, 12], [13, 14], [15, 16, 17, 18]], [[13, 14]])
-    assert asm.long_ids[0] == IDS["cls_id"]
-    assert asm.long_ids[33] == IDS["sep_id"]
-    assert asm.long_ids[50] == IDS["sep_id"]
-    assert asm.long_ids.size == 51
+    assert asm.long_ids[0] == IDS["cls_id"] and asm.position[0] == 0
+    assert asm.position[asm.long_ids == IDS["sep_id"]].tolist() == [33, 50]
+    # [CLS], stop unit, 9 document tokens, [SEP], begin marker, 2 plan tokens, [SEP]
+    assert asm.long_ids.size == 16
+    assert asm.position[-1] == 50
 
 
 def test_layout_is_deterministic():
     a = assemble([[10, 11], [12, 13]], [[12, 13]])
     b = assemble([[10, 11], [12, 13]], [[12, 13]])
-    assert np.array_equal(a.long_ids, b.long_ids)
-    assert np.array_equal(a.sentence_id, b.sentence_id)
-    assert np.array_equal(a.segment, b.segment)
-    assert np.array_equal(a.candidate_anchor, b.candidate_anchor)
+    for name in ("long_ids", "position", "sentence_id", "segment", "global_kind",
+                 "candidate_anchor"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 def test_unit_wider_than_budget_rejected():
@@ -68,18 +78,36 @@ def test_unit_wider_than_budget_rejected():
 
 
 def test_trailing_units_dropped_whole():
-    asm = assemble([[10] * 20, [11] * 20, [12] * 2], [], long_budget=32)
+    """The trim drops trailing units whole; the assembly rejects any unit that
+    overflows, so it never drops one itself."""
+    units = [[2], [10] * 20, [11] * 20, [12] * 2]
+    with pytest.raises(ValueError, match=r"unit 2 \(20 tokens\) overflows long_budget 32"):
+        assemble(units[1:], [], long_budget=32)
+    prep = PreparedDoc("d", units, [["eot"]] + [["w"] * len(u) for u in units[1:]],
+                       [END_STEP] + [unit_step(i) for i in range(3)],
+                       special_count=1, break_slot=None)
+    trimmed = trim_for_flat_budget(prep, tiny_cfg(long_budget=32), Vocab([]))
     # unit 1 does not fit after unit 0; everything from it on is dropped
+    assert trimmed.units == units[:2]
+    assert trimmed.candidates == prep.candidates[:2]
+    asm = assemble(trimmed.units[1:], [], long_budget=32)
     assert asm.candidate_anchor.size == 1 + 1  # the candidate special, then unit 0
-    assert asm.truncated_doc_units == 2
+
+
+def test_plan_element_over_summary_budget_rejected():
+    assemble([[10, 11]], [[10, 11]] * 7, summary_budget=15)
+    with pytest.raises(ValueError, match=r"plan element 7 \(2 tokens\) overflows "
+                                         "summary_budget 15"):
+        assemble([[10, 11]], [[10, 11]] * 8, summary_budget=15)
 
 
 def test_budget_monotonicity_plan_never_displaces_document():
     no_plan = assemble([[10, 11, 12], [13, 14]], [])
     with_plan = assemble([[10, 11, 12], [13, 14]], [[13, 14], [3]])
-    doc_region = slice(0, 33)
-    assert np.array_equal(no_plan.long_ids[doc_region],
-                          with_plan.long_ids[doc_region])
+    doc_rows = slice(0, int(np.searchsorted(no_plan.position, 33)))
+    for name in ("long_ids", "position", "sentence_id", "segment"):
+        assert np.array_equal(getattr(no_plan, name)[doc_rows],
+                              getattr(with_plan, name)[doc_rows]), name
     assert np.array_equal(no_plan.candidate_anchor, with_plan.candidate_anchor)
 
 
@@ -87,7 +115,7 @@ def test_global_assignment_and_overflow():
     doc_units = [[10], [11], [12], [13]]
     asm = assemble(doc_units, [[10]], global_cap=5)
     # cap 5: CLS, stop marker, then only 3 of 4 document units get globals
-    assert asm.global_count == 5
+    assert asm.global_kind.size == 5
     assert asm.sentence_id[asm.candidate_anchor[-1]] == -1
     # delimiters, begin marker and summary sentence got nothing (cap hit)
     assert (asm.sentence_id[asm.segment == SEG_SUM] == -1).all()
@@ -95,8 +123,8 @@ def test_global_assignment_and_overflow():
 
 def test_sentence_grouping_in_plan_segment():
     asm = assemble([[10], [11]], [[10], [3], [11]])  # unit, break, unit
-    sum_pos = np.flatnonzero(asm.segment == SEG_SUM)
-    sids = asm.sentence_id[sum_pos]
+    sum_rows = np.flatnonzero(asm.segment == SEG_SUM)
+    sids = asm.sentence_id[sum_rows]
     # begin marker has its own global; the break closes the first sentence
     assert sids[0] != sids[1]
     assert sids[1] == sids[2]  # unit and its break share a sentence group
@@ -110,6 +138,49 @@ def test_candidate_anchors_point_at_first_tokens():
     assert asm.long_ids[asm.candidate_anchor[2]] == 13
 
 
+@st.composite
+def layouts(draw):
+    """Random inputs for both assemblies, fitting or not: document units,
+    plan elements (document units and breaks), 1 or 3 specials, budgets
+    and a global cap that is often hit."""
+    unit = st.lists(st.integers(7, 30), min_size=1, max_size=6)
+    doc_units = draw(st.lists(unit, max_size=8))
+    element = (st.sampled_from(doc_units) | st.just([IDS["eos_id"]])
+               if doc_units else st.just([IDS["eos_id"]]))
+    table = draw(st.booleans())
+    return dict(
+        doc_units=doc_units,
+        plan_units=draw(st.lists(element, max_size=8)),
+        special_units=[[3], [2], [4]] if table else [[2]],
+        candidate_special_count=2 if table else 1,
+        long_budget=draw(st.integers(1, 40)),
+        summary_budget=draw(st.integers(1, 30)),
+        global_cap=draw(st.integers(0, 20)),
+    )
+
+
+@given(layouts())
+@settings(max_examples=400, deadline=None)
+def test_compact_layout_equals_padded_reference_at_its_rows(args):
+    try:
+        ref = reference_assemble_input(**args, pad_id=PAD_ID, **IDS)
+        ref_fits = not (ref.truncated_doc_units or ref.truncated_plan_elements)
+    except ValueError:
+        ref_fits = False
+    if not ref_fits:
+        with pytest.raises(ValueError, match="overflows"):
+            assemble_input(**args, **IDS)
+        return
+    asm = assemble_input(**args, **IDS)
+    rows = np.flatnonzero(ref.active)
+    assert np.array_equal(asm.position, rows)
+    for name in ("long_ids", "sentence_id", "segment"):
+        assert np.array_equal(getattr(asm, name), getattr(ref, name)[rows]), name
+    assert np.array_equal(asm.global_kind, ref.global_kind)
+    assert np.array_equal(rows[asm.candidate_anchor], ref.candidate_anchor)
+    assert asm.active.sum() == rows.size and asm.warnings == []
+
+
 def test_encode_output_shape():
     cfg = tiny_cfg()
     model = StepwiseEtc(cfg, VOCAB_SIZE, np.random.default_rng(0))
@@ -119,13 +190,14 @@ def test_encode_output_shape():
 
 
 def test_pad_embedding_mutation_leaves_candidates_unchanged():
+    """No row holds the padding id, so its embedding reaches no candidate."""
     cfg = tiny_cfg()
     model = StepwiseEtc(cfg, VOCAB_SIZE, np.random.default_rng(0))
     asm = assemble([[10, 11], [12, 13]], [[12]])
+    assert PAD_ID not in asm.long_ids
     before = model.logits(asm).data.copy()
-    model.params.token.data[IDS["pad_id"]] += 100.0
-    after = model.logits(asm).data
-    np.testing.assert_allclose(before, after, atol=1e-12)
+    model.params.token.data[PAD_ID] += 100.0
+    assert np.array_equal(before, model.logits(asm).data)
 
 
 def test_summary_token_reaches_candidates_through_globals():

@@ -168,11 +168,11 @@ def test_score_pairs_match_full_last_layer(monkeypatch, encoder, setup, layers):
                                      lambda: batch_mean_loss(model, cfg, vocab, batch)))
 
 
-IDS = dict(pad_id=0, cls_id=5, sep_id=6, beg_id=4, eos_id=3)
+IDS = dict(cls_id=5, sep_id=6, beg_id=4, eos_id=3)
 
 ASSEMBLIES = {
-    # 1 + 17 tokens leave 2 padding tokens before [SEP], inside radius 3; the
-    # plan segment's padding is wider than the radius
+    # 1 + 17 tokens leave 2 empty slots before [SEP], inside radius 3; the
+    # plan segment's empty slots span more than the radius
     "narrow_and_wide_gaps": (
         [[10, 11, 12, 13, 14, 15], [16, 17, 18, 19, 20, 21], [22, 23, 24, 25, 26]],
         [[16, 17, 18, 19, 20, 21], [3]], 1, 3),
@@ -213,9 +213,8 @@ def test_etc_counts_name_the_anchor_layer():
     doc_units, plan_units, cand_specials, _ = ASSEMBLIES["narrow_and_wide_gaps"]
     asm = assemble_input(doc_units, plan_units, [[2]], cand_specials, long_budget=20,
                          summary_budget=10, global_cap=8, **IDS)
-    active_idx = np.flatnonzero(asm.active)
-    anchors = np.searchsorted(active_idx, asm.candidate_anchor)
-    n, g, r = active_idx.size, asm.global_count, model.cfg.local_radius
+    anchors = asm.candidate_anchor
+    n, g, r = asm.long_ids.size, asm.global_kind.size, model.cfg.local_radius
     score_counter.reset()
     model.etc_encode(asm)
     # the first layer as ever; the last one queries from the anchors alone,

@@ -100,13 +100,14 @@ def test_zero_players_valid_but_warned():
 
 
 def test_unknown_entry_type_preserved_with_warning():
+    """The game survives an unknown entry type; the key itself is dropped,
+    since no template can render it."""
     raw = table3_game()
     raw["home"]["stats"]["TEAM-MOJO"] = "11"
     game = parse_game(raw)
-    assert game.teams[0].stats["TEAM-MOJO"] == "11"
-    assert any("TEAM-MOJO" in w for w in game.warnings)
-    refs = game_records(game)
-    assert RecordRef("Chicago_Bulls", "TEAM-MOJO", "11") in refs
+    assert "TEAM-MOJO" not in game.teams[0].stats
+    assert game.warnings == ["home.stats: dropped unknown entry type TEAM-MOJO"]
+    assert game_records(game) == game_records(parse_game(table3_game()))
 
 
 def test_cli_prints_game_warnings_and_keeps_exit_code(tmp_path, capsys):
@@ -121,7 +122,24 @@ def test_cli_prints_game_warnings_and_keeps_exit_code(tmp_path, capsys):
     src.write_text(json.dumps(table3_game()) + "\n" + json.dumps(raw) + "\n")
     assert main(["linearize", "--in", str(src), "--out", str(tmp_path / "units.jsonl")]) == 0
     assert capsys.readouterr().err.splitlines() == [
-        f"warning: {src}:2: game table3: players[1].stats: unknown entry type PLAYER-MOJO"]
+        f"warning: {src}:2: game table3: players[1].stats: dropped unknown entry type "
+        "PLAYER-MOJO"]
+
+
+def test_cli_linearize_keeps_a_game_with_an_unknown_stat_type(tmp_path, capsys):
+    import json
+
+    from stepsum.cli import main
+
+    raw = table3_game()
+    raw["home"]["stats"]["TEAM-MOJO"] = "11"
+    src, out = tmp_path / "games.jsonl", tmp_path / "units.jsonl"
+    src.write_text(json.dumps(table3_game()) + "\n" + json.dumps(raw) + "\n")
+    assert main(["linearize", "--in", str(src), "--out", str(out)]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: {src}:2: game table3: home.stats: dropped unknown entry type TEAM-MOJO"]
+    rows = [json.loads(line) for line in out.read_text().splitlines()]
+    assert len(rows) == 2 and rows[0] == rows[1]
 
 
 # -- ranking --------------------------------------------------------------------

@@ -272,7 +272,8 @@ def test_cli_etc_train_rejects_plan_over_summary_budget(tmp_path):
          "--out", str(tmp_path / "ckpt")],
         capture_output=True, text=True, env=cli_env())
     assert proc.returncode == 2, proc.stderr
-    assert "document table3: dropped " in proc.stderr
-    assert "trailing plan elements over summary_budget" in proc.stderr
+    # the begin marker and one 11-token team record fill the 12 slots; the second overflows
+    assert ("error: document table3: plan element 1 (11 tokens) overflows summary_budget 12"
+            in proc.stderr.splitlines())
     # refused before training starts, so no checkpoint was written
     assert not os.path.exists(tmp_path / "ckpt" / "last")

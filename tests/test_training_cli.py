@@ -416,9 +416,11 @@ def test_cli_linearize(workspace, tmp_path):
 def test_cli_reports_units_dropped_over_long_budget(workspace, tmp_path):
     root, _, docs_path = workspace
     cfg_path = str(tmp_path / "etc.cfg")
-    # 6 units of 5 tokens behind a 1-token stop unit: a budget of 20 keeps 3
+    # 6 units of 5 tokens behind a 1-token stop unit: a budget of 20 keeps 3;
+    # a decoded prefix of 3 such units fills summary_budget 16 with its begin marker
     write_config(cfg_path, **{
-        "run.encoder": "etc", "model.etc_layers": 1, "model.long_budget": 20,
+        "run.encoder": "etc", "model.etc_layers": 1, "model.max_sent_len": 5,
+        "model.long_budget": 20,
         "model.summary_budget": 16, "model.global_cap": 16, "model.local_radius": 2,
         "optimizer.train_steps": 2, "optimizer.checkpoint_every": 1})
     ckpt = str(tmp_path / "ckpt")
@@ -439,6 +441,31 @@ def test_cli_reports_units_dropped_over_long_budget(workspace, tmp_path):
     for line in open(out):
         units = [s["unit"] for s in json.loads(line)["plan"] if isinstance(s, dict)]
         assert all(u < 3 for u in units)
+
+
+@pytest.mark.parametrize("file_steps,flag_steps,fits", [
+    (5, None, False), (4, "5", False), (4, None, True)], ids=["file", "flag", "fits"])
+def test_cli_decode_checks_summary_budget_up_front(tmp_path, capsys, file_steps,
+                                                   flag_steps, fits):
+    from stepsum import cli
+
+    cfg_path = str(tmp_path / "etc.cfg")
+    # 1 + 3 * 5 = 16 slots hold the prefixes of max_steps 4; max_steps 5 needs 21
+    write_config(cfg_path, **{
+        "run.encoder": "etc", "model.max_sent_len": 5, "model.summary_budget": 16,
+        "decode.max_steps": file_steps})
+    out = tmp_path / "plans.jsonl"
+    argv = ["decode", "--config", cfg_path, "--ckpt", str(tmp_path / "no-ckpt"),
+            "--in", str(tmp_path / "no-docs.jsonl"), "--out", str(out)]
+    if flag_steps is not None:
+        argv += ["--max-steps", flag_steps]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and not out.exists()
+    budget_error = ("error: summary_budget 16 cannot hold a decoded plan prefix: "
+                    "max_steps 5 and max_sent_len 5 need 21")
+    # a config that fits gets past the check, as far as the missing checkpoint
+    assert (err[0] == budget_error) != fits
 
 
 def test_cli_decode_reports_incomplete_plans(workspace, trained_ckpt, tmp_path,
