@@ -4,9 +4,12 @@ The banded long-to-long path computes each query's clipped window as 2r+1
 index-offset slots, one contiguous slice product per offset, so its cost is
 linear in sequence length for a fixed radius; a mask drops slots that touch
 padding or lie past the radius in original position. A band may also hold
-the queries of a few rows only (a stack's last layer, which computes the
-rows its reader uses); its offsets then index with integer arrays, and a
-global-local layer over it skips the global stream. A module-level counter
+the queries of some rows only, while its keys stay every row: a stack's last
+layer computes the rows its reader uses, and the flat encoder's first layer
+splits its rows into a prefix-independent run and the rest. A contiguous run
+of query rows still indexes with slices; scattered rows index with integer
+arrays. Whether a global-local layer updates the global stream is its own
+switch, apart from which rows query. A module-level counter
 tracks how many (query, key) score entries each call actually evaluates, per
 attention part, masked slots included, which lets tests pin the sparse paths
 to their closed-form pattern sizes. Head count is a constant factor and is
@@ -313,22 +316,27 @@ def multi_head_attention(q_in: Tensor, k_in: Tensor, v_in: Tensor, mask: np.ndar
 class BandPattern:
     """A clipped local window laid out as [queries x (2r+1)] index-offset slots.
 
-    Keys are the ``length`` rows of a stream. A full band has one query per
-    row; a band ``at`` some rows has queries at those rows only, and
-    ``rows`` names them. Slot ``w`` of the query at row ``i`` is key row
-    ``i + w - r``. ``valid`` marks the slots that attend: both rows exist and
-    are active, and their original positions lie within ``radius`` of each
-    other. ``offsets`` holds each slot's original-position offset, which
-    ``band_labels`` clips; it is meaningful only where ``valid`` holds.
-    Positions are strictly increasing, so every pair within ``radius`` in
-    position is within ``radius`` in index and owns a slot.
+    Keys are the ``length`` rows of a stream, and ``active`` marks which of
+    them exist (a padded stream's padding does not). A full band has one
+    query per row; a band ``at`` some rows has queries at those rows only,
+    and ``rows`` names them. ``start`` is the first query row when the
+    queries are one contiguous run of rows (every full band), else None.
+    Slot ``w`` of the query at row ``i`` is key row ``i + w - r``. ``valid``
+    marks the slots that attend: both rows exist and are active, and their
+    original positions lie within ``radius`` of each other. ``offsets`` holds
+    each slot's original-position offset, which ``band_labels`` clips; it is
+    meaningful only where ``valid`` holds. Positions are strictly increasing,
+    so every pair within ``radius`` in position is within ``radius`` in index
+    and owns a slot.
     """
 
     radius: int
     valid: np.ndarray
     offsets: np.ndarray
     length: int
+    active: np.ndarray
     rows: np.ndarray | None = None  # None: every row is a query, in order
+    start: int | None = 0
 
     @property
     def width(self) -> int:
@@ -344,8 +352,19 @@ class BandPattern:
         rows = np.asarray(rows, dtype=np.int64)
         if self.rows is not None or np.any(np.diff(rows) <= 0):
             raise ValueError("a band's query rows come from a full band, strictly increasing")
+        start = int(rows[0]) if rows.size else 0
+        if rows.size and rows[-1] - start + 1 != rows.size:
+            start = None  # scattered rows
         return BandPattern(self.radius, self.valid[rows], self.offsets[rows], self.length,
-                           rows)
+                           self.active, rows, start)
+
+    def query_rows(self, x: Tensor) -> Tensor:
+        """The rows of the [length x ...] stream ``x`` that query this band."""
+        if self.rows is None:
+            return x
+        if self.start is not None:
+            return narrow(x, 0, self.start, self.rows.size)
+        return take(x, self.rows)
 
 
 def band_pattern(positions: np.ndarray, radius: int,
@@ -364,23 +383,23 @@ def band_pattern(positions: np.ndarray, radius: int,
     nb = np.clip(nb, 0, max(n - 1, 0))
     offsets = pos[nb] - pos[:, None]
     valid = inside & act[:, None] & act[nb] & (np.abs(offsets) <= radius)
-    return BandPattern(radius, valid, offsets, n)
+    return BandPattern(radius, valid, offsets, n, act)
 
 
 def _offset_slices(pat: BandPattern):
     """(slot, query index, key index) of every window offset some query has.
 
-    A full band indexes with slices. A band at some rows indexes with
-    integer arrays; its query rows are distinct, so within one offset its
-    key rows are too, and scatter-adds through them are exact.
+    Queries in one contiguous run of rows index with slices. Scattered query
+    rows index with integer arrays; they are distinct, so within one offset
+    their key rows are too, and scatter-adds through them are exact.
     """
-    n = pat.length
+    n, m, s = pat.length, pat.valid.shape[0], pat.start
     for w in range(pat.width):
         o = w - pat.radius
-        if pat.rows is None:
-            lo, hi = max(0, -o), min(n, n - o)
+        if s is not None:
+            lo, hi = max(0, -o - s), min(m, n - o - s)
             if lo < hi:
-                yield w, slice(lo, hi), slice(lo + o, hi + o)
+                yield w, slice(lo, hi), slice(s + lo + o, s + hi + o)
         else:
             qi = np.flatnonzero((pat.rows + o >= 0) & (pat.rows + o < n))
             if qi.size:
@@ -463,7 +482,8 @@ def membership_labels(sentence_id: np.ndarray, n_global: int,
 def glocal_attention(long: Tensor, glob: Tensor, sentence_id: np.ndarray,
                      params: MhaParams, cfg: AttentionConfig, *,
                      enable_long_global: bool = True,
-                     pattern: BandPattern | None = None) -> tuple[Tensor, Tensor | None]:
+                     pattern: BandPattern | None = None,
+                     update_global: bool = True) -> tuple[Tensor, Tensor | None]:
     """Raw four-part attention over a (long, global) pair of streams.
 
     Long rows attend to their clipped local window plus every global token;
@@ -477,13 +497,15 @@ def glocal_attention(long: Tensor, glob: Tensor, sentence_id: np.ndarray,
     (``band_pattern(np.arange(L), r, active)``): inactive rows are masked out
     of every part, so they receive no gradient and contribute to no other
     row. A stream whose rows sit at gapped positions (the flat encoder's
-    rows at their layout slots) passes the band over those positions. A band ``at`` some rows queries from those
-    rows only: the result holds one long row per query, and the global
-    stream, which no query reads, is not computed (None). Keys and values
-    still come from every row. ``enable_long_global`` exists for gradient
-    reachability probes; switching it off masks the long/global links in
-    both directions. ``long_to_long`` counts every evaluated window slot,
-    masked ones included.
+    rows at their layout slots) passes the band over those positions. A
+    band ``at`` some rows queries from those rows only, and the long result
+    holds one row per query; keys and values still come from every row.
+    Without ``update_global`` the global stream is not computed (None);
+    with it, the global rows attend to every long row whichever rows query.
+    ``enable_long_global`` exists for gradient reachability probes;
+    switching it off masks the long/global links in both directions.
+    ``long_to_long`` counts every evaluated window slot, masked ones
+    included.
     """
     if glob.shape[0] == 0:
         raise ValueError("at least one global token is required")
@@ -501,44 +523,43 @@ def glocal_attention(long: Tensor, glob: Tensor, sentence_id: np.ndarray,
         raise ValueError("global-local attention requires a relpos table")
 
     pat = pattern or band_pattern(np.arange(L), cfg.local_radius)
-    full = pat.rows is None
-    active = pat.valid[:, pat.radius]  # a query's own slot is valid iff its row is active
+    linked = pat.active & enable_long_global  # rows that exchange attention with globals
+    q_linked = pat.valid[:, pat.radius] & enable_long_global  # own slot valid iff active
     score_counter.add("long_to_long", pat.count)
-    n_active = int(active.sum())
-    if enable_long_global:
-        score_counter.add("long_to_global", n_active * G)
-    if full:
-        score_counter.add("global", G * G + G * n_active * enable_long_global)
+    score_counter.add("long_to_global", int(q_linked.sum()) * G)
+    if update_global:
+        score_counter.add("global", G * G + G * int(linked.sum()))
 
     H, W = cfg.num_heads, pat.width
-    ql = split_heads(linear(long if full else take(long, pat.rows), params.wq, params.bq), H)
+    ql = split_heads(linear(pat.query_rows(long), params.wq, params.bq), H)
     kl = split_heads(linear(long, params.wk, params.bk), H)
     vl = split_heads(linear(long, params.wv, params.bv), H)
     # glob's query projection stays first of its three: moving it would
     # reorder the sum that forms glob's gradient
-    qg = split_heads(linear(glob, params.wq, params.bq), H) if full else None
+    qg = split_heads(linear(glob, params.wq, params.bq), H) if update_global else None
     kg_t = split_heads(linear(glob, params.wk, params.bk), H, keys_last=True)
     vg = split_heads(linear(glob, params.wv, params.bv), H)
     inv_sqrt = 1.0 / math.sqrt(cfg.head_dim)
 
     # Each stream's query rows take one softmax over [its own part | the
     # other stream]; labels and masks are laid out the same way.
-    l2g_labels = membership_labels(sentence_id if full else sentence_id[pat.rows], G, cfg)
-    long_labels = np.concatenate([band_labels(pat, cfg.max_distance), l2g_labels], axis=1)
-    linked = active & enable_long_global  # query rows that exchange attention with globals
+    l2g_labels = membership_labels(sentence_id, G, cfg)
+    long_labels = np.concatenate([band_labels(pat, cfg.max_distance),
+                                  l2g_labels if pat.rows is None else l2g_labels[pat.rows]],
+                                 axis=1)
 
     # long stream: band (long_to_long) | globals (long_to_global)
     s_long = concat([banded_scores(ql, kl, pat), matmul(ql, kg_t)], axis=-1)
     s_long = add(scale(s_long, inv_sqrt), bias_at(params.relpos, long_labels))
-    if not linked.all():
-        long_mask = np.zeros((linked.size, W + G))
-        long_mask[~linked, W:] = MASK_NEG
+    if not q_linked.all():
+        long_mask = np.zeros((q_linked.size, W + G))
+        long_mask[~q_linked, W:] = MASK_NEG
         s_long = add_const(s_long, long_mask)
     a = softmax(s_long, axis=-1)
     long_heads = add(banded_apply(narrow(a, -1, 0, W), vl, pat),
                      matmul(narrow(a, -1, W, G), vg))
     long_out = linear(merge_heads(long_heads), params.wo, params.bo)
-    if not full:
+    if not update_global:
         return long_out, None
 
     # global stream (both halves are the "global" part): globals | long
@@ -564,18 +585,20 @@ def init_glocal_layer(rng: np.random.Generator, cfg: AttentionConfig,
 def etc_global_local_attention(long: Tensor, glob: Tensor, sentence_id: np.ndarray,
                                params: LayerParams, cfg: AttentionConfig, *,
                                enable_long_global: bool = True,
-                               pattern: BandPattern | None = None
+                               pattern: BandPattern | None = None,
+                               update_global: bool = True
                                ) -> tuple[Tensor, Tensor | None]:
     """One global-local layer: attention, then each stream's post-norm block.
 
-    With a band ``at`` some rows, the layer computes those long rows only,
-    and no global stream (None).
+    With a band ``at`` some rows, the layer computes those long rows only;
+    without ``update_global``, it computes no global stream (None).
     """
     attn_l, attn_g = glocal_attention(
         long, glob, sentence_id, params.attn, cfg,
         enable_long_global=enable_long_global, pattern=pattern,
+        update_global=update_global,
     )
     tail = (params.ln_attn, params.ffn, params.ln_ffn)
-    if attn_g is None:
-        return post_norm_block(take(long, pattern.rows), attn_l, *tail), None
-    return post_norm_block(long, attn_l, *tail), post_norm_block(glob, attn_g, *tail)
+    out_l = post_norm_block(long if pattern is None else pattern.query_rows(long),
+                            attn_l, *tail)
+    return out_l, None if attn_g is None else post_norm_block(glob, attn_g, *tail)

@@ -36,7 +36,6 @@ class Manifest:
     config: RunConfig
     config_hash: str
     vocab: list[str]
-    tensors: list[dict]
 
 
 def save_checkpoint(path: str, named_params: dict[str, Tensor],
@@ -115,7 +114,7 @@ def load_checkpoint(path: str) -> tuple[Manifest, dict[str, np.ndarray]]:
         start = entry["offset"] // 8
         arr = payload[start: start + entry["size"]].reshape(entry["shape"])
         arrays[entry["name"]] = np.array(arr, dtype=np.float64)
-    return Manifest(config, raw["config_hash"], vocab, raw["tensors"]), arrays
+    return Manifest(config, raw["config_hash"], vocab), arrays
 
 
 def restore_params(named_params: dict[str, Tensor],

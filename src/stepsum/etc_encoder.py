@@ -8,6 +8,20 @@ vector per candidate unit (pooled at the unit's first token, its anchor),
 which feeds the same scoring head contract as the hierarchical encoder. The
 last layer computes the anchor rows alone and leaves the global stream
 as it is, since nothing reads either beyond it.
+
+The first layer is split in two, because the plan prefix changes few of
+its rows. Its inputs are token embeddings and, for the global tokens, kind
+embeddings, so a row whose window ends before the first [SEP] (layout
+position ``p`` with ``p + r < 1 + long_budget``) reads only the document's
+rows and the global-kind sequence. Those rows are a leading run; their
+first-layer output, the fixed part, is computed once per (document, global
+kinds) key from the rows before [SEP], and callers share it between the
+prefixes with that key. The per-prefix part is the rest: the last r
+document rows, [SEP], the plan rows and the global stream, in one
+global-local call whose keys and values come from every row. The layer's
+output is the fixed rows followed by those rows, the same as the whole
+layer's. When the first layer is also the last, both parts query from the
+anchors among their rows.
 """
 
 from __future__ import annotations
@@ -24,12 +38,8 @@ from .attention import (
     etc_global_local_attention,
     init_glocal_layer,
 )
-from .autodiff import Tensor, matmul, named_tensors, reshape, take
+from .autodiff import Tensor, concat, matmul, named_tensors, reshape, take
 from .config import RunConfig
-
-SEG_SPECIAL = 0
-SEG_DOC = 1
-SEG_SUM = 2
 
 # global-token kinds, each with its own learned embedding row
 GLOBAL_DELIM = 0
@@ -56,7 +66,6 @@ class EtcAssembly:
     long_ids: np.ndarray
     position: np.ndarray
     sentence_id: np.ndarray
-    segment: np.ndarray
     global_kind: np.ndarray
     candidate_anchor: np.ndarray
 
@@ -86,7 +95,6 @@ def assemble_input(doc_units: list[list[int]], plan_units: list[list[int]],
     ids: list[int] = []
     position: list[int] = []
     sentence_id: list[int] = []
-    segment: list[int] = []
     globals_kind: list[int] = []
 
     def new_global(kind: int) -> int:
@@ -95,13 +103,12 @@ def assemble_input(doc_units: list[list[int]], plan_units: list[list[int]],
         globals_kind.append(kind)
         return len(globals_kind) - 1
 
-    def put(tokens: list[int], start: int, seg: int, gid: int) -> None:
+    def put(tokens: list[int], start: int, gid: int) -> None:
         ids.extend(tokens)
         position.extend(range(start, start + len(tokens)))
-        segment.extend([seg] * len(tokens))
         sentence_id.extend([gid] * len(tokens))
 
-    put([cls_id], 0, SEG_SPECIAL, new_global(GLOBAL_DELIM))
+    put([cls_id], 0, new_global(GLOBAL_DELIM))
 
     # flat input: special pseudo-units then document units; the anchors come
     # in the scorers' candidate order, candidate specials first
@@ -116,14 +123,14 @@ def assemble_input(doc_units: list[list[int]], plan_units: list[list[int]],
         gid = new_global(GLOBAL_SPECIAL if is_special else GLOBAL_DOC)
         if not is_special or ui < candidate_special_count:
             anchors.append(len(ids))
-        put(unit, pos, SEG_SPECIAL if is_special else SEG_DOC, gid)
+        put(unit, pos, gid)
         pos += len(unit)
 
-    put([sep_id], flat_end, SEG_SPECIAL, new_global(GLOBAL_DELIM))
+    put([sep_id], flat_end, new_global(GLOBAL_DELIM))
 
     # plan segment: begin marker, then plan tokens grouped into sentences
     sum_end = flat_end + 1 + summary_budget
-    put([beg_id], flat_end + 1, SEG_SUM, new_global(GLOBAL_SPECIAL))
+    put([beg_id], flat_end + 1, new_global(GLOBAL_SPECIAL))
     pos = flat_end + 2
     current_gid: int | None = None
     for pi, unit in enumerate(plan_units):
@@ -132,12 +139,12 @@ def assemble_input(doc_units: list[list[int]], plan_units: list[list[int]],
                              f"summary_budget {summary_budget}")
         if current_gid is None:
             current_gid = new_global(GLOBAL_SUM)
-        put(unit, pos, SEG_SUM, current_gid)
+        put(unit, pos, current_gid)
         pos += len(unit)
         if len(unit) == 1 and unit[0] == eos_id:
             current_gid = None  # a break closes the sentence group
 
-    put([sep_id], sum_end, SEG_SPECIAL, new_global(GLOBAL_DELIM))
+    put([sep_id], sum_end, new_global(GLOBAL_DELIM))
 
     def array(values: list[int]) -> np.ndarray:
         return np.asarray(values, dtype=np.int64)
@@ -146,7 +153,6 @@ def assemble_input(doc_units: list[list[int]], plan_units: list[list[int]],
         long_ids=array(ids),
         position=array(position),
         sentence_id=array(sentence_id),
-        segment=array(segment),
         global_kind=array(globals_kind),
         candidate_anchor=array(anchors),
     )
@@ -187,12 +193,50 @@ class StepwiseEtc:
         return named_tensors({"emb": {"token": p.token, "global_kind": p.global_kind},
                               "layer": p.layers, "scorer": {"w": p.scorer_w}})
 
-    def etc_encode(self, assembly: EtcAssembly) -> Tensor:
+    def _layer0_queries(self, assembly: EtcAssembly) -> tuple[np.ndarray, np.ndarray]:
+        """Layer 0's query rows, split into the fixed part's and the rest.
+
+        Layer 0 queries from every row, or from the anchors when it is also
+        the last layer. A row at layout position ``p`` with ``p + r`` before
+        the first [SEP] is fixed: its window holds document rows only, so its
+        layer-0 output is the same for every plan prefix with the same
+        global kinds. Fixed rows are a leading run, since positions increase.
+        """
+        n = assembly.long_ids.size
+        queries = assembly.candidate_anchor if len(self.params.layers) == 1 else np.arange(n)
+        n_fixed = np.searchsorted(assembly.position,
+                                  1 + self.cfg.long_budget - self.cfg.local_radius)
+        cut = int(np.searchsorted(queries, n_fixed))
+        return queries[:cut], queries[cut:]
+
+    def fixed_part(self, assembly: EtcAssembly) -> Tensor:
+        """Layer 0's output at the fixed query rows of ``assembly``.
+
+        It depends on the document's rows before the first [SEP] and on the
+        global kinds alone, so pairs of one document that share
+        ``global_kind`` share it (``etc_encode``'s ``fixed``). Its keys and
+        values are the rows before [SEP]; the global stream is not updated.
+        """
+        rows, _ = self._layer0_queries(assembly)
+        n_doc = int(np.searchsorted(assembly.position, 1 + self.cfg.long_budget))
+        band = band_pattern(assembly.position[:n_doc], self.cfg.local_radius)
+        long, _ = etc_global_local_attention(
+            take(self.params.token, assembly.long_ids[:n_doc]),
+            take(self.params.global_kind, assembly.global_kind),
+            assembly.sentence_id[:n_doc], self.params.layers[0], self.attention,
+            pattern=band.at(rows), update_global=False,
+        )
+        return long
+
+    def etc_encode(self, assembly: EtcAssembly, fixed: Tensor | None = None) -> Tensor:
         """Candidate vectors: run the stack, pool each unit's anchor token.
 
         The band is built over the rows' layout positions, so windows and
-        relative-position labels are those of the fixed-budget layout. The
-        last layer computes only what the pooling reads: it queries from the
+        relative-position labels are those of the fixed-budget layout. With
+        ``fixed``, this assembly's ``fixed_part``, layer 0 computes only the
+        other rows and the global stream, over keys and values from every
+        row, and its output is the fixed rows followed by those. The last
+        layer computes only what the pooling reads: it queries from the
         anchor rows alone (keys and values still come from every row) and
         skips the global stream. The ``long_to_long`` count also has the
         masked slots that reach across a run of empty slots, at most r(r+1)
@@ -203,14 +247,22 @@ class StepwiseEtc:
         glob = take(self.params.global_kind, assembly.global_kind)
         last = len(self.params.layers) - 1
         for i, layer in enumerate(self.params.layers):
-            long, glob = etc_global_local_attention(
+            rows = assembly.candidate_anchor if i == last else None
+            split = i == 0 and fixed is not None
+            if split:
+                rows = self._layer0_queries(assembly)[1]
+                if rows.size == 0:  # one layer, and every anchor is fixed
+                    return fixed
+            out, glob = etc_global_local_attention(
                 long, glob, assembly.sentence_id, layer, self.attention,
-                pattern=pattern.at(assembly.candidate_anchor) if i == last else pattern,
+                pattern=pattern if rows is None else pattern.at(rows),
+                update_global=i < last,
             )
+            long = concat([fixed, out], axis=0) if split else out
         return long
 
     def score_candidates(self, contextual: Tensor) -> Tensor:
         return reshape(matmul(contextual, self.params.scorer_w), (contextual.shape[0],))
 
-    def logits(self, assembly: EtcAssembly) -> Tensor:
-        return self.score_candidates(self.etc_encode(assembly))
+    def logits(self, assembly: EtcAssembly, fixed: Tensor | None = None) -> Tensor:
+        return self.score_candidates(self.etc_encode(assembly, fixed))

@@ -40,7 +40,6 @@ class RougeScore:
     precision: float
     recall: float
     f1: float
-    empty_reference: bool = False
 
 
 @dataclass(frozen=True)
@@ -48,7 +47,6 @@ class CsResult:
     precision: float
     recall: float
     f1: float
-    empty_generated: bool = False
 
 
 def _f1(p: float, r: float) -> float:
@@ -75,7 +73,7 @@ def rouge_n(candidate: Sequence[str], reference: Sequence[str], n: int) -> Rouge
     if n < 1:
         raise ValueError("n must be at least 1")
     if len(reference) < n:
-        return RougeScore(0.0, 0.0, 0.0, empty_reference=True)
+        return RougeScore(0.0, 0.0, 0.0)
     return RougeScore(*_prf(_overlap(candidate, reference, n),
                             len(candidate) - n + 1, len(reference) - n + 1))
 
@@ -115,7 +113,7 @@ def _lcs_length(a: Sequence, b: Sequence) -> int:
 def rouge_l(candidate: Sequence[str], reference: Sequence[str]) -> RougeScore:
     """Longest-common-subsequence precision/recall/F1."""
     if not reference:
-        return RougeScore(0.0, 0.0, 0.0, empty_reference=True)
+        return RougeScore(0.0, 0.0, 0.0)
     return RougeScore(*_prf(_lcs_length(candidate, reference),
                             len(candidate), len(reference)))
 
@@ -184,7 +182,7 @@ def cs_scores(gen: Sequence[RecordRef], ref: Sequence[RecordRef],
         gen = [r for r in gen if r.type not in PLAN_FILTER_TYPES]
         ref = [r for r in ref if r.type not in PLAN_FILTER_TYPES]
     if not gen:
-        return CsResult(0.0, 0.0, 0.0, empty_generated=True)
+        return CsResult(0.0, 0.0, 0.0)
     overlap = sum((Counter(gen) & Counter(ref)).values())
     p = overlap / len(gen)
     r = overlap / len(ref) if ref else 0.0

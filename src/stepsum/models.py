@@ -4,17 +4,20 @@
 prefix) pairs, it returns one logit per candidate for each pair, and it is
 the only place that tells the encoders apart. The hierarchical encoder
 scores all pairs in one padded document-encoder pass, after one
-sentence-encoder pass over their distinct documents; the flat encoder
-assembles and encodes each pair on its own. Training, validation and decode
-all score through it. ``ModelStepScorer`` adapts it to the decoder protocol:
-it keeps what is prefix-independent (the hierarchical encoder's unit
-vectors) and memoizes each prefix's log-probabilities, so a decode runs the
-model once per distinct prefix and scores a beam depth's new prefixes in
-one call.
+sentence-encoder pass over their distinct documents. The flat encoder
+assembles and encodes each pair on its own, except its first layer's
+prefix-independent rows (``StepwiseEtc.fixed_part``), which it computes
+once per (document, global kinds) group of pairs. Training, validation and
+decode all score through it. ``ModelStepScorer`` adapts it to the decoder
+protocol: it keeps what is prefix-independent (the hierarchical encoder's
+unit vectors, the flat encoder's fixed parts) across calls and memoizes
+each prefix's log-probabilities, so a decode runs the model once per
+distinct prefix and scores a beam depth's new prefixes in one call.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Sequence
 
 import numpy as np
@@ -102,9 +105,14 @@ def score_pairs(model: Model, cfg: RunConfig, vocab: Vocab,
                 reps_cache: dict | None = None) -> list[Tensor]:
     """Candidate logits, one 1-D tensor per (document, plan prefix) pair.
 
-    ``reps_cache``, when given, keeps the hierarchical encoder's unit
-    vectors across calls on the same documents. A flat-encoder pair that
-    does not fit its layout is an error (``assemble_for``).
+    ``reps_cache``, when given, keeps what is prefix-independent across
+    calls on the same documents: the hierarchical encoder's unit vectors,
+    and the flat encoder's fixed part per (document, global kinds) key,
+    computed even for a key one pair uses, since later calls may reuse it.
+    Without it, a fixed part is computed only for a key two or more pairs
+    share; a lone pair computes its first layer whole, which costs fewer
+    ops than the two parts. A flat-encoder pair that does not fit its
+    layout is an error (``assemble_for``).
     """
     if isinstance(model, StepwiseHibert):
         starts: dict[int, int] = {}
@@ -125,7 +133,14 @@ def score_pairs(model: Model, cfg: RunConfig, vocab: Vocab,
         width = logits.shape[1]
         flat = reshape(logits, (len(pairs) * width,))
         return [narrow(flat, 0, b * width, len(rows)) for b, rows in enumerate(docs)]
-    return [model.logits(assemble_for(cfg, vocab, doc, prefix)) for doc, prefix in pairs]
+    assemblies = [assemble_for(cfg, vocab, doc, prefix) for doc, prefix in pairs]
+    keys = [(id(doc), asm.global_kind.tobytes()) for (doc, _), asm in zip(pairs, assemblies)]
+    cache = {} if reps_cache is None else reps_cache
+    shared = Counter(keys)
+    for key, asm in zip(keys, assemblies):
+        if key not in cache and (reps_cache is not None or shared[key] > 1):
+            cache[key] = model.fixed_part(asm)
+    return [model.logits(asm, cache.get(key)) for key, asm in zip(keys, assemblies)]
 
 
 def log_softmax(values: np.ndarray) -> np.ndarray:

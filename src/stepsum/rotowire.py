@@ -112,7 +112,6 @@ class RotowireGame:
     date: tuple[int, int, int, int]  # year, month, day, weekday (Monday = 0)
     teams: list[TeamEntry]
     players: list[PlayerEntry]
-    reference_summary: list[str] | None = None
     warnings: list[str] = field(default_factory=list)
 
 
@@ -218,7 +217,6 @@ def parse_game(raw: dict) -> RotowireGame:
                                           "weekday": 4}), "date"),
         teams=teams,
         players=players,
-        reference_summary=list(raw["summary"]) if "summary" in raw else None,
         warnings=warnings,
     )
 

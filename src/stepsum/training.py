@@ -31,7 +31,6 @@ class TrainResult:
     best_step: int
     best_valid_loss: float
     history: list[tuple[int, float, float]] = field(default_factory=list)
-    stopped_early: bool = False
 
 
 def _chunk_logits(model: Model, cfg: RunConfig, vocab: Vocab,
@@ -84,7 +83,6 @@ def train(cfg: RunConfig, model: Model, vocab: Vocab,
     best_valid = float("inf")
     history: list[tuple[int, float, float]] = []
     running_loss = 0.0
-    stopped_early = False
 
     last_dir = os.path.join(out_dir, "last") if out_dir else None
     best_dir = os.path.join(out_dir, "best") if out_dir else None
@@ -125,7 +123,6 @@ def train(cfg: RunConfig, model: Model, vocab: Vocab,
                     if best_dir:
                         save_checkpoint(best_dir, params, cfg, vocab.id_to_token)
                 if stop_check is not None and stop_check(model, step):
-                    stopped_early = True
                     break
     except NonFiniteError as e:
         raise TrainingDiverged(
@@ -133,4 +130,4 @@ def train(cfg: RunConfig, model: Model, vocab: Vocab,
             f"last checkpoint retained"
         ) from e
 
-    return TrainResult(step, best_step, best_valid, history, stopped_early)
+    return TrainResult(step, best_step, best_valid, history)

@@ -13,16 +13,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from stepsum.attention import NO_GLOBAL
-from stepsum.etc_encoder import (
-    GLOBAL_DELIM,
-    GLOBAL_DOC,
-    GLOBAL_SPECIAL,
-    GLOBAL_SUM,
-    SEG_DOC,
-    SEG_SPECIAL,
-    SEG_SUM,
-)
+from stepsum.etc_encoder import GLOBAL_DELIM, GLOBAL_DOC, GLOBAL_SPECIAL, GLOBAL_SUM
 
+# segment ids of the padded layout; the compact one has no segments, and
+# the padding segment marks the rows it does not build
+SEG_SPECIAL = 0
+SEG_DOC = 1
+SEG_SUM = 2
 SEG_PAD = 3
 
 

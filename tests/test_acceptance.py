@@ -223,8 +223,8 @@ def test_criterion_9_reproducibility(tmp_path):
     resaved = tmp_path / "resaved"
     from stepsum.autodiff import Tensor
 
-    tensors = {e["name"]: Tensor(arrays[e["name"]], requires_grad=True)
-               for e in manifest.tensors}
+    # ``arrays`` holds the tensors in payload order
+    tensors = {name: Tensor(data, requires_grad=True) for name, data in arrays.items()}
     save_checkpoint(str(resaved), tensors, manifest.config, manifest.vocab)
     for name in ("manifest.json", "params.bin"):
         if (ckpt / name).read_bytes() != (resaved / name).read_bytes():

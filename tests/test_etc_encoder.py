@@ -7,11 +7,7 @@ from hypothesis import strategies as st
 from stepsum.autodiff import Tape, backward, mul, narrow, sum_all
 from stepsum.config import config_from_dict
 from stepsum.data import PreparedDoc, Vocab
-from stepsum.etc_encoder import (
-    SEG_SUM,
-    StepwiseEtc,
-    assemble_input,
-)
+from stepsum.etc_encoder import StepwiseEtc, assemble_input
 from stepsum.models import trim_for_flat_budget
 from stepsum.plan import END_STEP, unit_step
 
@@ -48,9 +44,15 @@ def test_paper_scale_budget_arithmetic():
     assert asm.position[-1] + 1 == 6141 + 2048 + 3 == 8192
 
 
+def plan_rows(asm, long_budget=32):
+    """Rows of the plan segment: past the first [SEP] (slot 1 + long_budget),
+    before the closing one."""
+    return np.flatnonzero(asm.position > 1 + long_budget)[:-1]
+
+
 def test_empty_plan_layout_valid():
     asm = assemble([[10, 11], [12]], [])
-    sum_rows = np.flatnonzero(asm.segment == SEG_SUM)
+    sum_rows = plan_rows(asm)
     assert asm.position[sum_rows].tolist() == [34]  # only the begin marker
     assert asm.long_ids[sum_rows].tolist() == [IDS["beg_id"]]
 
@@ -67,7 +69,7 @@ def test_hand_checked_delimiter_positions():
 def test_layout_is_deterministic():
     a = assemble([[10, 11], [12, 13]], [[12, 13]])
     b = assemble([[10, 11], [12, 13]], [[12, 13]])
-    for name in ("long_ids", "position", "sentence_id", "segment", "global_kind",
+    for name in ("long_ids", "position", "sentence_id", "global_kind",
                  "candidate_anchor"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
@@ -105,7 +107,7 @@ def test_budget_monotonicity_plan_never_displaces_document():
     no_plan = assemble([[10, 11, 12], [13, 14]], [])
     with_plan = assemble([[10, 11, 12], [13, 14]], [[13, 14], [3]])
     doc_rows = slice(0, int(np.searchsorted(no_plan.position, 33)))
-    for name in ("long_ids", "position", "sentence_id", "segment"):
+    for name in ("long_ids", "position", "sentence_id"):
         assert np.array_equal(getattr(no_plan, name)[doc_rows],
                               getattr(with_plan, name)[doc_rows]), name
     assert np.array_equal(no_plan.candidate_anchor, with_plan.candidate_anchor)
@@ -118,12 +120,12 @@ def test_global_assignment_and_overflow():
     assert asm.global_kind.size == 5
     assert asm.sentence_id[asm.candidate_anchor[-1]] == -1
     # delimiters, begin marker and summary sentence got nothing (cap hit)
-    assert (asm.sentence_id[asm.segment == SEG_SUM] == -1).all()
+    assert (asm.sentence_id[plan_rows(asm)] == -1).all()
 
 
 def test_sentence_grouping_in_plan_segment():
     asm = assemble([[10], [11]], [[10], [3], [11]])  # unit, break, unit
-    sum_rows = np.flatnonzero(asm.segment == SEG_SUM)
+    sum_rows = plan_rows(asm)
     sids = asm.sentence_id[sum_rows]
     # begin marker has its own global; the break closes the first sentence
     assert sids[0] != sids[1]
@@ -174,7 +176,7 @@ def test_compact_layout_equals_padded_reference_at_its_rows(args):
     asm = assemble_input(**args, **IDS)
     rows = np.flatnonzero(ref.active)
     assert np.array_equal(asm.position, rows)
-    for name in ("long_ids", "sentence_id", "segment"):
+    for name in ("long_ids", "sentence_id"):
         assert np.array_equal(getattr(asm, name), getattr(ref, name)[rows]), name
     assert np.array_equal(asm.global_kind, ref.global_kind)
     assert np.array_equal(rows[asm.candidate_anchor], ref.candidate_anchor)

@@ -22,7 +22,7 @@ from stepsum.attention import (
     init_glocal_layer,
     score_counter,
 )
-from stepsum.autodiff import Tape, Tensor, backward, cross_entropy, mul, sum_all, take
+from stepsum.autodiff import Tape, Tensor, add, backward, cross_entropy, mul, sum_all, take
 from stepsum.config import config_from_dict
 from stepsum.data import (
     Vocab,
@@ -87,23 +87,30 @@ def test_layer_at_rows_matches_full_layer(name):
     glob = Tensor(rng.normal(size=(n_glob, dim)), requires_grad=True)
     sid = np.minimum(np.arange(n) // 3, n_glob - 1)
     probe = Tensor(rng.normal(size=(len(rows), dim)))
+    glob_probe = Tensor(rng.normal(size=(n_glob, dim)))
     full = (band_pattern(positions, radius) if active is None
             else band_pattern(positions, radius, active))
     params = {"long": long, "glob": glob, "relpos": layer.attn.relpos,
               "wq": layer.attn.wq, "wo": layer.attn.wo, "ffn": layer.ffn.w1,
               "ln": layer.ln_ffn.gain}
 
-    def loss(pattern, gather):
+    def loss(pattern, update_global):
         out, glob_out = etc_global_local_attention(long, glob, sid, layer, cfg,
-                                                   pattern=pattern)
-        if gather:
+                                                   pattern=pattern,
+                                                   update_global=update_global)
+        if pattern.rows is None:
             out = take(out, np.asarray(rows))
-        else:
+        total = sum_all(mul(out, probe))
+        if not update_global:
             assert glob_out is None
-        return sum_all(mul(out, probe))
+            return total
+        return add(total, sum_all(mul(glob_out, glob_probe)))
 
-    assert_same(gradients(params, lambda: loss(full.at(rows), False)),
-                gradients(params, lambda: loss(full, True)))
+    # which rows query and whether the global stream is updated are apart:
+    # the anchor-row last layer has neither, etc's split first layer both
+    for update_global in (False, True):
+        assert_same(gradients(params, lambda: loss(full.at(rows), update_global)),
+                    gradients(params, lambda: loss(full, update_global)))
 
 
 def test_band_at_rejects_unordered_rows():

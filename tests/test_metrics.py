@@ -45,7 +45,7 @@ def test_rouge_2_hand_case():
 
 def test_rouge_short_reference_flagged():
     r = rouge_n(["a", "b"], ["a"], 2)
-    assert r.f1 == 0.0 and r.empty_reference
+    assert (r.precision, r.recall, r.f1) == (0.0, 0.0, 0.0)
 
 
 def test_rouge_l_identical():
@@ -134,8 +134,9 @@ def test_rouge_edge_cases_match_reference():
                       ([], []), (["a"], []), (["b", "a"], ["a", "b"])]:
         assert mean_rouge_f1(cand, ref) == old.mean_rouge_f1(cand, ref)
     r = rouge_l([], ["a"])
-    assert (r.precision, r.recall, r.f1, r.empty_reference) == (0.0, 0.0, 0.0, False)
-    assert rouge_l(["a"], []).empty_reference
+    assert (r.precision, r.recall, r.f1) == (0.0, 0.0, 0.0)
+    r = rouge_l(["a"], [])
+    assert (r.precision, r.recall, r.f1) == (0.0, 0.0, 0.0)
 
 
 # -- edit distance ---------------------------------------------------------------
@@ -214,7 +215,7 @@ def test_cs_multiset_duplicates():
 
 def test_cs_empty_generated_flagged():
     out = cs_scores([], [r("a", "T1")])
-    assert out.precision == 0.0 and out.empty_generated
+    assert (out.precision, out.recall, out.f1) == (0.0, 0.0, 0.0)
 
 
 def test_cs_filter_drops_name_city_date():

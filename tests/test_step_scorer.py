@@ -7,7 +7,11 @@ from hibert_reference import reference_logits
 from stepsum.acceptance import table3_game
 from stepsum.config import config_from_dict
 from stepsum.data import Vocab, prepare_cnndm, prepare_rotowire, rotowire_corpus_sentences
-from stepsum.decoding import DecodeConstraints, beam_decode
+from stepsum.decoding import (
+    DecodeConstraints,
+    beam_decode,
+    greedy_decode_with_repeat_exceptions,
+)
 from stepsum.etc_encoder import StepwiseEtc
 from stepsum.hibert import StepwiseHibert
 from stepsum.models import (
@@ -99,6 +103,23 @@ def count_calls(monkeypatch, cls, name):
     return calls
 
 
+def etc_table_setup():
+    """An untrained table model whose greedy decodes run all 20 steps, no break."""
+    cfg = config_from_dict(dict(
+        task="rotowire", encoder="etc", dim=16, ffn_dim=32, max_sent_len=12,
+        max_plan_len=24, long_budget=240, summary_budget=240, global_cap=64,
+        local_radius=4, max_units=62, max_steps=20, seed=5))
+    small = table3_game()
+    small["id"] = "table3-one-player"
+    small["players"] = small["players"][:1]
+    games = [parse_game(table3_game()), parse_game(small)]
+    vocab = Vocab.from_corpus(rotowire_corpus_sentences(games, cfg.max_units))
+    preps = [trim_for_flat_budget(prepare_rotowire(g, vocab, max_units=cfg.max_units,
+                                                   max_sent_len=cfg.max_sent_len), cfg, vocab)
+             for g in games]
+    return cfg, vocab, build_model(cfg, len(vocab)), preps
+
+
 @pytest.mark.parametrize("encoder", ["hibert", "etc"])
 def test_decode_forward_counts(monkeypatch, encoder):
     cfg, vocab, model, preps = doc_setup(encoder)
@@ -106,14 +127,32 @@ def test_decode_forward_counts(monkeypatch, encoder):
                "etc": (StepwiseEtc, "etc_encode")}[encoder]
     forwards = count_calls(monkeypatch, *forward)
     asked = count_calls(monkeypatch, ModelStepScorer, "step_log_probs_batch")
+    fixed = count_calls(monkeypatch, StepwiseEtc, "fixed_part")
     for prep in preps:
         forwards.clear()
         asked.clear()
+        fixed.clear()
         scorer = ModelStepScorer(model, cfg, vocab, prep)
         beam_decode(scorer, 3, 4, DecodeConstraints())
         distinct = {prefix for (prefixes,) in asked for prefix in prefixes}
         if encoder == "hibert":
             # every live prefix of a depth shares one document-encoder pass
             assert len(forwards) <= 4 < len(distinct)
-        else:
-            assert len(forwards) == len(distinct)
+            continue
+        assert len(forwards) == len(distinct)
+        # layer 0's fixed rows: once per distinct (document, global kinds) key
+        keys = {assemble_for(cfg, vocab, prep, p).global_kind.tobytes() for p in distinct}
+        assert len(fixed) == len(keys) < len(distinct)
+        for prefix in distinct:
+            fresh = ModelStepScorer(model, cfg, vocab, prep)
+            assert np.array_equal(scorer.step_log_probs(prefix),
+                                  fresh.step_log_probs(prefix)), prefix
+    if encoder == "etc":
+        cfg, vocab, model, preps = etc_table_setup()
+        for prep in preps:
+            fixed.clear()
+            steps = greedy_decode_with_repeat_exceptions(
+                ModelStepScorer(model, cfg, vocab, prep), cfg.max_steps)
+            assert len(steps) == 20 and BREAK_STEP not in steps
+            # the empty prefix, then every prefix with its one plan global
+            assert len(fixed) == 2
