@@ -18,17 +18,22 @@ import numpy as np
 from . import autodiff as ad
 from .attention import (
     AttentionConfig,
+    Segments,
     band_pattern,
     banded_apply,
     banded_pair_count,
     banded_scores,
     bucket_matrix,
     etc_global_local_attention,
+    global_apply,
+    global_attention,
+    global_scores,
     glocal_attention,
     init_glocal_layer,
     init_mha,
     multi_head_attention,
     score_counter,
+    segment_softmax,
 )
 from .autodiff import Tape, Tensor, backward, cross_entropy
 from .config import config_from_dict
@@ -80,20 +85,26 @@ def toy_hibert(seed: int = 5) -> tuple[StepwiseHibert, list[list[int]]]:
     return StepwiseHibert(cfg, 50, rng), units
 
 
-def toy_etc(seed: int = 6) -> tuple[StepwiseEtc, "object"]:
+def toy_etc(seed: int = 6) -> tuple[StepwiseEtc, list]:
+    """A two-layer flat model and two pairs of different documents.
+
+    The second document is shorter and its prefix holds two plan sentences,
+    so the two assemblies differ in rows, globals and candidates.
+    """
     cfg = config_from_dict({"encoder": "etc", "dim": 16, "num_heads": 2, "ffn_dim": 32,
                             "etc_layers": 2, "long_budget": 40, "summary_budget": 16,
                             "global_cap": 16, "local_radius": 3, "relpos_vocab_size": 12,
                             "relpos_max_distance": 4})
     rng = np.random.default_rng(seed)
     doc_units = [[int(t) for t in rng.integers(7, 50, size=6)] for _ in range(4)]
+    short_units = [[int(t) for t in rng.integers(7, 50, size=4)] for _ in range(2)]
     model = StepwiseEtc(cfg, 50, rng)
-    assembly = assemble_input(
-        doc_units, [doc_units[1]], [[2]], 1,
-        long_budget=cfg.long_budget, summary_budget=cfg.summary_budget,
-        global_cap=cfg.global_cap, cls_id=5, sep_id=6, beg_id=4, eos_id=3,
-    )
-    return model, assembly
+    layout = dict(long_budget=cfg.long_budget, summary_budget=cfg.summary_budget,
+                  global_cap=cfg.global_cap, cls_id=5, sep_id=6, beg_id=4, eos_id=3)
+    assemblies = [assemble_input(doc_units, [doc_units[1]], [[2]], 1, **layout),
+                  assemble_input(short_units, [short_units[0], [3], short_units[1]], [[2]],
+                                 1, **layout)]
+    return model, assemblies
 
 
 def table3_game() -> dict:
@@ -195,11 +206,50 @@ def _op_cases(seed: int):
     cases.append(("banded", {"q": bq, "k": bk, "v": bv},
                   lambda: banded_loss(band_pattern(np.arange(6), 2))))
     # a one-position gap inside the radius: some pairs attend across it and
-    # some index-offset slots are masked; then padding marked inactive
+    # some index-offset slots are masked; then two examples of one stream,
+    # 3 positions apart, so no slot links them
     gapped = band_pattern(np.array([0, 1, 2, 4, 5, 6]), 2)
-    padded = band_pattern(np.arange(6), 2, np.array([1, 1, 0, 1, 1, 1], dtype=bool))
+    two = band_pattern(np.array([0, 1, 2, 5, 6, 7]), 2)
     cases.append(("banded_gapped", {"q": bq, "k": bk, "v": bv},
-                  lambda: ad.add(banded_loss(gapped), banded_loss(padded))))
+                  lambda: ad.add(banded_loss(gapped), banded_loss(two))))
+
+    # the per-example ops: two examples, 2 + 3 query rows over 2 + 3 globals
+    # and 3 + 4 long rows; slots past an example's globals are probed by 0
+    q_off, g_off = np.array([0, 2, 5]), np.array([0, 2, 5])
+    gq, gk_t, gv = t(2, 5, 3), t(2, 3, 5), t(2, 5, 3)
+    live = np.zeros((2, 5, 3))
+    live[:, :2, :2] = live[:, 2:, :] = 1.0
+    probe = Tensor(rng.normal(size=(2, 5, 3)) * live)
+    cases.append(("global_scores", {"q": gq, "k_t": gk_t},
+                  lambda: ad.sum_all(ad.mul(ad.mul(global_scores(gq, gk_t, q_off, g_off),
+                                                   probe),
+                                            global_scores(gq, gk_t, q_off, g_off)))))
+    gw = t(2, 5, 3)
+    cases.append(("global_apply", {"weights": gw, "v": gv},
+                  lambda: ad.sum_all(ad.mul(global_apply(gw, gv, q_off, g_off),
+                                            global_apply(gw, gv, q_off, g_off)))))
+    sx = t(2, 5, 6)
+    cases.append(("segment_softmax", {"x": sx},
+                  lambda: ad.sum_all(ad.mul(segment_softmax(sx, q_off, np.array([4, 6])),
+                                            sx))))
+    acfg = AttentionConfig(num_heads=2, model_dim=6, local_radius=1, relpos_vocab_size=12,
+                           max_distance=4)
+    segments = Segments.of([3, 4], [2, 3])
+    sid = np.array([0, 1, -1, 0, 1, 2, 2])
+    kl, vl, table = t(2, 7, 3), t(2, 7, 3), t(12, 2)
+    cases.append(("global_attention",
+                  {"qg": gq, "kg_t": gk_t, "vg": gv, "kl": kl, "vl": vl, "relpos": table},
+                  lambda: ad.sum_all(ad.mul(*[global_attention(
+                      gq, gk_t, gv, kl, vl, table, segments, sid, acfg)] * 2))))
+    ra, rb = t(4, 3), t(3, 3)
+    pieces = [(rb, 1, 2), (ra, 0, 3), (rb, 1, 2), (ra, 3, 1)]
+    cases.append(("concat_rows", {"a": ra, "b": rb},
+                  lambda: ad.sum_all(ad.mul(ad.concat_rows(pieces), ad.concat_rows(pieces)))))
+    sa, sw = t(5, 3), t(3, 1)
+    runs = np.array([0, 2, 2, 5])
+    cases.append(("segment_matmul", {"a": sa, "w": sw},
+                  lambda: ad.sum_all(ad.mul(ad.segment_matmul(sa, sw, runs),
+                                            ad.segment_matmul(sa, sw, runs)))))
     return cases
 
 
@@ -232,11 +282,18 @@ def criterion_gradient_suite(samples_per_tensor: int = 8) -> tuple[bool, str]:
     if fails:
         failures.append(f"hibert encoder: {len(fails)} mismatches, first {fails[0]}")
 
-    em, asm = toy_etc()
-    fails = check_gradients(
-        lambda: cross_entropy(em.logits(asm), 1),
-        em.named_parameters(), samples_per_tensor=samples_per_tensor,
-        rng=np.random.default_rng(2))
+    em, assemblies = toy_etc()
+    # two pairs of different documents in one stream call
+    counts = [a.candidate_anchor.size for a in assemblies]
+
+    def etc_loss():
+        logits = em.logits(assemblies)
+        return ad.add(cross_entropy(ad.narrow(logits, 0, 0, counts[0]), 1),
+                      cross_entropy(ad.narrow(logits, 0, counts[0], counts[1]), 2))
+
+    fails = check_gradients(etc_loss, em.named_parameters(),
+                            samples_per_tensor=samples_per_tensor,
+                            rng=np.random.default_rng(2))
     if fails:
         failures.append(f"etc encoder: {len(fails)} mismatches, first {fails[0]}")
 

@@ -2,18 +2,25 @@
 
 The banded long-to-long path computes each query's clipped window as 2r+1
 index-offset slots, one contiguous slice product per offset, so its cost is
-linear in sequence length for a fixed radius; a mask drops slots that touch
-padding or lie past the radius in original position. A band may also hold
+linear in sequence length for a fixed radius; a mask drops slots whose rows
+lie more than the radius apart in original position. A band may also hold
 the queries of some rows only, while its keys stay every row: a stack's last
 layer computes the rows its reader uses, and the flat encoder's first layer
 splits its rows into a prefix-independent run and the rest. A contiguous run
 of query rows still indexes with slices; scattered rows index with integer
 arrays. Whether a global-local layer updates the global stream is its own
-switch, apart from which rows query. A module-level counter
-tracks how many (query, key) score entries each call actually evaluates, per
-attention part, masked slots included, which lets tests pin the sparse paths
-to their closed-form pattern sizes. Head count is a constant factor and is
-excluded from the counts.
+switch, apart from which rows query.
+
+A global-local call may carry several examples end to end (``Segments``):
+their long rows in one stream and their global rows in another. Position
+distance keeps the band within an example, and the two global parts loop
+over the examples inside one op each, so every row-wise step (projections,
+band, layer norm, feed-forward) runs once over all examples, and each
+example's products have the shapes they have on their own. A module-level
+counter tracks how many (query, key) score entries each call actually
+evaluates, per attention part, masked slots included, which lets tests pin
+the sparse paths to their closed-form pattern sizes. Head count is a
+constant factor and is excluded from the counts.
 
 Heads ride along as an array axis: projections are split into
 [... x heads x len x head_dim] once, every attention part runs on all heads
@@ -35,6 +42,7 @@ from .autodiff import (
     apply_op,
     bias_at,
     concat,
+    concat_rows,
     gelu,
     layer_norm,
     linear,
@@ -316,27 +324,27 @@ def multi_head_attention(q_in: Tensor, k_in: Tensor, v_in: Tensor, mask: np.ndar
 class BandPattern:
     """A clipped local window laid out as [queries x (2r+1)] index-offset slots.
 
-    Keys are the ``length`` rows of a stream, and ``active`` marks which of
-    them exist (a padded stream's padding does not). A full band has one
-    query per row; a band ``at`` some rows has queries at those rows only,
-    and ``rows`` names them. ``start`` is the first query row when the
-    queries are one contiguous run of rows (every full band), else None.
-    Slot ``w`` of the query at row ``i`` is key row ``i + w - r``. ``valid``
-    marks the slots that attend: both rows exist and are active, and their
-    original positions lie within ``radius`` of each other. ``offsets`` holds
-    each slot's original-position offset, which ``band_labels`` clips; it is
-    meaningful only where ``valid`` holds. Positions are strictly increasing,
-    so every pair within ``radius`` in position is within ``radius`` in index
-    and owns a slot.
+    Keys are the ``length`` rows of a stream. A full band has one query per
+    row; a band ``at`` some rows has queries at those rows only, and
+    ``rows`` names them. ``runs`` lists the queries as runs of consecutive
+    rows, ``(first query, first row, length)``, or is None for scattered
+    rows: runs as long as the window on average index with slices, shorter
+    ones (a stack's anchors) with integer arrays. Slot ``w`` of the query at
+    row ``i`` is key row ``i + w - r``. ``valid`` marks the slots that
+    attend: the key row exists and the two rows' original positions lie
+    within ``radius`` of each other. ``offsets`` holds each slot's
+    original-position offset, which ``band_labels`` clips; it is meaningful
+    only where ``valid`` holds. Positions are strictly increasing, so every
+    pair within ``radius`` in position is within ``radius`` in index and
+    owns a slot.
     """
 
     radius: int
     valid: np.ndarray
     offsets: np.ndarray
     length: int
-    active: np.ndarray
+    runs: tuple[tuple[int, int, int], ...] | None
     rows: np.ndarray | None = None  # None: every row is a query, in order
-    start: int | None = 0
 
     @property
     def width(self) -> int:
@@ -352,58 +360,73 @@ class BandPattern:
         rows = np.asarray(rows, dtype=np.int64)
         if self.rows is not None or np.any(np.diff(rows) <= 0):
             raise ValueError("a band's query rows come from a full band, strictly increasing")
-        start = int(rows[0]) if rows.size else 0
-        if rows.size and rows[-1] - start + 1 != rows.size:
-            start = None  # scattered rows
+        starts = np.flatnonzero(np.diff(rows, prepend=-2) != 1)
+        runs = None
+        if rows.size >= self.width * starts.size:
+            ends = np.append(starts[1:], rows.size)
+            runs = tuple((int(a), int(rows[a]), int(b - a)) for a, b in zip(starts, ends))
         return BandPattern(self.radius, self.valid[rows], self.offsets[rows], self.length,
-                           self.active, rows, start)
+                           runs, rows)
 
     def query_rows(self, x: Tensor) -> Tensor:
         """The rows of the [length x ...] stream ``x`` that query this band."""
         if self.rows is None:
             return x
-        if self.start is not None:
-            return narrow(x, 0, self.start, self.rows.size)
-        return take(x, self.rows)
+        if self.runs is None:
+            return take(x, self.rows)
+        return concat_rows([(x, row, n) for _, row, n in self.runs])
 
 
-def band_pattern(positions: np.ndarray, radius: int,
-                 active: np.ndarray | None = None) -> BandPattern:
+def band_pattern(positions: np.ndarray, radius: int) -> BandPattern:
     """Full band over rows at strictly increasing original ``positions``.
 
-    A padded stream passes ``np.arange(len)`` and marks its padding inactive;
-    a compacted stream passes the original positions of the rows it kept, so
-    compaction changes neither which pairs attend nor their labels.
+    A compacted stream passes the original positions of the rows it kept,
+    so compaction changes neither which pairs attend nor their labels; rows
+    more than ``radius`` apart in position never attend, which is what
+    keeps the examples of one stream apart.
     """
     pos = np.asarray(positions, dtype=np.int64)
     n = pos.size
-    act = np.ones(n, dtype=bool) if active is None else np.asarray(active, dtype=bool)
     nb = np.arange(n)[:, None] + np.arange(-radius, radius + 1)
     inside = (nb >= 0) & (nb < n)
     nb = np.clip(nb, 0, max(n - 1, 0))
     offsets = pos[nb] - pos[:, None]
-    valid = inside & act[:, None] & act[nb] & (np.abs(offsets) <= radius)
-    return BandPattern(radius, valid, offsets, n, act)
+    return BandPattern(radius, inside & (np.abs(offsets) <= radius), offsets, n,
+                       ((0, 0, n),))
+
+
+# query rows per block of the band ops: a block's rows of the queries, keys
+# and their gradients stay in a core's L2 cache across the 2r+1 offsets
+BAND_BLOCK = 512
 
 
 def _offset_slices(pat: BandPattern):
     """(slot, query index, key index) of every window offset some query has.
 
-    Queries in one contiguous run of rows index with slices. Scattered query
+    Queries go in blocks of at most ``BAND_BLOCK`` rows, every offset of a
+    block before the next block; a query's slots still come in offset
+    order. Runs of consecutive query rows index with slices. Scattered query
     rows index with integer arrays; they are distinct, so within one offset
     their key rows are too, and scatter-adds through them are exact.
     """
-    n, m, s = pat.length, pat.valid.shape[0], pat.start
-    for w in range(pat.width):
-        o = w - pat.radius
-        if s is not None:
-            lo, hi = max(0, -o - s), min(m, n - o - s)
-            if lo < hi:
-                yield w, slice(lo, hi), slice(s + lo + o, s + hi + o)
-        else:
-            qi = np.flatnonzero((pat.rows + o >= 0) & (pat.rows + o < n))
+    n, r = pat.length, pat.radius
+    if pat.runs is not None:
+        for q0, r0, size in pat.runs:
+            for b0 in range(0, size, BAND_BLOCK):
+                b1 = min(size, b0 + BAND_BLOCK)
+                for w in range(pat.width):
+                    lo, hi = max(b0, r - w - r0), min(b1, n + r - w - r0)
+                    if lo < hi:
+                        yield (w, slice(q0 + lo, q0 + hi),
+                               slice(r0 + lo + w - r, r0 + hi + w - r))
+        return
+    for b0 in range(0, pat.rows.size, BAND_BLOCK):
+        rows = pat.rows[b0:b0 + BAND_BLOCK]
+        for w in range(pat.width):
+            keys = rows + w - r
+            qi = np.flatnonzero((keys >= 0) & (keys < n))
             if qi.size:
-                yield w, qi, pat.rows[qi] + o
+                yield w, b0 + qi, keys[qi]
 
 
 def banded_scores(q: Tensor, k: Tensor, pat: BandPattern) -> Tensor:
@@ -479,59 +502,239 @@ def membership_labels(sentence_id: np.ndarray, n_global: int,
     return np.where(member, cfg.member_label, cfg.other_label)
 
 
+@dataclass(frozen=True)
+class Segments:
+    """Examples laid end to end in a (long, global) pair of streams.
+
+    Example ``b`` owns long rows ``long[b]:long[b + 1]`` and global rows
+    ``glob[b]:glob[b + 1]``, and its sentence ids number its own global rows
+    from 0. Its long rows attend to its own globals, and its globals to its
+    own globals and long rows. The band keeps examples apart by position
+    alone, so each example's positions start more than the radius past the
+    previous example's last one.
+    """
+
+    long: np.ndarray
+    glob: np.ndarray
+
+    @classmethod
+    def of(cls, long_sizes, glob_sizes) -> "Segments":
+        def offsets(sizes) -> np.ndarray:
+            return np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+
+        return cls(offsets(long_sizes), offsets(glob_sizes))
+
+
+def _spans(q_off: np.ndarray, g_off: np.ndarray):
+    """(query rows, global rows, global count) of every example with queries."""
+    for b in range(q_off.size - 1):
+        if q_off[b] < q_off[b + 1]:
+            yield (slice(q_off[b], q_off[b + 1]), slice(g_off[b], g_off[b + 1]),
+                   int(g_off[b + 1] - g_off[b]))
+
+
+def _swap(x: np.ndarray) -> np.ndarray:
+    return np.swapaxes(x, -1, -2)
+
+
+def global_scores(q: Tensor, k_t: Tensor, q_off: np.ndarray, g_off: np.ndarray) -> Tensor:
+    """Long-to-global scores [heads x queries x G], G the most globals of an example.
+
+    The queries ``q_off[b]:q_off[b + 1]`` of [heads x queries x d] take one
+    product with their example's key columns ``g_off[b]:g_off[b + 1]`` of
+    [heads x d x globals]. Slots past an example's own globals hold the mask
+    value and pass no gradient.
+    """
+    qd, kd = q.data, k_t.data
+    spans = list(_spans(q_off, g_off))
+    out = np.full((qd.shape[0], qd.shape[1], int(np.diff(g_off).max())), MASK_NEG)
+    for qs, gs, n in spans:
+        out[:, qs, :n] = qd[:, qs] @ kd[:, :, gs]
+
+    def back(g, accum):
+        gq, gk = np.zeros_like(qd), np.zeros_like(kd)
+        for qs, gs, n in spans:
+            gw = g[:, qs, :n]
+            gq[:, qs] = gw @ _swap(kd[:, :, gs])
+            gk[:, :, gs] = _swap(qd[:, qs]) @ gw
+        accum(q, gq)
+        accum(k_t, gk)
+
+    return apply_op(out, (q, k_t), back, what="global_scores")
+
+
+def global_apply(weights: Tensor, v: Tensor, q_off: np.ndarray, g_off: np.ndarray) -> Tensor:
+    """Weighted sum of each example's global values per head.
+
+    The queries ``q_off[b]:q_off[b + 1]`` of [heads x queries x G] weights
+    take their first ``n`` slots, ``n`` their example's global count, over
+    its values ``g_off[b]:g_off[b + 1]`` of [heads x globals x d]; the other
+    slots are ignored.
+    """
+    wd, vd = weights.data, v.data
+    spans = list(_spans(q_off, g_off))
+    out = np.zeros((wd.shape[0], wd.shape[1], vd.shape[2]))
+    for qs, gs, n in spans:
+        out[:, qs] = np.ascontiguousarray(wd[:, qs, :n]) @ vd[:, gs]
+
+    def back(g, accum):
+        gw, gv = np.zeros_like(wd), np.zeros_like(vd)
+        for qs, gs, n in spans:
+            gw[:, qs, :n] = g[:, qs] @ _swap(vd[:, gs])
+            gv[:, gs] = _swap(wd[:, qs, :n]) @ g[:, qs]
+        accum(weights, gw)
+        accum(v, gv)
+
+    return apply_op(out, (weights, v), back, what="global_apply")
+
+
+def segment_softmax(x: Tensor, q_off: np.ndarray, live: np.ndarray) -> Tensor:
+    """Softmax over the last axis of [heads x queries x slots], per example.
+
+    The queries ``q_off[b]:q_off[b + 1]`` normalise over their first
+    ``live[b]`` slots alone and give the others weight 0, so each row sums
+    exactly the slots it would sum in its example on its own.
+    """
+    xd = x.data
+    y = np.zeros_like(xd)
+    for b in range(live.size):
+        rows, cols = slice(q_off[b], q_off[b + 1]), slice(0, live[b])
+        xs = xd[:, rows, cols]
+        e = np.exp(xs - xs.max(axis=-1, keepdims=True))
+        y[:, rows, cols] = e / e.sum(axis=-1, keepdims=True)
+
+    def back(g, accum):
+        accum(x, y * (g - (g * y).sum(axis=-1, keepdims=True)))
+
+    return apply_op(y, (x,), back, what="softmax")
+
+
+def global_attention(qg: Tensor, kg_t: Tensor, vg: Tensor, kl: Tensor, vl: Tensor,
+                     relpos: Tensor, segments: Segments, sentence_id: np.ndarray,
+                     cfg: AttentionConfig, enable_long_global: bool = True) -> Tensor:
+    """The global part: each example's globals attend to its globals and long rows.
+
+    Per head, ``qg``/``vg`` are [heads x globals x d], ``kg_t`` is
+    [heads x d x globals] and ``kl``/``vl`` are the long rows' keys and
+    values [heads x long x d]. Each example's global rows take one softmax
+    over [its globals | its long rows], with relative-position biases from
+    ``relpos``, and the result is [heads x globals x d], before the output
+    projection. Switching ``enable_long_global`` off masks the long half.
+    One op loops over the examples, forward and backward, as the band ops
+    loop over offsets.
+    """
+    qd, kgd, vgd, kld, vld = qg.data, kg_t.data, vg.data, kl.data, vl.data
+    table = relpos.data
+    heads = table.shape[1]
+    inv_sqrt = 1.0 / math.sqrt(qd.shape[-1])
+    out = np.zeros_like(qd)
+    saved = []
+    for b in range(segments.glob.size - 1):
+        gs = slice(segments.glob[b], segments.glob[b + 1])
+        ls = slice(segments.long[b], segments.long[b + 1])
+        n = gs.stop - gs.start
+        labels = np.concatenate(
+            [bucket_matrix(np.arange(n), np.arange(n), cfg.max_distance),
+             membership_labels(sentence_id[ls], n, cfg).T], axis=1)
+        s = np.concatenate([qd[:, gs] @ kgd[:, :, gs],
+                            qd[:, gs] @ np.ascontiguousarray(_swap(kld[:, ls]))], axis=-1)
+        s = s * inv_sqrt + np.moveaxis(np.take(table.T, labels, axis=1), 0, -3)
+        if not enable_long_global:
+            s[..., n:] += MASK_NEG
+        e = np.exp(s - s.max(axis=-1, keepdims=True))
+        y = e / e.sum(axis=-1, keepdims=True)
+        out[:, gs] = (np.ascontiguousarray(y[..., :n]) @ vgd[:, gs]
+                      + np.ascontiguousarray(y[..., n:]) @ vld[:, ls])
+        saved.append((gs, ls, n, labels, y))
+
+    def back(g, accum):
+        grads = [np.zeros_like(a) for a in (qd, kgd, vgd, kld, vld)]
+        gq, gkg, gvg, gkl, gvl = grads
+        g_table = np.zeros(table.size)
+        for gs, ls, n, labels, y in saved:
+            go = g[:, gs]
+            gvg[:, gs] = _swap(y[..., :n]) @ go
+            gvl[:, ls] = _swap(y[..., n:]) @ go
+            gy = np.concatenate([go @ _swap(vgd[:, gs]), go @ _swap(vld[:, ls])], axis=-1)
+            gs_ = y * (gy - (gy * y).sum(axis=-1, keepdims=True))
+            slots = labels[None] * heads + np.arange(heads)[:, None, None]
+            g_table += np.bincount(slots.ravel(), weights=gs_.ravel(), minlength=table.size)
+            gs_ *= inv_sqrt
+            gq[:, gs] = gs_[..., :n] @ _swap(kgd[:, :, gs]) + gs_[..., n:] @ kld[:, ls]
+            gkg[:, :, gs] = _swap(qd[:, gs]) @ gs_[..., :n]
+            gkl[:, ls] = _swap(gs_[..., n:]) @ qd[:, gs]
+        for t, grad in zip((qg, kg_t, vg, kl, vl), grads):
+            accum(t, grad)
+        accum(relpos, g_table.reshape(table.shape))
+
+    return apply_op(out, (qg, kg_t, vg, kl, vl, relpos), back, what="global_attention")
+
+
 def glocal_attention(long: Tensor, glob: Tensor, sentence_id: np.ndarray,
                      params: MhaParams, cfg: AttentionConfig, *,
                      enable_long_global: bool = True,
                      pattern: BandPattern | None = None,
-                     update_global: bool = True) -> tuple[Tensor, Tensor | None]:
+                     update_global: bool = True,
+                     segments: Segments | None = None,
+                     queries: Tensor | None = None) -> tuple[Tensor, Tensor | None]:
     """Raw four-part attention over a (long, global) pair of streams.
 
-    Long rows attend to their clipped local window plus every global token;
-    global rows attend to all global and all active long tokens. Projection
-    matrices are shared across all four parts; the parts differ only in
-    their sparsity pattern and relative-position labels. Returns the two
-    output-projected attention results, before any residual wiring.
+    Long rows attend to their clipped local window plus every global token
+    of their example; global rows attend to all global and all long tokens
+    of their example. Projection matrices are shared across all four parts;
+    the parts differ only in their sparsity pattern and relative-position
+    labels. Returns the two output-projected attention results, before any
+    residual wiring.
 
-    ``pattern`` is the band over the long rows, by default every row active
-    at its index. A padded stream marks its padding rows inactive there
-    (``band_pattern(np.arange(L), r, active)``): inactive rows are masked out
-    of every part, so they receive no gradient and contribute to no other
-    row. A stream whose rows sit at gapped positions (the flat encoder's
-    rows at their layout slots) passes the band over those positions. A
+    ``segments`` lays several examples end to end; by default the streams
+    hold one. ``pattern`` is the band over the long rows, by default every
+    row at its index. A stream whose rows sit at gapped positions (the flat
+    encoder's rows at their layout slots, each example's past the previous
+    one's by more than the radius) passes the band over those positions. A
     band ``at`` some rows queries from those rows only, and the long result
     holds one row per query; keys and values still come from every row.
-    Without ``update_global`` the global stream is not computed (None);
-    with it, the global rows attend to every long row whichever rows query.
-    ``enable_long_global`` exists for gradient reachability probes;
-    switching it off masks the long/global links in both directions.
-    ``long_to_long`` counts every evaluated window slot, masked ones
-    included.
+    ``queries`` is those rows of ``long`` when the caller has gathered them
+    already. Without ``update_global`` the global stream is not computed
+    (None); with it, the global rows attend to every long row of their
+    example whichever rows query. ``enable_long_global`` exists for gradient
+    reachability probes; switching it off masks the long/global links in
+    both directions. ``long_to_long`` counts every evaluated window slot,
+    masked ones included.
     """
-    if glob.shape[0] == 0:
-        raise ValueError("at least one global token is required")
     L = long.shape[0]
     G = glob.shape[0]
     dim = long.shape[1]
     if glob.shape[1] != dim:
         raise ValueError(f"stream dims disagree: {long.shape} vs {glob.shape}")
+    seg = segments or Segments.of([L], [G])
+    if seg.long[-1] != L or seg.glob[-1] != G:
+        raise ValueError(f"segments end at ({seg.long[-1]}, {seg.glob[-1]}), "
+                         f"streams hold ({L}, {G}) rows")
+    g_size = np.diff(seg.glob)
+    if g_size.min() == 0:
+        raise ValueError("at least one global token is required")
     sentence_id = np.asarray(sentence_id)
     if sentence_id.shape != (L,):
         raise ValueError(f"sentence_id shape {sentence_id.shape} != ({L},)")
-    if sentence_id.max(initial=NO_GLOBAL) >= G:
+    if np.any(sentence_id >= np.repeat(g_size, np.diff(seg.long))):
         raise ValueError("sentence_id references a global token past the last one")
     if params.relpos is None:
         raise ValueError("global-local attention requires a relpos table")
 
     pat = pattern or band_pattern(np.arange(L), cfg.local_radius)
-    linked = pat.active & enable_long_global  # rows that exchange attention with globals
-    q_linked = pat.valid[:, pat.radius] & enable_long_global  # own slot valid iff active
+    rows = np.arange(L) if pat.rows is None else pat.rows
+    q_off = np.searchsorted(rows, seg.long)
     score_counter.add("long_to_long", pat.count)
-    score_counter.add("long_to_global", int(q_linked.sum()) * G)
+    if enable_long_global:
+        score_counter.add("long_to_global", int(np.diff(q_off) @ g_size))
     if update_global:
-        score_counter.add("global", G * G + G * int(linked.sum()))
+        score_counter.add("global",
+                          int(g_size @ (g_size + enable_long_global * np.diff(seg.long))))
 
-    H, W = cfg.num_heads, pat.width
-    ql = split_heads(linear(pat.query_rows(long), params.wq, params.bq), H)
+    H, W, width = cfg.num_heads, pat.width, int(g_size.max())
+    if queries is None:
+        queries = pat.query_rows(long)
+    ql = split_heads(linear(queries, params.wq, params.bq), H)
     kl = split_heads(linear(long, params.wk, params.bk), H)
     vl = split_heads(linear(long, params.wv, params.bv), H)
     # glob's query projection stays first of its three: moving it would
@@ -541,38 +744,27 @@ def glocal_attention(long: Tensor, glob: Tensor, sentence_id: np.ndarray,
     vg = split_heads(linear(glob, params.wv, params.bv), H)
     inv_sqrt = 1.0 / math.sqrt(cfg.head_dim)
 
-    # Each stream's query rows take one softmax over [its own part | the
-    # other stream]; labels and masks are laid out the same way.
-    l2g_labels = membership_labels(sentence_id, G, cfg)
+    # long stream: band (long_to_long) | its example's globals (long_to_global),
+    # one softmax per query row over its example's slots; labels and the
+    # probe mask are laid out the same way
     long_labels = np.concatenate([band_labels(pat, cfg.max_distance),
-                                  l2g_labels if pat.rows is None else l2g_labels[pat.rows]],
-                                 axis=1)
-
-    # long stream: band (long_to_long) | globals (long_to_global)
-    s_long = concat([banded_scores(ql, kl, pat), matmul(ql, kg_t)], axis=-1)
+                                  membership_labels(sentence_id[rows], width, cfg)], axis=1)
+    s_long = concat([banded_scores(ql, kl, pat), global_scores(ql, kg_t, q_off, seg.glob)],
+                    axis=-1)
     s_long = add(scale(s_long, inv_sqrt), bias_at(params.relpos, long_labels))
-    if not q_linked.all():
-        long_mask = np.zeros((q_linked.size, W + G))
-        long_mask[~q_linked, W:] = MASK_NEG
+    if not enable_long_global:
+        long_mask = np.zeros((rows.size, W + width))
+        long_mask[:, W:] = MASK_NEG
         s_long = add_const(s_long, long_mask)
-    a = softmax(s_long, axis=-1)
+    a = segment_softmax(s_long, q_off, W + g_size)
     long_heads = add(banded_apply(narrow(a, -1, 0, W), vl, pat),
-                     matmul(narrow(a, -1, W, G), vg))
+                     global_apply(narrow(a, -1, W, width), vg, q_off, seg.glob))
     long_out = linear(merge_heads(long_heads), params.wo, params.bo)
     if not update_global:
         return long_out, None
 
-    # global stream (both halves are the "global" part): globals | long
-    glob_labels = np.concatenate(
-        [bucket_matrix(np.arange(G), np.arange(G), cfg.max_distance), l2g_labels.T], axis=1)
-    s_glob = concat([matmul(qg, kg_t), matmul(qg, transpose(kl))], axis=-1)
-    s_glob = add(scale(s_glob, inv_sqrt), bias_at(params.relpos, glob_labels))
-    if not linked.all():
-        glob_mask = np.zeros((G, G + L))
-        glob_mask[:, G + np.flatnonzero(~linked)] = MASK_NEG
-        s_glob = add_const(s_glob, glob_mask)
-    ag = softmax(s_glob, axis=-1)
-    glob_heads = add(matmul(narrow(ag, -1, 0, G), vg), matmul(narrow(ag, -1, G, L), vl))
+    glob_heads = global_attention(qg, kg_t, vg, kl, vl, params.relpos, seg, sentence_id,
+                                  cfg, enable_long_global)
     return long_out, linear(merge_heads(glob_heads), params.wo, params.bo)
 
 
@@ -586,19 +778,22 @@ def etc_global_local_attention(long: Tensor, glob: Tensor, sentence_id: np.ndarr
                                params: LayerParams, cfg: AttentionConfig, *,
                                enable_long_global: bool = True,
                                pattern: BandPattern | None = None,
-                               update_global: bool = True
+                               update_global: bool = True,
+                               segments: Segments | None = None
                                ) -> tuple[Tensor, Tensor | None]:
     """One global-local layer: attention, then each stream's post-norm block.
 
-    With a band ``at`` some rows, the layer computes those long rows only;
-    without ``update_global``, it computes no global stream (None).
+    With a band ``at`` some rows, the layer computes those long rows only,
+    gathered once for both the query projection and the residual; without
+    ``update_global``, it computes no global stream (None). ``segments`` as
+    in ``glocal_attention``.
     """
+    rows = long if pattern is None else pattern.query_rows(long)
     attn_l, attn_g = glocal_attention(
         long, glob, sentence_id, params.attn, cfg,
         enable_long_global=enable_long_global, pattern=pattern,
-        update_global=update_global,
+        update_global=update_global, segments=segments, queries=rows,
     )
     tail = (params.ln_attn, params.ffn, params.ln_ffn)
-    out_l = post_norm_block(long if pattern is None else pattern.query_rows(long),
-                            attn_l, *tail)
+    out_l = post_norm_block(rows, attn_l, *tail)
     return out_l, None if attn_g is None else post_norm_block(glob, attn_g, *tail)

@@ -341,6 +341,47 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     return apply_op(out, (a,), back, what="narrow")
 
 
+def concat_rows(pieces: Sequence[tuple[Tensor, int, int]]) -> Tensor:
+    """Rows ``start:start + length`` of each ``(tensor, start, length)``, stacked.
+
+    One op where a ``concat`` of ``narrow``s takes one per piece; a tensor
+    may appear in several pieces, and the same rows more than once.
+    """
+    out = np.concatenate([t.data[s:s + n] for t, s, n in pieces], axis=0)
+    tensors = list({id(t): t for t, _, _ in pieces}.values())
+
+    def back(g, accum):
+        bufs = {id(t): np.zeros_like(t.data) for t in tensors}
+        at = 0
+        for t, s, n in pieces:
+            bufs[id(t)][s:s + n] += g[at:at + n]
+            at += n
+        for t in tensors:
+            accum(t, bufs[id(t)])
+
+    return apply_op(out, tensors, back, what="concat_rows")
+
+
+def segment_matmul(a: Tensor, b: Tensor, offsets: np.ndarray) -> Tensor:
+    """``a @ b`` for a 2-D ``a``, one product per row run ``offsets[i]:offsets[i + 1]``.
+
+    BLAS's matrix-vector kernels block rows, so a row's result can depend on
+    the rows around it; a run's rows here get exactly the values a product
+    of that run alone gives.
+    """
+    ad, bd = a.data, b.data
+    if ad.ndim != 2 or bd.ndim != 2 or ad.shape[1] != bd.shape[0]:
+        raise ShapeError(f"segment_matmul needs 2-D operands: {a.shape} x {b.shape}")
+    out = np.concatenate([ad[lo:hi] @ bd for lo, hi in zip(offsets[:-1], offsets[1:])],
+                         axis=0)
+
+    def back(g, accum):
+        accum(a, g @ bd.T)
+        accum(b, ad.T @ g)
+
+    return apply_op(out, (a, b), back, what="matmul")
+
+
 def take(table: Tensor, ids: np.ndarray) -> Tensor:
     """Gather rows of a 2-D table; ids may be any integer array."""
     ids = np.asarray(ids)

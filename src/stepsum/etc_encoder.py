@@ -9,6 +9,13 @@ which feeds the same scoring head contract as the hierarchical encoder. The
 last layer computes the anchor rows alone and leaves the global stream
 as it is, since nothing reads either beyond it.
 
+Several (document, plan prefix) pairs are encoded as one stream: their rows
+end to end, each pair's rows contiguous and in layout order, and each
+pair's positions shifted more than the radius past the previous pair's
+last, so the band never links two pairs; the global parts keep to each
+pair's own globals (``attention.Segments``). One call runs every layer
+once over all the pairs, with no padding rows.
+
 The first layer is split in two, because the plan prefix changes few of
 its rows. Its inputs are token embeddings and, for the global tokens, kind
 embeddings, so a row whose window ends before the first [SEP] (layout
@@ -16,12 +23,13 @@ position ``p`` with ``p + r < 1 + long_budget``) reads only the document's
 rows and the global-kind sequence. Those rows are a leading run; their
 first-layer output, the fixed part, is computed once per (document, global
 kinds) key from the rows before [SEP], and callers share it between the
-prefixes with that key. The per-prefix part is the rest: the last r
-document rows, [SEP], the plan rows and the global stream, in one
-global-local call whose keys and values come from every row. The layer's
-output is the fixed rows followed by those rows, the same as the whole
-layer's. When the first layer is also the last, both parts query from the
-anchors among their rows.
+prefixes with that key. The fixed parts of several keys are one stream
+call too. The per-prefix part is the rest: the last r document rows,
+[SEP], the plan rows and the global stream, in one global-local call whose
+keys and values come from every row. The layer's output is each pair's
+fixed rows followed by its other rows, the same as the whole layer's. When
+the first layer is also the last, both parts query from the anchors among
+their rows.
 """
 
 from __future__ import annotations
@@ -34,11 +42,12 @@ from .attention import (
     NO_GLOBAL,
     AttentionConfig,
     LayerParams,
+    Segments,
     band_pattern,
     etc_global_local_attention,
     init_glocal_layer,
 )
-from .autodiff import Tensor, concat, matmul, named_tensors, reshape, take
+from .autodiff import Tensor, concat_rows, named_tensors, reshape, segment_matmul, take
 from .config import RunConfig
 
 # global-token kinds, each with its own learned embedding row
@@ -179,6 +188,51 @@ def init_etc(cfg: RunConfig, acfg: AttentionConfig, vocab_size: int,
     )
 
 
+@dataclass
+class EtcStream:
+    """Several assemblies' rows end to end, as one global-local call reads them.
+
+    ``position`` holds each row's layout slot, shifted per example so that
+    every example starts more than the radius past the previous one's last
+    row; ``sentence_id`` numbers each example's own globals from 0.
+    ``anchor`` holds the stream row of every candidate, in pair order.
+    """
+
+    long_ids: np.ndarray
+    position: np.ndarray
+    sentence_id: np.ndarray
+    global_kind: np.ndarray
+    anchor: np.ndarray
+    segments: Segments
+
+
+def build_stream(assemblies: list[EtcAssembly], radius: int,
+                 n_rows: list[int] | None = None) -> EtcStream:
+    """The first ``n_rows[b]`` rows of each assembly (all by default) in one stream."""
+    sizes = [a.long_ids.size for a in assemblies] if n_rows is None else n_rows
+    segments = Segments.of(sizes, [a.global_kind.size for a in assemblies])
+    position, shift = [], 0
+    for a, n in zip(assemblies, sizes):
+        position.append(a.position[:n] + shift)
+        shift += int(a.position[n - 1]) + radius + 1
+
+    def joined(arrays) -> np.ndarray:
+        return np.concatenate(list(arrays))
+
+    return EtcStream(
+        long_ids=joined(a.long_ids[:n] for a, n in zip(assemblies, sizes)),
+        position=joined(position),
+        sentence_id=joined(a.sentence_id[:n] for a, n in zip(assemblies, sizes)),
+        global_kind=joined(a.global_kind for a in assemblies),
+        anchor=joined(a.candidate_anchor + o for a, o in zip(assemblies, segments.long)),
+        segments=segments,
+    )
+
+
+# rows ``start:start + length`` of a stream call's output: one pair's fixed part
+FixedPart = tuple[Tensor, int, int]
+
+
 class StepwiseEtc:
     """Global-local next-unit scorer over the flat document-plus-plan input."""
 
@@ -209,60 +263,103 @@ class StepwiseEtc:
         cut = int(np.searchsorted(queries, n_fixed))
         return queries[:cut], queries[cut:]
 
-    def fixed_part(self, assembly: EtcAssembly) -> Tensor:
-        """Layer 0's output at the fixed query rows of ``assembly``.
+    def _embed(self, stream: EtcStream) -> tuple[Tensor, Tensor]:
+        return (take(self.params.token, stream.long_ids),
+                take(self.params.global_kind, stream.global_kind))
 
-        It depends on the document's rows before the first [SEP] and on the
-        global kinds alone, so pairs of one document that share
+    def fixed_parts(self, assemblies: list[EtcAssembly]) -> list[FixedPart | None]:
+        """Layer 0's output at the fixed query rows of each assembly, in one call.
+
+        A fixed part depends on the document's rows before the first [SEP]
+        and on the global kinds alone, so pairs of one document that share
         ``global_kind`` share it (``etc_encode``'s ``fixed``). Its keys and
         values are the rows before [SEP]; the global stream is not updated.
+        When no assembly has a fixed query row (a radius past the document,
+        or one layer with no anchor far enough from [SEP]), there is nothing
+        to share and every entry is None.
         """
-        rows, _ = self._layer0_queries(assembly)
-        n_doc = int(np.searchsorted(assembly.position, 1 + self.cfg.long_budget))
-        band = band_pattern(assembly.position[:n_doc], self.cfg.local_radius)
+        r = self.cfg.local_radius
+        n_doc = [int(np.searchsorted(a.position, 1 + self.cfg.long_budget))
+                 for a in assemblies]
+        stream = build_stream(assemblies, r, n_doc)
+        fixed = [self._layer0_queries(a)[0] for a in assemblies]
+        rows = np.concatenate([q + o for q, o in zip(fixed, stream.segments.long)])
+        starts = np.concatenate(([0], np.cumsum([q.size for q in fixed])))
+        if rows.size == 0:
+            return [None] * len(assemblies)
         long, _ = etc_global_local_attention(
-            take(self.params.token, assembly.long_ids[:n_doc]),
-            take(self.params.global_kind, assembly.global_kind),
-            assembly.sentence_id[:n_doc], self.params.layers[0], self.attention,
-            pattern=band.at(rows), update_global=False,
+            *self._embed(stream), stream.sentence_id, self.params.layers[0], self.attention,
+            pattern=band_pattern(stream.position, r).at(rows), update_global=False,
+            segments=stream.segments,
         )
-        return long
+        return [(long, int(s), q.size) for s, q in zip(starts, fixed)]
 
-    def etc_encode(self, assembly: EtcAssembly, fixed: Tensor | None = None) -> Tensor:
-        """Candidate vectors: run the stack, pool each unit's anchor token.
+    def etc_encode(self, assemblies: list[EtcAssembly],
+                   fixed: list[FixedPart | None] | None = None) -> Tensor:
+        """Candidate vectors of every pair, in pair order: one stream, one stack.
 
-        The band is built over the rows' layout positions, so windows and
-        relative-position labels are those of the fixed-budget layout. With
-        ``fixed``, this assembly's ``fixed_part``, layer 0 computes only the
-        other rows and the global stream, over keys and values from every
-        row, and its output is the fixed rows followed by those. The last
-        layer computes only what the pooling reads: it queries from the
-        anchor rows alone (keys and values still come from every row) and
-        skips the global stream. The ``long_to_long`` count also has the
-        masked slots that reach across a run of empty slots, at most r(r+1)
-        per run.
+        The band is built over the stream's shifted layout positions, so
+        windows and relative-position labels are those of each pair's
+        fixed-budget layout. ``fixed`` holds each pair's ``fixed_parts``
+        entry or None; layer 0 then computes only the other rows of those
+        pairs (every row of the rest) and the global stream, over keys and
+        values from every row, and its output is each pair's fixed rows
+        followed by its other rows. The last layer computes only what the
+        pooling reads: it queries from the anchor rows alone (keys and
+        values still come from every row) and skips the global stream. The
+        ``long_to_long`` count also has the masked slots that reach across
+        a run of empty slots or into the next pair, at most r(r+1) per run.
         """
-        pattern = band_pattern(assembly.position, self.cfg.local_radius)
-        long = take(self.params.token, assembly.long_ids)
-        glob = take(self.params.global_kind, assembly.global_kind)
+        fixed = fixed or [None] * len(assemblies)
+        stream = build_stream(assemblies, self.cfg.local_radius)
+        pattern = band_pattern(stream.position, self.cfg.local_radius)
+        long, glob = self._embed(stream)
         last = len(self.params.layers) - 1
         for i, layer in enumerate(self.params.layers):
-            rows = assembly.candidate_anchor if i == last else None
-            split = i == 0 and fixed is not None
-            if split:
-                rows = self._layer0_queries(assembly)[1]
+            rows = stream.anchor if i == last else None
+            pieces = None
+            if i == 0 and any(f is not None for f in fixed):
+                rows, pieces = self._split_layer0(assemblies, fixed, stream.segments.long)
                 if rows.size == 0:  # one layer, and every anchor is fixed
-                    return fixed
+                    return concat_rows(pieces)
             out, glob = etc_global_local_attention(
-                long, glob, assembly.sentence_id, layer, self.attention,
+                long, glob, stream.sentence_id, layer, self.attention,
                 pattern=pattern if rows is None else pattern.at(rows),
-                update_global=i < last,
+                update_global=i < last, segments=stream.segments,
             )
-            long = concat([fixed, out], axis=0) if split else out
+            long = out if pieces is None else concat_rows(
+                [(out, s, n) if t is None else (t, s, n) for t, s, n in pieces])
         return long
 
-    def score_candidates(self, contextual: Tensor) -> Tensor:
-        return reshape(matmul(contextual, self.params.scorer_w), (contextual.shape[0],))
+    def _split_layer0(self, assemblies: list[EtcAssembly], fixed: list[FixedPart | None],
+                      offsets: np.ndarray) -> tuple[np.ndarray, list]:
+        """Layer 0's computed query rows, and the pieces of its output.
 
-    def logits(self, assembly: EtcAssembly, fixed: Tensor | None = None) -> Tensor:
-        return self.score_candidates(self.etc_encode(assembly, fixed))
+        A piece is a fixed part, or ``(None, start, length)`` for rows of the
+        layer's own output, which the caller fills in.
+        """
+        rows, pieces, at = [], [], 0
+        for a, f, o in zip(assemblies, fixed, offsets):
+            kept, rest = self._layer0_queries(a)
+            if f is None:
+                rest = np.concatenate([kept, rest])
+            elif f[2]:
+                pieces.append(f)
+            if rest.size:
+                pieces.append((None, at, rest.size))
+            rows.append(rest + o)
+            at += rest.size
+        return np.concatenate(rows), pieces
+
+    def score_candidates(self, contextual: Tensor, counts: list[int] | None = None) -> Tensor:
+        """One logit per candidate row; each pair's ``counts[b]`` rows on their own
+        (by default, every row is one pair's)."""
+        offsets = np.concatenate(([0], np.cumsum(counts or [contextual.shape[0]])))
+        return reshape(segment_matmul(contextual, self.params.scorer_w, offsets),
+                       (contextual.shape[0],))
+
+    def logits(self, assemblies: list[EtcAssembly],
+               fixed: list[FixedPart | None] | None = None) -> Tensor:
+        """Every pair's candidate logits, concatenated in pair order."""
+        return self.score_candidates(self.etc_encode(assemblies, fixed),
+                                     [a.candidate_anchor.size for a in assemblies])

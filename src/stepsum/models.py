@@ -5,11 +5,12 @@ prefix) pairs, it returns one logit per candidate for each pair, and it is
 the only place that tells the encoders apart. The hierarchical encoder
 scores all pairs in one padded document-encoder pass, after one
 sentence-encoder pass over their distinct documents. The flat encoder
-assembles and encodes each pair on its own, except its first layer's
-prefix-independent rows (``StepwiseEtc.fixed_part``), which it computes
-once per (document, global kinds) group of pairs. Training, validation and
-decode all score through it. ``ModelStepScorer`` adapts it to the decoder
-protocol: it keeps what is prefix-independent (the hierarchical encoder's
+assembles each pair and encodes all of them as one stream, with no padding
+rows; its first layer's prefix-independent rows
+(``StepwiseEtc.fixed_parts``) are computed once per (document, global
+kinds) key, the new keys of a call in one more stream call. Training,
+validation and decode all score through it. ``ModelStepScorer`` adapts it
+to the decoder protocol: it keeps what is prefix-independent (the hierarchical encoder's
 unit vectors, the flat encoder's fixed parts) across calls and memoizes
 each prefix's log-probabilities, so a decode runs the model once per
 distinct prefix and scores a beam depth's new prefixes in one call.
@@ -110,9 +111,11 @@ def score_pairs(model: Model, cfg: RunConfig, vocab: Vocab,
     and the flat encoder's fixed part per (document, global kinds) key,
     computed even for a key one pair uses, since later calls may reuse it.
     Without it, a fixed part is computed only for a key two or more pairs
-    share; a lone pair computes its first layer whole, which costs fewer
-    ops than the two parts. A flat-encoder pair that does not fit its
-    layout is an error (``assemble_for``).
+    share; a lone pair computes its first layer whole, which costs less
+    than the two parts, since the fixed part's call projects the document
+    rows' keys and values again. All flat-encoder pairs are one
+    ``StepwiseEtc.logits`` call; a pair that does not fit its layout is an
+    error (``assemble_for``).
     """
     if isinstance(model, StepwiseHibert):
         starts: dict[int, int] = {}
@@ -137,10 +140,16 @@ def score_pairs(model: Model, cfg: RunConfig, vocab: Vocab,
     keys = [(id(doc), asm.global_kind.tobytes()) for (doc, _), asm in zip(pairs, assemblies)]
     cache = {} if reps_cache is None else reps_cache
     shared = Counter(keys)
+    new: dict = {}
     for key, asm in zip(keys, assemblies):
         if key not in cache and (reps_cache is not None or shared[key] > 1):
-            cache[key] = model.fixed_part(asm)
-    return [model.logits(asm, cache.get(key)) for key, asm in zip(keys, assemblies)]
+            new.setdefault(key, asm)
+    if new:
+        cache.update(zip(new, model.fixed_parts(list(new.values()))))
+    logits = model.logits(assemblies, [cache.get(key) for key in keys])
+    counts = [asm.candidate_anchor.size for asm in assemblies]
+    starts = np.cumsum([0] + counts[:-1])
+    return [narrow(logits, 0, int(s), n) for s, n in zip(starts, counts)]
 
 
 def log_softmax(values: np.ndarray) -> np.ndarray:

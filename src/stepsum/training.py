@@ -35,11 +35,17 @@ class TrainResult:
 
 def _chunk_logits(model: Model, cfg: RunConfig, vocab: Vocab,
                   examples: Sequence[StepExample]):
-    """(example, candidate logits) pairs, scored ``cfg.batch_size`` at a time."""
+    """(example, candidate logits) pairs, scored ``cfg.batch_size`` at a time.
+
+    The chunks of one pass share one cache, since no parameter changes
+    within it, so a document's prefix-independent part is computed once
+    per pass.
+    """
+    cache: dict = {}
     for start in range(0, len(examples), cfg.batch_size):
         chunk = examples[start: start + cfg.batch_size]
         yield from zip(chunk, score_pairs(model, cfg, vocab,
-                                          [(ex.doc, ex.prefix) for ex in chunk]))
+                                          [(ex.doc, ex.prefix) for ex in chunk], cache))
 
 
 def evaluate_loss(model: Model, cfg: RunConfig, vocab: Vocab,

@@ -7,6 +7,7 @@ from stepsum.attention import (
     NO_GLOBAL,
     AttentionConfig,
     MhaParams,
+    Segments,
     band_labels,
     band_pattern,
     banded_apply,
@@ -17,10 +18,23 @@ from stepsum.attention import (
     glocal_attention,
     init_glocal_layer,
     init_mha,
+    membership_labels,
     multi_head_attention,
+    post_norm_block,
     score_counter,
 )
-from stepsum.autodiff import MASK_NEG, Tape, Tensor, add, backward, mul, softmax, sum_all
+from stepsum.autodiff import (
+    MASK_NEG,
+    Tape,
+    Tensor,
+    add,
+    backward,
+    concat,
+    mul,
+    narrow,
+    softmax,
+    sum_all,
+)
 from stepsum.gradcheck import check_gradients
 
 
@@ -264,6 +278,8 @@ REFERENCE_PATTERNS = {
     "padded_active": (np.arange(10), 2, np.array([1, 1, 1, 0, 1, 0, 0, 1, 1, 1], bool)),
     "radius_0": (np.arange(5), 0, None),
     "radius_covers_rows": (np.arange(4), 6, None),
+    # more rows than one block of the band ops holds
+    "blocks": (np.r_[0:700, 702:1300], 3, None),
     "single_row": (np.arange(1), 2, None),
 }
 
@@ -284,31 +300,46 @@ def _run_band_ops(ops, pat, q, k, v, wts, probe):
 @pytest.mark.parametrize("heads", [1, 2, 4])
 @pytest.mark.parametrize("name", sorted(REFERENCE_PATTERNS))
 def test_banded_ops_match_gather_reference(rng, heads, name):
+    """The reference runs over its stream as given, padding rows included; the
+    band holds the active rows alone, at their positions."""
     positions, radius, active = REFERENCE_PATTERNS[name]
     n, dim = positions.size, 4
-    pat = band_pattern(positions, radius, active)
+    keep = np.ones(n, dtype=bool) if active is None else active
+    m = int(keep.sum())
+    pat = band_pattern(positions[keep], radius)
     old = (band_reference.band_pattern_for_positions(positions, radius) if active is None
            else band_reference.band_pattern(n, radius, active))
-    # the reference's pair (i, j) sits in slot ww; here it sits in slot j - i + r
-    i, ww, w = old.ii, old.ww, old.jj - old.ii + radius
+    # the reference's pair (i, j) sits in slot ww of its row i; here in slot
+    # j - i + r of the row that i keeps
+    rank = np.cumsum(keep) - 1
+    oi, ww = old.ii, old.ww
+    i = rank[oi]
+    w = rank[old.jj] - i + radius
     assert sorted(zip(*np.nonzero(pat.valid))) == sorted(zip(i, w))
-    assert pat.count == banded_pair_count(n, radius)
-    assert np.array_equal(band_labels(pat, 4)[i, w], band_reference.band_labels(old, 4)[i, ww])
+    assert pat.count == banded_pair_count(m, radius)
+    assert np.array_equal(band_labels(pat, 4)[i, w], band_reference.band_labels(old, 4)[oi, ww])
 
-    q, k, v = (Tensor(rng.normal(size=(heads, n, dim)), requires_grad=True) for _ in range(3))
-    wts = Tensor(rng.normal(size=(heads, n, pat.width)), requires_grad=True)
-    old_wts = np.zeros_like(wts.data)
-    old_wts[:, i, ww] = wts.data[:, i, w]
+    def kept(t):
+        return Tensor(t.data[:, keep], requires_grad=True)
+
+    old_q, old_k, old_v = (Tensor(rng.normal(size=(heads, n, dim)), requires_grad=True)
+                           for _ in range(3))
+    q, k, v = kept(old_q), kept(old_k), kept(old_v)
+    wts = Tensor(rng.normal(size=(heads, m, pat.width)), requires_grad=True)
+    old_wts = np.zeros((heads, n, pat.width))
+    old_wts[:, oi, ww] = wts.data[:, i, w]
     old_wts = Tensor(old_wts, requires_grad=True)
-    probe = Tensor(rng.normal(size=(heads, n, dim)))
-    scores, outs, gw = _run_band_ops(attention, pat, q, k, v, wts, probe)
-    old_scores, old_outs, old_gw = _run_band_ops(band_reference, old, q, k, v, old_wts, probe)
+    old_probe = Tensor(rng.normal(size=(heads, n, dim)))
+    scores, outs, gw = _run_band_ops(attention, pat, q, k, v, wts, kept(old_probe))
+    old_scores, old_outs, old_gw = _run_band_ops(band_reference, old, old_q, old_k, old_v,
+                                                 old_wts, old_probe)
 
-    np.testing.assert_allclose(scores[:, i, w], old_scores[:, i, ww], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(scores[:, i, w], old_scores[:, oi, ww], rtol=0, atol=1e-12)
     assert (scores[:, ~pat.valid] == MASK_NEG).all()
     for got, want in zip(outs, old_outs):
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(gw[:, i, w], old_gw[:, i, ww], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got, want[:, keep], rtol=0, atol=1e-12)
+        assert (want[:, ~keep] == 0.0).all()  # padding rows get and give nothing
+    np.testing.assert_allclose(gw[:, i, w], old_gw[:, oi, ww], rtol=0, atol=1e-12)
     assert (gw[:, ~pat.valid] == 0.0).all()
 
 
@@ -390,16 +421,17 @@ def test_glocal_heads_sum_of_single_heads(rng, enable_long_global):
     params = init_mha(rng, dim, 0.3, 12, heads)
     long = Tensor(rng.normal(size=(length, dim)), requires_grad=True)
     glob = Tensor(rng.normal(size=(n_glob, dim)), requires_grad=True)
-    sid = np.array([0, 0, 0, 1, 1, 1, 1, 2, 2, -1, -1])
-    active = np.ones(length, dtype=bool)
-    active[4:6] = False  # padding inside the stream
+    # two examples in one stream: 5 rows with 1 global, then 6 rows with 2
+    sid = np.array([0, 0, 0, 0, -1, 0, 0, 1, 1, 1, -1])
+    positions = np.r_[0:5, 8:14]
+    segments = Segments.of([5, 6], [1, 2])
     probes = [Tensor(rng.normal(size=(length, dim))), Tensor(rng.normal(size=(n_glob, dim)))]
 
     def run(p, h):
         cfg = AttentionConfig(num_heads=h, model_dim=dim, local_radius=2,
                               relpos_vocab_size=12, max_distance=4)
         return glocal_attention(long, glob, sid, p, cfg,
-                                pattern=band_pattern(np.arange(length), 2, active),
+                                pattern=band_pattern(positions, 2), segments=segments,
                                 enable_long_global=enable_long_global)
 
     _assert_head_sum(run, params, heads, [long, glob], probes)
@@ -460,23 +492,56 @@ def test_instrumented_count_L64_r3():
     assert score_counter.get("long_to_long") == 436
 
 
-def test_glocal_pad_rows_influence_nothing(rng):
+def test_glocal_other_example_influences_nothing(rng):
+    """Two examples share a stream: position distance cuts the band between
+    them, and the global parts keep to each example's own rows."""
     cfg = small_cfg()
     layer = init_glocal_layer(rng, cfg, 16, 0.1)
-    length = 10
-    active = np.ones(length, dtype=bool)
-    active[4:6] = False
-    sid = np.zeros(length, dtype=np.int64)
-    base = rng.normal(size=(length, 8))
-    pattern = band_pattern(np.arange(length), cfg.local_radius, active)
-    lo1, go1 = etc_global_local_attention(
-        Tensor(base), Tensor(np.ones((1, 8))), sid, layer, cfg, pattern=pattern)
-    mutated = base.copy()
-    mutated[4:6] = 123.0
-    lo2, go2 = etc_global_local_attention(
-        Tensor(mutated), Tensor(np.ones((1, 8))), sid, layer, cfg, pattern=pattern)
-    assert np.array_equal(lo1.data[active], lo2.data[active])
-    assert np.array_equal(go1.data, go2.data)
+    sid = np.array([0, 0, 1, 1, 1, 0, 0, 0, 0])
+    positions = np.r_[0:5, 8:12]  # 3 apart, past radius 2
+    segments = Segments.of([5, 4], [2, 1])
+    base, base_glob = rng.normal(size=(9, 8)), rng.normal(size=(3, 8))
+
+    def run(long, glob):
+        return etc_global_local_attention(Tensor(long), Tensor(glob), sid, layer, cfg,
+                                          pattern=band_pattern(positions, cfg.local_radius),
+                                          segments=segments)
+
+    lo1, go1 = run(base, base_glob)
+    long, glob = base.copy(), base_glob.copy()
+    long[5:] = 123.0
+    glob[2:] = -7.0
+    lo2, go2 = run(long, glob)
+    assert np.array_equal(lo1.data[:5], lo2.data[:5])
+    assert np.array_equal(go1.data[:2], go2.data[:2])
+    # each example computes what it computes on its own
+    alone, alone_glob = etc_global_local_attention(
+        Tensor(base[:5]), Tensor(base_glob[:2]), sid[:5], layer, cfg)
+    np.testing.assert_allclose(lo1.data[:5], alone.data, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(go1.data[:2], alone_glob.data, rtol=0, atol=1e-12)
+
+
+def dense_padded_layer(long, glob, active, sentence_id, layer, cfg):
+    """One global-local layer as one dense masked attention over [long | globals].
+
+    ``long`` holds a row per layout slot and ``active`` marks the occupied
+    ones; an empty slot attends to itself alone and nothing attends to it.
+    """
+    n, g = long.shape[0], glob.shape[0]
+    idx = np.arange(n)
+    band = (np.abs(idx[:, None] - idx[None, :]) <= cfg.local_radius) & active & active[:, None]
+    member = membership_labels(sentence_id, g, cfg)
+    mask = np.ones((n + g, n + g), dtype=bool)
+    mask[:n, :n] = band | np.eye(n, dtype=bool)
+    mask[:n, n:] = active[:, None]
+    mask[n:, :n] = active
+    labels = np.block([[bucket_matrix(idx, idx, cfg.max_distance), member],
+                       [member.T, bucket_matrix(np.arange(g), np.arange(g), cfg.max_distance)]])
+    both = concat([long, glob], axis=0)
+    out = post_norm_block(both, multi_head_attention(both, both, both, mask, layer.attn,
+                                                     cfg.num_heads, labels),
+                          layer.ln_attn, layer.ffn, layer.ln_ffn)
+    return narrow(out, 0, 0, n), narrow(out, 0, n, g)
 
 
 def test_two_layer_compacted_equals_padded(rng):
@@ -500,14 +565,14 @@ def test_two_layer_compacted_equals_padded(rng):
         asm = assemble_input(doc_units, [[12]], [[2]], 1,
                              long_budget=20, summary_budget=10, global_cap=8,
                              cls_id=5, sep_id=6, beg_id=4, eos_id=3)
-        compact = model.etc_encode(asm).data
+        compact = model.etc_encode([asm]).data
         # does some valid slot's position offset differ from its index offset?
         pat = band_pattern(asm.position, radius)
         index_offset = np.arange(pat.width) - radius
         assert (pat.valid & (pat.offsets != index_offset)).any() == narrow_gap
 
-        # padded reference path: rows back at their layout positions, padding
-        # rows (id 0, no global) in the empty slots, over the full stream
+        # padded reference: rows back at their layout positions, padding rows
+        # (id 0, no global) in the empty slots, dense attention over both streams
         total = int(asm.position[-1]) + 1
         active = np.zeros(total, dtype=bool)
         active[asm.position] = True
@@ -515,11 +580,10 @@ def test_two_layer_compacted_equals_padded(rng):
         ids[asm.position] = asm.long_ids
         sentence_id = np.full(total, NO_GLOBAL, dtype=np.int64)
         sentence_id[asm.position] = asm.sentence_id
-        padded_band = band_pattern(np.arange(total), radius, active)
         long = take(model.params.token, ids)
         glob = take(model.params.global_kind, asm.global_kind)
         for layer in model.params.layers:
-            long, glob = etc_global_local_attention(
-                long, glob, sentence_id, layer, model.attention, pattern=padded_band)
+            long, glob = dense_padded_layer(long, glob, active, sentence_id, layer,
+                                            model.attention)
         padded = long.data[asm.position[asm.candidate_anchor]]
         np.testing.assert_allclose(compact, padded, atol=1e-12)

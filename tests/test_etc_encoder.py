@@ -187,7 +187,7 @@ def test_encode_output_shape():
     cfg = tiny_cfg()
     model = StepwiseEtc(cfg, VOCAB_SIZE, np.random.default_rng(0))
     asm = assemble([[10, 11], [12, 13], [14]], [[12, 13]])
-    out = model.etc_encode(asm)
+    out = model.etc_encode([asm])
     assert out.shape == (1 + 3, cfg.dim)
 
 
@@ -197,9 +197,9 @@ def test_pad_embedding_mutation_leaves_candidates_unchanged():
     model = StepwiseEtc(cfg, VOCAB_SIZE, np.random.default_rng(0))
     asm = assemble([[10, 11], [12, 13]], [[12]])
     assert PAD_ID not in asm.long_ids
-    before = model.logits(asm).data.copy()
+    before = model.logits([asm]).data.copy()
     model.params.token.data[PAD_ID] += 100.0
-    assert np.array_equal(before, model.logits(asm).data)
+    assert np.array_equal(before, model.logits([asm]).data)
 
 
 def test_summary_token_reaches_candidates_through_globals():
@@ -212,7 +212,7 @@ def test_summary_token_reaches_candidates_through_globals():
     assert abs(plan_pos - anchor) > 2 * cfg.local_radius
 
     with Tape() as tape:
-        out = model.etc_encode(asm)
+        out = model.etc_encode([asm])
         row = narrow(out, 0, 1, 1)
         backward(tape, sum_all(mul(row, row)))
     grad_row = model.params.token.grad[25]
@@ -240,7 +240,7 @@ def test_overfit_tiny_assembly_reaches_target():
     for _ in range(60):
         opt.zero_grad()
         with Tape() as tape:
-            loss = cross_entropy(model.logits(asm), target)
+            loss = cross_entropy(model.logits([asm]), target)
             backward(tape, loss)
         opt.step()
-    assert int(np.argmax(model.logits(asm).data)) == target
+    assert int(np.argmax(model.logits([asm]).data)) == target

@@ -1,8 +1,9 @@
 """The flat encoder's split first layer against the whole-layer stack.
 
 ``score_pairs`` computes layer 0's prefix-independent rows once per
-(document, global kinds) key and shares them across the pairs of a call,
-and across calls when it is given a cache. Logits and every parameter
+(document, global kinds) key, the new keys of a call in one stream call,
+and shares them across the pairs of a call, and across calls when it is
+given a cache. Logits and every parameter
 gradient must match ``tests/etc_reference.py`` (every layer whole, one
 pair at a time) at 1e-12. The cases cover the rows and keys the split
 turns on: a document that fills ``long_budget``, so its last rows (and, at
@@ -92,7 +93,7 @@ def reference_mean_loss(model, cfg, vocab, batch):
     total = None
     for ex in batch:
         asm = assemble_for(cfg, vocab, ex.doc, ex.prefix)
-        loss = cross_entropy(model.score_candidates(reference_etc_encode(model, asm)),
+        loss = cross_entropy(model.score_candidates(reference_etc_encode(model, [asm])),
                              ex.target)
         total = loss if total is None else add(total, loss)
     return scale(total, 1.0 / len(batch))
@@ -121,27 +122,30 @@ def test_grouped_and_cached_scoring_match_whole_layers(monkeypatch, case, layers
         assert last_doc_row == flat_end - 1
         assert asm.position[asm.candidate_anchor[-1]] + cfg.local_radius >= flat_end
 
-    computed = []
-    fixed_part = StepwiseEtc.fixed_part
+    calls = []
+    fixed_parts = StepwiseEtc.fixed_parts
 
-    def counted(self, assembly):
-        computed.append(assembly)
-        return fixed_part(self, assembly)
+    def counted(self, assemblies):
+        calls.append(assemblies)
+        return fixed_parts(self, assemblies)
 
-    monkeypatch.setattr(StepwiseEtc, "fixed_part", counted)
+    monkeypatch.setattr(StepwiseEtc, "fixed_parts", counted)
     grouped = [row.data for row in score_pairs(model, cfg, vocab, pairs)]
     shared = {k for k in keys if keys.count(k) > 1}
-    assert len(computed) == len(shared)
-    computed.clear()
+    # one stream call computes the fixed part of every shared key
+    assert [len(c) for c in calls] == [len(shared)]
+    calls.clear()
     cache: dict = {}
     half = len(pairs) // 2
     cached = [row.data for part in (pairs[:half], pairs[half:], pairs)
               for row in score_pairs(model, cfg, vocab, part, cache)]
-    assert len(computed) == len(cache) == len(set(keys))
+    # each key once, at most one call per scoring call, none once all are cached
+    assert len(calls) <= 2
+    assert sum(len(c) for c in calls) == len(cache) == len(set(keys))
     got_grads = gradients(model, lambda: batch_mean_loss(model, cfg, vocab, batch))
 
     want = [model.score_candidates(reference_etc_encode(
-        model, assemble_for(cfg, vocab, doc, prefix))).data for doc, prefix in pairs]
+        model, [assemble_for(cfg, vocab, doc, prefix)])).data for doc, prefix in pairs]
     for g, c, w in zip(grouped, cached[:len(pairs)], want):
         np.testing.assert_allclose(g, w, rtol=0, atol=TOL)
         np.testing.assert_allclose(c, w, rtol=0, atol=TOL)

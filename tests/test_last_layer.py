@@ -8,6 +8,8 @@ alone. Logits and every parameter gradient must match the references
 must name what the short layers evaluate.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from etc_reference import reference_etc_encode
@@ -16,12 +18,16 @@ from hibert_reference import reference_encode_sentences
 from stepsum.acceptance import table3_game
 from stepsum.attention import (
     AttentionConfig,
+    Segments,
     band_pattern,
     banded_pair_count,
     etc_global_local_attention,
+    glocal_attention,
     init_glocal_layer,
+    post_norm_block,
     score_counter,
 )
+from stepsum import autodiff
 from stepsum.autodiff import Tape, Tensor, add, backward, cross_entropy, mul, sum_all, take
 from stepsum.config import config_from_dict
 from stepsum.data import (
@@ -63,12 +69,16 @@ def assert_same(got, want):
 # -- etc: one layer at some rows against the full layer -------------------------
 
 LAYER_CASES = {
-    # positions, radius, query rows, active rows (None: all)
+    # positions, radius, query rows, (long rows, globals) per example (None: one)
     "first_and_last_row": (np.arange(12), 2, [0, 5, 11], None),
     # one gap narrower than the radius (3 -> 5), one wider (7 -> 20)
     "compacted_gaps": (np.array([0, 1, 2, 3, 5, 6, 7, 20, 21, 22]), 3, [2, 4, 7, 9], None),
-    "padded": (np.arange(10), 2, [0, 3, 7, 9],
-               np.array([1, 1, 1, 0, 1, 0, 0, 1, 1, 1], bool)),
+    # two examples of one stream, 3 positions apart; queries in both
+    "two_segments": (np.r_[0:4, 7:13], 2, [0, 3, 4, 9], ([4, 6], [1, 2])),
+    # two runs of consecutive query rows, each longer than the window
+    "runs": (np.arange(40), 2, list(range(0, 10)) + list(range(20, 35)), None),
+    # scattered query rows, more than one block of the band ops holds
+    "scattered_blocks": (np.arange(1300), 2, list(range(0, 1300, 2)), None),
     "radius_0": (np.arange(6), 0, [0, 2, 5], None),
     "radius_covers_rows": (np.arange(5), 7, [0, 1, 4], None),
     "single_query": (np.arange(7), 2, [3], None),
@@ -77,19 +87,22 @@ LAYER_CASES = {
 
 @pytest.mark.parametrize("name", sorted(LAYER_CASES))
 def test_layer_at_rows_matches_full_layer(name):
-    positions, radius, rows, active = LAYER_CASES[name]
+    positions, radius, rows, split = LAYER_CASES[name]
     rng = np.random.default_rng(5)
-    n, n_glob, dim = positions.size, 3, 8
+    n, dim = positions.size, 8
+    long_sizes, glob_sizes = split or ([n], [3])
+    n_glob = sum(glob_sizes)
+    segments = Segments.of(long_sizes, glob_sizes)
     cfg = AttentionConfig(num_heads=2, model_dim=dim, local_radius=radius,
                           relpos_vocab_size=12, max_distance=4)
     layer = init_glocal_layer(rng, cfg, 16, 0.3)
     long = Tensor(rng.normal(size=(n, dim)), requires_grad=True)
     glob = Tensor(rng.normal(size=(n_glob, dim)), requires_grad=True)
-    sid = np.minimum(np.arange(n) // 3, n_glob - 1)
+    sid = np.concatenate([np.minimum(np.arange(m) // 3, g - 1)
+                          for m, g in zip(long_sizes, glob_sizes)])
     probe = Tensor(rng.normal(size=(len(rows), dim)))
     glob_probe = Tensor(rng.normal(size=(n_glob, dim)))
-    full = (band_pattern(positions, radius) if active is None
-            else band_pattern(positions, radius, active))
+    full = band_pattern(positions, radius)
     params = {"long": long, "glob": glob, "relpos": layer.attn.relpos,
               "wq": layer.attn.wq, "wo": layer.attn.wo, "ffn": layer.ffn.w1,
               "ln": layer.ln_ffn.gain}
@@ -97,7 +110,8 @@ def test_layer_at_rows_matches_full_layer(name):
     def loss(pattern, update_global):
         out, glob_out = etc_global_local_attention(long, glob, sid, layer, cfg,
                                                    pattern=pattern,
-                                                   update_global=update_global)
+                                                   update_global=update_global,
+                                                   segments=segments)
         if pattern.rows is None:
             out = take(out, np.asarray(rows))
         total = sum_all(mul(out, probe))
@@ -210,9 +224,9 @@ def test_etc_logits_match_full_last_layer_on_layouts(name, layers):
     target = asm.candidate_anchor.size - 1
     params = model.named_parameters()
     assert_same(
-        gradients(params, lambda: cross_entropy(model.logits(asm), target)),
+        gradients(params, lambda: cross_entropy(model.logits([asm]), target)),
         gradients(params, lambda: cross_entropy(
-            model.score_candidates(reference_etc_encode(model, asm)), target)))
+            model.score_candidates(reference_etc_encode(model, [asm])), target)))
 
 
 def test_etc_counts_name_the_anchor_layer():
@@ -223,7 +237,7 @@ def test_etc_counts_name_the_anchor_layer():
     anchors = asm.candidate_anchor
     n, g, r = asm.long_ids.size, asm.global_kind.size, model.cfg.local_radius
     score_counter.reset()
-    model.etc_encode(asm)
+    model.etc_encode([asm])
     # the first layer as ever; the last one queries from the anchors alone,
     # each anchor's slots whose neighbour row exists, and has no global stream
     assert score_counter.get("long_to_long") == (
@@ -231,6 +245,43 @@ def test_etc_counts_name_the_anchor_layer():
     assert score_counter.get("long_to_global") == n * g + anchors.size * g
     assert score_counter.get("global") == g * g + g * n
     assert banded_pair_count(n, r, anchors) < anchors.size * (2 * r + 1)
+
+
+def test_layer_gathers_its_query_rows_once(monkeypatch):
+    model = layout_model(2, 3)
+    doc_units, plan_units, cand_specials, _ = ASSEMBLIES["narrow_and_wide_gaps"]
+    asm = assemble_input(doc_units, plan_units, [[2]], cand_specials, long_budget=20,
+                         summary_budget=10, global_cap=8, **IDS)
+    fixed = model.fixed_parts([asm])
+    ops = Counter()
+    apply_op = autodiff.apply_op
+
+    def counting(out, inputs, back, *, what):
+        ops[what] += 1
+        return apply_op(out, inputs, back, what=what)
+
+    monkeypatch.setattr(autodiff, "apply_op", counting)
+    model.etc_encode([asm], fixed)
+    # the token and global-kind lookups, then one gather per layer that
+    # queries from some rows: layer 0's per-prefix run (rows by slices) and
+    # the last layer's anchors (a take); layer 0's output stitches the fixed
+    # rows to the rest, and each layer splits its softmax with two narrows
+    assert (ops["take"], ops["concat_rows"], ops["narrow"]) == (2 + 1, 1 + 1, 2 * 2)
+    monkeypatch.undo()
+
+    # the layer's rows are those of attention plus a residual gathered apart
+    layer, cfg = model.params.layers[0], model.attention
+    long = Tensor(np.random.default_rng(3).normal(size=(asm.long_ids.size, cfg.model_dim)))
+    glob = Tensor(np.random.default_rng(4).normal(size=(asm.global_kind.size,
+                                                        cfg.model_dim)))
+    pattern = band_pattern(asm.position, cfg.local_radius).at(asm.candidate_anchor)
+    out, _ = etc_global_local_attention(long, glob, asm.sentence_id, layer, cfg,
+                                        pattern=pattern, update_global=False)
+    attended, _ = glocal_attention(long, glob, asm.sentence_id, layer.attn, cfg,
+                                   pattern=pattern, update_global=False)
+    want = post_norm_block(take(long, asm.candidate_anchor), attended, layer.ln_attn,
+                           layer.ffn, layer.ln_ffn)
+    assert np.array_equal(out.data, want.data)
 
 
 # -- hibert: the token-0 last sentence layer --------------------------------------

@@ -57,7 +57,7 @@ def one_prefix_logits(cfg, vocab, model, prep, prefix):
     if isinstance(model, StepwiseHibert):
         return reference_logits(model, prep.units, prefix, prep.special_count,
                                 prep.break_slot)
-    return model.logits(assemble_for(cfg, vocab, prep, prefix))
+    return model.logits([assemble_for(cfg, vocab, prep, prefix)])
 
 
 def assert_rows_exact(cfg, vocab, model, prep, prefixes):
@@ -127,7 +127,7 @@ def test_decode_forward_counts(monkeypatch, encoder):
                "etc": (StepwiseEtc, "etc_encode")}[encoder]
     forwards = count_calls(monkeypatch, *forward)
     asked = count_calls(monkeypatch, ModelStepScorer, "step_log_probs_batch")
-    fixed = count_calls(monkeypatch, StepwiseEtc, "fixed_part")
+    fixed = count_calls(monkeypatch, StepwiseEtc, "fixed_parts")
     for prep in preps:
         forwards.clear()
         asked.clear()
@@ -135,14 +135,17 @@ def test_decode_forward_counts(monkeypatch, encoder):
         scorer = ModelStepScorer(model, cfg, vocab, prep)
         beam_decode(scorer, 3, 4, DecodeConstraints())
         distinct = {prefix for (prefixes,) in asked for prefix in prefixes}
+        # every live prefix of a depth shares one forward
+        assert len(forwards) <= 4 < len(distinct)
         if encoder == "hibert":
-            # every live prefix of a depth shares one document-encoder pass
-            assert len(forwards) <= 4 < len(distinct)
             continue
-        assert len(forwards) == len(distinct)
-        # layer 0's fixed rows: once per distinct (document, global kinds) key
+        # each forward encodes that depth's new prefixes as one stream
+        assert sum(len(assemblies) for assemblies, *_ in forwards) == len(distinct)
+        # layer 0's fixed rows: once per distinct (document, global kinds) key,
+        # at most one stream call per forward
         keys = {assemble_for(cfg, vocab, prep, p).global_kind.tobytes() for p in distinct}
-        assert len(fixed) == len(keys) < len(distinct)
+        assert sum(len(assemblies) for (assemblies,) in fixed) == len(keys) < len(distinct)
+        assert len(fixed) <= len(forwards)
         for prefix in distinct:
             fresh = ModelStepScorer(model, cfg, vocab, prep)
             assert np.array_equal(scorer.step_log_probs(prefix),
@@ -155,4 +158,4 @@ def test_decode_forward_counts(monkeypatch, encoder):
                 ModelStepScorer(model, cfg, vocab, prep), cfg.max_steps)
             assert len(steps) == 20 and BREAK_STEP not in steps
             # the empty prefix, then every prefix with its one plan global
-            assert len(fixed) == 2
+            assert [len(assemblies) for (assemblies,) in fixed] == [1, 1]
