@@ -165,16 +165,31 @@ def _op_cases(seed: int):
     cases.append(("matmul_batched", {"a": mb1, "b": mb2},
                   lambda: ad.sum_all(ad.mul(ad.matmul(mb1, mb2),
                                             ad.matmul(mb1, mb2)))))
+    lx, lw, lb = t(3, 4), t(4, 5), t(5)
+    cases.append(("linear", {"x": lx, "w": lw, "b": lb},
+                  lambda: ad.sum_all(ad.mul(ad.linear(lx, lw, lb), ad.linear(lx, lw, lb)))))
+    sx3 = t(2, 3, 4)
+    cases.append(("linear_stacked", {"x": sx3, "w": lw, "b": lb},
+                  lambda: ad.sum_all(ad.mul(ad.linear(sx3, lw, lb),
+                                            ad.linear(sx3, lw, lb)))))
     s = t(3, 5)
     cases.append(("softmax", {"x": s},
                   lambda: ad.sum_all(ad.mul(ad.softmax(s, -1), s))))
-    x, g, bb = t(3, 6), t(6), t(6)
+    # layer_norm and gelu run in blocks of ad.BLOCK_ELEMENTS elements; these
+    # inputs span two blocks, and their losses weigh the outputs by a fixed
+    # probe of norm about 1, so central differences stay accurate over so
+    # many elements
+    x = t(2, ad.BLOCK_ELEMENTS // 6 * 3 // 4, 6)
+    g, bb = t(6), t(6)
+    ln_probe = Tensor(rng.normal(size=x.shape) / np.sqrt(x.size))
     cases.append(("layer_norm", {"x": x, "gain": g, "bias": bb},
-                  lambda: ad.sum_all(ad.mul(ad.layer_norm(x, g, bb), x))))
+                  lambda: ad.sum_all(ad.mul(ad.layer_norm(x, g, bb), ln_probe))))
     gl = t(7)
     cases.append(("cross_entropy", {"logits": gl}, lambda: cross_entropy(gl, 3)))
-    ge = t(4, 4)
-    cases.append(("gelu", {"x": ge}, lambda: ad.sum_all(ad.mul(ad.gelu(ge), ge))))
+    ge = t(ad.BLOCK_ELEMENTS // 256 * 3 // 2, 256)
+    ge_probe = Tensor(rng.normal(size=ge.shape) / np.sqrt(ge.size))
+    cases.append(("gelu", {"x": ge},
+                  lambda: ad.sum_all(ad.mul(ad.gelu(ge), ge_probe))))
     tr = t(3, 4)
     cases.append(("transpose", {"x": tr},
                   lambda: ad.sum_all(ad.mul(ad.transpose(tr), ad.transpose(tr)))))
@@ -253,13 +268,18 @@ def _op_cases(seed: int):
     return cases
 
 
+# elements checked per op-case tensor: all of every small tensor, a sample of
+# the block-spanning layer_norm and gelu inputs
+OP_CASE_SAMPLES = 64
+
+
 def criterion_gradient_suite(samples_per_tensor: int = 8) -> tuple[bool, str]:
     t0 = time.time()
     failures = []
 
     for seed in range(10):
         for name, params, loss_fn in _op_cases(seed):
-            fails = check_gradients(loss_fn, params)
+            fails = check_gradients(loss_fn, params, samples_per_tensor=OP_CASE_SAMPLES)
             if fails:
                 failures.append(f"{name}[seed {seed}]: {fails[0]}")
 

@@ -6,6 +6,19 @@ backward sweep walks the tape once in reverse and accumulates gradients into
 ``requires_grad`` leaves. Outside a tape the same ops run without recording,
 which is the inference path.
 
+Ops never write into their inputs or into the gradient their backward
+receives. The sweep relies on that: it stores a tensor's first incoming
+gradient as it is when that is a C-contiguous float64 array, which may be
+another tensor's gradient or a view of one, and never writes into it. Only
+a buffer the sweep made itself (a copy, or the sum of two contributions)
+is added into in place.
+
+``linear``, ``gelu`` and ``layer_norm`` are single ops that run in place
+on their own buffers, ``gelu`` and ``layer_norm`` in blocks of about
+``BLOCK_ELEMENTS`` elements, so a block's arrays stay in cache. Each keeps
+the expression order of the plain numpy formula, so values and gradients
+keep their exact bits.
+
 Broadcasting is deliberately narrow: elementwise ops need equal shapes and
 ``add``/``sub`` additionally accept a trailing-axes operand (bias vectors,
 shared positional rows); ``add_const`` takes any non-learned constant that
@@ -27,6 +40,11 @@ import numpy as np
 # Additive mask value: large enough that exp(x - max) underflows to exactly
 # 0.0 after max subtraction, finite so autodiff never sees an inf.
 MASK_NEG = -1e30
+
+# ``gelu`` and ``layer_norm`` go through their input in blocks of about this
+# many elements (64 rows at ffn_dim 256): 128 KiB per float64 array, so the
+# few arrays a block touches stay in L2.
+BLOCK_ELEMENTS = 1 << 14
 
 
 class AutodiffError(ValueError):
@@ -166,14 +184,26 @@ def backward(tape: Tape, loss: Tensor) -> None:
         raise AutodiffError("loss is not reachable from this tape")
 
     grads: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=np.float64)}
+    # ids whose buffer the sweep made itself; only these are added into in
+    # place, since an adopted gradient may be shared or a view
+    owned: set[int] = set()
 
     def accum(t: Tensor, g: np.ndarray) -> None:
-        if id(t) in tape.produced:
-            buf = grads.get(id(t))
+        key = id(t)
+        if key in tape.produced:
+            buf = grads.get(key)
             if buf is None:
-                grads[id(t)] = np.array(g, dtype=np.float64, copy=True)
-            else:
+                if (isinstance(g, np.ndarray) and g.dtype == np.float64
+                        and g.flags.c_contiguous):
+                    grads[key] = g
+                else:
+                    grads[key] = np.array(g, dtype=np.float64, copy=True)
+                    owned.add(key)
+            elif key in owned:
                 buf += g
+            else:
+                grads[key] = buf + g
+                owned.add(key)
         elif t.requires_grad:
             if t.grad is None:
                 t.grad = np.zeros_like(t.data)
@@ -197,6 +227,12 @@ def _suffix_reduce(g: np.ndarray, target_shape: tuple[int, ...]) -> np.ndarray:
     if extra:
         g = g.sum(axis=tuple(range(extra)))
     return g
+
+
+def _blocks(n: int, step: int):
+    """``(lo, hi)`` bounds of consecutive blocks of at most ``step`` of ``n``."""
+    for lo in range(0, n, step):
+        yield lo, min(n, lo + step)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -284,6 +320,25 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             accum(b, np.swapaxes(ad, -1, -2) @ g)
 
     return apply_op(out, (a, b), back, what="matmul")
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` as one op, for 2-D or stacked ``x``, 2-D ``w`` and a bias vector."""
+    xd, wd = x.data, w.data
+    if xd.ndim < 2 or wd.ndim != 2 or xd.shape[-1] != wd.shape[0]:
+        raise ShapeError(f"linear operands disagree: {x.shape} x {w.shape}")
+    if b.shape != wd.shape[1:]:
+        raise ShapeError(f"linear bias {b.shape} does not match width {wd.shape[1]}")
+    out = xd @ wd
+    out += b.data
+
+    def back(g, accum):
+        k, n = wd.shape
+        accum(x, g @ wd.T)
+        accum(w, xd.reshape(-1, k).T @ g.reshape(-1, n))
+        accum(b, _suffix_reduce(g, b.shape))
+
+    return apply_op(out, (x, w, b), back, what="linear")
 
 
 def transpose(a: Tensor, axis0: int = -2, axis1: int = -1) -> Tensor:
@@ -458,48 +513,104 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
+_GELU_D = 3 * 0.044715
 
 
 def gelu(x: Tensor) -> Tensor:
-    xd = x.data
-    x2 = xd * xd
-    t = np.tanh(_GELU_C * (xd + 0.044715 * (x2 * xd)))
-    y = 0.5 * xd * (1.0 + t)
+    """Tanh-approximated GELU, ``0.5 * x * (1 + tanh(c * (x + 0.044715 * x**3)))``."""
+    xd = x.data.reshape(-1)
+    t, y = np.empty_like(xd), np.empty_like(xd)
+    scratch = np.empty(min(xd.size, BLOCK_ELEMENTS))
+    for lo, hi in _blocks(xd.size, BLOCK_ELEMENTS):
+        xb, tb, yb, s = xd[lo:hi], t[lo:hi], y[lo:hi], scratch[:hi - lo]
+        np.multiply(xb, xb, out=s)
+        np.multiply(s, xb, out=s)
+        np.multiply(0.044715, s, out=s)
+        np.add(xb, s, out=s)
+        np.multiply(_GELU_C, s, out=s)
+        np.tanh(s, out=tb)
+        np.multiply(0.5, xb, out=yb)
+        np.add(1.0, tb, out=s)
+        np.multiply(yb, s, out=yb)
 
     def back(g, accum):
-        d_inner = _GELU_C * (1.0 + 3 * 0.044715 * x2)
-        accum(x, g * (0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * d_inner))
+        gf = g.reshape(-1)
+        dx = np.empty_like(xd)
+        d_inner, a, b = (np.empty_like(scratch) for _ in range(3))
+        for lo, hi in _blocks(xd.size, BLOCK_ELEMENTS):
+            xb, tb, n = xd[lo:hi], t[lo:hi], hi - lo
+            di, sa, sb = d_inner[:n], a[:n], b[:n]
+            # d_inner = c * (1 + 3 * 0.044715 * x * x)
+            np.multiply(xb, xb, out=di)
+            np.multiply(_GELU_D, di, out=di)
+            np.add(1.0, di, out=di)
+            np.multiply(_GELU_C, di, out=di)
+            # 0.5 * (1 + t) + 0.5 * x * (1 - t * t) * d_inner
+            np.multiply(tb, tb, out=sa)
+            np.subtract(1.0, sa, out=sa)
+            np.multiply(0.5, xb, out=sb)
+            np.multiply(sb, sa, out=sb)
+            np.multiply(sb, di, out=sb)
+            np.add(1.0, tb, out=sa)
+            np.multiply(0.5, sa, out=sa)
+            np.add(sa, sb, out=sa)
+            np.multiply(gf[lo:hi], sa, out=dx[lo:hi])
+        accum(x, dx.reshape(x.shape))
 
-    return apply_op(y, (x,), back, what="gelu")
+    return apply_op(y.reshape(x.shape), (x,), back, what="gelu")
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
+    """Normalise each row over the last axis, then scale by ``gain`` and shift by ``bias``."""
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(
             f"layer_norm gain/bias must match last extent {d}: {gain.shape}, {bias.shape}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = ((x.data - mu) ** 2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    y = xhat * gain.data + bias.data
+    xd = x.data.reshape(-1, d)
+    rows = xd.shape[0]
+    step = max(1, BLOCK_ELEMENTS // d)
+    xhat, y = np.empty_like(xd), np.empty_like(xd)
+    inv = np.empty((rows, 1))
+    scratch = np.empty((min(rows, step), d))
+    for lo, hi in _blocks(rows, step):
+        xh, s, ib, yb = xhat[lo:hi], scratch[:hi - lo], inv[lo:hi], y[lo:hi]
+        np.subtract(xd[lo:hi], xd[lo:hi].mean(axis=-1, keepdims=True), out=xh)
+        np.multiply(xh, xh, out=s)
+        var = s.mean(axis=-1, keepdims=True)
+        var += eps
+        np.sqrt(var, out=var)
+        np.divide(1.0, var, out=ib)
+        np.multiply(xh, ib, out=xh)
+        np.multiply(xh, gain.data, out=yb)
+        np.add(yb, bias.data, out=yb)
 
     def back(g, accum):
-        accum(gain, _suffix_reduce(g * xhat, gain.shape))
+        gf = g.reshape(-1, d)
+        dx = np.empty_like(xd)
+        dxh, tmp = np.empty_like(scratch), np.empty_like(scratch)
+        # rows 1.. hold a block's g * xhat and row 0 the sum over the rows
+        # before it, so the blocks sum row after row, as one sum over all
+        # rows does
+        carry = np.zeros((scratch.shape[0] + 1, d))
+        for lo, hi in _blocks(rows, step):
+            gb, xh, n = gf[lo:hi], xhat[lo:hi], hi - lo
+            np.multiply(gb, xh, out=carry[1:n + 1])
+            carry[0] = carry[:n + 1].sum(axis=0)
+            # inv * (dxh - mean(dxh) - xhat * mean(dxh * xhat)), dxh = g * gain
+            dh, t = dxh[:n], tmp[:n]
+            np.multiply(gb, gain.data, out=dh)
+            np.multiply(dh, xh, out=t)
+            mean_dxh = dh.mean(axis=-1, keepdims=True)
+            np.multiply(xh, t.mean(axis=-1, keepdims=True), out=t)
+            np.subtract(dh, mean_dxh, out=dh)
+            np.subtract(dh, t, out=dh)
+            np.multiply(inv[lo:hi], dh, out=dx[lo:hi])
+        accum(gain, carry[0])
         accum(bias, _suffix_reduce(g, bias.shape))
-        dxh = g * gain.data
-        accum(
-            x,
-            inv
-            * (
-                dxh
-                - dxh.mean(axis=-1, keepdims=True)
-                - xhat * (dxh * xhat).mean(axis=-1, keepdims=True)
-            ),
-        )
+        accum(x, dx.reshape(x.shape))
 
-    return apply_op(y, (x, gain, bias), back, what="layer_norm")
+    return apply_op(y.reshape(x.shape), (x, gain, bias), back, what="layer_norm")
 
 
 def cross_entropy(logits: Tensor, target_index: int) -> Tensor:
@@ -519,10 +630,6 @@ def cross_entropy(logits: Tensor, target_index: int) -> Tensor:
         accum(logits, g * p)
 
     return apply_op(out, (logits,), back, what="cross_entropy")
-
-
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    return add(matmul(x, w), b)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ sentence-encoder pass over their distinct documents. The flat encoder
 assembles each pair and encodes all of them as one stream, with no padding
 rows; its first layer's prefix-independent rows
 (``StepwiseEtc.fixed_parts``) are computed once per (document, global
-kinds) key, the new keys of a call in one more stream call. Training,
+kinds) key that pairs can share, which a lone empty prefix's key is not,
+the new keys of a call in one more stream call. Training,
 validation and decode all score through it. ``ModelStepScorer`` adapts it
 to the decoder protocol: it keeps what is prefix-independent (the hierarchical encoder's
 unit vectors, the flat encoder's fixed parts) across calls and memoizes
@@ -110,10 +111,13 @@ def score_pairs(model: Model, cfg: RunConfig, vocab: Vocab,
     calls on the same documents: the hierarchical encoder's unit vectors,
     and the flat encoder's fixed part per (document, global kinds) key,
     computed even for a key one pair uses, since later calls may reuse it.
-    Without it, a fixed part is computed only for a key two or more pairs
-    share; a lone pair computes its first layer whole, which costs less
-    than the two parts, since the fixed part's call projects the document
-    rows' keys and values again. All flat-encoder pairs are one
+    The empty prefix's key is the exception: every longer prefix opens a
+    plan global, so it shares that key only when the document's globals
+    already fill ``global_cap``. Without a cache, and for an empty prefix
+    with one, a fixed part is computed only for a key two or more pairs of
+    the call share; a lone pair computes its first layer whole, which costs
+    less than the two parts, since the fixed part's call projects the
+    document rows' keys and values again. All flat-encoder pairs are one
     ``StepwiseEtc.logits`` call; a pair that does not fit its layout is an
     error (``assemble_for``).
     """
@@ -141,8 +145,8 @@ def score_pairs(model: Model, cfg: RunConfig, vocab: Vocab,
     cache = {} if reps_cache is None else reps_cache
     shared = Counter(keys)
     new: dict = {}
-    for key, asm in zip(keys, assemblies):
-        if key not in cache and (reps_cache is not None or shared[key] > 1):
+    for (_, prefix), key, asm in zip(pairs, keys, assemblies):
+        if key not in cache and (shared[key] > 1 or reps_cache is not None and prefix):
             new.setdefault(key, asm)
     if new:
         cache.update(zip(new, model.fixed_parts(list(new.values()))))
