@@ -20,20 +20,16 @@ from .attention import (
     AttentionConfig,
     Segments,
     band_pattern,
-    banded_apply,
     banded_pair_count,
-    banded_scores,
     bucket_matrix,
     etc_global_local_attention,
-    global_apply,
     global_attention,
-    global_scores,
     glocal_attention,
     init_glocal_layer,
     init_mha,
+    long_attention,
     multi_head_attention,
     score_counter,
-    segment_softmax,
 )
 from .autodiff import Tape, Tensor, backward, cross_entropy
 from .config import config_from_dict
@@ -211,42 +207,40 @@ def _op_cases(seed: int):
     cases.append(("bias_at", {"table": bt},
                   lambda: ad.sum_all(ad.mul(ad.bias_at(bt, labels),
                                             ad.bias_at(bt, labels)))))
-    bq, bk, bv = t(2, 6, 4), t(2, 6, 4), t(2, 6, 4)
-
-    def banded_loss(pat):
-        w = ad.softmax(banded_scores(bq, bk, pat), -1)
-        out = banded_apply(w, bv, pat)
-        return ad.sum_all(ad.mul(out, out))
-
-    cases.append(("banded", {"q": bq, "k": bk, "v": bv},
-                  lambda: banded_loss(band_pattern(np.arange(6), 2))))
-    # a one-position gap inside the radius: some pairs attend across it and
-    # some index-offset slots are masked; then two examples of one stream,
-    # 3 positions apart, so no slot links them
-    gapped = band_pattern(np.array([0, 1, 2, 4, 5, 6]), 2)
+    # the long part: a full band over one example; a one-position gap inside
+    # the radius, so some pairs attend across it and some index-offset slots
+    # are masked; two examples of one stream, 3 positions apart so no slot
+    # links them, with 2 and 3 globals, so the first one's last global slot
+    # is padding that must take and give nothing; and those two examples at
+    # scattered anchor rows. Outputs are weighed by probes of norm about 1,
+    # as for layer_norm
+    bq, bk, bv, bq_at = t(2, 6, 4), t(2, 6, 4), t(2, 6, 4), t(2, 3, 4)
+    bkg_t, bvg, btable = t(2, 4, 5), t(2, 5, 4), t(12, 2)
+    one, split = np.array([0, 5]), np.array([0, 2, 5])
     two = band_pattern(np.array([0, 1, 2, 5, 6, 7]), 2)
-    cases.append(("banded_gapped", {"q": bq, "k": bk, "v": bv},
-                  lambda: ad.add(banded_loss(gapped), banded_loss(two))))
 
-    # the per-example ops: two examples, 2 + 3 query rows over 2 + 3 globals
-    # and 3 + 4 long rows; slots past an example's globals are probed by 0
-    q_off, g_off = np.array([0, 2, 5]), np.array([0, 2, 5])
+    def long_loss(q, pat, q_off, g_off):
+        labels = rng.integers(0, 12, size=(q.shape[1], pat.width + int(np.diff(g_off).max())))
+        probe = Tensor(rng.normal(size=q.shape) / np.sqrt(q.size))
+
+        def loss():
+            return ad.sum_all(ad.mul(long_attention(q, bk, bv, bkg_t, bvg, btable, pat, q_off,
+                                                    g_off, labels), probe))
+
+        return loss
+
+    long_leaves = {"k": bk, "v": bv, "kg_t": bkg_t, "vg": bvg, "relpos": btable}
+    cases.append(("long_attention", {"q": bq, **long_leaves},
+                  long_loss(bq, band_pattern(np.arange(6), 2), np.array([0, 6]), one)))
+    gapped_loss = long_loss(bq, band_pattern(np.array([0, 1, 2, 4, 5, 6]), 2),
+                            np.array([0, 6]), one)
+    two_loss = long_loss(bq, two, np.array([0, 3, 6]), split)
+    cases.append(("long_attention_gapped", {"q": bq, **long_leaves},
+                  lambda: ad.add(gapped_loss(), two_loss())))
+    cases.append(("long_attention_anchors", {"q": bq_at, **long_leaves},
+                  long_loss(bq_at, two.at(np.array([1, 4, 5])), np.array([0, 1, 3]), split)))
+
     gq, gk_t, gv = t(2, 5, 3), t(2, 3, 5), t(2, 5, 3)
-    live = np.zeros((2, 5, 3))
-    live[:, :2, :2] = live[:, 2:, :] = 1.0
-    probe = Tensor(rng.normal(size=(2, 5, 3)) * live)
-    cases.append(("global_scores", {"q": gq, "k_t": gk_t},
-                  lambda: ad.sum_all(ad.mul(ad.mul(global_scores(gq, gk_t, q_off, g_off),
-                                                   probe),
-                                            global_scores(gq, gk_t, q_off, g_off)))))
-    gw = t(2, 5, 3)
-    cases.append(("global_apply", {"weights": gw, "v": gv},
-                  lambda: ad.sum_all(ad.mul(global_apply(gw, gv, q_off, g_off),
-                                            global_apply(gw, gv, q_off, g_off)))))
-    sx = t(2, 5, 6)
-    cases.append(("segment_softmax", {"x": sx},
-                  lambda: ad.sum_all(ad.mul(segment_softmax(sx, q_off, np.array([4, 6])),
-                                            sx))))
     acfg = AttentionConfig(num_heads=2, model_dim=6, local_radius=1, relpos_vocab_size=12,
                            max_distance=4)
     segments = Segments.of([3, 4], [2, 3])

@@ -11,16 +11,18 @@ of query rows still indexes with slices; scattered rows index with integer
 arrays. Whether a global-local layer updates the global stream is its own
 switch, apart from which rows query.
 
-A global-local call may carry several examples end to end (``Segments``):
-their long rows in one stream and their global rows in another. Position
-distance keeps the band within an example, and the two global parts loop
-over the examples inside one op each, so every row-wise step (projections,
-band, layer norm, feed-forward) runs once over all examples, and each
-example's products have the shapes they have on their own. A module-level
-counter tracks how many (query, key) score entries each call actually
-evaluates, per attention part, masked slots included, which lets tests pin
-the sparse paths to their closed-form pattern sizes. Head count is a
-constant factor and is excluded from the counts.
+Each query stream of a global-local layer is one op, forward and backward:
+``long_attention`` for the long rows (band plus their example's globals) and
+``global_attention`` for the global rows. A global-local call may carry
+several examples end to end (``Segments``): their long rows in one stream
+and their global rows in another. Position distance keeps the band within an
+example, and both ops loop over the examples for their global products, so
+every row-wise step (projections, band, layer norm, feed-forward) runs once
+over all examples, and each example's products have the shapes they have on
+their own. A module-level counter tracks how many (query, key) score entries
+each call actually evaluates, per attention part, masked slots included,
+which lets tests pin the sparse paths to their closed-form pattern sizes.
+Head count is a constant factor and is excluded from the counts.
 
 Heads ride along as an array axis: projections are split into
 [... x heads x len x head_dim] once, every attention part runs on all heads
@@ -41,13 +43,11 @@ from .autodiff import (
     add_const,
     apply_op,
     bias_at,
-    concat,
     concat_rows,
     gelu,
     layer_norm,
     linear,
     matmul,
-    narrow,
     reshape,
     scale,
     softmax,
@@ -352,7 +352,7 @@ class BandPattern:
 
     @property
     def count(self) -> int:
-        """Slots the banded ops evaluate: every slot whose neighbour row exists."""
+        """Band slots evaluated: every slot whose neighbour row exists."""
         return banded_pair_count(self.length, self.radius, self.rows)
 
     def at(self, rows: np.ndarray) -> "BandPattern":
@@ -395,7 +395,7 @@ def band_pattern(positions: np.ndarray, radius: int) -> BandPattern:
                        ((0, 0, n),))
 
 
-# query rows per block of the band ops: a block's rows of the queries, keys
+# query rows per block of the band: a block's rows of the queries, keys
 # and their gradients stay in a core's L2 cache across the 2r+1 offsets
 BAND_BLOCK = 512
 
@@ -427,62 +427,6 @@ def _offset_slices(pat: BandPattern):
             qi = np.flatnonzero((keys >= 0) & (keys < n))
             if qi.size:
                 yield w, b0 + qi, keys[qi]
-
-
-def banded_scores(q: Tensor, k: Tensor, pat: BandPattern) -> Tensor:
-    """Windowed scores [heads x queries x (2r+1)].
-
-    Queries are [heads x queries x d] and keys [heads x length x d]. Each
-    window offset is one product over the queries that have that neighbour.
-    Invalid slots hold the mask value and pass no gradient.
-    """
-    if (q.data.ndim != 3 or k.data.ndim != 3 or q.shape[0::2] != k.shape[0::2]
-            or q.shape[1] != pat.valid.shape[0] or k.shape[1] != pat.length):
-        raise ValueError(f"banded_scores got shapes {q.shape}, {k.shape}")
-    qd, kd = q.data, k.data
-    out = np.full((q.shape[0], *pat.valid.shape), MASK_NEG)
-    for w, qi, kj in _offset_slices(pat):
-        out[:, qi, w] = np.einsum("hnd,hnd->hn", qd[:, qi], kd[:, kj])
-    out[:, ~pat.valid] = MASK_NEG
-
-    def back(g, accum):
-        g = np.where(pat.valid, g, 0.0)
-        gq, gk = np.zeros_like(qd), np.zeros_like(kd)
-        for w, qi, kj in _offset_slices(pat):
-            gw = g[:, qi, w, None]
-            gq[:, qi] += gw * kd[:, kj]
-            gk[:, kj] += gw * qd[:, qi]
-        accum(q, gq)
-        accum(k, gk)
-
-    return apply_op(out, (q, k), back, what="banded_scores")
-
-
-def banded_apply(weights: Tensor, v: Tensor, pat: BandPattern) -> Tensor:
-    """Weighted sum of windowed values per head.
-
-    ``out[h, j] = sum_w weights[h, j, w] * v[h, i + w - r]`` over the valid
-    slots of the query at row ``i``, for [heads x queries x (2r+1)] weights
-    and [heads x length x d] values; invalid slots count as zero weight.
-    """
-    heads = v.shape[0]
-    if (weights.shape != (heads, *pat.valid.shape) or v.data.ndim != 3
-            or v.shape[1] != pat.length):
-        raise ValueError(f"banded_apply got shapes {weights.shape}, {v.shape}")
-    wd, vd = np.where(pat.valid, weights.data, 0.0), v.data
-    out = np.zeros((heads, pat.valid.shape[0], vd.shape[2]))
-    for w, qi, kj in _offset_slices(pat):
-        out[:, qi] += wd[:, qi, w, None] * vd[:, kj]
-
-    def back(g, accum):
-        gw, gv = np.zeros_like(wd), np.zeros_like(vd)
-        for w, qi, kj in _offset_slices(pat):
-            gw[:, qi, w] = np.einsum("hnd,hnd->hn", g[:, qi], vd[:, kj])
-            gv[:, kj] += wd[:, qi, w, None] * g[:, qi]
-        accum(weights, np.where(pat.valid, gw, 0.0))
-        accum(v, gv)
-
-    return apply_op(out, (weights, v), back, what="banded_apply")
 
 
 def band_labels(pat: BandPattern, max_distance: int) -> np.ndarray:
@@ -537,76 +481,83 @@ def _swap(x: np.ndarray) -> np.ndarray:
     return np.swapaxes(x, -1, -2)
 
 
-def global_scores(q: Tensor, k_t: Tensor, q_off: np.ndarray, g_off: np.ndarray) -> Tensor:
-    """Long-to-global scores [heads x queries x G], G the most globals of an example.
+def long_attention(ql: Tensor, kl: Tensor, vl: Tensor, kg_t: Tensor, vg: Tensor,
+                   relpos: Tensor, pattern: BandPattern, q_off: np.ndarray,
+                   g_off: np.ndarray, labels: np.ndarray,
+                   enable_long_global: bool = True) -> Tensor:
+    """The long part: each query row attends to its band and its example's globals.
 
-    The queries ``q_off[b]:q_off[b + 1]`` of [heads x queries x d] take one
-    product with their example's key columns ``g_off[b]:g_off[b + 1]`` of
-    [heads x d x globals]. Slots past an example's own globals hold the mask
-    value and pass no gradient.
+    Per head, ``ql`` is [heads x queries x d], ``kl``/``vl`` are the long
+    rows' keys and values [heads x long x d], ``kg_t`` is
+    [heads x d x globals] and ``vg`` [heads x globals x d]. The queries
+    ``q_off[b]:q_off[b + 1]`` belong to the example with globals
+    ``g_off[b]:g_off[b + 1]``. A row's scores fill [2r+1 band slots | G
+    global slots], G the most globals of an example, and ``labels`` is
+    their [queries x (2r+1+G)] relative-position labels. Each row takes one
+    softmax over its band and its own example's globals, with biases from
+    ``relpos``, and the result is [heads x queries x d], before the output
+    projection. Switching ``enable_long_global`` off masks the globals.
+    Band slots take one product per window offset, global slots one per
+    example, forward and backward.
     """
-    qd, kd = q.data, k_t.data
+    qd, kld, vld, kgd, vgd = ql.data, kl.data, vl.data, kg_t.data, vg.data
+    table = relpos.data
+    heads, W = table.shape[1], pattern.width
+    inv_sqrt = 1.0 / math.sqrt(qd.shape[-1])
+    offsets = list(_offset_slices(pattern))
     spans = list(_spans(q_off, g_off))
-    out = np.full((qd.shape[0], qd.shape[1], int(np.diff(g_off).max())), MASK_NEG)
+    s = np.full((qd.shape[0], qd.shape[1], W + int(np.diff(g_off).max())), MASK_NEG)
+    band = s[..., :W]
+    for w, qi, kj in offsets:
+        band[:, qi, w] = np.einsum("hnd,hnd->hn", qd[:, qi], kld[:, kj])
+    band[:, ~pattern.valid] = MASK_NEG
     for qs, gs, n in spans:
-        out[:, qs, :n] = qd[:, qs] @ kd[:, :, gs]
-
-    def back(g, accum):
-        gq, gk = np.zeros_like(qd), np.zeros_like(kd)
-        for qs, gs, n in spans:
-            gw = g[:, qs, :n]
-            gq[:, qs] = gw @ _swap(kd[:, :, gs])
-            gk[:, :, gs] = _swap(qd[:, qs]) @ gw
-        accum(q, gq)
-        accum(k_t, gk)
-
-    return apply_op(out, (q, k_t), back, what="global_scores")
-
-
-def global_apply(weights: Tensor, v: Tensor, q_off: np.ndarray, g_off: np.ndarray) -> Tensor:
-    """Weighted sum of each example's global values per head.
-
-    The queries ``q_off[b]:q_off[b + 1]`` of [heads x queries x G] weights
-    take their first ``n`` slots, ``n`` their example's global count, over
-    its values ``g_off[b]:g_off[b + 1]`` of [heads x globals x d]; the other
-    slots are ignored.
-    """
-    wd, vd = weights.data, v.data
-    spans = list(_spans(q_off, g_off))
-    out = np.zeros((wd.shape[0], wd.shape[1], vd.shape[2]))
+        s[:, qs, W:W + n] = qd[:, qs] @ kgd[:, :, gs]
+    s *= inv_sqrt
+    s += np.moveaxis(np.take(table.T, labels, axis=1), 0, -3)
+    if not enable_long_global:
+        s[..., W:] += MASK_NEG
+    # slots past an example's globals keep weight 0; a masked band slot's
+    # weight underflows to exactly 0, so products over it add nothing
+    y = np.zeros_like(s)
+    out = np.zeros((qd.shape[0], qd.shape[1], vld.shape[2]))
     for qs, gs, n in spans:
-        out[:, qs] = np.ascontiguousarray(wd[:, qs, :n]) @ vd[:, gs]
-
-    def back(g, accum):
-        gw, gv = np.zeros_like(wd), np.zeros_like(vd)
-        for qs, gs, n in spans:
-            gw[:, qs, :n] = g[:, qs] @ _swap(vd[:, gs])
-            gv[:, gs] = _swap(wd[:, qs, :n]) @ g[:, qs]
-        accum(weights, gw)
-        accum(v, gv)
-
-    return apply_op(out, (weights, v), back, what="global_apply")
-
-
-def segment_softmax(x: Tensor, q_off: np.ndarray, live: np.ndarray) -> Tensor:
-    """Softmax over the last axis of [heads x queries x slots], per example.
-
-    The queries ``q_off[b]:q_off[b + 1]`` normalise over their first
-    ``live[b]`` slots alone and give the others weight 0, so each row sums
-    exactly the slots it would sum in its example on its own.
-    """
-    xd = x.data
-    y = np.zeros_like(xd)
-    for b in range(live.size):
-        rows, cols = slice(q_off[b], q_off[b + 1]), slice(0, live[b])
-        xs = xd[:, rows, cols]
+        xs = s[:, qs, :W + n]
         e = np.exp(xs - xs.max(axis=-1, keepdims=True))
-        y[:, rows, cols] = e / e.sum(axis=-1, keepdims=True)
+        y[:, qs, :W + n] = e / e.sum(axis=-1, keepdims=True)
+    for w, qi, kj in offsets:
+        out[:, qi] += y[:, qi, w, None] * vld[:, kj]
+    for qs, gs, n in spans:
+        out[:, qs] += np.ascontiguousarray(y[:, qs, W:W + n]) @ vgd[:, gs]
 
     def back(g, accum):
-        accum(x, y * (g - (g * y).sum(axis=-1, keepdims=True)))
+        grads = [np.zeros_like(a) for a in (qd, kld, vld, kgd, vgd)]
+        gq, gkl, gvl, gkg, gvg = grads
+        gy = np.zeros_like(y)
+        for w, qi, kj in offsets:
+            gy[:, qi, w] = np.einsum("hnd,hnd->hn", g[:, qi], vld[:, kj])
+            gvl[:, kj] += y[:, qi, w, None] * g[:, qi]
+        gy[..., :W][:, ~pattern.valid] = 0.0
+        for qs, gs, n in spans:
+            gy[:, qs, W:W + n] = g[:, qs] @ _swap(vgd[:, gs])
+            gvg[:, gs] = _swap(y[:, qs, W:W + n]) @ g[:, qs]
+        gs_ = y * (gy - (gy * y).sum(axis=-1, keepdims=True))
+        slots = labels[None] * heads + np.arange(heads)[:, None, None]
+        g_table = np.bincount(slots.ravel(), weights=gs_.ravel(), minlength=table.size)
+        gs_ *= inv_sqrt
+        for w, qi, kj in offsets:
+            gw = gs_[:, qi, w, None]
+            gq[:, qi] += gw * kld[:, kj]
+            gkl[:, kj] += gw * qd[:, qi]
+        for qs, gs, n in spans:
+            gw = gs_[:, qs, W:W + n]
+            gq[:, qs] += gw @ _swap(kgd[:, :, gs])
+            gkg[:, :, gs] = _swap(qd[:, qs]) @ gw
+        for t, grad in zip((ql, kl, vl, kg_t, vg), grads):
+            accum(t, grad)
+        accum(relpos, g_table.reshape(table.shape))
 
-    return apply_op(y, (x,), back, what="softmax")
+    return apply_op(out, (ql, kl, vl, kg_t, vg, relpos), back, what="long_attention")
 
 
 def global_attention(qg: Tensor, kg_t: Tensor, vg: Tensor, kl: Tensor, vl: Tensor,
@@ -620,8 +571,8 @@ def global_attention(qg: Tensor, kg_t: Tensor, vg: Tensor, kl: Tensor, vl: Tenso
     over [its globals | its long rows], with relative-position biases from
     ``relpos``, and the result is [heads x globals x d], before the output
     projection. Switching ``enable_long_global`` off masks the long half.
-    One op loops over the examples, forward and backward, as the band ops
-    loop over offsets.
+    One op loops over the examples, forward and backward, as
+    ``long_attention`` does for its global slots.
     """
     qd, kgd, vgd, kld, vld = qg.data, kg_t.data, vg.data, kl.data, vl.data
     table = relpos.data
@@ -731,7 +682,7 @@ def glocal_attention(long: Tensor, glob: Tensor, sentence_id: np.ndarray,
         score_counter.add("global",
                           int(g_size @ (g_size + enable_long_global * np.diff(seg.long))))
 
-    H, W, width = cfg.num_heads, pat.width, int(g_size.max())
+    H = cfg.num_heads
     if queries is None:
         queries = pat.query_rows(long)
     ql = split_heads(linear(queries, params.wq, params.bq), H)
@@ -742,23 +693,12 @@ def glocal_attention(long: Tensor, glob: Tensor, sentence_id: np.ndarray,
     qg = split_heads(linear(glob, params.wq, params.bq), H) if update_global else None
     kg_t = split_heads(linear(glob, params.wk, params.bk), H, keys_last=True)
     vg = split_heads(linear(glob, params.wv, params.bv), H)
-    inv_sqrt = 1.0 / math.sqrt(cfg.head_dim)
 
-    # long stream: band (long_to_long) | its example's globals (long_to_global),
-    # one softmax per query row over its example's slots; labels and the
-    # probe mask are laid out the same way
-    long_labels = np.concatenate([band_labels(pat, cfg.max_distance),
-                                  membership_labels(sentence_id[rows], width, cfg)], axis=1)
-    s_long = concat([banded_scores(ql, kl, pat), global_scores(ql, kg_t, q_off, seg.glob)],
-                    axis=-1)
-    s_long = add(scale(s_long, inv_sqrt), bias_at(params.relpos, long_labels))
-    if not enable_long_global:
-        long_mask = np.zeros((rows.size, W + width))
-        long_mask[:, W:] = MASK_NEG
-        s_long = add_const(s_long, long_mask)
-    a = segment_softmax(s_long, q_off, W + g_size)
-    long_heads = add(banded_apply(narrow(a, -1, 0, W), vl, pat),
-                     global_apply(narrow(a, -1, W, width), vg, q_off, seg.glob))
+    long_labels = np.concatenate(
+        [band_labels(pat, cfg.max_distance),
+         membership_labels(sentence_id[rows], int(g_size.max()), cfg)], axis=1)
+    long_heads = long_attention(ql, kl, vl, kg_t, vg, params.relpos, pat, q_off, seg.glob,
+                                long_labels, enable_long_global)
     long_out = linear(merge_heads(long_heads), params.wo, params.bo)
     if not update_global:
         return long_out, None

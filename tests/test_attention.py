@@ -1,8 +1,8 @@
 import band_reference
+import glocal_reference
 import numpy as np
 import pytest
 
-from stepsum import attention
 from stepsum.attention import (
     NO_GLOBAL,
     AttentionConfig,
@@ -10,28 +10,29 @@ from stepsum.attention import (
     Segments,
     band_labels,
     band_pattern,
-    banded_apply,
     banded_pair_count,
-    banded_scores,
     bucket_matrix,
     etc_global_local_attention,
     glocal_attention,
     init_glocal_layer,
     init_mha,
+    long_attention,
     membership_labels,
     multi_head_attention,
     post_norm_block,
     score_counter,
 )
 from stepsum.autodiff import (
-    MASK_NEG,
     Tape,
     Tensor,
     add,
     backward,
+    bias_at,
     concat,
+    matmul,
     mul,
     narrow,
+    scale,
     softmax,
     sum_all,
 )
@@ -250,23 +251,38 @@ def test_band_pattern_positions_respects_gaps():
     assert pat.count == banded_pair_count(3, 2) == 9
 
 
-def test_banded_matches_dense_softmax_attention(rng):
-    heads, length, dim, radius = 2, 9, 4, 3
-    q = Tensor(rng.normal(size=(heads, length, dim)))
-    k = Tensor(rng.normal(size=(heads, length, dim)))
-    v = Tensor(rng.normal(size=(heads, length, dim)))
-    pat = band_pattern(np.arange(length), radius)
-    w = softmax(banded_scores(q, k, pat), -1)
-    out = banded_apply(w, v, pat)
-    assert out.shape == (heads, length, dim)
+def _long_inputs(rng, heads, n_query, n_long, n_glob, dim=4):
+    """Random [heads x ...] queries, long keys/values, global keys^T/values."""
+    def t(*shape):
+        return Tensor(rng.normal(size=shape), requires_grad=True)
 
+    return (t(heads, n_query, dim), t(heads, n_long, dim), t(heads, n_long, dim),
+            t(heads, dim, n_glob), t(heads, n_glob, dim))
+
+
+def test_banded_matches_dense_softmax_attention(rng):
+    heads, length, dim, radius, n_glob = 2, 9, 4, 3, 2
+    q, k, v, kg_t, vg = _long_inputs(rng, heads, length, length, n_glob, dim)
+    pat = band_pattern(np.arange(length), radius)
+    # a zero bias table, so scores are the scaled products alone
+    relpos = Tensor(np.zeros((12, heads)))
+    labels = np.zeros((length, pat.width + n_glob), dtype=np.int64)
     idx = np.arange(length)
-    for h in range(heads):
-        scores = q.data[h] @ k.data[h].T
-        masked = np.where(np.abs(idx[:, None] - idx[None, :]) <= radius, scores, -np.inf)
-        e = np.exp(masked - masked.max(axis=1, keepdims=True))
-        dense = (e / e.sum(axis=1, keepdims=True)) @ v.data[h]
-        np.testing.assert_allclose(out.data[h], dense, atol=1e-12)
+    for enable_long_global in (True, False):
+        out = long_attention(q, k, v, kg_t, vg, relpos, pat, np.array([0, length]),
+                             np.array([0, n_glob]), labels, enable_long_global)
+        assert out.shape == (heads, length, dim)
+        for h in range(heads):
+            scores = q.data[h] @ k.data[h].T / np.sqrt(dim)
+            band = np.where(np.abs(idx[:, None] - idx[None, :]) <= radius, scores, -np.inf)
+            glob = q.data[h] @ kg_t.data[h] / np.sqrt(dim)
+            if not enable_long_global:
+                glob[:] = -np.inf
+            both = np.concatenate([band, glob], axis=1)
+            e = np.exp(both - both.max(axis=1, keepdims=True))
+            dense = (e / e.sum(axis=1, keepdims=True)) @ np.concatenate([v.data[h],
+                                                                         vg.data[h]])
+            np.testing.assert_allclose(out.data[h], dense, atol=1e-12)
 
 
 # -- per-offset slices against the gather-based reference ---------------------
@@ -284,17 +300,16 @@ REFERENCE_PATTERNS = {
 }
 
 
-def _run_band_ops(ops, pat, q, k, v, wts, probe):
-    """Scores feed a softmax and, with the weights as probe, the loss directly."""
-    for x in (q, k, v, wts):
-        x.zero_grad()
-    with Tape() as tape:
-        scores = ops.banded_scores(q, k, pat)
-        attn = ops.banded_apply(softmax(scores, -1), v, pat)
-        mixed = ops.banded_apply(wts, v, pat)
-        loss = add(sum_all(mul(attn, probe)), sum_all(mul(mixed, probe)))
-        backward(tape, add(loss, sum_all(mul(scores, Tensor(wts.data)))))
-    return scores.data, [attn.data, mixed.data, q.grad, k.grad, v.grad], wts.grad
+def _gather_long_attention(pat, q, k, v, kg_t, vg, relpos, labels):
+    """The long part over one example from the gather-based band ops: the
+    band's scores beside dense global products, one softmax, then each part
+    applied."""
+    W, n_glob = pat.width, vg.shape[1]
+    s = concat([band_reference.banded_scores(q, k, pat), matmul(q, kg_t)], axis=-1)
+    s = add(scale(s, 1.0 / np.sqrt(q.shape[-1])), bias_at(relpos, labels))
+    a = softmax(s, -1)
+    return add(band_reference.banded_apply(narrow(a, -1, 0, W), v, pat),
+               matmul(narrow(a, -1, W, n_glob), vg))
 
 
 @pytest.mark.parametrize("heads", [1, 2, 4])
@@ -303,7 +318,7 @@ def test_banded_ops_match_gather_reference(rng, heads, name):
     """The reference runs over its stream as given, padding rows included; the
     band holds the active rows alone, at their positions."""
     positions, radius, active = REFERENCE_PATTERNS[name]
-    n, dim = positions.size, 4
+    n, dim, n_glob = positions.size, 4, 3
     keep = np.ones(n, dtype=bool) if active is None else active
     m = int(keep.sum())
     pat = band_pattern(positions[keep], radius)
@@ -322,25 +337,79 @@ def test_banded_ops_match_gather_reference(rng, heads, name):
     def kept(t):
         return Tensor(t.data[:, keep], requires_grad=True)
 
-    old_q, old_k, old_v = (Tensor(rng.normal(size=(heads, n, dim)), requires_grad=True)
-                           for _ in range(3))
+    old_q, old_k, old_v, kg_t, vg = _long_inputs(rng, heads, n, n, n_glob, dim)
     q, k, v = kept(old_q), kept(old_k), kept(old_v)
-    wts = Tensor(rng.normal(size=(heads, m, pat.width)), requires_grad=True)
-    old_wts = np.zeros((heads, n, pat.width))
-    old_wts[:, oi, ww] = wts.data[:, i, w]
-    old_wts = Tensor(old_wts, requires_grad=True)
-    old_probe = Tensor(rng.normal(size=(heads, n, dim)))
-    scores, outs, gw = _run_band_ops(attention, pat, q, k, v, wts, kept(old_probe))
-    old_scores, old_outs, old_gw = _run_band_ops(band_reference, old, old_q, old_k, old_v,
-                                                 old_wts, old_probe)
+    relpos = Tensor(rng.normal(size=(12, heads)), requires_grad=True)
+    member = rng.integers(9, 11, size=(n, n_glob))
+    labels = np.concatenate([band_labels(pat, 4), member[keep]], axis=1)
+    old_labels = np.concatenate([band_reference.band_labels(old, 4), member], axis=1)
+    # padding rows are probed by 0: they attend to the globals in the
+    # reference alone
+    old_probe = rng.normal(size=(heads, n, dim)) * keep[:, None]
+    (out,), grads = _outputs_and_input_grads(
+        lambda: (long_attention(q, k, v, kg_t, vg, relpos, pat, np.array([0, m]),
+                                np.array([0, n_glob]), labels),),
+        [q, k, v, kg_t, vg, relpos], [Tensor(old_probe[:, keep])])
+    (old_out,), old_grads = _outputs_and_input_grads(
+        lambda: (_gather_long_attention(old, old_q, old_k, old_v, kg_t, vg, relpos,
+                                        old_labels),),
+        [old_q, old_k, old_v, kg_t, vg, relpos], [Tensor(old_probe)])
 
-    np.testing.assert_allclose(scores[:, i, w], old_scores[:, oi, ww], rtol=0, atol=1e-12)
-    assert (scores[:, ~pat.valid] == MASK_NEG).all()
-    for got, want in zip(outs, old_outs):
+    np.testing.assert_allclose(out, old_out[:, keep], rtol=0, atol=1e-12)
+    for got, want in zip(grads[:3], old_grads[:3]):
         np.testing.assert_allclose(got, want[:, keep], rtol=0, atol=1e-12)
         assert (want[:, ~keep] == 0.0).all()  # padding rows get and give nothing
-    np.testing.assert_allclose(gw[:, i, w], old_gw[:, oi, ww], rtol=0, atol=1e-12)
-    assert (gw[:, ~pat.valid] == 0.0).all()
+    for got, want in zip(grads[3:], old_grads[3:]):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+# -- one long-attention op against the chain of ops it replaced ----------------
+
+
+def _query_rows(kind, m):
+    """Every row, two runs around one skipped row, or every third row."""
+    if kind == "full":
+        return None
+    if kind == "runs":
+        return np.delete(np.arange(m), m // 2) if m > 1 else np.arange(m)
+    return np.arange(0, m, 3)
+
+
+@pytest.mark.parametrize("enable_long_global", [True, False])
+@pytest.mark.parametrize("kind", ["full", "runs", "scattered"])
+@pytest.mark.parametrize("name", sorted(REFERENCE_PATTERNS))
+def test_long_attention_matches_chain_reference(rng, name, kind, enable_long_global):
+    """Bitwise, forward and every gradient, on two examples with 2 and 3
+    globals; the second example's queries start halfway down the stream."""
+    positions, radius, active = REFERENCE_PATTERNS[name]
+    if active is not None:
+        positions = positions[active]
+    m, heads, g_off = positions.size, 2, np.array([0, 2, 5])
+    pat = band_pattern(positions, radius)
+    rows = _query_rows(kind, m)
+    if rows is not None:
+        pat = pat.at(rows)
+        if name == "blocks":  # both ways a band indexes its query rows
+            assert (pat.runs is None) == (kind == "scattered")
+    else:
+        rows = np.arange(m)
+    q_off = np.searchsorted(rows, [0, m // 2, m])
+    q, k, v, kg_t, vg = _long_inputs(rng, heads, rows.size, m, int(g_off[-1]))
+    relpos = Tensor(rng.normal(size=(12, heads)), requires_grad=True)
+    labels = rng.integers(0, 12, size=(rows.size, pat.width + 3))
+    probe = Tensor(rng.normal(size=(heads, rows.size, 4)))
+    inputs = [q, k, v, kg_t, vg, relpos]
+
+    def run(op):
+        return (op(q, k, v, kg_t, vg, relpos, pat, q_off, g_off, labels,
+                   enable_long_global),)
+
+    (out,), grads = _outputs_and_input_grads(lambda: run(long_attention), inputs, [probe])
+    (want,), want_grads = _outputs_and_input_grads(
+        lambda: run(glocal_reference.long_attention), inputs, [probe])
+    assert out.tobytes() == want.tobytes()
+    for got, ref in zip(grads, want_grads):
+        assert got.tobytes() == ref.tobytes()
 
 
 # -- head axis --------------------------------------------------------------------

@@ -216,15 +216,6 @@ def test_ops_outside_tape_do_not_record():
     assert x.grad is None
 
 
-@pytest.mark.parametrize("seed", range(10))
-def test_gradcheck_every_op_random_shapes(seed):
-    from stepsum.acceptance import OP_CASE_SAMPLES, _op_cases
-
-    for name, params, loss_fn in _op_cases(seed):
-        fails = check_gradients(loss_fn, params, samples_per_tensor=OP_CASE_SAMPLES)
-        assert fails == [], f"{name} failed at seed {seed}: {fails[0]}"
-
-
 def test_determinism_bitwise():
     def run():
         rng = np.random.default_rng(42)

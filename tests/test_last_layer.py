@@ -265,8 +265,9 @@ def test_layer_gathers_its_query_rows_once(monkeypatch):
     # the token and global-kind lookups, then one gather per layer that
     # queries from some rows: layer 0's per-prefix run (rows by slices) and
     # the last layer's anchors (a take); layer 0's output stitches the fixed
-    # rows to the rest, and each layer splits its softmax with two narrows
-    assert (ops["take"], ops["concat_rows"], ops["narrow"]) == (2 + 1, 1 + 1, 2 * 2)
+    # rows to the rest; no layer narrows its softmax apart, since each query
+    # stream's attention is one op
+    assert (ops["take"], ops["concat_rows"], ops["narrow"]) == (2 + 1, 1 + 1, 0)
     monkeypatch.undo()
 
     # the layer's rows are those of attention plus a residual gathered apart
