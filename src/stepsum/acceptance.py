@@ -212,24 +212,25 @@ def _op_cases(seed: int):
     # are masked; two examples of one stream, 3 positions apart so no slot
     # links them, with 2 and 3 globals, so the first one's last global slot
     # is padding that must take and give nothing; and those two examples at
-    # scattered anchor rows. Outputs are weighed by probes of norm about 1,
-    # as for layer_norm
-    bq, bk, bv, bq_at = t(2, 6, 4), t(2, 6, 4), t(2, 6, 4), t(2, 3, 4)
-    bkg_t, bvg, btable = t(2, 4, 5), t(2, 5, 4), t(12, 2)
+    # scattered anchor rows. Each operand is [rows x dim], two heads of 4
+    # columns. Outputs are weighed by probes of norm about 1, as for
+    # layer_norm
+    bq, bk, bv, bq_at = t(6, 8), t(6, 8), t(6, 8), t(3, 8)
+    bkg, bvg, btable = t(5, 8), t(5, 8), t(12, 2)
     one, split = np.array([0, 5]), np.array([0, 2, 5])
     two = band_pattern(np.array([0, 1, 2, 5, 6, 7]), 2)
 
     def long_loss(q, pat, q_off, g_off):
-        labels = rng.integers(0, 12, size=(q.shape[1], pat.width + int(np.diff(g_off).max())))
+        labels = rng.integers(0, 12, size=(q.shape[0], pat.width + int(np.diff(g_off).max())))
         probe = Tensor(rng.normal(size=q.shape) / np.sqrt(q.size))
 
         def loss():
-            return ad.sum_all(ad.mul(long_attention(q, bk, bv, bkg_t, bvg, btable, pat, q_off,
+            return ad.sum_all(ad.mul(long_attention(q, bk, bv, bkg, bvg, btable, pat, q_off,
                                                     g_off, labels), probe))
 
         return loss
 
-    long_leaves = {"k": bk, "v": bv, "kg_t": bkg_t, "vg": bvg, "relpos": btable}
+    long_leaves = {"k": bk, "v": bv, "kg": bkg, "vg": bvg, "relpos": btable}
     cases.append(("long_attention", {"q": bq, **long_leaves},
                   long_loss(bq, band_pattern(np.arange(6), 2), np.array([0, 6]), one)))
     gapped_loss = long_loss(bq, band_pattern(np.array([0, 1, 2, 4, 5, 6]), 2),
@@ -240,16 +241,17 @@ def _op_cases(seed: int):
     cases.append(("long_attention_anchors", {"q": bq_at, **long_leaves},
                   long_loss(bq_at, two.at(np.array([1, 4, 5])), np.array([0, 1, 3]), split)))
 
-    gq, gk_t, gv = t(2, 5, 3), t(2, 3, 5), t(2, 5, 3)
+    # [rows x dim], two heads of 3 columns
+    gq, gk, gv = t(5, 6), t(5, 6), t(5, 6)
     acfg = AttentionConfig(num_heads=2, model_dim=6, local_radius=1, relpos_vocab_size=12,
                            max_distance=4)
     segments = Segments.of([3, 4], [2, 3])
     sid = np.array([0, 1, -1, 0, 1, 2, 2])
-    kl, vl, table = t(2, 7, 3), t(2, 7, 3), t(12, 2)
+    kl, vl, table = t(7, 6), t(7, 6), t(12, 2)
     cases.append(("global_attention",
-                  {"qg": gq, "kg_t": gk_t, "vg": gv, "kl": kl, "vl": vl, "relpos": table},
+                  {"qg": gq, "kg": gk, "vg": gv, "kl": kl, "vl": vl, "relpos": table},
                   lambda: ad.sum_all(ad.mul(*[global_attention(
-                      gq, gk_t, gv, kl, vl, table, segments, sid, acfg)] * 2))))
+                      gq, gk, gv, kl, vl, table, segments, sid, acfg)] * 2))))
     ra, rb = t(4, 3), t(3, 3)
     pieces = [(rb, 1, 2), (ra, 0, 3), (rb, 1, 2), (ra, 3, 1)]
     cases.append(("concat_rows", {"a": ra, "b": rb},

@@ -24,9 +24,14 @@ each call actually evaluates, per attention part, masked slots included,
 which lets tests pin the sparse paths to their closed-form pattern sizes.
 Head count is a constant factor and is excluded from the counts.
 
-Heads ride along as an array axis: projections are split into
-[... x heads x len x head_dim] once, every attention part runs on all heads
-at once, and the heads are merged back before the output projection.
+Every attention part runs on all heads at once. Dense attention splits its
+projections into [... x heads x len x head_dim] once and merges the heads
+back before the output projection. The global-local ops read head ``h`` of
+a [rows x dim] projection in place, as its columns ``h*d:(h+1)*d``, and
+write [rows x dim] results, so a global-local layer splits and merges
+nothing on the tape. Inside them, each band block and each product operand
+is a contiguous per-head copy of the rows it needs, which keeps BLAS on the
+operand layouts, and so the bits, of a head-axis array.
 """
 
 from __future__ import annotations
@@ -395,38 +400,48 @@ def band_pattern(positions: np.ndarray, radius: int) -> BandPattern:
                        ((0, 0, n),))
 
 
-# query rows per block of the band: a block's rows of the queries, keys
-# and their gradients stay in a core's L2 cache across the 2r+1 offsets
+# query rows per block of the band: a block's queries, keys and their
+# gradients, copied to contiguous per-head scratch, stay in a core's L2
+# cache across the 2r+1 offsets
 BAND_BLOCK = 512
 
 
-def _offset_slices(pat: BandPattern):
-    """(slot, query index, key index) of every window offset some query has.
+def _band_blocks(pat: BandPattern):
+    """(queries, key rows, offsets) of each block of at most ``BAND_BLOCK`` query rows.
 
-    Queries go in blocks of at most ``BAND_BLOCK`` rows, every offset of a
-    block before the next block; a query's slots still come in offset
-    order. Runs of consecutive query rows index with slices. Scattered query
-    rows index with integer arrays; they are distinct, so within one offset
-    their key rows are too, and scatter-adds through them are exact.
+    A block's queries are a slice of query indices, and its key rows the
+    slice of rows from its first query row's window to its last one's.
+    ``offsets`` lists ``(slot, query index, key index)`` for every window
+    offset some query of the block has, indexed within the block's queries
+    and key rows; a query's slots come in offset order. Runs of consecutive
+    query rows index with slices. Scattered query rows index with integer
+    arrays; they are distinct, so within one offset their key rows are too,
+    and scatter-adds through them are exact.
     """
     n, r = pat.length, pat.radius
     if pat.runs is not None:
-        for q0, r0, size in pat.runs:
-            for b0 in range(0, size, BAND_BLOCK):
-                b1 = min(size, b0 + BAND_BLOCK)
-                for w in range(pat.width):
-                    lo, hi = max(b0, r - w - r0), min(b1, n + r - w - r0)
-                    if lo < hi:
-                        yield (w, slice(q0 + lo, q0 + hi),
-                               slice(r0 + lo + w - r, r0 + hi + w - r))
+        blocks = [(q0 + b0, r0 + b0, min(size, b0 + BAND_BLOCK) - b0)
+                  for q0, r0, size in pat.runs for b0 in range(0, size, BAND_BLOCK)]
+        for q0, r0, size in blocks:
+            k0 = max(0, r0 - r)
+            offsets = []
+            for w in range(pat.width):
+                lo, hi = max(0, r - w - r0), min(size, n + r - w - r0)
+                if lo < hi:
+                    offsets.append((w, slice(lo, hi),
+                                    slice(r0 + lo + w - r - k0, r0 + hi + w - r - k0)))
+            yield slice(q0, q0 + size), slice(k0, min(n, r0 + size + r)), offsets
         return
     for b0 in range(0, pat.rows.size, BAND_BLOCK):
         rows = pat.rows[b0:b0 + BAND_BLOCK]
+        k0 = max(0, int(rows[0]) - r)
+        offsets = []
         for w in range(pat.width):
             keys = rows + w - r
             qi = np.flatnonzero((keys >= 0) & (keys < n))
             if qi.size:
-                yield w, b0 + qi, keys[qi]
+                offsets.append((w, qi, keys[qi] - k0))
+        yield slice(b0, b0 + rows.size), slice(k0, min(n, int(rows[-1]) + r + 1)), offsets
 
 
 def band_labels(pat: BandPattern, max_distance: int) -> np.ndarray:
@@ -481,38 +496,99 @@ def _swap(x: np.ndarray) -> np.ndarray:
     return np.swapaxes(x, -1, -2)
 
 
-def long_attention(ql: Tensor, kl: Tensor, vl: Tensor, kg_t: Tensor, vg: Tensor,
+def _by_head(x: np.ndarray, heads: int) -> np.ndarray:
+    """The [rows x dim] array ``x`` as a [heads x rows x head_dim] view."""
+    return x.reshape(x.shape[0], heads, -1).swapaxes(0, 1)
+
+
+def _block(view: np.ndarray, rows) -> np.ndarray:
+    """Rows ``rows`` of a [heads x rows x d] view, as a contiguous copy.
+
+    Each head's rows then lie as in a head-axis array. BLAS's matrix-vector
+    path (a product with one row or one column) gives other bits for a
+    matrix read at a wider row stride, so the global products take their
+    head operands this way.
+    """
+    return np.ascontiguousarray(view[:, rows])
+
+
+def _band_scratch(blocks, view: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-head scratch for the largest block's queries and its key rows.
+
+    One pair of buffers serves every block of an op, forward or backward.
+    """
+    heads, _, d = view.shape
+    nq = max((qb.stop - qb.start for qb, _, _ in blocks), default=0)
+    nk = max((kb.stop - kb.start for _, kb, _ in blocks), default=0)
+    return np.empty((heads, nq, d)), np.empty((heads, nk, d))
+
+
+def _rows_into(buf: np.ndarray, view: np.ndarray, rows: slice) -> np.ndarray:
+    """Rows ``rows`` of a [heads x rows x d] view, copied to the front of ``buf``."""
+    part = buf[:, :rows.stop - rows.start]
+    np.copyto(part, view[:, rows])
+    return part
+
+
+def _key_scratch(buf: np.ndarray, grad: np.ndarray, keys: slice, done: int) -> np.ndarray:
+    """The front of ``buf`` as the gradient scratch of a band block's key rows.
+
+    ``grad`` is a [heads x rows x d] view; the blocks before this one wrote
+    its rows below ``done``, and the scratch starts from those rows' sums,
+    so each row adds its terms in the order one pass over the blocks does.
+    The other rows start at zero.
+    """
+    part = buf[:, :keys.stop - keys.start]
+    seen = max(0, min(done, keys.stop) - keys.start)
+    part[:, :seen] = grad[:, keys.start:keys.start + seen]
+    part[:, seen:] = 0.0
+    return part
+
+
+def _keys_last(k: np.ndarray, heads: int) -> np.ndarray:
+    """[rows x dim] keys as a contiguous [heads x head_dim x rows] copy."""
+    return np.ascontiguousarray(_swap(_by_head(k, heads)))
+
+
+def long_attention(ql: Tensor, kl: Tensor, vl: Tensor, kg: Tensor, vg: Tensor,
                    relpos: Tensor, pattern: BandPattern, q_off: np.ndarray,
                    g_off: np.ndarray, labels: np.ndarray,
                    enable_long_global: bool = True) -> Tensor:
     """The long part: each query row attends to its band and its example's globals.
 
-    Per head, ``ql`` is [heads x queries x d], ``kl``/``vl`` are the long
-    rows' keys and values [heads x long x d], ``kg_t`` is
-    [heads x d x globals] and ``vg`` [heads x globals x d]. The queries
-    ``q_off[b]:q_off[b + 1]`` belong to the example with globals
-    ``g_off[b]:g_off[b + 1]``. A row's scores fill [2r+1 band slots | G
-    global slots], G the most globals of an example, and ``labels`` is
-    their [queries x (2r+1+G)] relative-position labels. Each row takes one
-    softmax over its band and its own example's globals, with biases from
-    ``relpos``, and the result is [heads x queries x d], before the output
-    projection. Switching ``enable_long_global`` off masks the globals.
-    Band slots take one product per window offset, global slots one per
-    example, forward and backward.
+    ``ql`` is [queries x dim], ``kl``/``vl`` are the long rows' keys and
+    values [long x dim] and ``kg``/``vg`` the global rows' [globals x dim],
+    each as its projection returns it; head ``h`` reads columns
+    ``h*d:(h+1)*d`` of each, with ``relpos``'s columns naming the heads and
+    d = dim / heads. The queries ``q_off[b]:q_off[b + 1]`` belong to the
+    example with globals ``g_off[b]:g_off[b + 1]``. A row's scores fill
+    [2r+1 band slots | G global slots] per head, G the most globals of an
+    example, and ``labels`` is their [queries x (2r+1+G)] relative-position
+    labels. Each row takes one softmax over its band and its own example's
+    globals, with biases from ``relpos``, and the result is [queries x dim],
+    before the output projection. Switching ``enable_long_global`` off masks
+    the globals. The band goes in blocks of query rows, each block's rows
+    and its keys' rows copied to contiguous per-head scratch, with one
+    product per window offset; global slots take one product per example,
+    forward and backward.
     """
-    qd, kld, vld, kgd, vgd = ql.data, kl.data, vl.data, kg_t.data, vg.data
     table = relpos.data
     heads, W = table.shape[1], pattern.width
-    inv_sqrt = 1.0 / math.sqrt(qd.shape[-1])
-    offsets = list(_offset_slices(pattern))
+    qv, klv, vlv, vgv = (_by_head(t.data, heads) for t in (ql, kl, vl, vg))
+    kg_t = _keys_last(kg.data, heads)
+    inv_sqrt = 1.0 / math.sqrt(qv.shape[-1])
+    blocks = list(_band_blocks(pattern))
     spans = list(_spans(q_off, g_off))
-    s = np.full((qd.shape[0], qd.shape[1], W + int(np.diff(g_off).max())), MASK_NEG)
+    s = np.full((heads, qv.shape[1], W + int(np.diff(g_off).max())), MASK_NEG)
     band = s[..., :W]
-    for w, qi, kj in offsets:
-        band[:, qi, w] = np.einsum("hnd,hnd->hn", qd[:, qi], kld[:, kj])
+    qbuf, kbuf = _band_scratch(blocks, qv)
+    for qb, kb, offsets in blocks:
+        qh, kh, sb = _rows_into(qbuf, qv, qb), _rows_into(kbuf, klv, kb), band[:, qb]
+        for w, qi, kj in offsets:
+            sb[:, qi, w] = np.einsum("hnd,hnd->hn", qh[:, qi], kh[:, kj])
     band[:, ~pattern.valid] = MASK_NEG
     for qs, gs, n in spans:
-        s[:, qs, W:W + n] = qd[:, qs] @ kgd[:, :, gs]
+        s[:, qs, W:W + n] = _block(qv, qs) @ kg_t[:, :, gs]
     s *= inv_sqrt
     s += np.moveaxis(np.take(table.T, labels, axis=1), 0, -3)
     if not enable_long_global:
@@ -520,105 +596,142 @@ def long_attention(ql: Tensor, kl: Tensor, vl: Tensor, kg_t: Tensor, vg: Tensor,
     # slots past an example's globals keep weight 0; a masked band slot's
     # weight underflows to exactly 0, so products over it add nothing
     y = np.zeros_like(s)
-    out = np.zeros((qd.shape[0], qd.shape[1], vld.shape[2]))
     for qs, gs, n in spans:
         xs = s[:, qs, :W + n]
         e = np.exp(xs - xs.max(axis=-1, keepdims=True))
         y[:, qs, :W + n] = e / e.sum(axis=-1, keepdims=True)
-    for w, qi, kj in offsets:
-        out[:, qi] += y[:, qi, w, None] * vld[:, kj]
+    del s, band
+    out = np.zeros_like(ql.data)
+    ov = _by_head(out, heads)
+    for qb, kb, offsets in blocks:
+        vh, yb = _rows_into(kbuf, vlv, kb), y[:, qb]
+        ob = qbuf[:, :yb.shape[1]]
+        ob[...] = 0.0
+        for w, qi, kj in offsets:
+            ob[:, qi] += yb[:, qi, w, None] * vh[:, kj]
+        ov[:, qb] = ob
     for qs, gs, n in spans:
-        out[:, qs] += np.ascontiguousarray(y[:, qs, W:W + n]) @ vgd[:, gs]
+        ov[:, qs] += np.ascontiguousarray(y[:, qs, W:W + n]) @ _block(vgv, gs)
 
     def back(g, accum):
-        grads = [np.zeros_like(a) for a in (qd, kld, vld, kgd, vgd)]
-        gq, gkl, gvl, gkg, gvg = grads
+        grads = [np.zeros_like(t.data) for t in (ql, kl, vl, kg, vg)]
+        gqv, gklv, gvlv, gkgv, gvgv = (_by_head(a, heads) for a in grads)
+        gv = _by_head(g, heads)
         gy = np.zeros_like(y)
-        for w, qi, kj in offsets:
-            gy[:, qi, w] = np.einsum("hnd,hnd->hn", g[:, qi], vld[:, kj])
-            gvl[:, kj] += y[:, qi, w, None] * g[:, qi]
+        qbuf, kbuf = _band_scratch(blocks, qv)
+        gqbuf, gkbuf = np.empty_like(qbuf), np.empty_like(kbuf)
+        done = 0
+        for qb, kb, offsets in blocks:
+            gh, vh = _rows_into(qbuf, gv, qb), _rows_into(kbuf, vlv, kb)
+            gvh = _key_scratch(gkbuf, gvlv, kb, done)
+            yb, gyb = y[:, qb], gy[:, qb]
+            for w, qi, kj in offsets:
+                gyb[:, qi, w] = np.einsum("hnd,hnd->hn", gh[:, qi], vh[:, kj])
+                gvh[:, kj] += yb[:, qi, w, None] * gh[:, qi]
+            gvlv[:, kb], done = gvh, kb.stop
         gy[..., :W][:, ~pattern.valid] = 0.0
         for qs, gs, n in spans:
-            gy[:, qs, W:W + n] = g[:, qs] @ _swap(vgd[:, gs])
-            gvg[:, gs] = _swap(y[:, qs, W:W + n]) @ g[:, qs]
-        gs_ = y * (gy - (gy * y).sum(axis=-1, keepdims=True))
+            gh = _block(gv, qs)
+            gy[:, qs, W:W + n] = gh @ _swap(_block(vgv, gs))
+            gvgv[:, gs] = _swap(y[:, qs, W:W + n]) @ gh
+        gs_ = gy  # y * (gy - (gy * y).sum(...)), in place
+        gs_ -= (gy * y).sum(axis=-1, keepdims=True)
+        gs_ *= y
         slots = labels[None] * heads + np.arange(heads)[:, None, None]
         g_table = np.bincount(slots.ravel(), weights=gs_.ravel(), minlength=table.size)
         gs_ *= inv_sqrt
-        for w, qi, kj in offsets:
-            gw = gs_[:, qi, w, None]
-            gq[:, qi] += gw * kld[:, kj]
-            gkl[:, kj] += gw * qd[:, qi]
+        done = 0
+        for qb, kb, offsets in blocks:
+            qh, kh = _rows_into(qbuf, qv, qb), _rows_into(kbuf, klv, kb)
+            gkh, gsb = _key_scratch(gkbuf, gklv, kb, done), gs_[:, qb]
+            gqh = gqbuf[:, :gsb.shape[1]]
+            gqh[...] = 0.0
+            for w, qi, kj in offsets:
+                gw = gsb[:, qi, w, None]
+                gqh[:, qi] += gw * kh[:, kj]
+                gkh[:, kj] += gw * qh[:, qi]
+            gqv[:, qb] = gqh
+            gklv[:, kb], done = gkh, kb.stop
         for qs, gs, n in spans:
             gw = gs_[:, qs, W:W + n]
-            gq[:, qs] += gw @ _swap(kgd[:, :, gs])
-            gkg[:, :, gs] = _swap(qd[:, qs]) @ gw
-        for t, grad in zip((ql, kl, vl, kg_t, vg), grads):
+            gqv[:, qs] += gw @ _swap(kg_t[:, :, gs])
+            gkgv[:, gs] = _swap(_swap(_block(qv, qs)) @ gw)
+        for t, grad in zip((ql, kl, vl, kg, vg), grads):
             accum(t, grad)
         accum(relpos, g_table.reshape(table.shape))
 
-    return apply_op(out, (ql, kl, vl, kg_t, vg, relpos), back, what="long_attention")
+    return apply_op(out, (ql, kl, vl, kg, vg, relpos), back, what="long_attention")
 
 
-def global_attention(qg: Tensor, kg_t: Tensor, vg: Tensor, kl: Tensor, vl: Tensor,
+def global_attention(qg: Tensor, kg: Tensor, vg: Tensor, kl: Tensor, vl: Tensor,
                      relpos: Tensor, segments: Segments, sentence_id: np.ndarray,
                      cfg: AttentionConfig, enable_long_global: bool = True) -> Tensor:
     """The global part: each example's globals attend to its globals and long rows.
 
-    Per head, ``qg``/``vg`` are [heads x globals x d], ``kg_t`` is
-    [heads x d x globals] and ``kl``/``vl`` are the long rows' keys and
-    values [heads x long x d]. Each example's global rows take one softmax
-    over [its globals | its long rows], with relative-position biases from
-    ``relpos``, and the result is [heads x globals x d], before the output
-    projection. Switching ``enable_long_global`` off masks the long half.
-    One op loops over the examples, forward and backward, as
-    ``long_attention`` does for its global slots.
+    ``qg``/``kg``/``vg`` are the global rows' [globals x dim] and
+    ``kl``/``vl`` the long rows' keys and values [long x dim], each as its
+    projection returns it, with heads as in ``long_attention``. Each
+    example's global rows take one softmax over [its globals | its long
+    rows], with relative-position biases from ``relpos``, and the result is
+    [globals x dim], before the output projection. Switching
+    ``enable_long_global`` off masks the long half. One op loops over the
+    examples, forward and backward, as ``long_attention`` does for its
+    global slots; backward rebuilds each example's labels.
     """
-    qd, kgd, vgd, kld, vld = qg.data, kg_t.data, vg.data, kl.data, vl.data
     table = relpos.data
     heads = table.shape[1]
-    inv_sqrt = 1.0 / math.sqrt(qd.shape[-1])
-    out = np.zeros_like(qd)
-    saved = []
-    for b in range(segments.glob.size - 1):
-        gs = slice(segments.glob[b], segments.glob[b + 1])
-        ls = slice(segments.long[b], segments.long[b + 1])
+    qv, vgv, klv, vlv = (_by_head(t.data, heads) for t in (qg, vg, kl, vl))
+    kg_t = _keys_last(kg.data, heads)
+    inv_sqrt = 1.0 / math.sqrt(qv.shape[-1])
+    examples = [(slice(segments.glob[b], segments.glob[b + 1]),
+                 slice(segments.long[b], segments.long[b + 1]))
+                for b in range(segments.glob.size - 1)]
+
+    def labels_of(gs: slice, ls: slice) -> np.ndarray:
         n = gs.stop - gs.start
-        labels = np.concatenate(
-            [bucket_matrix(np.arange(n), np.arange(n), cfg.max_distance),
-             membership_labels(sentence_id[ls], n, cfg).T], axis=1)
-        s = np.concatenate([qd[:, gs] @ kgd[:, :, gs],
-                            qd[:, gs] @ np.ascontiguousarray(_swap(kld[:, ls]))], axis=-1)
-        s = s * inv_sqrt + np.moveaxis(np.take(table.T, labels, axis=1), 0, -3)
+        return np.concatenate([bucket_matrix(np.arange(n), np.arange(n), cfg.max_distance),
+                               membership_labels(sentence_id[ls], n, cfg).T], axis=1)
+
+    out = np.zeros_like(qg.data)
+    ov = _by_head(out, heads)
+    ys = []
+    for gs, ls in examples:
+        n, qh = gs.stop - gs.start, _block(qv, gs)
+        s = np.concatenate([qh @ kg_t[:, :, gs],
+                            qh @ np.ascontiguousarray(_swap(klv[:, ls]))], axis=-1)
+        s = s * inv_sqrt + np.moveaxis(np.take(table.T, labels_of(gs, ls), axis=1), 0, -3)
         if not enable_long_global:
             s[..., n:] += MASK_NEG
         e = np.exp(s - s.max(axis=-1, keepdims=True))
         y = e / e.sum(axis=-1, keepdims=True)
-        out[:, gs] = (np.ascontiguousarray(y[..., :n]) @ vgd[:, gs]
-                      + np.ascontiguousarray(y[..., n:]) @ vld[:, ls])
-        saved.append((gs, ls, n, labels, y))
+        ov[:, gs] = (np.ascontiguousarray(y[..., :n]) @ _block(vgv, gs)
+                     + np.ascontiguousarray(y[..., n:]) @ _block(vlv, ls))
+        ys.append(y)
 
     def back(g, accum):
-        grads = [np.zeros_like(a) for a in (qd, kgd, vgd, kld, vld)]
-        gq, gkg, gvg, gkl, gvl = grads
+        grads = [np.zeros_like(t.data) for t in (qg, kg, vg, kl, vl)]
+        gqv, gkgv, gvgv, gklv, gvlv = (_by_head(a, heads) for a in grads)
+        gv = _by_head(g, heads)
         g_table = np.zeros(table.size)
-        for gs, ls, n, labels, y in saved:
-            go = g[:, gs]
-            gvg[:, gs] = _swap(y[..., :n]) @ go
-            gvl[:, ls] = _swap(y[..., n:]) @ go
-            gy = np.concatenate([go @ _swap(vgd[:, gs]), go @ _swap(vld[:, ls])], axis=-1)
+        for (gs, ls), y in zip(examples, ys):
+            n, go, qh = gs.stop - gs.start, _block(gv, gs), _block(qv, gs)
+            gvgv[:, gs] = _swap(y[..., :n]) @ go
+            gvlv[:, ls] = _swap(y[..., n:]) @ go
+            gy = np.concatenate([go @ _swap(_block(vgv, gs)), go @ _swap(_block(vlv, ls))],
+                                axis=-1)
             gs_ = y * (gy - (gy * y).sum(axis=-1, keepdims=True))
-            slots = labels[None] * heads + np.arange(heads)[:, None, None]
+            slots = labels_of(gs, ls)[None] * heads + np.arange(heads)[:, None, None]
             g_table += np.bincount(slots.ravel(), weights=gs_.ravel(), minlength=table.size)
             gs_ *= inv_sqrt
-            gq[:, gs] = gs_[..., :n] @ _swap(kgd[:, :, gs]) + gs_[..., n:] @ kld[:, ls]
-            gkg[:, :, gs] = _swap(qd[:, gs]) @ gs_[..., :n]
-            gkl[:, ls] = _swap(gs_[..., n:]) @ qd[:, gs]
-        for t, grad in zip((qg, kg_t, vg, kl, vl), grads):
+            gqv[:, gs] = (gs_[..., :n] @ _swap(kg_t[:, :, gs])
+                          + gs_[..., n:] @ _block(klv, ls))
+            gkgv[:, gs] = _swap(_swap(qh) @ gs_[..., :n])
+            gklv[:, ls] = _swap(gs_[..., n:]) @ qh
+        for t, grad in zip((qg, kg, vg, kl, vl), grads):
             accum(t, grad)
         accum(relpos, g_table.reshape(table.shape))
 
-    return apply_op(out, (qg, kg_t, vg, kl, vl, relpos), back, what="global_attention")
+    return apply_op(out, (qg, kg, vg, kl, vl, relpos), back, what="global_attention")
 
 
 def glocal_attention(long: Tensor, glob: Tensor, sentence_id: np.ndarray,
@@ -669,6 +782,8 @@ def glocal_attention(long: Tensor, glob: Tensor, sentence_id: np.ndarray,
         raise ValueError(f"sentence_id shape {sentence_id.shape} != ({L},)")
     if np.any(sentence_id >= np.repeat(g_size, np.diff(seg.long))):
         raise ValueError("sentence_id references a global token past the last one")
+    if np.any(sentence_id < NO_GLOBAL):
+        raise ValueError(f"sentence_id below {NO_GLOBAL}, the no-global sentinel")
     if params.relpos is None:
         raise ValueError("global-local attention requires a relpos table")
 
@@ -682,30 +797,29 @@ def glocal_attention(long: Tensor, glob: Tensor, sentence_id: np.ndarray,
         score_counter.add("global",
                           int(g_size @ (g_size + enable_long_global * np.diff(seg.long))))
 
-    H = cfg.num_heads
     if queries is None:
         queries = pat.query_rows(long)
-    ql = split_heads(linear(queries, params.wq, params.bq), H)
-    kl = split_heads(linear(long, params.wk, params.bk), H)
-    vl = split_heads(linear(long, params.wv, params.bv), H)
+    ql = linear(queries, params.wq, params.bq)
+    kl = linear(long, params.wk, params.bk)
+    vl = linear(long, params.wv, params.bv)
     # glob's query projection stays first of its three: moving it would
     # reorder the sum that forms glob's gradient
-    qg = split_heads(linear(glob, params.wq, params.bq), H) if update_global else None
-    kg_t = split_heads(linear(glob, params.wk, params.bk), H, keys_last=True)
-    vg = split_heads(linear(glob, params.wv, params.bv), H)
+    qg = linear(glob, params.wq, params.bq) if update_global else None
+    kg = linear(glob, params.wk, params.bk)
+    vg = linear(glob, params.wv, params.bv)
 
     long_labels = np.concatenate(
         [band_labels(pat, cfg.max_distance),
          membership_labels(sentence_id[rows], int(g_size.max()), cfg)], axis=1)
-    long_heads = long_attention(ql, kl, vl, kg_t, vg, params.relpos, pat, q_off, seg.glob,
-                                long_labels, enable_long_global)
-    long_out = linear(merge_heads(long_heads), params.wo, params.bo)
+    attended = long_attention(ql, kl, vl, kg, vg, params.relpos, pat, q_off, seg.glob,
+                              long_labels, enable_long_global)
+    long_out = linear(attended, params.wo, params.bo)
     if not update_global:
         return long_out, None
 
-    glob_heads = global_attention(qg, kg_t, vg, kl, vl, params.relpos, seg, sentence_id,
-                                  cfg, enable_long_global)
-    return long_out, linear(merge_heads(glob_heads), params.wo, params.bo)
+    attended = global_attention(qg, kg, vg, kl, vl, params.relpos, seg, sentence_id, cfg,
+                                enable_long_global)
+    return long_out, linear(attended, params.wo, params.bo)
 
 
 def init_glocal_layer(rng: np.random.Generator, cfg: AttentionConfig,

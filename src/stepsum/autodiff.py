@@ -3,8 +3,11 @@
 Everything runs in double precision on row-major numpy storage. Forward ops
 optionally record themselves on an explicit tape (a context manager); a
 backward sweep walks the tape once in reverse and accumulates gradients into
-``requires_grad`` leaves. Outside a tape the same ops run without recording,
-which is the inference path.
+``requires_grad`` leaves. The sweep consumes the tape: it drops each node
+once that node's backward has run, so an op's output and the arrays its
+backward saved are freed as soon as the sweep is past them, and a swept
+tape cannot be swept again. Outside a tape the same ops run without
+recording, which is the inference path.
 
 Ops never write into their inputs or into the gradient their backward
 receives. The sweep relies on that: it stores a tensor's first incoming
@@ -119,13 +122,15 @@ class Tape:
 
     Nodes are appended in execution order, which is by construction a
     topological order, so walking the list in reverse visits every node
-    exactly once with its output gradient fully accumulated. A tape is
+    exactly once with its output gradient fully accumulated. ``produced``
+    holds the ids of the outputs of the nodes still on the tape. A tape is
     single-owner and not thread safe.
     """
 
     def __init__(self) -> None:
         self.nodes: list[_Node] = []
         self.produced: set[int] = set()
+        self.swept = False
 
     def __enter__(self) -> "Tape":
         _tape_stack().append(self)
@@ -177,11 +182,19 @@ def apply_op(out_data: np.ndarray, inputs: Sequence[Tensor], backward, *, what: 
 
 
 def backward(tape: Tape, loss: Tensor) -> None:
-    """Run one reverse sweep from ``loss``, accumulating into leaf ``grad`` slots."""
+    """Run the reverse sweep from ``loss``, accumulating into leaf ``grad`` slots.
+
+    The sweep pops each node off the tape and drops it once its backward
+    has run, and forgets its output's id, so a later tensor that reuses the
+    id is not mistaken for it. It leaves the tape empty and spent.
+    """
     if loss.shape != ():
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
+    if tape.swept:
+        raise AutodiffError("this tape was swept already; record a new one")
     if id(loss) not in tape.produced:
         raise AutodiffError("loss is not reachable from this tape")
+    tape.swept = True
 
     grads: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=np.float64)}
     # ids whose buffer the sweep made itself; only these are added into in
@@ -209,11 +222,14 @@ def backward(tape: Tape, loss: Tensor) -> None:
                 t.grad = np.zeros_like(t.data)
             t.grad += g
 
-    for node in reversed(tape.nodes):
+    nodes = tape.nodes
+    while nodes:
+        node = nodes.pop()
+        tape.produced.discard(node.out_id)
+        owned.discard(node.out_id)
         g = grads.pop(node.out_id, None)
-        if g is None:
-            continue
-        node.backward(g, accum)
+        if g is not None:
+            node.backward(g, accum)
 
 
 # ---------------------------------------------------------------------------

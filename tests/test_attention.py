@@ -18,9 +18,11 @@ from stepsum.attention import (
     init_mha,
     long_attention,
     membership_labels,
+    merge_heads,
     multi_head_attention,
     post_norm_block,
     score_counter,
+    split_heads,
 )
 from stepsum.autodiff import (
     Tape,
@@ -252,37 +254,52 @@ def test_band_pattern_positions_respects_gaps():
 
 
 def _long_inputs(rng, heads, n_query, n_long, n_glob, dim=4):
-    """Random [heads x ...] queries, long keys/values, global keys^T/values."""
-    def t(*shape):
-        return Tensor(rng.normal(size=shape), requires_grad=True)
+    """Random queries, long keys/values and global keys/values, [rows x heads*dim]."""
+    def t(rows):
+        return Tensor(rng.normal(size=(rows, heads * dim)), requires_grad=True)
 
-    return (t(heads, n_query, dim), t(heads, n_long, dim), t(heads, n_long, dim),
-            t(heads, dim, n_glob), t(heads, n_glob, dim))
+    return t(n_query), t(n_long), t(n_long), t(n_glob), t(n_glob)
+
+
+def _split_heads_around(op):
+    """``op`` over head-axis operands, called as ``attention.long_attention`` is.
+
+    The heads are split off the [rows x dim] inputs and merged back into
+    the result by tape ops, so gradients reach the same leaves.
+    """
+    def run(q, k, v, kg, vg, relpos, *rest):
+        heads = relpos.shape[1]
+        return merge_heads(op(split_heads(q, heads), split_heads(k, heads),
+                              split_heads(v, heads), split_heads(kg, heads, keys_last=True),
+                              split_heads(vg, heads), relpos, *rest))
+
+    return run
 
 
 def test_banded_matches_dense_softmax_attention(rng):
     heads, length, dim, radius, n_glob = 2, 9, 4, 3, 2
-    q, k, v, kg_t, vg = _long_inputs(rng, heads, length, length, n_glob, dim)
+    q, k, v, kg, vg = _long_inputs(rng, heads, length, length, n_glob, dim)
     pat = band_pattern(np.arange(length), radius)
     # a zero bias table, so scores are the scaled products alone
     relpos = Tensor(np.zeros((12, heads)))
     labels = np.zeros((length, pat.width + n_glob), dtype=np.int64)
     idx = np.arange(length)
     for enable_long_global in (True, False):
-        out = long_attention(q, k, v, kg_t, vg, relpos, pat, np.array([0, length]),
+        out = long_attention(q, k, v, kg, vg, relpos, pat, np.array([0, length]),
                              np.array([0, n_glob]), labels, enable_long_global)
-        assert out.shape == (heads, length, dim)
+        assert out.shape == (length, heads * dim)
         for h in range(heads):
-            scores = q.data[h] @ k.data[h].T / np.sqrt(dim)
+            cols = slice(h * dim, (h + 1) * dim)
+            scores = q.data[:, cols] @ k.data[:, cols].T / np.sqrt(dim)
             band = np.where(np.abs(idx[:, None] - idx[None, :]) <= radius, scores, -np.inf)
-            glob = q.data[h] @ kg_t.data[h] / np.sqrt(dim)
+            glob = q.data[:, cols] @ kg.data[:, cols].T / np.sqrt(dim)
             if not enable_long_global:
                 glob[:] = -np.inf
             both = np.concatenate([band, glob], axis=1)
             e = np.exp(both - both.max(axis=1, keepdims=True))
-            dense = (e / e.sum(axis=1, keepdims=True)) @ np.concatenate([v.data[h],
-                                                                         vg.data[h]])
-            np.testing.assert_allclose(out.data[h], dense, atol=1e-12)
+            dense = (e / e.sum(axis=1, keepdims=True)) @ np.concatenate([v.data[:, cols],
+                                                                         vg.data[:, cols]])
+            np.testing.assert_allclose(out.data[:, cols], dense, atol=1e-12)
 
 
 # -- per-offset slices against the gather-based reference ---------------------
@@ -300,10 +317,10 @@ REFERENCE_PATTERNS = {
 }
 
 
-def _gather_long_attention(pat, q, k, v, kg_t, vg, relpos, labels):
-    """The long part over one example from the gather-based band ops: the
-    band's scores beside dense global products, one softmax, then each part
-    applied."""
+def _gather_long_attention(q, k, v, kg_t, vg, relpos, pat, labels):
+    """The long part over one example from the gather-based band ops, on
+    head-axis operands: the band's scores beside dense global products, one
+    softmax, then each part applied."""
     W, n_glob = pat.width, vg.shape[1]
     s = concat([band_reference.banded_scores(q, k, pat), matmul(q, kg_t)], axis=-1)
     s = add(scale(s, 1.0 / np.sqrt(q.shape[-1])), bias_at(relpos, labels))
@@ -335,9 +352,9 @@ def test_banded_ops_match_gather_reference(rng, heads, name):
     assert np.array_equal(band_labels(pat, 4)[i, w], band_reference.band_labels(old, 4)[oi, ww])
 
     def kept(t):
-        return Tensor(t.data[:, keep], requires_grad=True)
+        return Tensor(t.data[keep], requires_grad=True)
 
-    old_q, old_k, old_v, kg_t, vg = _long_inputs(rng, heads, n, n, n_glob, dim)
+    old_q, old_k, old_v, kg, vg = _long_inputs(rng, heads, n, n, n_glob, dim)
     q, k, v = kept(old_q), kept(old_k), kept(old_v)
     relpos = Tensor(rng.normal(size=(12, heads)), requires_grad=True)
     member = rng.integers(9, 11, size=(n, n_glob))
@@ -345,20 +362,20 @@ def test_banded_ops_match_gather_reference(rng, heads, name):
     old_labels = np.concatenate([band_reference.band_labels(old, 4), member], axis=1)
     # padding rows are probed by 0: they attend to the globals in the
     # reference alone
-    old_probe = rng.normal(size=(heads, n, dim)) * keep[:, None]
+    old_probe = rng.normal(size=(n, heads * dim)) * keep[:, None]
     (out,), grads = _outputs_and_input_grads(
-        lambda: (long_attention(q, k, v, kg_t, vg, relpos, pat, np.array([0, m]),
+        lambda: (long_attention(q, k, v, kg, vg, relpos, pat, np.array([0, m]),
                                 np.array([0, n_glob]), labels),),
-        [q, k, v, kg_t, vg, relpos], [Tensor(old_probe[:, keep])])
+        [q, k, v, kg, vg, relpos], [Tensor(old_probe[keep])])
     (old_out,), old_grads = _outputs_and_input_grads(
-        lambda: (_gather_long_attention(old, old_q, old_k, old_v, kg_t, vg, relpos,
-                                        old_labels),),
-        [old_q, old_k, old_v, kg_t, vg, relpos], [Tensor(old_probe)])
+        lambda: (_split_heads_around(_gather_long_attention)(
+            old_q, old_k, old_v, kg, vg, relpos, old, old_labels),),
+        [old_q, old_k, old_v, kg, vg, relpos], [Tensor(old_probe)])
 
-    np.testing.assert_allclose(out, old_out[:, keep], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(out, old_out[keep], rtol=0, atol=1e-12)
     for got, want in zip(grads[:3], old_grads[:3]):
-        np.testing.assert_allclose(got, want[:, keep], rtol=0, atol=1e-12)
-        assert (want[:, ~keep] == 0.0).all()  # padding rows get and give nothing
+        np.testing.assert_allclose(got, want[keep], rtol=0, atol=1e-12)
+        assert (want[~keep] == 0.0).all()  # padding rows get and give nothing
     for got, want in zip(grads[3:], old_grads[3:]):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -394,22 +411,79 @@ def test_long_attention_matches_chain_reference(rng, name, kind, enable_long_glo
     else:
         rows = np.arange(m)
     q_off = np.searchsorted(rows, [0, m // 2, m])
-    q, k, v, kg_t, vg = _long_inputs(rng, heads, rows.size, m, int(g_off[-1]))
+    q, k, v, kg, vg = _long_inputs(rng, heads, rows.size, m, int(g_off[-1]))
     relpos = Tensor(rng.normal(size=(12, heads)), requires_grad=True)
     labels = rng.integers(0, 12, size=(rows.size, pat.width + 3))
-    probe = Tensor(rng.normal(size=(heads, rows.size, 4)))
-    inputs = [q, k, v, kg_t, vg, relpos]
+    probe = Tensor(rng.normal(size=(rows.size, heads * 4)))
+    inputs = [q, k, v, kg, vg, relpos]
 
     def run(op):
-        return (op(q, k, v, kg_t, vg, relpos, pat, q_off, g_off, labels,
+        return (op(q, k, v, kg, vg, relpos, pat, q_off, g_off, labels,
                    enable_long_global),)
 
     (out,), grads = _outputs_and_input_grads(lambda: run(long_attention), inputs, [probe])
     (want,), want_grads = _outputs_and_input_grads(
-        lambda: run(glocal_reference.long_attention), inputs, [probe])
+        lambda: run(_split_heads_around(glocal_reference.long_attention)), inputs, [probe])
     assert out.tobytes() == want.tobytes()
     for got, ref in zip(grads, want_grads):
         assert got.tobytes() == ref.tobytes()
+
+
+# -- one global-local layer against the split-heads composition it replaced -------
+
+# query rows of a stream of two examples (rows 0-12 and 13-21): every row,
+# three runs, or scattered anchors with a single one in the second example
+LAYER_QUERY_ROWS = {
+    "full": None,
+    "runs": np.r_[0:5, 6:17, 18:22],
+    "anchors": np.array([3, 7, 11, 17]),
+}
+
+
+@pytest.mark.parametrize("enable_long_global", [True, False])
+@pytest.mark.parametrize("update_global", [True, False])
+@pytest.mark.parametrize("kind", sorted(LAYER_QUERY_ROWS))
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_glocal_matches_split_head_reference(heads, kind, update_global, enable_long_global):
+    """Bitwise, both streams and every input and parameter gradient. The first
+    example has one global, so one global query row, the second five. A
+    product with one row takes BLAS's matrix-vector path, which at a head
+    width of 2 (4 heads) gives other bits for a strided head operand."""
+    rng = np.random.default_rng(heads)
+    dim, radius = 8, 1
+    cfg = AttentionConfig(num_heads=heads, model_dim=dim, local_radius=radius,
+                          relpos_vocab_size=12, max_distance=4)
+    params = init_mha(rng, dim, 0.5, 12, heads)
+    for b in (params.bq, params.bk, params.bv, params.bo):
+        b.data[:] = rng.normal(size=dim)
+    segments = Segments.of([13, 9], [1, 5])
+    sid = np.r_[rng.integers(NO_GLOBAL, 1, 13), rng.integers(NO_GLOBAL, 5, 9)]
+    long = Tensor(rng.normal(size=(22, dim)), requires_grad=True)
+    glob = Tensor(rng.normal(size=(6, dim)), requires_grad=True)
+    pat = band_pattern(np.r_[0:13, 16:25], radius)
+    rows = LAYER_QUERY_ROWS[kind]
+    if rows is not None:
+        pat = pat.at(rows)
+        assert (pat.runs is None) == (kind == "anchors")
+    n_query = 22 if rows is None else rows.size
+    probes = [Tensor(rng.normal(size=(n_query, dim)))]
+    if update_global:
+        probes.append(Tensor(rng.normal(size=(6, dim))))
+    inputs = [long, glob, *(getattr(params, f) for f in
+                            ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo", "relpos"))]
+
+    def run(layer):
+        outs = layer(long, glob, sid, params, cfg, enable_long_global=enable_long_global,
+                     pattern=pat, update_global=update_global, segments=segments)
+        assert (outs[1] is None) != update_global
+        return [o for o in outs if o is not None]
+
+    outs, grads = _outputs_and_input_grads(lambda: run(glocal_attention), inputs, probes)
+    want_outs, want_grads = _outputs_and_input_grads(
+        lambda: run(glocal_reference.glocal_attention), inputs, probes)
+    assert [o.tobytes() for o in outs] == [o.tobytes() for o in want_outs]
+    for got, want in zip(grads, want_grads):
+        assert got.tobytes() == want.tobytes()
 
 
 # -- head axis --------------------------------------------------------------------
@@ -515,6 +589,16 @@ def test_glocal_rejects_empty_global():
     with pytest.raises(ValueError):
         glocal_attention(Tensor(np.zeros((3, 8))), Tensor(np.zeros((0, 8))),
                          np.zeros(3, dtype=np.int64), params, cfg)
+
+
+def test_glocal_rejects_sentence_ids_out_of_range():
+    cfg = small_cfg()
+    params = init_mha(np.random.default_rng(0), 8, 0.1, 12, 2)
+    long, glob = Tensor(np.zeros((3, 8))), Tensor(np.zeros((2, 8)))
+    glocal_attention(long, glob, np.array([NO_GLOBAL, 0, 1]), params, cfg)
+    for bad in ([NO_GLOBAL - 1, 0, 1], [0, 2, 1]):
+        with pytest.raises(ValueError, match="sentence_id"):
+            glocal_attention(long, glob, np.array(bad), params, cfg)
 
 
 def test_glocal_one_global_one_long_gradients(rng):

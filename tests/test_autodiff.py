@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -159,11 +160,41 @@ def test_backward_rejects_unreachable_loss():
 
 def test_gradients_accumulate_across_backward_calls():
     x = Tensor([1.0, 2.0], requires_grad=True)
-    with Tape() as tape:
-        loss = sum_all(x)
-        backward(tape, loss)
+    for _ in range(2):
+        with Tape() as tape:
+            loss = sum_all(x)
+            backward(tape, loss)
+    np.testing.assert_array_equal(x.grad, [2.0, 2.0])
+    # a tape is swept once: the sweep consumed it
+    assert tape.nodes == [] and tape.produced == set()
+    with pytest.raises(AutodiffError, match="swept already"):
         backward(tape, loss)
     np.testing.assert_array_equal(x.grad, [2.0, 2.0])
+
+
+def test_sweep_frees_op_outputs_and_keeps_the_loss():
+    x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    with Tape() as tape:
+        hidden = ad.scale(x, 2.0)
+        loss = sum_all(ad.mul(hidden, hidden))
+        freed = weakref.ref(hidden.data)
+        del hidden
+        assert freed() is not None  # the tape holds it until the sweep
+        backward(tape, loss)
+        assert freed() is None
+    assert loss.item() == 4.0 * (x.data ** 2).sum()
+    np.testing.assert_array_equal(x.grad, 8.0 * x.data)
+
+
+def test_swept_tape_forgets_the_ids_it_produced():
+    # an id the sweep dropped may come back on a new tensor, which must not
+    # pass for a tracked one
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    with Tape() as tape:
+        backward(tape, sum_all(ad.scale(x, 3.0)))
+        fresh = [Tensor([float(i)]) for i in range(64)]
+        assert not any(ad._tracked(tape, t) for t in fresh)
+    np.testing.assert_array_equal(x.grad, [3.0, 3.0])
 
 
 def test_backward_does_not_mutate_forward_values():

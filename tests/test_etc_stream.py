@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 from etc_reference import reference_etc_encode
 
+from stepsum import attention
 from stepsum.acceptance import table3_game
-from stepsum.autodiff import Tape, add, backward, cross_entropy, scale
+from stepsum.autodiff import Tape, active_tape, add, backward, cross_entropy, scale
 from stepsum.config import config_from_dict
 from stepsum.data import (
     Vocab,
@@ -23,7 +24,13 @@ from stepsum.data import (
     rotowire_corpus_sentences,
 )
 from stepsum.etc_encoder import StepwiseEtc
-from stepsum.models import assemble_for, batch_mean_loss, build_model, score_pairs
+from stepsum.models import (
+    assemble_for,
+    batch_mean_loss,
+    build_model,
+    score_pairs,
+    trim_for_flat_budget,
+)
 from stepsum.plan import BREAK_STEP, unit_step
 from stepsum.rotowire import parse_game
 from stepsum.synthetic import make_overfit_corpus
@@ -203,3 +210,43 @@ def test_one_stream_call_per_scoring_call(monkeypatch, case):
     with Tape() as tape:
         backward(tape, batch_mean_loss(model, cfg, vocab, batch))
     assert encodes == [len(batch)]
+
+
+def _op_kind(node) -> str:
+    return node.backward.__qualname__.split(".")[0]
+
+
+def test_desk_training_step_records_no_head_split(monkeypatch):
+    """A global-local layer reads each head in place: one desk-preset `etc`
+    step's tape holds no `transpose` node and one `reshape`, the scorer's."""
+    cfg = config_from_dict(dict(encoder="etc"))
+    docs, _ = make_overfit_corpus(n_docs=2, n_sents=7, n_gold=2, sent_len=5, seed=3)
+    vocab = Vocab.from_corpus(s for d in docs for s in d.sentences)
+    batch = []
+    for d, plan in zip(docs, ([3, 0, 5], [1, 2, 4])):
+        prep = trim_for_flat_budget(prepare_cnndm(d, vocab, max_doc_sents=cfg.max_doc_sents,
+                                                  max_sent_len=cfg.max_sent_len), cfg, vocab)
+        batch += examples_from_plan(prep, [unit_step(u) for u in plan])
+    assert len(batch) == cfg.batch_size
+    model = build_model(cfg, len(vocab))
+    layer_kinds = []
+    glocal = attention.glocal_attention
+
+    def recorded(*args, **kwargs):
+        tape = active_tape()
+        start = len(tape.nodes)
+        out = glocal(*args, **kwargs)
+        layer_kinds.extend(_op_kind(n) for n in tape.nodes[start:])
+        return out
+
+    monkeypatch.setattr(attention, "glocal_attention", recorded)
+    with Tape() as tape:
+        loss = batch_mean_loss(model, cfg, vocab, batch)
+        kinds = [_op_kind(n) for n in tape.nodes]
+        backward(tape, loss)
+    # layer 0 in its fixed-part call and its per-prefix call, then the last
+    # layer at the anchors
+    assert sorted(set(layer_kinds)) == ["global_attention", "linear", "long_attention"]
+    assert layer_kinds.count("long_attention") == 3
+    assert "transpose" not in kinds and kinds.count("reshape") == 1
+    assert len(kinds) == 86

@@ -23,7 +23,7 @@ ALLOWED = {
 
 FIELDS_ALLOWED = {
     "_Node.out_ref": "keeps the op's output alive, so its id (out_id) stays unique "
-                     "while the tape lives",
+                     "while its node is on the tape",
     "GradMismatch.analytic": "the mismatch report: criterion 1's failure detail prints it "
                              "through the dataclass repr",
     "GradMismatch.numeric": "the mismatch report, as GradMismatch.analytic",
