@@ -1,15 +1,15 @@
 """Attention blocks: dense masked multi-head, banded local, and global-local.
 
 The banded long-to-long path computes each query's clipped window as 2r+1
-index-offset slots, one contiguous slice product per offset, so its cost is
-linear in sequence length for a fixed radius; a mask drops slots whose rows
-lie more than the radius apart in original position. A band may also hold
-the queries of some rows only, while its keys stay every row: a stack's last
-layer computes the rows its reader uses, and the flat encoder's first layer
-splits its rows into a prefix-independent run and the rest. A contiguous run
-of query rows still indexes with slices; scattered rows index with integer
-arrays. Whether a global-local layer updates the global stream is its own
-switch, apart from which rows query.
+index-offset slots, one product per run of query rows over a window view of
+the key rows, so its cost is linear in sequence length for a fixed radius; a
+mask drops slots whose rows lie more than the radius apart in original
+position. A band may also hold the queries of some rows only, while its keys
+stay every row: a stack's last layer computes the rows its reader uses, and
+the flat encoder's first layer splits its rows into a prefix-independent run
+and the rest. Scattered query rows gather their windows. Whether a
+global-local layer updates the global stream is its own switch, apart from
+which rows query.
 
 Each query stream of a global-local layer is one op, forward and backward:
 ``long_attention`` for the long rows (band plus their example's globals) and
@@ -29,8 +29,8 @@ projections into [... x heads x len x head_dim] once and merges the heads
 back before the output projection. The global-local ops read head ``h`` of
 a [rows x dim] projection in place, as its columns ``h*d:(h+1)*d``, and
 write [rows x dim] results, so a global-local layer splits and merges
-nothing on the tape. Inside them, each band block and each product operand
-is a contiguous per-head copy of the rows it needs, which keeps BLAS on the
+nothing on the tape. Inside them, each global product's operands are
+contiguous per-head copies of the rows it needs, which keeps BLAS on the
 operand layouts, and so the bits, of a head-axis array.
 """
 
@@ -40,6 +40,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .autodiff import (
     MASK_NEG,
@@ -400,48 +401,9 @@ def band_pattern(positions: np.ndarray, radius: int) -> BandPattern:
                        ((0, 0, n),))
 
 
-# query rows per block of the band: a block's queries, keys and their
-# gradients, copied to contiguous per-head scratch, stay in a core's L2
-# cache across the 2r+1 offsets
+# query rows per block of the band's key-side gradients: each key row sums
+# its terms block by block, and a block's terms slot by slot
 BAND_BLOCK = 512
-
-
-def _band_blocks(pat: BandPattern):
-    """(queries, key rows, offsets) of each block of at most ``BAND_BLOCK`` query rows.
-
-    A block's queries are a slice of query indices, and its key rows the
-    slice of rows from its first query row's window to its last one's.
-    ``offsets`` lists ``(slot, query index, key index)`` for every window
-    offset some query of the block has, indexed within the block's queries
-    and key rows; a query's slots come in offset order. Runs of consecutive
-    query rows index with slices. Scattered query rows index with integer
-    arrays; they are distinct, so within one offset their key rows are too,
-    and scatter-adds through them are exact.
-    """
-    n, r = pat.length, pat.radius
-    if pat.runs is not None:
-        blocks = [(q0 + b0, r0 + b0, min(size, b0 + BAND_BLOCK) - b0)
-                  for q0, r0, size in pat.runs for b0 in range(0, size, BAND_BLOCK)]
-        for q0, r0, size in blocks:
-            k0 = max(0, r0 - r)
-            offsets = []
-            for w in range(pat.width):
-                lo, hi = max(0, r - w - r0), min(size, n + r - w - r0)
-                if lo < hi:
-                    offsets.append((w, slice(lo, hi),
-                                    slice(r0 + lo + w - r - k0, r0 + hi + w - r - k0)))
-            yield slice(q0, q0 + size), slice(k0, min(n, r0 + size + r)), offsets
-        return
-    for b0 in range(0, pat.rows.size, BAND_BLOCK):
-        rows = pat.rows[b0:b0 + BAND_BLOCK]
-        k0 = max(0, int(rows[0]) - r)
-        offsets = []
-        for w in range(pat.width):
-            keys = rows + w - r
-            qi = np.flatnonzero((keys >= 0) & (keys < n))
-            if qi.size:
-                offsets.append((w, qi, keys[qi] - k0))
-        yield slice(b0, b0 + rows.size), slice(k0, min(n, int(rows[-1]) + r + 1)), offsets
 
 
 def band_labels(pat: BandPattern, max_distance: int) -> np.ndarray:
@@ -512,37 +474,94 @@ def _block(view: np.ndarray, rows) -> np.ndarray:
     return np.ascontiguousarray(view[:, rows])
 
 
-def _band_scratch(blocks, view: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-head scratch for the largest block's queries and its key rows.
+def _windows(x: np.ndarray, width: int) -> np.ndarray:
+    """Read-only [heads x windows x width x d] view of a [heads x rows x d] array:
+    slot ``w`` of window ``i`` is row ``i + w``, and the head dimension stays
+    innermost, so a product over it sums as one of two contiguous rows does."""
+    return np.moveaxis(sliding_window_view(x, width, axis=1), -1, 2)
 
-    One pair of buffers serves every block of an op, forward or backward.
+
+def _band_windows(pat: BandPattern, heads: int, dim: int):
+    """A function from [rows x dim] keys or values to their band windows.
+
+    It returns (queries, windows) for each run of the band, or once for all
+    its scattered queries. Slot ``w`` of the [heads x queries x (2r+1) x d]
+    window of the query at row ``i`` is row ``i + w - r``, or zeros past
+    either end of the stream. Each call copies the rows into one padded
+    buffer, allocated once: a run's windows are a read-only view of it, and
+    scattered queries gather theirs into a second buffer.
     """
-    heads, _, d = view.shape
-    nq = max((qb.stop - qb.start for qb, _, _ in blocks), default=0)
-    nk = max((kb.stop - kb.start for _, kb, _ in blocks), default=0)
-    return np.empty((heads, nq, d)), np.empty((heads, nk, d))
+    n, r, W = pat.length, pat.radius, pat.width
+    pad = np.empty((n + 2 * r, dim))
+    pad[:r] = pad[n + r:] = 0.0
+    if pat.runs is None:
+        rows = pat.rows[:, None] + np.arange(W)
+        gathered = np.empty((*rows.shape, dim))
+        views = [(slice(0, rows.shape[0]),
+                  np.moveaxis(gathered.reshape(*rows.shape, heads, -1), 2, 0))]
+    else:
+        win = _windows(_by_head(pad, heads), W)
+        views = [(slice(q0, q0 + size), win[:, r0:r0 + size]) for q0, r0, size in pat.runs]
+
+    def windows(x: np.ndarray):
+        pad[r:r + n] = x
+        if pat.runs is None:
+            np.take(pad, rows, axis=0, out=gathered, mode="clip")
+        return views
+
+    return windows
 
 
-def _rows_into(buf: np.ndarray, view: np.ndarray, rows: slice) -> np.ndarray:
-    """Rows ``rows`` of a [heads x rows x d] view, copied to the front of ``buf``."""
-    part = buf[:, :rows.stop - rows.start]
-    np.copyto(part, view[:, rows])
-    return part
+def _band_key_grad(pat: BandPattern, weights: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The band's [length x dim] key-side sum of ``weights`` times ``x``.
 
-
-def _key_scratch(buf: np.ndarray, grad: np.ndarray, keys: slice, done: int) -> np.ndarray:
-    """The front of ``buf`` as the gradient scratch of a band block's key rows.
-
-    ``grad`` is a [heads x rows x d] view; the blocks before this one wrote
-    its rows below ``done``, and the scratch starts from those rows' sums,
-    so each row adds its terms in the order one pass over the blocks does.
-    The other rows start at zero.
+    Query ``q`` at row ``i`` adds ``weights[:, q, w] * x[:, q]`` to key row
+    ``i + w - r``, for [heads x queries x (2r+1)] ``weights`` and [heads x
+    queries x d] ``x``. Every key row sums its terms block by block of
+    ``BAND_BLOCK`` queries, and within a block in slot order. A block of a
+    run takes one product over its reverse windows, which list each key
+    row's terms in slot order; the key rows an earlier block already wrote
+    add this block's terms one slot at a time. Scattered queries add each
+    slot of a block at once: they are distinct, so within one slot their
+    key rows are too.
     """
-    part = buf[:, :keys.stop - keys.start]
-    seen = max(0, min(done, keys.stop) - keys.start)
-    part[:, :seen] = grad[:, keys.start:keys.start + seen]
-    part[:, seen:] = 0.0
-    return part
+    heads, _, d = x.shape
+    n, r, W = pat.length, pat.radius, pat.width
+    out = np.zeros((n + 2 * r, heads * d))  # key row j at j + r
+    if pat.runs is None:
+        by_row, x_rows = out.reshape(n + 2 * r, heads, d), x.swapaxes(0, 1)
+        for b0 in range(0, pat.rows.size, BAND_BLOCK):
+            qb = slice(b0, b0 + BAND_BLOCK)
+            for w in range(W):
+                by_row[pat.rows[qb] + w] += weights[:, qb, w].T[..., None] * x_rows[qb]
+        return out[r:r + n]
+    # a block's rows and slot-major weights at 2r + q, zeros around them: the
+    # reverse window of key k0 + k holds block query k - w in slot w. Its
+    # weights step forward over the slots, so einsum sums them in slot order;
+    # it walks a reduced axis backwards when every operand that moves along
+    # it steps back.
+    m = min(BAND_BLOCK, max((size for _, _, size in pat.runs), default=0)) + 4 * r
+    wbuf, xbuf = np.zeros((heads, W, m)), np.zeros((heads, m, d))
+    grad = _by_head(out, heads)
+    done = 0  # padded key rows below this have terms from earlier blocks
+    for q0, r0, size in pat.runs:
+        for b0 in range(0, size, BAND_BLOCK):
+            nq = min(BAND_BLOCK, size - b0)
+            qa, k0, nk = q0 + b0, r0 + b0, nq + 2 * r
+            seen = max(0, done - k0)
+            for w in range(min(W, seen)):
+                i1 = min(nq, seen - w)
+                terms = weights[:, qa:qa + i1, w, None] * x[:, qa:qa + i1]
+                grad[:, k0 + w:k0 + w + i1] += terms
+            wbuf[..., 2 * r:2 * r + nq] = _swap(weights[:, qa:qa + nq])
+            xbuf[:, 2 * r:2 * r + nq] = x[:, qa:qa + nq]
+            wbuf[..., 2 * r + nq:] = xbuf[:, 2 * r + nq:] = 0.0
+            w_rev = np.diagonal(sliding_window_view(wbuf, W, axis=2)[:, :, seen:nk, ::-1],
+                                axis1=1, axis2=3)
+            x_rev = _windows(xbuf, W)[:, seen:nk, ::-1]
+            np.einsum("hjw,hjwd->hjd", w_rev, x_rev, out=grad[:, k0 + seen:k0 + nk])
+            done = k0 + nk
+    return out[r:r + n]
 
 
 def _keys_last(k: np.ndarray, heads: int) -> np.ndarray:
@@ -567,25 +586,23 @@ def long_attention(ql: Tensor, kl: Tensor, vl: Tensor, kg: Tensor, vg: Tensor,
     labels. Each row takes one softmax over its band and its own example's
     globals, with biases from ``relpos``, and the result is [queries x dim],
     before the output projection. Switching ``enable_long_global`` off masks
-    the globals. The band goes in blocks of query rows, each block's rows
-    and its keys' rows copied to contiguous per-head scratch, with one
-    product per window offset; global slots take one product per example,
-    forward and backward.
+    the globals. Each band pass takes one product per run of query rows, or
+    one over all scattered query rows, against their windows of the key or
+    value rows: the forward scores and apply and the query-side gradients.
+    The key-side gradients go in blocks (``_band_key_grad``). Global slots
+    take one product per example, forward and backward.
     """
     table = relpos.data
     heads, W = table.shape[1], pattern.width
-    qv, klv, vlv, vgv = (_by_head(t.data, heads) for t in (ql, kl, vl, vg))
+    qv, vgv = _by_head(ql.data, heads), _by_head(vg.data, heads)
     kg_t = _keys_last(kg.data, heads)
     inv_sqrt = 1.0 / math.sqrt(qv.shape[-1])
-    blocks = list(_band_blocks(pattern))
     spans = list(_spans(q_off, g_off))
     s = np.full((heads, qv.shape[1], W + int(np.diff(g_off).max())), MASK_NEG)
     band = s[..., :W]
-    qbuf, kbuf = _band_scratch(blocks, qv)
-    for qb, kb, offsets in blocks:
-        qh, kh, sb = _rows_into(qbuf, qv, qb), _rows_into(kbuf, klv, kb), band[:, qb]
-        for w, qi, kj in offsets:
-            sb[:, qi, w] = np.einsum("hnd,hnd->hn", qh[:, qi], kh[:, kj])
+    windows = _band_windows(pattern, heads, ql.shape[1])
+    for qs, win in windows(kl.data):
+        np.einsum("hnd,hnwd->hnw", qv[:, qs], win, out=band[:, qs])
     band[:, ~pattern.valid] = MASK_NEG
     for qs, gs, n in spans:
         s[:, qs, W:W + n] = _block(qv, qs) @ kg_t[:, :, gs]
@@ -603,33 +620,21 @@ def long_attention(ql: Tensor, kl: Tensor, vl: Tensor, kg: Tensor, vg: Tensor,
     del s, band
     out = np.zeros_like(ql.data)
     ov = _by_head(out, heads)
-    for qb, kb, offsets in blocks:
-        vh, yb = _rows_into(kbuf, vlv, kb), y[:, qb]
-        ob = qbuf[:, :yb.shape[1]]
-        ob[...] = 0.0
-        for w, qi, kj in offsets:
-            ob[:, qi] += yb[:, qi, w, None] * vh[:, kj]
-        ov[:, qb] = ob
+    for qs, win in windows(vl.data):
+        np.einsum("hnw,hnwd->hnd", y[:, qs, :W], win, out=ov[:, qs])
     for qs, gs, n in spans:
         ov[:, qs] += np.ascontiguousarray(y[:, qs, W:W + n]) @ _block(vgv, gs)
 
     def back(g, accum):
-        grads = [np.zeros_like(t.data) for t in (ql, kl, vl, kg, vg)]
-        gqv, gklv, gvlv, gkgv, gvgv = (_by_head(a, heads) for a in grads)
         gv = _by_head(g, heads)
         gy = np.zeros_like(y)
-        qbuf, kbuf = _band_scratch(blocks, qv)
-        gqbuf, gkbuf = np.empty_like(qbuf), np.empty_like(kbuf)
-        done = 0
-        for qb, kb, offsets in blocks:
-            gh, vh = _rows_into(qbuf, gv, qb), _rows_into(kbuf, vlv, kb)
-            gvh = _key_scratch(gkbuf, gvlv, kb, done)
-            yb, gyb = y[:, qb], gy[:, qb]
-            for w, qi, kj in offsets:
-                gyb[:, qi, w] = np.einsum("hnd,hnd->hn", gh[:, qi], vh[:, kj])
-                gvh[:, kj] += yb[:, qi, w, None] * gh[:, qi]
-            gvlv[:, kb], done = gvh, kb.stop
+        windows = _band_windows(pattern, heads, ql.shape[1])
+        for qs, win in windows(vl.data):
+            np.einsum("hnd,hnwd->hnw", gv[:, qs], win, out=gy[:, qs, :W])
         gy[..., :W][:, ~pattern.valid] = 0.0
+        g_vl = _band_key_grad(pattern, y[..., :W], gv)
+        g_kg, g_vg = np.zeros_like(kg.data), np.zeros_like(vg.data)
+        gkgv, gvgv = _by_head(g_kg, heads), _by_head(g_vg, heads)
         for qs, gs, n in spans:
             gh = _block(gv, qs)
             gy[:, qs, W:W + n] = gh @ _swap(_block(vgv, gs))
@@ -640,23 +645,16 @@ def long_attention(ql: Tensor, kl: Tensor, vl: Tensor, kg: Tensor, vg: Tensor,
         slots = labels[None] * heads + np.arange(heads)[:, None, None]
         g_table = np.bincount(slots.ravel(), weights=gs_.ravel(), minlength=table.size)
         gs_ *= inv_sqrt
-        done = 0
-        for qb, kb, offsets in blocks:
-            qh, kh = _rows_into(qbuf, qv, qb), _rows_into(kbuf, klv, kb)
-            gkh, gsb = _key_scratch(gkbuf, gklv, kb, done), gs_[:, qb]
-            gqh = gqbuf[:, :gsb.shape[1]]
-            gqh[...] = 0.0
-            for w, qi, kj in offsets:
-                gw = gsb[:, qi, w, None]
-                gqh[:, qi] += gw * kh[:, kj]
-                gkh[:, kj] += gw * qh[:, qi]
-            gqv[:, qb] = gqh
-            gklv[:, kb], done = gkh, kb.stop
+        g_ql = np.zeros_like(ql.data)
+        gqv = _by_head(g_ql, heads)
+        for qs, win in windows(kl.data):
+            np.einsum("hnw,hnwd->hnd", gs_[:, qs, :W], win, out=gqv[:, qs])
+        g_kl = _band_key_grad(pattern, gs_[..., :W], qv)
         for qs, gs, n in spans:
             gw = gs_[:, qs, W:W + n]
             gqv[:, qs] += gw @ _swap(kg_t[:, :, gs])
             gkgv[:, gs] = _swap(_swap(_block(qv, qs)) @ gw)
-        for t, grad in zip((ql, kl, vl, kg, vg), grads):
+        for t, grad in zip((ql, kl, vl, kg, vg), (g_ql, g_kl, g_vl, g_kg, g_vg)):
             accum(t, grad)
         accum(relpos, g_table.reshape(table.shape))
 

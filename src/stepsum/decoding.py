@@ -92,12 +92,12 @@ def _summary_tokens(scorer: StepScorer, steps: Sequence[PlanStep]) -> list[str]:
     return out
 
 
-def _step_blocked(scorer: StepScorer, hyp: Hypothesis, step: PlanStep, index: int,
+def _step_blocked(scorer: StepScorer, taken: set[PlanStep], step: PlanStep, index: int,
                   constraints: DecodeConstraints,
                   summary_trigrams: set[tuple[str, ...]] | None) -> bool:
     if step.is_end or step.is_break:
         return False
-    if constraints.no_repeat and step in hyp.steps:
+    if constraints.no_repeat and step in taken:
         if not (constraints.repeat_exceptions and step.record is not None
                 and step.record.type in REPEAT_EXEMPT_TYPES):
             return True
@@ -113,9 +113,10 @@ def _expand(scorer: StepScorer, hyp: Hypothesis, log_probs: np.ndarray,
     summary_trigrams = None
     if constraints.trigram_blocking:
         summary_trigrams = token_trigrams(_summary_tokens(scorer, hyp.steps))
+    taken = set(hyp.steps)
     out = []
     for ci, step in enumerate(scorer.candidates):
-        if _step_blocked(scorer, hyp, step, ci, constraints, summary_trigrams):
+        if _step_blocked(scorer, taken, step, ci, constraints, summary_trigrams):
             continue
         steps = hyp.steps + (step,)
         out.append(Hypothesis(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from stepsum.attention import (
+    BAND_BLOCK,
     NO_GLOBAL,
     AttentionConfig,
     MhaParams,
@@ -384,16 +385,18 @@ def test_banded_ops_match_gather_reference(rng, heads, name):
 
 
 def _query_rows(kind, m):
-    """Every row, two runs around one skipped row, or every third row."""
+    """Every row, two runs around one skipped row, every third row, or every
+    other row: on the "blocks" pattern, 433 scattered queries fill one block
+    of the band's key-side gradients and 649 span two."""
     if kind == "full":
         return None
     if kind == "runs":
         return np.delete(np.arange(m), m // 2) if m > 1 else np.arange(m)
-    return np.arange(0, m, 3)
+    return np.arange(0, m, 3 if kind == "scattered" else 2)
 
 
 @pytest.mark.parametrize("enable_long_global", [True, False])
-@pytest.mark.parametrize("kind", ["full", "runs", "scattered"])
+@pytest.mark.parametrize("kind", ["full", "runs", "scattered", "every_other"])
 @pytest.mark.parametrize("name", sorted(REFERENCE_PATTERNS))
 def test_long_attention_matches_chain_reference(rng, name, kind, enable_long_global):
     """Bitwise, forward and every gradient, on two examples with 2 and 3
@@ -407,7 +410,8 @@ def test_long_attention_matches_chain_reference(rng, name, kind, enable_long_glo
     if rows is not None:
         pat = pat.at(rows)
         if name == "blocks":  # both ways a band indexes its query rows
-            assert (pat.runs is None) == (kind == "scattered")
+            assert (pat.runs is None) == (kind != "runs")
+            assert (rows.size > BAND_BLOCK) == (kind != "scattered")
     else:
         rows = np.arange(m)
     q_off = np.searchsorted(rows, [0, m // 2, m])

@@ -1,0 +1,123 @@
+"""Check that two checkouts write byte-identical pipeline outputs.
+
+Usage, from anywhere:
+
+    python3 tools/same_outputs.py PARENT CHANGE
+    python3 tools/same_outputs.py PARENT CHANGE --workloads docs-etc --seeds 3 --rounds 1
+
+Each checkout runs in its own subprocess, with BLAS, OpenMP and the oracle
+pool at one thread. The subprocess builds the decode checkpoint as that
+checkout's ``perfbench/run.py`` does, then runs rounds ``0..rounds-1`` of
+each workload and seed through its ``perfbench/pipeline.run_round``, which
+checks every output. It reports the sha256 of both oracle outputs, the
+printed ``train`` output, ``decoded.jsonl``, ``eval.json`` and the best
+checkpoint's ``params.bin`` of every round. The script prints each output
+that differs and exits 1 if any does, 2 if a checkout's run failed, and 0
+when every output is identical. Defaults: all three workloads, seeds 3 and
+101, rounds 0-2.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+WORKLOADS = ("docs-hibert", "docs-etc", "tables-etc")
+FILES = {"decoded.jsonl": "decoded.jsonl", "eval.json": "eval.json",
+         "params.bin": os.path.join("train", "best", "params.bin")}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def emit(checkout: str, workloads: list[str], seeds: list[int], rounds: int,
+         work: str) -> dict[str, str]:
+    """Digests of every output of ``checkout``'s rounds, keyed by round and name."""
+    sys.path[:0] = [os.path.join(checkout, "perfbench"), os.path.join(checkout, "src")]
+    import run  # pins BLAS, OpenMP and the oracle pool to one thread before numpy loads
+    from workloads import WORKLOADS as SPECS, Lexicon, write_round
+
+    # every checkpoint first: each set-up re-imports stepsum, and the
+    # pipeline must bind the modules of the last one
+    jobs = []
+    for name in workloads:
+        w = SPECS[name]
+        for seed in seeds:
+            base = os.path.join(work, name, str(seed))
+            lexicon = Lexicon(seed) if w.task == "cnndm" else None
+            files = write_round(w, seed, 0, os.path.join(base, "r0", "in"), lexicon)
+            ckpt = os.path.join(base, "ckpt")
+            run.setup_once(w, files, ckpt)
+            jobs.append((w, seed, base, lexicon, files, ckpt))
+    import pipeline
+
+    digests = {}
+    for w, seed, base, lexicon, files, ckpt in jobs:
+        for k in range(rounds):
+            if k:
+                files = write_round(w, seed, k, os.path.join(base, f"r{k}", "in"), lexicon)
+            out = os.path.join(base, f"r{k}", "out")
+            res = pipeline.run_round(w, files, ckpt, out, clock=None, eval_min_s=0.0)
+            key = f"{w.name} seed {seed} round {k}"
+            for part in ("oracle-0", "oracle-1", "train"):
+                digests[f"{key} {part}"] = _sha256(res.outputs[part])
+            for part, rel in FILES.items():
+                with open(os.path.join(out, rel), "rb") as fh:
+                    digests[f"{key} {part}"] = _sha256(fh.read())
+    return digests
+
+
+def differing(a: dict[str, str], b: dict[str, str]) -> list[str]:
+    """Names whose digests differ, or that only one side reports."""
+    return sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
+
+
+def _run_checkout(checkout: str, args) -> dict[str, str] | None:
+    env = dict(os.environ)
+    env.pop("PYTHONPATH", None)  # the child puts the checkout's own paths first
+    with tempfile.TemporaryDirectory(prefix="same-outputs-") as work:
+        cmd = [sys.executable, os.path.abspath(__file__), "--emit", checkout, "--work", work,
+               "--workloads", *args.workloads, "--seeds", *map(str, args.seeds),
+               "--rounds", str(args.rounds)]
+        proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        print(f"{checkout}: run failed (exit {proc.returncode})\n{proc.stderr[-2000:]}",
+              file=sys.stderr)
+        return None
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("checkouts", nargs="*", metavar="CHECKOUT")
+    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
+    parser.add_argument("--seeds", nargs="+", type=int, default=[3, 101])
+    parser.add_argument("--rounds", type=int, default=3)
+    parser.add_argument("--emit", help=argparse.SUPPRESS)
+    parser.add_argument("--work", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.emit:
+        print(json.dumps(emit(os.path.abspath(args.emit), args.workloads, args.seeds,
+                              args.rounds, args.work)))
+        return 0
+    if len(args.checkouts) != 2 or args.rounds < 1:
+        parser.error("give two checkouts and at least one round")
+
+    a, b = (_run_checkout(os.path.abspath(c), args) for c in args.checkouts)
+    if a is None or b is None:
+        return 2
+    bad = differing(a, b)
+    for name in bad:
+        print(f"differs: {name}")
+    print(f"{len(a.keys() | b.keys()) - len(bad)} identical, {len(bad)} differ")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
