@@ -4,12 +4,14 @@ The banded long-to-long path computes each query's clipped window as 2r+1
 index-offset slots, one product per run of query rows over a window view of
 the key rows, so its cost is linear in sequence length for a fixed radius; a
 mask drops slots whose rows lie more than the radius apart in original
-position. A band may also hold the queries of some rows only, while its keys
-stay every row: a stack's last layer computes the rows its reader uses, and
-the flat encoder's first layer splits its rows into a prefix-independent run
-and the rest. Scattered query rows gather their windows. Whether a
-global-local layer updates the global stream is its own switch, apart from
-which rows query.
+position. A band may also hold the queries of some rows only, and is then
+built at those rows alone, while its keys stay every row: a stack's upper
+layers compute the rows their readers use, and the flat encoder's first
+layer splits its rows into a prefix-independent run and the rest. Scattered
+query rows gather their windows. Whether a global-local layer updates the
+global stream is its own switch, apart from which rows query, and a caller
+that carries some rows' keys and values over from an earlier call passes
+them in.
 
 Each query stream of a global-local layer is one op, forward and backward:
 ``long_attention`` for the long rows (band plus their example's globals) and
@@ -330,27 +332,31 @@ def multi_head_attention(q_in: Tensor, k_in: Tensor, v_in: Tensor, mask: np.ndar
 class BandPattern:
     """A clipped local window laid out as [queries x (2r+1)] index-offset slots.
 
-    Keys are the ``length`` rows of a stream. A full band has one query per
-    row; a band ``at`` some rows has queries at those rows only, and
-    ``rows`` names them. ``runs`` lists the queries as runs of consecutive
-    rows, ``(first query, first row, length)``, or is None for scattered
-    rows: runs as long as the window on average index with slices, shorter
-    ones (a stack's anchors) with integer arrays. Slot ``w`` of the query at
-    row ``i`` is key row ``i + w - r``. ``valid`` marks the slots that
-    attend: the key row exists and the two rows' original positions lie
-    within ``radius`` of each other. ``offsets`` holds each slot's
-    original-position offset, which ``band_labels`` clips; it is meaningful
-    only where ``valid`` holds. Positions are strictly increasing, so every
-    pair within ``radius`` in position is within ``radius`` in index and
-    owns a slot.
+    Keys are the rows of a stream, at original ``positions``. A full band
+    has one query per row; a band at some rows has queries at those rows
+    only, and ``rows`` names them. ``runs`` lists the queries as runs of
+    consecutive rows, ``(first query, first row, length)``, or is None for
+    scattered rows: runs as long as the window on average index with
+    slices, shorter ones (a stack's anchors) with integer arrays. Slot ``w``
+    of the query at row ``i`` is key row ``i + w - r``. ``valid`` marks the
+    slots that attend: the key row exists and the two rows' original
+    positions lie within ``radius`` of each other. ``offsets`` holds each
+    slot's original-position offset, which ``band_labels`` clips; it is
+    meaningful only where ``valid`` holds. Positions are strictly
+    increasing, so every pair within ``radius`` in position is within
+    ``radius`` in index and owns a slot.
     """
 
     radius: int
+    positions: np.ndarray
     valid: np.ndarray
     offsets: np.ndarray
-    length: int
     runs: tuple[tuple[int, int, int], ...] | None
     rows: np.ndarray | None = None  # None: every row is a query, in order
+
+    @property
+    def length(self) -> int:
+        return self.positions.size
 
     @property
     def width(self) -> int:
@@ -363,42 +369,51 @@ class BandPattern:
 
     def at(self, rows: np.ndarray) -> "BandPattern":
         """This full band with queries at ``rows`` only; keys stay every row."""
-        rows = np.asarray(rows, dtype=np.int64)
-        if self.rows is not None or np.any(np.diff(rows) <= 0):
-            raise ValueError("a band's query rows come from a full band, strictly increasing")
-        starts = np.flatnonzero(np.diff(rows, prepend=-2) != 1)
-        runs = None
-        if rows.size >= self.width * starts.size:
-            ends = np.append(starts[1:], rows.size)
-            runs = tuple((int(a), int(rows[a]), int(b - a)) for a, b in zip(starts, ends))
-        return BandPattern(self.radius, self.valid[rows], self.offsets[rows], self.length,
-                           runs, rows)
+        if self.rows is not None:
+            raise ValueError("a band's query rows come from a full band")
+        return band_pattern(self.positions, self.radius, rows=rows)
 
     def query_rows(self, x: Tensor) -> Tensor:
         """The rows of the [length x ...] stream ``x`` that query this band."""
         if self.rows is None:
             return x
+        if self.rows.size == 0:
+            return Tensor(x.data[:0])
         if self.runs is None:
             return take(x, self.rows)
         return concat_rows([(x, row, n) for _, row, n in self.runs])
 
 
-def band_pattern(positions: np.ndarray, radius: int) -> BandPattern:
-    """Full band over rows at strictly increasing original ``positions``.
+def band_pattern(positions: np.ndarray, radius: int, *,
+                 rows: np.ndarray | None = None) -> BandPattern:
+    """The band over rows at strictly increasing original ``positions``.
 
-    A compacted stream passes the original positions of the rows it kept,
-    so compaction changes neither which pairs attend nor their labels; rows
-    more than ``radius`` apart in position never attend, which is what
-    keeps the examples of one stream apart.
+    Its queries are the strictly increasing ``rows``, by default every row;
+    only their slots are built. A compacted stream passes the original
+    positions of the rows it kept, so compaction changes neither which
+    pairs attend nor their labels; rows more than ``radius`` apart in
+    position never attend, which is what keeps the examples of one stream
+    apart.
     """
     pos = np.asarray(positions, dtype=np.int64)
-    n = pos.size
-    nb = np.arange(n)[:, None] + np.arange(-radius, radius + 1)
+    n, width = pos.size, 2 * radius + 1
+    runs: tuple[tuple[int, int, int], ...] | None = ((0, 0, n),)
+    if rows is None:
+        queries = np.arange(n)
+    else:
+        queries = rows = np.asarray(rows, dtype=np.int64)
+        if np.any(np.diff(rows) <= 0):
+            raise ValueError("a band's query rows are strictly increasing")
+        starts = np.flatnonzero(np.diff(rows, prepend=-2) != 1)
+        runs = None
+        if starts.size and rows.size >= width * starts.size:
+            ends = np.append(starts[1:], rows.size)
+            runs = tuple((int(a), int(rows[a]), int(b - a)) for a, b in zip(starts, ends))
+    nb = queries[:, None] + np.arange(-radius, radius + 1)
     inside = (nb >= 0) & (nb < n)
     nb = np.clip(nb, 0, max(n - 1, 0))
-    offsets = pos[nb] - pos[:, None]
-    return BandPattern(radius, inside & (np.abs(offsets) <= radius), offsets, n,
-                       ((0, 0, n),))
+    offsets = pos[nb] - pos[queries][:, None]
+    return BandPattern(radius, pos, inside & (np.abs(offsets) <= radius), offsets, runs, rows)
 
 
 # query rows per block of the band's key-side gradients: each key row sums
@@ -460,7 +475,7 @@ def _swap(x: np.ndarray) -> np.ndarray:
 
 def _by_head(x: np.ndarray, heads: int) -> np.ndarray:
     """The [rows x dim] array ``x`` as a [heads x rows x head_dim] view."""
-    return x.reshape(x.shape[0], heads, -1).swapaxes(0, 1)
+    return x.reshape(x.shape[0], heads, x.shape[1] // heads).swapaxes(0, 1)
 
 
 def _block(view: np.ndarray, rows) -> np.ndarray:
@@ -498,7 +513,7 @@ def _band_windows(pat: BandPattern, heads: int, dim: int):
         rows = pat.rows[:, None] + np.arange(W)
         gathered = np.empty((*rows.shape, dim))
         views = [(slice(0, rows.shape[0]),
-                  np.moveaxis(gathered.reshape(*rows.shape, heads, -1), 2, 0))]
+                  np.moveaxis(gathered.reshape(*rows.shape, heads, dim // heads), 2, 0))]
     else:
         win = _windows(_by_head(pad, heads), W)
         views = [(slice(q0, q0 + size), win[:, r0:r0 + size]) for q0, r0, size in pat.runs]
@@ -692,16 +707,28 @@ def global_attention(qg: Tensor, kg: Tensor, vg: Tensor, kl: Tensor, vl: Tensor,
 
     out = np.zeros_like(qg.data)
     ov = _by_head(out, heads)
+    member, other = (table[label][:, None, None] for label in (cfg.member_label,
+                                                               cfg.other_label))
     ys = []
     for gs, ls in examples:
+        # the scores [globals | long rows] in one array, biased and turned
+        # into weights in place
         n, qh = gs.stop - gs.start, _block(qv, gs)
-        s = np.concatenate([qh @ kg_t[:, :, gs],
-                            qh @ np.ascontiguousarray(_swap(klv[:, ls]))], axis=-1)
-        s = s * inv_sqrt + np.moveaxis(np.take(table.T, labels_of(gs, ls), axis=1), 0, -3)
+        y = np.empty((heads, n, n + ls.stop - ls.start))
+        np.matmul(qh, kg_t[:, :, gs], out=y[..., :n])
+        # the long keys as a view, but a lone query row takes BLAS's
+        # matrix-vector path, whose bits follow the operand's layout
+        kl_t = _swap(klv[:, ls])
+        np.matmul(qh, kl_t if n > 1 else np.ascontiguousarray(kl_t), out=y[..., n:])
+        y *= inv_sqrt
+        y[..., :n] += np.take(table.T, bucket_matrix(np.arange(n), np.arange(n),
+                                                     cfg.max_distance), axis=1)
+        y[..., n:] += np.where(sentence_id[ls] == np.arange(n)[:, None], member, other)
         if not enable_long_global:
-            s[..., n:] += MASK_NEG
-        e = np.exp(s - s.max(axis=-1, keepdims=True))
-        y = e / e.sum(axis=-1, keepdims=True)
+            y[..., n:] += MASK_NEG
+        y -= y.max(axis=-1, keepdims=True)
+        np.exp(y, out=y)
+        y /= y.sum(axis=-1, keepdims=True)
         ov[:, gs] = (np.ascontiguousarray(y[..., :n]) @ _block(vgv, gs)
                      + np.ascontiguousarray(y[..., n:]) @ _block(vlv, ls))
         ys.append(y)
@@ -738,7 +765,9 @@ def glocal_attention(long: Tensor, glob: Tensor, sentence_id: np.ndarray,
                      pattern: BandPattern | None = None,
                      update_global: bool = True,
                      segments: Segments | None = None,
-                     queries: Tensor | None = None) -> tuple[Tensor, Tensor | None]:
+                     queries: Tensor | None = None,
+                     keys_values: tuple[Tensor, Tensor] | None = None
+                     ) -> tuple[Tensor, Tensor | None]:
     """Raw four-part attention over a (long, global) pair of streams.
 
     Long rows attend to their clipped local window plus every global token
@@ -756,9 +785,12 @@ def glocal_attention(long: Tensor, glob: Tensor, sentence_id: np.ndarray,
     band ``at`` some rows queries from those rows only, and the long result
     holds one row per query; keys and values still come from every row.
     ``queries`` is those rows of ``long`` when the caller has gathered them
-    already. Without ``update_global`` the global stream is not computed
-    (None); with it, the global rows attend to every long row of their
-    example whichever rows query. ``enable_long_global`` exists for gradient
+    already, and ``keys_values`` the long rows' key and value projections
+    when the caller has them (some of their rows carried over from an
+    earlier call). A band at no rows gives a [0 x dim] long result; a long
+    stream with no rows is an error. Without ``update_global`` the global
+    stream is not computed (None); with it, the global rows attend to every
+    long row of their example whichever rows query. ``enable_long_global`` exists for gradient
     reachability probes; switching it off masks the long/global links in
     both directions. ``long_to_long`` counts every evaluated window slot,
     masked ones included.
@@ -768,6 +800,8 @@ def glocal_attention(long: Tensor, glob: Tensor, sentence_id: np.ndarray,
     dim = long.shape[1]
     if glob.shape[1] != dim:
         raise ValueError(f"stream dims disagree: {long.shape} vs {glob.shape}")
+    if L == 0:
+        raise ValueError("the long stream holds no rows; a band at no rows queries none of them")
     seg = segments or Segments.of([L], [G])
     if seg.long[-1] != L or seg.glob[-1] != G:
         raise ValueError(f"segments end at ({seg.long[-1]}, {seg.glob[-1]}), "
@@ -797,21 +831,28 @@ def glocal_attention(long: Tensor, glob: Tensor, sentence_id: np.ndarray,
 
     if queries is None:
         queries = pat.query_rows(long)
-    ql = linear(queries, params.wq, params.bq)
-    kl = linear(long, params.wk, params.bk)
-    vl = linear(long, params.wv, params.bv)
+    ql = linear(queries, params.wq, params.bq) if rows.size else None
+    if keys_values is None:
+        kl, vl = linear(long, params.wk, params.bk), linear(long, params.wv, params.bv)
+    else:
+        kl, vl = keys_values
+        if kl.shape != long.shape or vl.shape != long.shape:
+            raise ValueError(f"keys {kl.shape} and values {vl.shape} do not match "
+                             f"the long stream {long.shape}")
     # glob's query projection stays first of its three: moving it would
     # reorder the sum that forms glob's gradient
     qg = linear(glob, params.wq, params.bq) if update_global else None
     kg = linear(glob, params.wk, params.bk)
     vg = linear(glob, params.wv, params.bv)
 
-    long_labels = np.concatenate(
-        [band_labels(pat, cfg.max_distance),
-         membership_labels(sentence_id[rows], int(g_size.max()), cfg)], axis=1)
-    attended = long_attention(ql, kl, vl, kg, vg, params.relpos, pat, q_off, seg.glob,
-                              long_labels, enable_long_global)
-    long_out = linear(attended, params.wo, params.bo)
+    long_out = queries  # a band at no rows: no long row
+    if ql is not None:
+        long_labels = np.concatenate(
+            [band_labels(pat, cfg.max_distance),
+             membership_labels(sentence_id[rows], int(g_size.max()), cfg)], axis=1)
+        attended = long_attention(ql, kl, vl, kg, vg, params.relpos, pat, q_off, seg.glob,
+                                  long_labels, enable_long_global)
+        long_out = linear(attended, params.wo, params.bo)
     if not update_global:
         return long_out, None
 
@@ -831,21 +872,23 @@ def etc_global_local_attention(long: Tensor, glob: Tensor, sentence_id: np.ndarr
                                enable_long_global: bool = True,
                                pattern: BandPattern | None = None,
                                update_global: bool = True,
-                               segments: Segments | None = None
+                               segments: Segments | None = None,
+                               keys_values: tuple[Tensor, Tensor] | None = None
                                ) -> tuple[Tensor, Tensor | None]:
     """One global-local layer: attention, then each stream's post-norm block.
 
     With a band ``at`` some rows, the layer computes those long rows only,
     gathered once for both the query projection and the residual; without
-    ``update_global``, it computes no global stream (None). ``segments`` as
-    in ``glocal_attention``.
+    ``update_global``, it computes no global stream (None). ``segments`` and
+    ``keys_values`` as in ``glocal_attention``.
     """
     rows = long if pattern is None else pattern.query_rows(long)
     attn_l, attn_g = glocal_attention(
         long, glob, sentence_id, params.attn, cfg,
         enable_long_global=enable_long_global, pattern=pattern,
         update_global=update_global, segments=segments, queries=rows,
+        keys_values=keys_values,
     )
     tail = (params.ln_attn, params.ffn, params.ln_ffn)
-    out_l = post_norm_block(rows, attn_l, *tail)
+    out_l = post_norm_block(rows, attn_l, *tail) if rows.shape[0] else rows
     return out_l, None if attn_g is None else post_norm_block(glob, attn_g, *tail)

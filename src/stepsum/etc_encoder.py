@@ -5,9 +5,15 @@ sequence with fixed per-segment budgets, one auxiliary global token per
 unit/sentence/delimiter, and relative-position labels tying long tokens to
 their sentence's global token. A stack of global-local layers then yields a
 vector per candidate unit (pooled at the unit's first token, its anchor),
-which feeds the same scoring head contract as the hierarchical encoder. The
-last layer computes the anchor rows alone and leaves the global stream
-as it is, since nothing reads either beyond it.
+which feeds the same scoring head contract as the hierarchical encoder.
+
+Each layer computes only the rows a later layer reads. The last layer
+queries from the anchors alone and leaves the global stream as it is, since
+nothing reads either beyond it. The layer before it queries from the rows
+within the radius r (in layout position) of an anchor, the rows the last
+layer reads, and still updates the global stream from every row; the last
+layer's input is those rows alone, at their own positions, so it projects
+keys and values for them alone. Layers below those two compute every row.
 
 Several (document, plan prefix) pairs are encoded as one stream: their rows
 end to end, each pair's rows contiguous and in layout order, and each
@@ -20,16 +26,18 @@ The first layer is split in two, because the plan prefix changes few of
 its rows. Its inputs are token embeddings and, for the global tokens, kind
 embeddings, so a row whose window ends before the first [SEP] (layout
 position ``p`` with ``p + r < 1 + long_budget``) reads only the document's
-rows and the global-kind sequence. Those rows are a leading run; their
-first-layer output, the fixed part, is computed once per (document, global
-kinds) key from the rows before [SEP], and callers share it between the
-prefixes with that key. The fixed parts of several keys are one stream
-call too. The per-prefix part is the rest: the last r document rows,
-[SEP], the plan rows and the global stream, in one global-local call whose
-keys and values come from every row. The layer's output is each pair's
-fixed rows followed by its other rows, the same as the whole layer's. When
-the first layer is also the last, both parts query from the anchors among
-their rows.
+rows and the global-kind sequence. Those rows are a leading run. The fixed
+part is computed once per (document, global kinds) key from the rows before
+[SEP], and callers share it between the prefixes with that key; the fixed
+parts of several keys are one stream call too. It carries everything no
+prefix changes: the first layer's output at its query rows among the fixed
+rows, the first layer's keys and values of the rows before [SEP], and the
+second layer's keys and values of those output rows. The per-prefix part is
+the rest of the first layer's query rows and the global stream, in one
+global-local call that projects keys and values only for the rows from
+[SEP] on; the layer's output is each pair's fixed rows followed by its
+other rows, the same as the whole layer's, and the second layer projects
+keys and values only for those other rows.
 """
 
 from __future__ import annotations
@@ -47,7 +55,15 @@ from .attention import (
     etc_global_local_attention,
     init_glocal_layer,
 )
-from .autodiff import Tensor, concat_rows, named_tensors, reshape, segment_matmul, take
+from .autodiff import (
+    Tensor,
+    concat_rows,
+    linear,
+    named_tensors,
+    reshape,
+    segment_matmul,
+    take,
+)
 from .config import RunConfig
 
 # global-token kinds, each with its own learned embedding row
@@ -229,8 +245,82 @@ def build_stream(assemblies: list[EtcAssembly], radius: int,
     )
 
 
-# rows ``start:start + length`` of a stream call's output: one pair's fixed part
-FixedPart = tuple[Tensor, int, int]
+# rows ``start:start + length`` of a tensor
+Rows = tuple[Tensor, int, int]
+
+
+@dataclass
+class FixedPart:
+    """What the pairs of one (document, global kinds) key share, as rows of
+    the fixed-part call's tensors.
+
+    ``out`` is layer 0's output at the key's fixed query rows. ``keys`` and
+    ``values`` hold, per layer, the projections of the leading rows of that
+    layer's input that no prefix changes: layer 0's of the document rows
+    (every row before the first [SEP]) and, in a stack of two or more
+    layers, layer 1's of the ``out`` rows.
+    """
+
+    out: Rows
+    keys: list[Rows]
+    values: list[Rows]
+
+
+def rows_near(position: np.ndarray, rows: np.ndarray, radius: int) -> np.ndarray:
+    """The rows whose position lies within ``radius`` of some row of ``rows``."""
+    n = position.size
+    lo = np.searchsorted(position, position[rows] - radius)
+    hi = np.searchsorted(position, position[rows] + radius, side="right")
+    depth = np.cumsum(np.bincount(lo, minlength=n + 1) - np.bincount(hi, minlength=n + 1))
+    return np.flatnonzero(depth[:n])
+
+
+def _stitch(carried: list[Rows | None], fresh: Tensor | None, counts: list[int]) -> Tensor:
+    """Each pair's carried rows, then its ``counts[b]`` next rows of ``fresh``."""
+    if all(c is None for c in carried):
+        return fresh
+    pieces, at = [], 0
+    for c, n in zip(carried, counts):
+        if c is not None:
+            pieces.append(c)
+        if n:
+            pieces.append((fresh, at, n))
+            at += n
+    t, start, n = pieces[0]
+    return t if len(pieces) == 1 and start == 0 and n == t.shape[0] else concat_rows(pieces)
+
+
+def _keys_values(i: int, layer: LayerParams, fixed: list[FixedPart | None], fresh: Tensor,
+                 counts: list[int]) -> tuple[Tensor, Tensor]:
+    """Layer ``i``'s keys and values: each pair's carried rows, then the
+    projections of its ``counts[b]`` next rows of ``fresh``."""
+    a = layer.attn
+    k, v = ((linear(fresh, w, bias) if sum(counts) else None)
+            for w, bias in ((a.wk, a.bk), (a.wv, a.bv)))
+    return (_stitch([f and f.keys[i] for f in fixed], k, counts),
+            _stitch([f and f.values[i] for f in fixed], v, counts))
+
+
+def _leading(part: FixedPart, n: int) -> FixedPart:
+    """``part`` carrying only its first ``n`` output rows, and layer 1's
+    keys and values of those rows alone."""
+    def cut(rows: Rows) -> Rows:
+        return rows[0], rows[1], n
+
+    return FixedPart(cut(part.out), part.keys[:1] + [cut(k) for k in part.keys[1:]],
+                     part.values[:1] + [cut(v) for v in part.values[1:]])
+
+
+@dataclass
+class _Split:
+    """Layer 0's computed query rows (stream rows), how many each pair has,
+    the (start, length) stream rows whose keys and values it projects, one
+    run per pair, and each pair's fixed part or None."""
+
+    rows: np.ndarray
+    counts: list[int]
+    fresh: list[tuple[int, int]]
+    fixed: list[FixedPart | None]
 
 
 class StepwiseEtc:
@@ -247,52 +337,82 @@ class StepwiseEtc:
         return named_tensors({"emb": {"token": p.token, "global_kind": p.global_kind},
                               "layer": p.layers, "scorer": {"w": p.scorer_w}})
 
-    def _layer0_queries(self, assembly: EtcAssembly) -> tuple[np.ndarray, np.ndarray]:
-        """Layer 0's query rows, split into the fixed part's and the rest.
+    def _queries(self, position: np.ndarray, anchor: np.ndarray) -> list[np.ndarray | None]:
+        """Each layer's query rows, of rows at ``position`` with anchors ``anchor``.
 
-        Layer 0 queries from every row, or from the anchors when it is also
-        the last layer. A row at layout position ``p`` with ``p + r`` before
-        the first [SEP] is fixed: its window holds document rows only, so its
-        layer-0 output is the same for every plan prefix with the same
-        global kinds. Fixed rows are a leading run, since positions increase.
+        The last layer queries from the anchors, the one before it from the
+        rows within r in position of an anchor (the rows the last layer
+        reads), and every layer below from every row (None).
         """
-        n = assembly.long_ids.size
-        queries = assembly.candidate_anchor if len(self.params.layers) == 1 else np.arange(n)
-        n_fixed = np.searchsorted(assembly.position,
-                                  1 + self.cfg.long_budget - self.cfg.local_radius)
-        cut = int(np.searchsorted(queries, n_fixed))
-        return queries[:cut], queries[cut:]
+        rows: list[np.ndarray | None] = [None] * len(self.params.layers)
+        if len(rows) > 1:
+            rows[-2] = rows_near(position, anchor, self.cfg.local_radius)
+        rows[-1] = anchor
+        return rows
+
+    def _fixed_queries(self, assembly: EtcAssembly) -> np.ndarray:
+        """Layer 0's query rows that no plan prefix changes.
+
+        A row at layout position ``p`` with ``p + r`` before the first [SEP]
+        is fixed: its window holds document rows only, so its layer-0 output
+        is the same for every plan prefix with the same global kinds. Fixed
+        rows are a leading run, since positions increase.
+        """
+        queries = self._queries(assembly.position, assembly.candidate_anchor)[0]
+        n_fixed = int(np.searchsorted(assembly.position,
+                                      1 + self.cfg.long_budget - self.cfg.local_radius))
+        if queries is None:
+            return np.arange(n_fixed)
+        return queries[:np.searchsorted(queries, n_fixed)]
 
     def _embed(self, stream: EtcStream) -> tuple[Tensor, Tensor]:
         return (take(self.params.token, stream.long_ids),
                 take(self.params.global_kind, stream.global_kind))
 
     def fixed_parts(self, assemblies: list[EtcAssembly]) -> list[FixedPart | None]:
-        """Layer 0's output at the fixed query rows of each assembly, in one call.
+        """The fixed part of each assembly, all in one call.
 
         A fixed part depends on the document's rows before the first [SEP]
         and on the global kinds alone, so pairs of one document that share
-        ``global_kind`` share it (``etc_encode``'s ``fixed``). Its keys and
-        values are the rows before [SEP]; the global stream is not updated.
-        When no assembly has a fixed query row (a radius past the document,
-        or one layer with no anchor far enough from [SEP]), there is nothing
-        to share and every entry is None.
+        ``global_kind`` share it (``etc_encode``'s ``fixed``). Layer 0's
+        keys and values are the rows before [SEP], and the global stream is
+        not updated. An assembly with fewer than two fixed query rows (a
+        radius past the document, or a short stack with no read row far
+        enough from [SEP]) gets None: with none there is little to share,
+        and a lone query row would take BLAS's matrix-vector path in its
+        example's products, which gives it other bits than the several rows
+        of the whole layer get.
         """
-        r = self.cfg.local_radius
-        n_doc = [int(np.searchsorted(a.position, 1 + self.cfg.long_budget))
-                 for a in assemblies]
-        stream = build_stream(assemblies, r, n_doc)
-        fixed = [self._layer0_queries(a)[0] for a in assemblies]
-        rows = np.concatenate([q + o for q, o in zip(fixed, stream.segments.long)])
-        starts = np.concatenate(([0], np.cumsum([q.size for q in fixed])))
-        if rows.size == 0:
-            return [None] * len(assemblies)
-        long, _ = etc_global_local_attention(
-            *self._embed(stream), stream.sentence_id, self.params.layers[0], self.attention,
-            pattern=band_pattern(stream.position, r).at(rows), update_global=False,
-            segments=stream.segments,
+        r, layers = self.cfg.local_radius, self.params.layers
+        queries = [self._fixed_queries(a) for a in assemblies]
+        keep = [b for b, q in enumerate(queries) if q.size > 1]
+        parts: list[FixedPart | None] = [None] * len(assemblies)
+        if not keep:
+            return parts
+        n_doc = [int(np.searchsorted(assemblies[b].position, 1 + self.cfg.long_budget))
+                 for b in keep]
+        stream = build_stream([assemblies[b] for b in keep], r, n_doc)
+        rows = np.concatenate([queries[b] + o for b, o in zip(keep, stream.segments.long)])
+        long, glob = self._embed(stream)
+        attn = layers[0].attn
+        kv = [(linear(long, attn.wk, attn.bk), linear(long, attn.wv, attn.bv))]
+        out, _ = etc_global_local_attention(
+            long, glob, stream.sentence_id, layers[0], self.attention,
+            pattern=band_pattern(stream.position, r, rows=rows), update_global=False,
+            segments=stream.segments, keys_values=kv[0],
         )
-        return [(long, int(s), q.size) for s, q in zip(starts, fixed)]
+        if len(layers) > 1:
+            attn = layers[1].attn
+            kv.append((linear(out, attn.wk, attn.bk), linear(out, attn.wv, attn.bv)))
+        at = 0
+        for j, b in enumerate(keep):
+            # layer 0 carries the document rows, layer 1 the output rows
+            spans = ((int(stream.segments.long[j]), n_doc[j]), (at, queries[b].size))
+            parts[b] = FixedPart(out=(out, *spans[1]),
+                                 keys=[(k, *span) for (k, _), span in zip(kv, spans)],
+                                 values=[(v, *span) for (_, v), span in zip(kv, spans)])
+            at += queries[b].size
+        return parts
 
     def etc_encode(self, assemblies: list[EtcAssembly],
                    fixed: list[FixedPart | None] | None = None) -> Tensor:
@@ -300,56 +420,81 @@ class StepwiseEtc:
 
         The band is built over the stream's shifted layout positions, so
         windows and relative-position labels are those of each pair's
-        fixed-budget layout. ``fixed`` holds each pair's ``fixed_parts``
-        entry or None; layer 0 then computes only the other rows of those
-        pairs (every row of the rest) and the global stream, over keys and
-        values from every row, and its output is each pair's fixed rows
-        followed by its other rows. The last layer computes only what the
-        pooling reads: it queries from the anchor rows alone (keys and
-        values still come from every row) and skips the global stream. The
-        ``long_to_long`` count also has the masked slots that reach across
-        a run of empty slots or into the next pair, at most r(r+1) per run.
+        fixed-budget layout. Each layer computes the rows a later layer
+        reads (``_queries``), over keys and values from every row of its
+        input. The last layer's input holds only the rows it reads, at
+        their own positions, so it projects keys and values for those rows
+        alone; every anchor keeps the same valid keys in the same window
+        slots. The last layer skips the global stream; the one before it
+        still updates it from every row. ``fixed`` holds each pair's
+        ``fixed_parts`` entry or None (``_split``). The ``long_to_long``
+        count also has the masked slots that reach across a run of empty
+        slots or into the next pair, at most r(r+1) per run.
         """
-        fixed = fixed or [None] * len(assemblies)
-        stream = build_stream(assemblies, self.cfg.local_radius)
-        pattern = band_pattern(stream.position, self.cfg.local_radius)
+        r, layers = self.cfg.local_radius, self.params.layers
+        stream = build_stream(assemblies, r)
+        queries = self._queries(stream.position, stream.anchor)
+        split = self._split(stream, queries[0], fixed)
+        if split is not None and len(layers) == 1 and split.rows.size == 0:
+            return _stitch([f and f.out for f in split.fixed], None, split.counts)
         long, glob = self._embed(stream)
-        last = len(self.params.layers) - 1
-        for i, layer in enumerate(self.params.layers):
-            rows = stream.anchor if i == last else None
-            pieces = None
-            if i == 0 and any(f is not None for f in fixed):
-                rows, pieces = self._split_layer0(assemblies, fixed, stream.segments.long)
-                if rows.size == 0:  # one layer, and every anchor is fixed
-                    return concat_rows(pieces)
-            out, glob = etc_global_local_attention(
-                long, glob, stream.sentence_id, layer, self.attention,
-                pattern=pattern if rows is None else pattern.at(rows),
-                update_global=i < last, segments=stream.segments,
+        position, sentence_id, segments = stream.position, stream.sentence_id, stream.segments
+        for i, layer in enumerate(layers):
+            rows, kv = queries[i], None
+            if i and queries[i - 1] is not None:  # ``long`` holds the rows computed below
+                held = queries[i - 1]
+                position, sentence_id = stream.position[held], stream.sentence_id[held]
+                segments = Segments(np.searchsorted(held, stream.segments.long),
+                                    stream.segments.glob)
+                rows = np.searchsorted(held, rows)
+            if split is not None and i == 0:
+                rows = split.rows
+                kv = _keys_values(0, layer, split.fixed,
+                                  concat_rows([(long, s, n) for s, n in split.fresh]),
+                                  [n for _, n in split.fresh])
+            elif split is not None and i == 1:
+                kv = _keys_values(1, layer, split.fixed, computed, split.counts)
+            computed, glob = etc_global_local_attention(
+                long, glob, sentence_id, layer, self.attention,
+                pattern=band_pattern(position, r, rows=rows), update_global=i < len(layers) - 1,
+                segments=segments, keys_values=kv,
             )
-            long = out if pieces is None else concat_rows(
-                [(out, s, n) if t is None else (t, s, n) for t, s, n in pieces])
+            long = computed
+            if split is not None and i == 0:
+                long = _stitch([f and f.out for f in split.fixed], computed, split.counts)
         return long
 
-    def _split_layer0(self, assemblies: list[EtcAssembly], fixed: list[FixedPart | None],
-                      offsets: np.ndarray) -> tuple[np.ndarray, list]:
-        """Layer 0's computed query rows, and the pieces of its output.
+    def _split(self, stream: EtcStream, queries: np.ndarray | None,
+               fixed: list[FixedPart | None] | None) -> _Split | None:
+        """Layer 0's query rows, split between the pairs' fixed parts and the rest.
 
-        A piece is a fixed part, or ``(None, start, length)`` for rows of the
-        layer's own output, which the caller fills in.
+        A pair with a fixed part takes its leading query rows' output from
+        it, and its leading rows' keys and values at layers 0 and 1 (the
+        document rows', and those of the fixed part's output rows); layer 0
+        computes the rest of its query rows, and projects the keys and
+        values of its rows from the first [SEP] on. A pair without one has
+        every row computed and projected. A pair that would leave one query
+        row to compute computes its last fixed row too: a lone row of an
+        example takes BLAS's matrix-vector path in its products, and other
+        bits. None when no pair has a fixed part.
         """
-        rows, pieces, at = [], [], 0
-        for a, f, o in zip(assemblies, fixed, offsets):
-            kept, rest = self._layer0_queries(a)
-            if f is None:
-                rest = np.concatenate([kept, rest])
-            elif f[2]:
-                pieces.append(f)
-            if rest.size:
-                pieces.append((None, at, rest.size))
-            rows.append(rest + o)
-            at += rest.size
-        return np.concatenate(rows), pieces
+        if fixed is None or all(f is None for f in fixed):
+            return None
+        offsets = stream.segments.long
+        queries = np.arange(offsets[-1]) if queries is None else queries
+        bounds = np.searchsorted(queries, offsets)
+        rows, counts, fresh, used = [], [], [], []
+        for b, f in enumerate(fixed):
+            own, start = queries[bounds[b]:bounds[b + 1]], int(offsets[b])
+            if f is not None:
+                if own.size - f.out[2] == 1:
+                    f = _leading(f, f.out[2] - 1)
+                own, start = own[f.out[2]:], start + f.keys[0][2]
+            rows.append(own)
+            counts.append(own.size)
+            fresh.append((start, int(offsets[b + 1]) - start))
+            used.append(f)
+        return _Split(np.concatenate(rows), counts, fresh, used)
 
     def score_candidates(self, contextual: Tensor, counts: list[int] | None = None) -> Tensor:
         """One logit per candidate row; each pair's ``counts[b]`` rows on their own

@@ -115,9 +115,8 @@ def score_pairs(model: Model, cfg: RunConfig, vocab: Vocab,
     plan global, so it shares that key only when the document's globals
     already fill ``global_cap``. Without a cache, and for an empty prefix
     with one, a fixed part is computed only for a key two or more pairs of
-    the call share; a lone pair computes its first layer whole, which costs
-    less than the two parts, since the fixed part's call projects the
-    document rows' keys and values again. All flat-encoder pairs are one
+    the call share; a lone pair computes its first layer whole, in one call
+    instead of two. All flat-encoder pairs are one
     ``StepwiseEtc.logits`` call; a pair that does not fit its layout is an
     error (``assemble_for``).
     """

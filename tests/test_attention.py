@@ -744,3 +744,52 @@ def test_two_layer_compacted_equals_padded(rng):
                                             model.attention)
         padded = long.data[asm.position[asm.candidate_anchor]]
         np.testing.assert_allclose(compact, padded, atol=1e-12)
+
+
+# -- empty long streams -------------------------------------------------------------
+
+
+def test_band_at_no_rows_gives_no_long_rows_and_the_global_stream(rng):
+    """A layer whose rows are all carried over still updates the global stream:
+    no long row, and the global stream bitwise that of the full band, over
+    two examples; its gradients reach the long rows through the globals."""
+    cfg = small_cfg()
+    layer = init_glocal_layer(rng, cfg, 16, 0.3)
+    segments = Segments.of([7, 5], [2, 3])
+    sid = np.r_[np.arange(7) // 4, np.arange(5) % 3]
+    long = Tensor(rng.normal(size=(12, 8)), requires_grad=True)
+    glob = Tensor(rng.normal(size=(5, 8)), requires_grad=True)
+    probe = Tensor(rng.normal(size=(5, 8)))
+    full = band_pattern(np.r_[0:7, 10:15], cfg.local_radius)
+    none = full.at(np.array([], dtype=np.int64))
+    assert none.count == 0 and none.valid.shape == (0, 5)
+
+    def run(pattern):
+        out, glob_out = etc_global_local_attention(long, glob, sid, layer, cfg,
+                                                   pattern=pattern, segments=segments)
+        return [glob_out], out.shape
+
+    score_counter.reset()
+    (got,), shape = run(none)
+    assert shape == (0, 8)
+    assert score_counter.get("long_to_long") == score_counter.get("long_to_global") == 0
+    assert score_counter.get("global") == 2 * (2 + 7) + 3 * (3 + 5)
+    (want,), _ = run(full)
+    assert np.array_equal(got.data, want.data)
+    inputs = [long, glob, layer.attn.wk, layer.attn.relpos]
+    _, grads = _outputs_and_input_grads(lambda: run(none)[0], inputs, [probe])
+    _, want_grads = _outputs_and_input_grads(lambda: run(full)[0], inputs, [probe])
+    for g, w in zip(grads, want_grads):
+        np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+    attended, _ = glocal_attention(long, glob, sid, layer.attn, cfg, pattern=none,
+                                   update_global=False, segments=segments)
+    assert attended.shape == (0, 8)
+
+
+def test_glocal_rejects_a_long_stream_with_no_rows(rng):
+    cfg = small_cfg()
+    params = init_mha(rng, 8, 0.5, 12, 2)
+    glob = Tensor(rng.normal(size=(2, 8)))
+    with pytest.raises(ValueError, match="long stream holds no rows"):
+        glocal_attention(Tensor(np.zeros((0, 8))), glob, np.zeros(0, dtype=np.int64),
+                         params, cfg)

@@ -26,7 +26,7 @@ from stepsum.data import (
     prepare_rotowire,
     rotowire_corpus_sentences,
 )
-from stepsum.etc_encoder import StepwiseEtc
+from stepsum.etc_encoder import StepwiseEtc, assemble_input, rows_near
 from stepsum.models import assemble_for, batch_mean_loss, build_model, score_pairs
 from stepsum.plan import BREAK_STEP, unit_step
 from stepsum.rotowire import parse_game
@@ -163,3 +163,80 @@ def test_grouped_and_cached_scoring_match_whole_layers(monkeypatch, case, layers
     for name in grads:
         np.testing.assert_allclose(grads[name], ref_grads[name], rtol=0, atol=TOL,
                                    err_msg=name)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("layers", [1, 2])
+def test_lone_computed_row_keeps_bits(layers, seed):
+    """A split that leaves exactly one row read past the fixed part.
+
+    Layer 0 queries from the anchors in a one-layer stack, and from the
+    rows within r of an anchor in a two-layer one. Here one of those rows
+    lies past the fixed rows, so a pair with a fixed part would leave one
+    row for layer 0 to compute (and for layer 1 to project). A one-row
+    product takes BLAS's matrix-vector path and other bits, so alone, with
+    its fixed part and inside a stream beside another pair, the pair's
+    candidate vectors must equal the one-pair forward bitwise, and its
+    logits ``tests/etc_reference.py`` at 1e-12.
+    """
+    cfg = config_from_dict(dict(encoder="etc", dim=64, num_heads=2, ffn_dim=64,
+                                etc_layers=layers, long_budget=20, summary_budget=10,
+                                global_cap=8, local_radius=3, relpos_vocab_size=12,
+                                relpos_max_distance=4))
+    model = StepwiseEtc(cfg, 30, np.random.default_rng(seed))
+    ids = dict(cls_id=5, sep_id=6, beg_id=4, eos_id=3)
+
+    def assemble(sizes, plan_units):
+        tokens = iter(range(7, 30))
+        return assemble_input([[next(tokens) for _ in range(n)] for n in sizes], plan_units,
+                              [[2]], 1, long_budget=20, summary_budget=10, global_cap=8,
+                              **ids)
+
+    # [CLS] and the special unit, then units from position 2; a row is fixed
+    # when p + 3 < 21. Two layers: the last anchor (15) reads up to row 18,
+    # the one row not fixed. One layer: the last anchor (18) is not fixed.
+    lone = assemble([6, 7, 4] if layers == 2 else [6, 10, 3], [[16, 17], [3]])
+    other = assemble([3, 13, 1, 2], [[10, 11, 12]])  # its anchors 18 and 19 are not fixed
+    r, flat_end = cfg.local_radius, 1 + cfg.long_budget
+
+    def read(asm):
+        anchors = asm.candidate_anchor
+        rows = anchors if layers == 1 else rows_near(asm.position, anchors, r)
+        return int((asm.position[rows] + r >= flat_end).sum())
+
+    assert (read(lone), read(other) > 1) == (1, True)
+
+    want = model.etc_encode([lone]).data
+    ref = model.score_candidates(reference_etc_encode(model, [lone])).data
+    np.testing.assert_allclose(model.logits([lone]).data, ref, rtol=0, atol=TOL)
+    fixed = model.fixed_parts([lone, other])
+    assert all(f is not None for f in fixed)
+    n = want.shape[0]
+    got = {
+        "with its fixed part": model.etc_encode([lone], model.fixed_parts([lone])).data,
+        "inside a stream": model.etc_encode([lone, other], fixed).data[:n],
+        "last of a stream": model.etc_encode([other, lone], fixed[::-1]).data[-n:],
+    }
+    for how, vectors in got.items():
+        assert np.array_equal(vectors, want), how
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_lone_fixed_row_is_not_carried(seed):
+    """An assembly with one fixed query row gets no fixed part: that row alone
+    in the fixed-part call would take BLAS's matrix-vector path, so the
+    pair's candidate vectors stay those of the one-pair forward."""
+    cfg = config_from_dict(dict(encoder="etc", dim=64, num_heads=2, ffn_dim=64,
+                                etc_layers=1, long_budget=20, summary_budget=10,
+                                global_cap=8, local_radius=3, relpos_vocab_size=12,
+                                relpos_max_distance=4))
+    model = StepwiseEtc(cfg, 30, np.random.default_rng(seed))
+    # no candidate special; units at positions 2-17, 18 and 19-20, so the
+    # anchor at 2 is the one fixed query row (p + 3 < 21)
+    asm = assemble_input([list(range(7, 23)), [23], [24, 25]], [[7]], [[2]], 0,
+                         long_budget=20, summary_budget=10, global_cap=8,
+                         cls_id=5, sep_id=6, beg_id=4, eos_id=3)
+    assert asm.position[asm.candidate_anchor].tolist() == [2, 18, 19]
+    fixed = model.fixed_parts([asm])
+    assert fixed == [None]
+    assert np.array_equal(model.etc_encode([asm], fixed).data, model.etc_encode([asm]).data)

@@ -249,4 +249,9 @@ def test_desk_training_step_records_no_head_split(monkeypatch):
     assert sorted(set(layer_kinds)) == ["global_attention", "linear", "long_attention"]
     assert layer_kinds.count("long_attention") == 3
     assert "transpose" not in kinds and kinds.count("reshape") == 1
-    assert len(kinds) == 86
+    # the fixed-part call also projects layer 1's keys and values of its
+    # rows (2 linear); the per-prefix call gathers the rows whose layer-0
+    # keys and values it projects, and stitches the carried and the fresh
+    # keys and values of layers 0 and 1 (5 concat_rows)
+    assert (kinds.count("linear"), kinds.count("concat_rows")) == (30, 8)
+    assert len(kinds) == 93

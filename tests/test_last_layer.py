@@ -37,7 +37,7 @@ from stepsum.data import (
     prepare_rotowire,
     rotowire_corpus_sentences,
 )
-from stepsum.etc_encoder import StepwiseEtc, assemble_input
+from stepsum.etc_encoder import StepwiseEtc, assemble_input, rows_near
 from stepsum.hibert import SentenceBatch, StepwiseHibert
 from stepsum.models import batch_mean_loss, build_model, score_pairs, trim_for_flat_budget
 from stepsum.plan import BREAK_STEP, unit_step
@@ -171,7 +171,7 @@ REFERENCES = {"etc": (StepwiseEtc, "etc_encode", reference_etc_encode),
               "hibert": (StepwiseHibert, "encode_sentences", reference_encode_sentences)}
 
 
-@pytest.mark.parametrize("layers", [1, 2])
+@pytest.mark.parametrize("layers", [1, 2, 3])
 @pytest.mark.parametrize("setup", [doc_setup, table_setup], ids=["document", "table"])
 @pytest.mark.parametrize("encoder", sorted(REFERENCES))
 def test_score_pairs_match_full_last_layer(monkeypatch, encoder, setup, layers):
@@ -212,7 +212,7 @@ def layout_model(layers, radius):
     return StepwiseEtc(cfg, 30, np.random.default_rng(8))
 
 
-@pytest.mark.parametrize("layers", [1, 2])
+@pytest.mark.parametrize("layers", [1, 2, 3])
 @pytest.mark.parametrize("name", sorted(ASSEMBLIES))
 def test_etc_logits_match_full_last_layer_on_layouts(name, layers):
     doc_units, plan_units, cand_specials, radius = ASSEMBLIES[name]
@@ -236,13 +236,20 @@ def test_etc_counts_name_the_anchor_layer():
                          summary_budget=10, global_cap=8, **IDS)
     anchors = asm.candidate_anchor
     n, g, r = asm.long_ids.size, asm.global_kind.size, model.cfg.local_radius
+    # the rows the last layer reads: within r of an anchor in position
+    read = np.flatnonzero(
+        (np.abs(asm.position[:, None] - asm.position[anchors]) <= r).any(axis=1))
+    assert np.array_equal(rows_near(asm.position, anchors, r), read)
+    assert read.size < n
     score_counter.reset()
     model.etc_encode([asm])
-    # the first layer as ever; the last one queries from the anchors alone,
-    # each anchor's slots whose neighbour row exists, and has no global stream
-    assert score_counter.get("long_to_long") == (
-        banded_pair_count(n, r) + banded_pair_count(n, r, anchors))
-    assert score_counter.get("long_to_global") == n * g + anchors.size * g
+    # the first layer queries from the rows the last one reads and updates
+    # the global stream from every row; the last one holds the read rows
+    # alone, queries from the anchors among them, each anchor's slots whose
+    # neighbour row exists there, and has no global stream
+    last = banded_pair_count(read.size, r, np.searchsorted(read, anchors))
+    assert score_counter.get("long_to_long") == banded_pair_count(n, r, read) + last
+    assert score_counter.get("long_to_global") == read.size * g + anchors.size * g
     assert score_counter.get("global") == g * g + g * n
     assert banded_pair_count(n, r, anchors) < anchors.size * (2 * r + 1)
 
@@ -262,12 +269,15 @@ def test_layer_gathers_its_query_rows_once(monkeypatch):
 
     monkeypatch.setattr(autodiff, "apply_op", counting)
     model.etc_encode([asm], fixed)
-    # the token and global-kind lookups, then one gather per layer that
-    # queries from some rows: layer 0's per-prefix run (rows by slices) and
-    # the last layer's anchors (a take); layer 0's output stitches the fixed
-    # rows to the rest; no layer narrows its softmax apart, since each query
-    # stream's attention is one op
-    assert (ops["take"], ops["concat_rows"], ops["narrow"]) == (2 + 1, 1 + 1, 0)
+    # every row the last layer reads is fixed, so layer 0 gathers and
+    # computes no long row, and its output and layer 1's keys and values
+    # are the fixed part's rows as they are; the token and global-kind
+    # lookups, then the last layer's gather of its anchors (a take); one
+    # gather of the rows whose layer-0 keys and values are projected, and
+    # the carried keys and values stitched to them; no layer narrows its
+    # softmax apart, since each query stream's attention is one op
+    assert fixed[0].out[2] == rows_near(asm.position, asm.candidate_anchor, 3).size
+    assert (ops["take"], ops["concat_rows"], ops["narrow"]) == (2 + 1, 1 + 2, 0)
     monkeypatch.undo()
 
     # the layer's rows are those of attention plus a residual gathered apart
