@@ -22,6 +22,7 @@ from .attention import (
     band_pattern,
     banded_pair_count,
     bucket_matrix,
+    dense_attention,
     etc_global_local_attention,
     global_attention,
     glocal_attention,
@@ -261,6 +262,17 @@ def _op_cases(seed: int):
     cases.append(("segment_matmul", {"a": sa, "w": sw},
                   lambda: ad.sum_all(ad.mul(ad.segment_matmul(sa, sw, runs),
                                             ad.segment_matmul(sa, sw, runs)))))
+    # dense attention over a leading axis of 2, two heads of 3 columns, with
+    # relpos labels; one key is masked for every query of the first entry,
+    # another for one query of the second
+    dq, dk, dv, dtable = t(2, 3, 6), t(2, 4, 6), t(2, 4, 6), t(12, 2)
+    d_allowed = np.ones((2, 3, 4), dtype=bool)
+    d_allowed[0, :, 2] = d_allowed[1, 1, 0] = False
+    d_labels = rng.integers(0, 12, size=(3, 4))
+    d_probe = Tensor(rng.normal(size=dq.shape) / np.sqrt(dq.size))
+    cases.append(("dense_attention", {"q": dq, "k": dk, "v": dv, "relpos": dtable},
+                  lambda: ad.sum_all(ad.mul(dense_attention(dq, dk, dv, 2, d_allowed, dtable,
+                                                            d_labels), d_probe))))
     return cases
 
 

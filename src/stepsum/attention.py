@@ -26,14 +26,15 @@ each call actually evaluates, per attention part, masked slots included,
 which lets tests pin the sparse paths to their closed-form pattern sizes.
 Head count is a constant factor and is excluded from the counts.
 
-Every attention part runs on all heads at once. Dense attention splits its
-projections into [... x heads x len x head_dim] once and merges the heads
-back before the output projection. The global-local ops read head ``h`` of
-a [rows x dim] projection in place, as its columns ``h*d:(h+1)*d``, and
-write [rows x dim] results, so a global-local layer splits and merges
-nothing on the tape. Inside them, each global product's operands are
-contiguous per-head copies of the rows it needs, which keeps BLAS on the
-operand layouts, and so the bits, of a head-axis array.
+Every attention part runs on all heads at once, as one op between its
+projections: ``dense_attention`` over any leading batch axes, and the two
+global-local ops. Each reads head ``h`` of a [... x rows x dim] projection
+in place, as its columns ``h*d:(h+1)*d``, and writes [... x rows x dim]
+results, so no layer splits or merges heads on the tape. Inside them, the
+products take contiguous per-head copies of their operands (the whole
+projections in dense attention, the rows each global product needs in the
+global-local ops), which keeps BLAS on the operand layouts, and so the
+bits, of a head-axis array.
 """
 
 from __future__ import annotations
@@ -48,19 +49,12 @@ from .autodiff import (
     MASK_NEG,
     Tensor,
     add,
-    add_const,
     apply_op,
-    bias_at,
     concat_rows,
     gelu,
     layer_norm,
     linear,
-    matmul,
-    reshape,
-    scale,
-    softmax,
     take,
-    transpose,
 )
 
 LABEL_MEMBER_OFFSET = 1   # label index 2*max_distance + 1: token belongs to the sentence
@@ -252,26 +246,77 @@ def post_norm_block(x: Tensor, attended: Tensor, ln_attn: LayerNormParams,
 
 
 # ---------------------------------------------------------------------------
-# dense multi-head attention
+# heads in place, and dense multi-head attention
 # ---------------------------------------------------------------------------
 
 
-def split_heads(x: Tensor, num_heads: int, *, keys_last: bool = False) -> Tensor:
-    """[... x len x dim] -> [... x heads x len x head_dim].
+def _swap(x: np.ndarray) -> np.ndarray:
+    return np.swapaxes(x, -1, -2)
 
-    With ``keys_last`` the result is [... x heads x head_dim x len], the
-    right-hand operand of a score matmul.
-    """
+
+def _by_head(x: np.ndarray, heads: int) -> np.ndarray:
+    """The [... x rows x dim] array ``x`` as a [... x heads x rows x head_dim] view."""
     *lead, n, dim = x.shape
-    if keys_last:
-        return reshape(transpose(x), (*lead, num_heads, dim // num_heads, n))
-    return transpose(reshape(x, (*lead, n, num_heads, dim // num_heads)), -3, -2)
+    return np.swapaxes(x.reshape(*lead, n, heads, dim // heads), -3, -2)
 
 
-def merge_heads(x: Tensor) -> Tensor:
-    """[... x heads x len x head_dim] -> [... x len x heads*head_dim]."""
+def _keys_last(k: np.ndarray, heads: int) -> np.ndarray:
+    """[... x rows x dim] keys as a contiguous [... x heads x head_dim x rows] copy."""
+    return np.ascontiguousarray(_swap(_by_head(k, heads)))
+
+
+def _merged(x: np.ndarray) -> np.ndarray:
+    """[... x heads x rows x head_dim] as a contiguous [... x rows x dim] copy."""
     *lead, heads, n, dh = x.shape
-    return reshape(transpose(x, -3, -2), (*lead, n, heads * dh))
+    return np.ascontiguousarray(np.swapaxes(x, -3, -2)).reshape(*lead, n, heads * dh)
+
+
+def dense_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int, allowed: np.ndarray,
+                    relpos: Tensor | None = None, labels: np.ndarray | None = None) -> Tensor:
+    """Every head's masked softmax attention, as one op, before the output projection.
+
+    ``q`` is [... x q_len x dim] and ``k``/``v`` [... x k_len x dim], each
+    as its projection returns it; head ``h`` reads columns ``h*d:(h+1)*d``,
+    d = dim / heads, and the result is [... x q_len x dim]. ``allowed`` is
+    the boolean key mask, broadcast to [... x q_len x k_len]; ``relpos`` and
+    the [q_len x k_len] ``labels`` give the optional relative-position
+    bias. The op takes contiguous per-head copies of its operands, keys as
+    [... x heads x d x k_len], and runs the scores, scale, bias, mask,
+    softmax and apply over them in place, forward and backward, with the
+    products and reductions a chain of one op per step takes.
+    """
+    qh, vh = (np.ascontiguousarray(_by_head(t.data, num_heads)) for t in (q, v))
+    k_t = _keys_last(k.data, num_heads)
+    c = 1.0 / math.sqrt(qh.shape[-1])
+    y = qh @ k_t
+    y *= c
+    if labels is not None:
+        y += np.take(relpos.data.T, labels, axis=1)
+    if not allowed.all():
+        y += np.where(allowed, 0.0, MASK_NEG)[..., None, :, :]
+    y -= y.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
+    out = _merged(y @ vh)
+
+    def back(g, accum):
+        go = np.ascontiguousarray(_by_head(g, num_heads))
+        gy = go @ _swap(vh)
+        g_v = _swap(y) @ go
+        gs = y * (gy - (gy * y).sum(axis=-1, keepdims=True))
+        if labels is not None:
+            table = relpos.data
+            slots = labels * num_heads + np.arange(num_heads)[:, None, None]
+            accum(relpos, np.bincount(np.broadcast_to(slots, gs.shape).ravel(),
+                                      weights=gs.ravel(), minlength=table.size
+                                      ).reshape(table.shape))
+        gs *= c
+        accum(q, _merged(gs @ _swap(k_t)))
+        accum(k, _merged(_swap(_swap(qh) @ gs)))
+        accum(v, _merged(g_v))
+
+    inputs = (q, k, v) if labels is None else (q, k, v, relpos)
+    return apply_op(out, inputs, back, what="dense_attention")
 
 
 def multi_head_attention(q_in: Tensor, k_in: Tensor, v_in: Tensor, mask: np.ndarray,
@@ -289,7 +334,6 @@ def multi_head_attention(q_in: Tensor, k_in: Tensor, v_in: Tensor, mask: np.ndar
     dim = q_in.shape[-1]
     if dim % num_heads != 0:
         raise ValueError(f"dim {dim} not divisible by {num_heads} heads")
-    dh = dim // num_heads
     lead = q_in.shape[:-2]
     q_len = q_in.shape[-2]
     k_len = k_in.shape[-2]
@@ -306,21 +350,16 @@ def multi_head_attention(q_in: Tensor, k_in: Tensor, v_in: Tensor, mask: np.ndar
         labels = np.asarray(labels)
         if labels.shape != (q_len, k_len):
             raise ValueError(f"labels shape {labels.shape} != ({q_len}, {k_len})")
+        if labels.size and (labels.min() < 0 or labels.max() >= params.relpos.shape[0]):
+            raise ValueError(f"labels out of range [0, {params.relpos.shape[0]})")
 
     score_counter.add("dense", int(np.prod(lead, dtype=np.int64)) * q_len * k_len)
 
-    q = split_heads(linear(q_in, params.wq, params.bq), num_heads)
-    k_t = split_heads(linear(k_in, params.wk, params.bk), num_heads, keys_last=True)
-    v = split_heads(linear(v_in, params.wv, params.bv), num_heads)
-
-    s = scale(matmul(q, k_t), 1.0 / math.sqrt(dh))
-    if labels is not None:
-        s = add(s, bias_at(params.relpos,
-                           np.broadcast_to(labels, lead + (q_len, k_len))))
-    if not allowed.all():
-        s = add_const(s, np.where(allowed, 0.0, MASK_NEG)[..., None, :, :])
-    heads = matmul(softmax(s, axis=-1), v)
-    return linear(merge_heads(heads), params.wo, params.bo)
+    attended = dense_attention(linear(q_in, params.wq, params.bq),
+                               linear(k_in, params.wk, params.bk),
+                               linear(v_in, params.wv, params.bv),
+                               num_heads, allowed, params.relpos, labels)
+    return linear(attended, params.wo, params.bo)
 
 
 # ---------------------------------------------------------------------------
@@ -469,15 +508,6 @@ def _spans(q_off: np.ndarray, g_off: np.ndarray):
                    int(g_off[b + 1] - g_off[b]))
 
 
-def _swap(x: np.ndarray) -> np.ndarray:
-    return np.swapaxes(x, -1, -2)
-
-
-def _by_head(x: np.ndarray, heads: int) -> np.ndarray:
-    """The [rows x dim] array ``x`` as a [heads x rows x head_dim] view."""
-    return x.reshape(x.shape[0], heads, x.shape[1] // heads).swapaxes(0, 1)
-
-
 def _block(view: np.ndarray, rows) -> np.ndarray:
     """Rows ``rows`` of a [heads x rows x d] view, as a contiguous copy.
 
@@ -577,11 +607,6 @@ def _band_key_grad(pat: BandPattern, weights: np.ndarray, x: np.ndarray) -> np.n
             np.einsum("hjw,hjwd->hjd", w_rev, x_rev, out=grad[:, k0 + seen:k0 + nk])
             done = k0 + nk
     return out[r:r + n]
-
-
-def _keys_last(k: np.ndarray, heads: int) -> np.ndarray:
-    """[rows x dim] keys as a contiguous [heads x head_dim x rows] copy."""
-    return np.ascontiguousarray(_swap(_by_head(k, heads)))
 
 
 def long_attention(ql: Tensor, kl: Tensor, vl: Tensor, kg: Tensor, vg: Tensor,

@@ -24,8 +24,7 @@ keep their exact bits.
 
 Broadcasting is deliberately narrow: elementwise ops need equal shapes and
 ``add``/``sub`` additionally accept a trailing-axes operand (bias vectors,
-shared positional rows); ``add_const`` takes any non-learned constant that
-broadcasts to its operand. Matmul supports 2-D and equal-batch stacked
+shared positional rows). Matmul supports 2-D and equal-batch stacked
 operands plus the stacked-by-2-D projection case. Keeping the rules small
 keeps every backward rule auditable.
 """
@@ -296,19 +295,6 @@ def scale(a: Tensor, c: float) -> Tensor:
         accum(a, g * c)
 
     return apply_op(out, (a,), back, what="scale")
-
-
-def add_const(a: Tensor, const: np.ndarray) -> Tensor:
-    """Add a non-learned array (e.g. an additive attention mask) broadcast to ``a``."""
-    const = np.asarray(const, dtype=np.float64)
-    if const.ndim > a.data.ndim or np.broadcast_shapes(const.shape, a.shape) != a.shape:
-        raise ShapeError(f"add_const constant {const.shape} does not broadcast to {a.shape}")
-    out = a.data + const
-
-    def back(g, accum):
-        accum(a, g)
-
-    return apply_op(out, (a,), back, what="add_const")
 
 
 # ---------------------------------------------------------------------------

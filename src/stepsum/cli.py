@@ -21,7 +21,6 @@ from . import rotowire
 from .checkpoint import (
     CheckpointError,
     load_checkpoint,
-    restore_params,
     verify_config_match,
 )
 from .config import ConfigError, RunConfig, load_config
@@ -40,7 +39,7 @@ from .data import (
 )
 from .decoding import DecodeConstraints, beam_decode, greedy_decode_with_repeat_exceptions
 from .metrics import co_score, cs_scores, rouge_l, rouge_n, stem_tokens
-from .models import ModelStepScorer, assemble_for, build_model, trim_for_flat_budget
+from .models import ModelStepScorer, assemble_for, build_model, load_model, trim_for_flat_budget
 from .oracle import oracle_full
 from .plan import PlanStep, unit_step
 from .rotowire import GameFormatError, parse_game, plan_from_json, plan_to_json
@@ -283,8 +282,7 @@ def cmd_decode(args) -> int:
     manifest, arrays = load_checkpoint(args.ckpt)
     verify_config_match(manifest, cfg)
     vocab = Vocab.from_token_list(manifest.vocab)
-    model = build_model(cfg, len(vocab))
-    restore_params(model.named_parameters(), arrays)
+    model = load_model(cfg, len(vocab), arrays)
 
     errors: list[tuple[int, str]] = []
     rows = []
@@ -332,17 +330,20 @@ def cmd_decode(args) -> int:
 # eval
 # ---------------------------------------------------------------------------
 
+# a generated row's text: decode's summary, or a documents file's sentences;
+# a reference row's: its abstract, when it has one, before its document
 _TOKEN_FIELDS = ("sentences", "summary_sentences", "abstract", "tokens")
+_REF_TOKEN_FIELDS = ("abstract",) + _TOKEN_FIELDS
 
 
-def _row_tokens(row: dict) -> list[str]:
-    for fld in _TOKEN_FIELDS:
+def _row_tokens(row: dict, fields: tuple[str, ...] = _TOKEN_FIELDS) -> list[str]:
+    for fld in fields:
         if fld in row:
             val = row[fld]
             if val and isinstance(val[0], list):
                 return [str(t).lower() for sent in val for t in sent]
             return [str(t).lower() for t in val]
-    raise ValueError(f"no token field among {_TOKEN_FIELDS}")
+    raise ValueError(f"no token field among {fields}")
 
 
 def cmd_eval(args) -> int:
@@ -361,7 +362,7 @@ def cmd_eval(args) -> int:
                 continue
             try:
                 cand = _row_tokens(row)
-                ref = _row_tokens(refs[rid])
+                ref = _row_tokens(refs[rid], _REF_TOKEN_FIELDS)
             except ValueError as e:
                 gerr.append((lineno, f"id {rid}: {e}"))
                 continue

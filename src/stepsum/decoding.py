@@ -108,24 +108,24 @@ def _step_blocked(scorer: StepScorer, taken: set[PlanStep], step: PlanStep, inde
 
 
 def _expand(scorer: StepScorer, hyp: Hypothesis, log_probs: np.ndarray,
-            max_steps: int, constraints: DecodeConstraints) -> list[Hypothesis]:
-    """Every allowed one-step extension of ``hyp``, scored by ``log_probs``."""
+            constraints: DecodeConstraints) -> list[tuple[float, int]]:
+    """``(log prob, candidate index)`` of every allowed one-step extension of ``hyp``."""
     summary_trigrams = None
     if constraints.trigram_blocking:
         summary_trigrams = token_trigrams(_summary_tokens(scorer, hyp.steps))
     taken = set(hyp.steps)
-    out = []
-    for ci, step in enumerate(scorer.candidates):
-        if _step_blocked(scorer, taken, step, ci, constraints, summary_trigrams):
-            continue
-        steps = hyp.steps + (step,)
-        out.append(Hypothesis(
-            steps=steps,
-            index_trace=hyp.index_trace + (ci,),
-            log_prob=hyp.log_prob + float(log_probs[ci]),
-            finished=step.is_end or len(steps) >= max_steps,
-        ))
-    return out
+    row = log_probs.tolist()
+    return [(hyp.log_prob + row[ci], ci) for ci, step in enumerate(scorer.candidates)
+            if not _step_blocked(scorer, taken, step, ci, constraints, summary_trigrams)]
+
+
+def _extend(scorer: StepScorer, hyp: Hypothesis, log_prob: float, ci: int,
+            max_steps: int) -> Hypothesis:
+    """``hyp`` extended by candidate ``ci``, at its expansion's ``log_prob``."""
+    step = scorer.candidates[ci]
+    steps = hyp.steps + (step,)
+    return Hypothesis(steps=steps, index_trace=hyp.index_trace + (ci,), log_prob=log_prob,
+                      finished=step.is_end or len(steps) >= max_steps)
 
 
 def _better(a: Hypothesis, b: Hypothesis) -> bool:
@@ -150,11 +150,11 @@ def greedy_rollout(scorer: StepScorer, max_steps: int,
     """Always take the best allowed step; may return unfinished when stuck."""
     hyp = Hypothesis((), (), 0.0, False)
     while not hyp.finished:
-        expansions = _expand(scorer, hyp, scorer.step_log_probs(hyp.steps),
-                             max_steps, constraints)
+        expansions = _expand(scorer, hyp, scorer.step_log_probs(hyp.steps), constraints)
         if not expansions:
             return hyp
-        hyp = min(expansions, key=lambda h: (-h.log_prob, h.index_trace))
+        log_prob, ci = min(expansions, key=lambda e: (-e[0], e[1]))
+        hyp = _extend(scorer, hyp, log_prob, ci, max_steps)
     return hyp
 
 
@@ -181,14 +181,17 @@ def beam_decode(scorer: StepScorer, beam_size: int, max_steps: int,
     stuck: list[Hypothesis] = []
     while beams:
         rows = scorer.step_log_probs_batch([hyp.steps for hyp in beams])
-        expansions: list[Hypothesis] = []
-        for hyp, log_probs in zip(beams, rows):
-            expansions.extend(_expand(scorer, hyp, log_probs, max_steps, constraints))
+        expansions = [(log_prob, hyp, ci) for hyp, log_probs in zip(beams, rows)
+                      for log_prob, ci in _expand(scorer, hyp, log_probs, constraints)]
         if not expansions:
             stuck = beams
             break
-        expansions.sort(key=lambda h: (-h.log_prob, h.index_trace, len(h.steps)))
-        top = expansions[:beam_size]
+        # every live hypothesis has as many steps as the others, so its index
+        # trace, then the candidate index, orders the expansions as their own
+        # index traces do
+        expansions.sort(key=lambda e: (-e[0], e[1].index_trace, e[2]))
+        top = [_extend(scorer, hyp, log_prob, ci, max_steps)
+               for log_prob, hyp, ci in expansions[:beam_size]]
         beams = [h for h in top if not h.finished]
         finished.extend(h for h in top if h.finished)
 

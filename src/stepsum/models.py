@@ -1,5 +1,8 @@
 """Task-level glue: build either encoder and score steps for a document.
 
+``build_model`` initialises a model from a seed; ``load_model`` lays out
+the same parameter tree from a checkpoint's arrays, with no random draw.
+
 ``score_pairs`` is the one scoring path: given (prepared document, plan
 prefix) pairs, it returns one logit per candidate for each pair, and it is
 the only place that tells the encoders apart. The hierarchical encoder
@@ -26,6 +29,7 @@ import numpy as np
 
 from . import data as datalib
 from .autodiff import Tensor, add, cross_entropy, narrow, reshape, scale
+from .checkpoint import restore_params
 from .config import RunConfig
 from .data import PreparedDoc, Vocab, candidate_index
 from .etc_encoder import EtcAssembly, StepwiseEtc, assemble_input
@@ -35,10 +39,32 @@ from .plan import PlanStep
 Model = StepwiseHibert | StepwiseEtc
 
 
+def _model_class(cfg: RunConfig) -> type[Model]:
+    return StepwiseHibert if cfg.encoder == "hibert" else StepwiseEtc
+
+
 def build_model(cfg: RunConfig, vocab_size: int, seed: int | None = None) -> Model:
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
-    model_cls = StepwiseHibert if cfg.encoder == "hibert" else StepwiseEtc
-    return model_cls(cfg, vocab_size, rng)
+    return _model_class(cfg)(cfg, vocab_size, rng)
+
+
+class _ZeroDraws:
+    """An init generator whose every draw is zeros: it draws nothing."""
+
+    @staticmethod
+    def normal(loc: float, scale: float, size) -> np.ndarray:
+        return np.zeros(size)
+
+
+def load_model(cfg: RunConfig, vocab_size: int, arrays: dict[str, np.ndarray]) -> Model:
+    """The model ``build_model`` lays out, holding the checkpoint ``arrays``.
+
+    ``restore_params`` fills it, and rejects a missing, extra or misshapen
+    tensor.
+    """
+    model = _model_class(cfg)(cfg, vocab_size, _ZeroDraws())
+    restore_params(model.named_parameters(), arrays)
+    return model
 
 
 def trim_for_flat_budget(prepared: PreparedDoc, cfg: RunConfig,

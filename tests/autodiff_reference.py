@@ -1,6 +1,7 @@
 """Reference copies of the autodiff code that the one-op ``linear``, the
 blocked in-place ``gelu`` and ``layer_norm`` and the adopting backward
-sweep replaced, kept as differential test oracles.
+sweep replaced, kept as differential test oracles, and ``add_const``, the
+additive mask op of the attention chains the fused attention ops replaced.
 
 ``reference_linear`` is two ops, a ``matmul`` then a bias ``add``.
 ``reference_gelu`` and ``reference_layer_norm`` build whole-size
@@ -49,6 +50,19 @@ def reference_backward(tape: Tape, loss: Tensor) -> None:
         if g is None:
             continue
         node.backward(g, accum)
+
+
+def add_const(a: Tensor, const: np.ndarray) -> Tensor:
+    """Add a non-learned array (e.g. an additive attention mask) broadcast to ``a``."""
+    const = np.asarray(const, dtype=np.float64)
+    if const.ndim > a.data.ndim or np.broadcast_shapes(const.shape, a.shape) != a.shape:
+        raise ShapeError(f"add_const constant {const.shape} does not broadcast to {a.shape}")
+    out = a.data + const
+
+    def back(g, accum):
+        accum(a, g)
+
+    return apply_op(out, (a,), back, what="add_const")
 
 
 def reference_linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:

@@ -14,6 +14,8 @@ back with ``merge_heads`` before the output projection.
 import math
 
 import numpy as np
+from autodiff_reference import add_const
+from dense_reference import merge_heads, split_heads
 
 from stepsum.attention import (
     BAND_BLOCK,
@@ -27,14 +29,11 @@ from stepsum.attention import (
     band_pattern,
     bucket_matrix,
     membership_labels,
-    merge_heads,
-    split_heads,
 )
 from stepsum.autodiff import (
     MASK_NEG,
     Tensor,
     add,
-    add_const,
     apply_op,
     bias_at,
     concat,

@@ -1,7 +1,9 @@
 import band_reference
+import dense_reference
 import glocal_reference
 import numpy as np
 import pytest
+from dense_reference import merge_heads, split_heads
 
 from stepsum.attention import (
     BAND_BLOCK,
@@ -19,11 +21,9 @@ from stepsum.attention import (
     init_mha,
     long_attention,
     membership_labels,
-    merge_heads,
     multi_head_attention,
     post_norm_block,
     score_counter,
-    split_heads,
 )
 from stepsum.autodiff import (
     Tape,
@@ -488,6 +488,74 @@ def test_glocal_matches_split_head_reference(heads, kind, update_global, enable_
     assert [o.tobytes() for o in outs] == [o.tobytes() for o in want_outs]
     for got, want in zip(grads, want_grads):
         assert got.tobytes() == want.tobytes()
+
+
+# -- one dense-attention op against the chain of ops it replaced -------------------
+
+# (query rows, key rows, operands): self-attention reads one tensor as queries,
+# keys and values; a lone query row; more keys than queries, three tensors
+DENSE_SHAPES = {"self": (5, 5, 1), "one_query": (1, 6, 2), "more_keys": (3, 7, 3)}
+
+
+def _assert_dense_matches_chain(run, inputs, params, probe, with_labels=False):
+    """Bitwise: the output and the gradient of every input and parameter the
+    call reads; the relpos table only with labels."""
+    leaves = inputs + [t for name, t in vars(params).items()
+                       if name != "relpos" or with_labels]
+    (out,), grads = _outputs_and_input_grads(lambda: (run(multi_head_attention),),
+                                             leaves, [probe])
+    (want,), want_grads = _outputs_and_input_grads(
+        lambda: (run(dense_reference.multi_head_attention),), leaves, [probe])
+    assert out.tobytes() == want.tobytes()
+    for got, ref in zip(grads, want_grads):
+        assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("with_labels", [False, True])
+@pytest.mark.parametrize("shape", sorted(DENSE_SHAPES))
+@pytest.mark.parametrize("lead", [(), (3,), (2, 2)])
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_dense_attention_matches_chain_reference(heads, lead, shape, with_labels, masked):
+    rng = np.random.default_rng(heads)
+    dim = 8
+    q_len, k_len, operands = DENSE_SHAPES[shape]
+    params = init_mha(rng, dim, 0.5, 12, heads)
+    q = Tensor(rng.normal(size=lead + (q_len, dim)), requires_grad=True)
+    k = q if operands == 1 else Tensor(rng.normal(size=lead + (k_len, dim)),
+                                       requires_grad=True)
+    v = k if operands < 3 else Tensor(rng.normal(size=lead + (k_len, dim)),
+                                      requires_grad=True)
+    allowed = np.ones(lead + (q_len, k_len), dtype=bool)
+    if masked:
+        allowed = rng.random(allowed.shape) < 0.6
+        allowed[..., 0] = True
+        allowed[..., -1, -1] = False
+    labels = rng.integers(0, 12, size=(q_len, k_len)) if with_labels else None
+    probe = Tensor(rng.normal(size=lead + (q_len, dim)))
+    inputs = list({id(t): t for t in (q, k, v)}.values())
+
+    def run(mha):
+        return mha(q, k, v, allowed, params, heads, labels)
+
+    _assert_dense_matches_chain(run, inputs, params, probe, with_labels)
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_dense_attention_matches_chain_at_the_sentence_encoders_last_layer(heads):
+    """Token 0 of each sentence queries the sentence's real tokens."""
+    rng = np.random.default_rng(heads)
+    n, width, dim = 4, 6, 8
+    params = init_mha(rng, dim, 0.5, num_heads=heads)
+    x = Tensor(rng.normal(size=(n, width, dim)), requires_grad=True)
+    valid = np.arange(width)[None, :] < np.array([6, 1, 3, 5])[:, None]
+    mask = np.broadcast_to(valid[:, None, :], (n, width, width))[:, :1, :]
+    probe = Tensor(rng.normal(size=(n, 1, dim)))
+
+    def run(mha):
+        return mha(narrow(x, 1, 0, 1), x, x, mask, params, heads)
+
+    _assert_dense_matches_chain(run, [x], params, probe)
 
 
 # -- head axis --------------------------------------------------------------------

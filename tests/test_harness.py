@@ -24,7 +24,7 @@ from stepsum.data import (
     prepare_rotowire,
     read_jsonl,
 )
-from stepsum.models import build_model
+from stepsum.models import build_model, load_model
 from stepsum.plan import BREAK_STEP, END_STEP, unit_step
 from stepsum.rotowire import parse_game
 from stepsum.acceptance import table3_game
@@ -362,3 +362,33 @@ def test_restore_rejects_name_mismatch(tmp_path):
     fresh = build_model(cfg, len(vocab))
     with pytest.raises(CheckpointError, match="disagree"):
         restore_params(fresh.named_parameters(), arrays)
+
+
+@pytest.mark.parametrize("encoder", ["hibert", "etc"])
+def test_loaded_model_holds_exactly_the_checkpoint(tmp_path, encoder):
+    """``load_model`` builds the parameter tree ``build_model`` lays out,
+    holding the checkpoint's arrays: the same names, shapes and values."""
+    cfg, vocab, model = small_model_and_cfg(encoder)
+    path = str(tmp_path / "ck")
+    save_checkpoint(path, model.named_parameters(), cfg, vocab.id_to_token)
+    _, arrays = load_checkpoint(path)
+    loaded = load_model(cfg, len(vocab), arrays).named_parameters()
+    assert list(loaded) == list(model.named_parameters())
+    for name, p in loaded.items():
+        assert p.data.tobytes() == arrays[name].tobytes(), name
+        assert p.requires_grad
+
+
+@pytest.mark.parametrize("encoder", ["hibert", "etc"])
+def test_load_model_rejects_missing_and_misshapen_tensors(tmp_path, encoder):
+    cfg, vocab, model = small_model_and_cfg(encoder)
+    path = str(tmp_path / "ck")
+    save_checkpoint(path, model.named_parameters(), cfg, vocab.id_to_token)
+    _, arrays = load_checkpoint(path)
+    missing = dict(arrays)
+    del missing["scorer.w"]
+    with pytest.raises(CheckpointError, match="disagree"):
+        load_model(cfg, len(vocab), missing)
+    misshapen = dict(arrays, **{"scorer.w": arrays["scorer.w"][:-1]})
+    with pytest.raises(CheckpointError, match="scorer.w: checkpoint shape"):
+        load_model(cfg, len(vocab), misshapen)

@@ -6,8 +6,11 @@ from stepsum.attention import score_counter
 from stepsum.autodiff import Tape, Tensor, backward, cross_entropy, narrow, reshape, sum_all
 from stepsum.gradcheck import check_gradients
 from stepsum.config import config_from_dict
+from stepsum.data import Vocab, examples_from_plan, prepare_cnndm
 from stepsum.hibert import SentenceBatch, StepwiseHibert
+from stepsum.models import batch_mean_loss, build_model
 from stepsum.plan import unit_step
+from stepsum.synthetic import make_overfit_corpus
 
 
 def make_model(seed=5, **overrides):
@@ -250,3 +253,29 @@ def test_batched_logits_keep_every_prefix_check(case):
         model.logits_batch(model.unit_representations(units),
                            [range(2), range(len(units))],
                            [[], model.summary_rows(prefix, 1, None)])
+
+
+def test_desk_training_step_records_one_op_per_attention():
+    """Each dense attention is one tape node between its projections: one
+    desk-preset `hibert` step records no head split, merge or softmax node."""
+    cfg = config_from_dict(dict(encoder="hibert"))
+    docs, _ = make_overfit_corpus(n_docs=2, n_sents=7, n_gold=2, sent_len=5, seed=3)
+    vocab = Vocab.from_corpus(s for d in docs for s in d.sentences)
+    batch = []
+    for d, plan in zip(docs, ([3, 0, 5], [1, 2, 4])):
+        prep = prepare_cnndm(d, vocab, max_doc_sents=cfg.max_doc_sents,
+                             max_sent_len=cfg.max_sent_len)
+        batch += examples_from_plan(prep, [unit_step(u) for u in plan])
+    assert len(batch) == cfg.batch_size
+    model = build_model(cfg, len(vocab))
+    with Tape() as tape:
+        loss = batch_mean_loss(model, cfg, vocab, batch)
+        kinds = [node.backward.__qualname__.split(".")[0] for node in tape.nodes]
+        backward(tape, loss)
+    # one per sentence layer, three per document layer
+    assert kinds.count("dense_attention") == cfg.sent_layers + 3 * cfg.doc_layers == 8
+    assert not {"transpose", "softmax", "add_const", "bias_at"} & set(kinds)
+    # the pooled sentence vectors, the scorer's logits and their flattening
+    assert kinds.count("reshape") == 3
+    assert kinds.count("linear") == 40
+    assert len(kinds) == 115

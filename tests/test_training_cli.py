@@ -12,6 +12,7 @@ from conftest import cli_env
 
 from stepsum.config import config_from_dict
 from stepsum.data import Vocab, examples_from_plan, prepare_cnndm
+from stepsum.metrics import rouge_l, rouge_n
 from stepsum.models import ModelStepScorer, build_model
 from stepsum.synthetic import gold_plan, make_overfit_corpus
 from stepsum.training import TrainingDiverged, evaluate_loss, train
@@ -274,6 +275,31 @@ def test_cli_eval_reports_unmatched_ids(workspace, tmp_path):
     assert r.returncode == 1
     assert f"error: {gen}:2: id nowhere missing from reference file" in r.stderr
     assert json.load(open(report))["count"] == 1
+
+
+def test_cli_eval_rouge_reads_the_reference_abstract(tmp_path):
+    """A documents file as ``--ref`` holds each document's sentences and its
+    abstract: Rouge scores the generated summary against the abstract."""
+    summary = [["the", "cat", "sat"], ["on", "a", "mat"]]
+    abstract = [["a", "cat", "sat"], ["on", "the", "mat"], ["today"]]
+    document = [["the", "dog", "ran"], ["the", "cat", "sat", "down"], ["on", "a", "mat"]]
+    gen, ref = str(tmp_path / "gen.jsonl"), str(tmp_path / "ref.jsonl")
+    with open(gen, "w") as fh:
+        fh.write(json.dumps({"id": "d1", "summary_sentences": summary}) + "\n")
+    with open(ref, "w") as fh:
+        fh.write(json.dumps({"id": "d1", "sentences": document, "abstract": abstract}) + "\n")
+    report = str(tmp_path / "report.json")
+    r = run_cli("eval", "--task", "rouge", "--gen", gen, "--ref", ref, "--out", report)
+    assert r.returncode == 0, r.stderr
+    got = json.load(open(report))["examples"]["d1"]
+    cand = [t for sent in summary for t in sent]
+    want = {f"rouge{k}": rouge_n(cand, [t for sent in abstract for t in sent], k)
+            for k in (1, 2)}
+    want["rougeL"] = rouge_l(cand, [t for sent in abstract for t in sent])
+    for key, score in want.items():
+        assert got[key] == {"p": score.precision, "r": score.recall, "f1": score.f1}
+    # the document alone would score otherwise
+    assert got["rouge1"]["f1"] != rouge_n(cand, [t for sent in document for t in sent], 1).f1
 
 
 def test_cli_train_decode_eval_round(workspace, trained_ckpt):
