@@ -114,10 +114,6 @@ class AttentionConfig:
             )
 
     @property
-    def head_dim(self) -> int:
-        return self.model_dim // self.num_heads
-
-    @property
     def member_label(self) -> int:
         return 2 * self.max_distance + LABEL_MEMBER_OFFSET
 

@@ -22,6 +22,9 @@ on their own buffers, ``gelu`` and ``layer_norm`` in blocks of about
 the expression order of the plain numpy formula, so values and gradients
 keep their exact bits.
 
+``Adam`` holds the parameters, its moments and the gathered gradients in
+flat buffers in payload order, and updates them in one blocked pass.
+
 Broadcasting is deliberately narrow: elementwise ops need equal shapes and
 ``add``/``sub`` additionally accept a trailing-axes operand (bias vectors,
 shared positional rows). Matmul supports 2-D and equal-batch stacked
@@ -43,9 +46,9 @@ import numpy as np
 # 0.0 after max subtraction, finite so autodiff never sees an inf.
 MASK_NEG = -1e30
 
-# ``gelu`` and ``layer_norm`` go through their input in blocks of about this
-# many elements (64 rows at ffn_dim 256): 128 KiB per float64 array, so the
-# few arrays a block touches stay in L2.
+# ``gelu``, ``layer_norm`` and ``Adam.step`` go through their input in blocks
+# of about this many elements (64 rows at ffn_dim 256): 128 KiB per float64
+# array, so the few arrays a block touches stay in L2.
 BLOCK_ELEMENTS = 1 << 14
 
 
@@ -72,9 +75,10 @@ def _check_finite(arr: np.ndarray, what: str) -> None:
 class Tensor:
     """A dense array with an optional gradient slot.
 
-    ``data`` is always a contiguous float64 ndarray. ``grad`` starts out as
-    None and is materialized (and accumulated into) by backward sweeps; the
-    caller zeroes it between optimizer steps via ``zero_grad``.
+    ``data`` is always a contiguous float64 ndarray; once an ``Adam`` owns
+    the tensor, a view of its flat buffer. ``grad`` starts out as None and is
+    materialized (and accumulated into) by backward sweeps; the caller
+    zeroes it between optimizer steps via ``zero_grad``.
     """
 
     __slots__ = ("data", "requires_grad", "grad")
@@ -666,49 +670,48 @@ def named_tensors(tree, prefix: str = "") -> dict[str, Tensor]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class AdamState:
-    """Per-parameter Adam moments plus hyperparameters."""
-
-    learning_rate: float
-    m: np.ndarray
-    v: np.ndarray
-    step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-
-    @classmethod
-    def for_param(cls, param: Tensor, learning_rate: float) -> "AdamState":
-        return cls(learning_rate, np.zeros_like(param.data), np.zeros_like(param.data))
-
-
-def adam_step(param: Tensor, state: AdamState) -> None:
-    """Apply one bias-corrected Adam update in place."""
-    if param.grad is None:
-        raise AutodiffError("adam_step requires a populated grad")
-    g = param.grad
-    state.step += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * g
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * g * g
-    mhat = state.m / (1.0 - state.beta1**state.step)
-    vhat = state.v / (1.0 - state.beta2**state.step)
-    param.data -= state.learning_rate * mhat / (np.sqrt(vhat) + state.epsilon)
-    _check_finite(param.data, "adam_step")
-
-
 class Adam:
-    """Convenience wrapper holding one AdamState per named parameter."""
+    """Bias-corrected Adam over one flat buffer per state, in payload order.
+
+    ``flat`` holds the parameters in ``params`` order, each ``Tensor.data``
+    rebound to its view, and ``m`` and ``v`` share its layout. ``step``
+    gathers the gradients into ``grad``, reading a missing one as zeros, so
+    a parameter that never gets one keeps its bits, then updates in place
+    in blocks in the per-tensor formula's expression order.
+    """
+
+    beta1, beta2, epsilon = 0.9, 0.999, 1e-8
 
     def __init__(self, params: dict[str, Tensor], learning_rate: float):
         self.params = dict(params)
-        self.states = {name: AdamState.for_param(p, learning_rate)
-                       for name, p in self.params.items()}
+        self.learning_rate = learning_rate
+        self.steps = 0
+        self.flat = np.concatenate([p.data.reshape(-1) for p in self.params.values()])
+        self.m, self.v, self.grad = np.zeros((3, self.flat.size))
+        self._scratch = np.empty((2, min(self.flat.size, BLOCK_ELEMENTS)))
+        lo = 0
+        for p in self.params.values():
+            p.data = self.flat[lo: lo + p.size].reshape(p.shape)
+            lo += p.size
 
     def step(self) -> None:
-        for name, p in self.params.items():
-            if p.grad is not None:
-                adam_step(p, self.states[name])
+        np.concatenate([np.broadcast_to(0.0, p.size) if p.grad is None else p.grad.reshape(-1)
+                        for p in self.params.values()], out=self.grad)
+        self.steps += 1
+        b1, b2, lr = self.beta1, self.beta2, self.learning_rate
+        c1, c2 = 1.0 - b1**self.steps, 1.0 - b2**self.steps
+        for lo, hi in _blocks(self.flat.size, BLOCK_ELEMENTS):
+            p, m, v, g = (a[lo:hi] for a in (self.flat, self.m, self.v, self.grad))
+            s, t = self._scratch[:, : hi - lo]
+            # m = b1 * m + (1 - b1) * g, then v = b2 * v + (1 - b2) * g * g
+            np.add(np.multiply(m, b1, out=m), np.multiply(g, 1.0 - b1, out=s), out=m)
+            np.multiply(np.multiply(g, 1.0 - b2, out=s), g, out=s)
+            np.add(np.multiply(v, b2, out=v), s, out=v)
+            # p -= lr * (m / c1) / (sqrt(v / c2) + eps)
+            np.multiply(np.divide(m, c1, out=s), lr, out=s)
+            np.add(np.sqrt(np.divide(v, c2, out=t), out=t), self.epsilon, out=t)
+            np.subtract(p, np.divide(s, t, out=s), out=p)
+        _check_finite(self.flat, "Adam.step")
 
     def zero_grad(self) -> None:
         for p in self.params.values():

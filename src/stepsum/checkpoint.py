@@ -8,12 +8,14 @@ and renamed over the old one, so a failed or interrupted save leaves the
 previous checkpoint loadable. Each file reaches the disk before its rename,
 and each rename before the next write, so a crash of the machine leaves
 the same guarantee as a crash of the process. Loading verifies the config
-hash; a mismatch is a hard error rather than a silent shape coercion.
+hash and that the tensor directory tiles the payload; a mismatch is a hard
+error rather than a silent shape coercion.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -41,19 +43,13 @@ class Manifest:
 def save_checkpoint(path: str, named_params: dict[str, Tensor],
                     config: RunConfig, vocab: list[str]) -> None:
     os.makedirs(path, exist_ok=True)
-    tensors = []
-    offset = 0
-    chunks = []
+    tensors, offset = [], 0
     for name, param in named_params.items():
-        data = np.ascontiguousarray(param.data, dtype="<f8")
-        tensors.append({
-            "name": name,
-            "shape": list(param.shape),
-            "offset": offset,
-            "size": int(data.size),
-        })
-        chunks.append(data.tobytes())
-        offset += data.size * 8
+        tensors.append({"name": name, "shape": list(param.shape), "offset": offset,
+                        "size": param.size})
+        offset += 8 * param.size
+    payload = b"".join(np.ascontiguousarray(p.data, dtype="<f8").tobytes()
+                       for p in named_params.values())
     manifest = {
         "format_version": FORMAT_VERSION,
         "config_hash": config.arch_hash(len(vocab)),
@@ -63,7 +59,7 @@ def save_checkpoint(path: str, named_params: dict[str, Tensor],
     }
     # Payload first: every save of one run writes the same manifest, so a
     # crash between the two replaces still leaves a matching pair.
-    for name, blob in ((PAYLOAD_NAME, b"".join(chunks)),
+    for name, blob in ((PAYLOAD_NAME, payload),
                        (MANIFEST_NAME, json.dumps(manifest, sort_keys=True,
                                                   separators=(",", ":")).encode())):
         tmp = os.path.join(path, f"{name}.{os.getpid()}.tmp")
@@ -89,6 +85,8 @@ def _fsync_dir(path: str) -> None:
 
 
 def load_checkpoint(path: str) -> tuple[Manifest, dict[str, np.ndarray]]:
+    """The manifest and each tensor by name, as read-only views of one
+    payload buffer; ``restore_params`` copies them into a model."""
     manifest_path = os.path.join(path, MANIFEST_NAME)
     payload_path = os.path.join(path, PAYLOAD_NAME)
     if not os.path.exists(manifest_path) or not os.path.exists(payload_path):
@@ -99,8 +97,7 @@ def load_checkpoint(path: str) -> tuple[Manifest, dict[str, np.ndarray]]:
         raise CheckpointError(f"unsupported checkpoint format {raw.get('format_version')}")
     config = config_from_dict(raw["config"])
     vocab = list(raw["vocab"])
-    expected = config.arch_hash(len(vocab))
-    if raw["config_hash"] != expected:
+    if raw["config_hash"] != config.arch_hash(len(vocab)):
         raise CheckpointError("checkpoint config hash does not match its config")
     with open(payload_path, "rb") as fh:
         blob = fh.read()
@@ -110,10 +107,14 @@ def load_checkpoint(path: str) -> tuple[Manifest, dict[str, np.ndarray]]:
                               f"its manifest lists {want}")
     payload = np.frombuffer(blob, dtype="<f8")
     arrays: dict[str, np.ndarray] = {}
+    start = 0
     for entry in raw["tensors"]:
-        start = entry["offset"] // 8
-        arr = payload[start: start + entry["size"]].reshape(entry["shape"])
-        arrays[entry["name"]] = np.array(arr, dtype=np.float64)
+        name, shape, size = entry["name"], entry["shape"], entry["size"]
+        if entry["offset"] != 8 * start or min(shape, default=0) < 0 or math.prod(shape) != size:
+            raise CheckpointError(f"{manifest_path}: tensor {name} (offset {entry['offset']}, "
+                                  f"shape {shape}, size {size}) does not tile the payload")
+        arrays[name] = payload[start: start + size].reshape(shape)
+        start += size
     return Manifest(config, raw["config_hash"], vocab), arrays
 
 
@@ -123,15 +124,12 @@ def restore_params(named_params: dict[str, Tensor],
     missing = sorted(set(named_params) - set(arrays))
     extra = sorted(set(arrays) - set(named_params))
     if missing or extra:
-        raise CheckpointError(
-            f"parameter names disagree; missing={missing[:3]} extra={extra[:3]}"
-        )
+        raise CheckpointError(f"parameter names disagree; missing={missing[:3]} extra={extra[:3]}")
     for name, param in named_params.items():
         arr = arrays[name]
         if tuple(arr.shape) != param.shape:
-            raise CheckpointError(
-                f"{name}: checkpoint shape {arr.shape} != model shape {param.shape}"
-            )
+            raise CheckpointError(f"{name}: checkpoint shape {arr.shape} != model shape "
+                                  f"{param.shape}")
         param.data[...] = arr
 
 

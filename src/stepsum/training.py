@@ -107,9 +107,11 @@ def train(cfg: RunConfig, model: Model, vocab: Vocab,
                 batch.append(train_examples[int(order[cursor])])
                 cursor += 1
 
-            optimizer.zero_grad()
             with Tape() as tape:
                 loss = batch_mean_loss(model, cfg, vocab, batch)
+                # freed after the forward, so glibc does not return the heap
+                # top to the kernel and fault it back in every step
+                optimizer.zero_grad()
                 backward(tape, loss)
             running_loss += loss.item()
             optimizer.step()

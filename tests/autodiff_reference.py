@@ -6,10 +6,13 @@ additive mask op of the attention chains the fused attention ops replaced.
 ``reference_linear`` is two ops, a ``matmul`` then a bias ``add``.
 ``reference_gelu`` and ``reference_layer_norm`` build whole-size
 temporaries. ``reference_backward`` copies every first gradient it stores
-and adds every later one into that copy.
+and adds every later one into that copy. ``Adam`` is the per-tensor
+optimizer the flat-buffer ``Adam`` replaced: one ``AdamState`` and step
+counter per parameter, and a parameter without a gradient is skipped.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,6 +21,7 @@ from stepsum.autodiff import (
     ShapeError,
     Tape,
     Tensor,
+    _check_finite,
     _suffix_reduce,
     add,
     apply_op,
@@ -112,3 +116,82 @@ def reference_layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-
         )
 
     return apply_op(y, (x, gain, bias), back, what="layer_norm")
+
+
+@dataclass
+class AdamState:
+    """Per-parameter Adam moments plus hyperparameters."""
+
+    learning_rate: float
+    m: np.ndarray
+    v: np.ndarray
+    step: int = 0
+    beta1: float = 0.9
+    beta2: float = 0.999
+    epsilon: float = 1e-8
+
+    @classmethod
+    def for_param(cls, param: Tensor, learning_rate: float) -> "AdamState":
+        return cls(learning_rate, np.zeros_like(param.data), np.zeros_like(param.data))
+
+
+def adam_step(param: Tensor, state: AdamState) -> None:
+    """Apply one bias-corrected Adam update in place."""
+    if param.grad is None:
+        raise AutodiffError("adam_step requires a populated grad")
+    g = param.grad
+    state.step += 1
+    state.m = state.beta1 * state.m + (1.0 - state.beta1) * g
+    state.v = state.beta2 * state.v + (1.0 - state.beta2) * g * g
+    mhat = state.m / (1.0 - state.beta1**state.step)
+    vhat = state.v / (1.0 - state.beta2**state.step)
+    param.data -= state.learning_rate * mhat / (np.sqrt(vhat) + state.epsilon)
+    _check_finite(param.data, "adam_step")
+
+
+class Adam:
+    """Convenience wrapper holding one AdamState per named parameter."""
+
+    def __init__(self, params: dict[str, Tensor], learning_rate: float):
+        self.params = dict(params)
+        self.states = {name: AdamState.for_param(p, learning_rate)
+                       for name, p in self.params.items()}
+
+    def step(self) -> None:
+        for name, p in self.params.items():
+            if p.grad is not None:
+                adam_step(p, self.states[name])
+
+    def zero_grad(self) -> None:
+        for p in self.params.values():
+            p.zero_grad()
+
+
+def train_flat_and_reference(build, loss_of, steps: int = 30, learning_rate: float = 0.01):
+    """Parameters after ``steps`` steps of the flat ``stepsum.autodiff.Adam``
+    and of the per-tensor reference ``Adam``, by name, one fresh ``build()``
+    model each.
+
+    Beside the model's own tensors, each optimizer gets ``unused``, a
+    parameter no loss reads, so it never receives a gradient. Every step
+    also calls ``Tensor.zero_grad`` on the first parameter between
+    ``Adam.zero_grad`` and the backward. ``loss_of(model, step)`` builds the
+    step's scalar loss on the live tape.
+    """
+    from stepsum.autodiff import Adam as FlatAdam, backward
+
+    runs = []
+    for optimizer in (FlatAdam, Adam):
+        model = build()
+        params = dict(model.named_parameters(),
+                      unused=Tensor(np.linspace(-1.0, 1.0, 6).reshape(2, 3), requires_grad=True))
+        first = next(iter(params.values()))
+        opt = optimizer(params, learning_rate)
+        for step in range(steps):
+            opt.zero_grad()
+            first.zero_grad()
+            with Tape() as tape:
+                backward(tape, loss_of(model, step))
+            opt.step()
+        runs.append({name: p.data.copy() for name, p in params.items()})
+    return runs

@@ -8,13 +8,11 @@ from autodiff_reference import add_const
 from stepsum import autodiff as ad
 from stepsum.autodiff import (
     Adam,
-    AdamState,
     AutodiffError,
     NonFiniteError,
     ShapeError,
     Tape,
     Tensor,
-    adam_step,
     backward,
     cross_entropy,
     layer_norm,
@@ -270,49 +268,57 @@ def test_determinism_bitwise():
 
 def test_adam_first_step_moves_by_learning_rate():
     p = Tensor(np.full(4, 10.0), requires_grad=True)
+    opt = Adam({"p": p}, learning_rate=0.25)
     p.grad = np.ones(4)
-    st = AdamState.for_param(p, learning_rate=0.25)
-    adam_step(p, st)
+    opt.step()
     # bias correction makes mhat/sqrt(vhat) equal 1 on the first step
     np.testing.assert_allclose(p.data, 10.0 - 0.25, rtol=1e-7)
-    assert st.step == 1
+    assert opt.steps == 1
 
 
 def test_adam_zero_grad_keeps_param_but_counts_step():
     p = Tensor([5.0], requires_grad=True)
+    opt = Adam({"p": p}, learning_rate=0.5)
     p.grad = np.zeros(1)
-    st = AdamState.for_param(p, learning_rate=0.5)
-    adam_step(p, st)
+    opt.step()
     assert p.data[0] == 5.0
-    assert st.step == 1
-
-
-def test_adam_missing_grad_rejected():
-    p = Tensor([1.0], requires_grad=True)
-    st = AdamState.for_param(p, learning_rate=0.1)
-    with pytest.raises(AutodiffError):
-        adam_step(p, st)
+    assert opt.steps == 1
 
 
 def test_adam_two_runs_bitwise_identical():
     def run():
         p = Tensor([1.0, -2.0, 3.0], requires_grad=True)
-        st = AdamState.for_param(p, learning_rate=0.05)
+        opt = Adam({"p": p}, learning_rate=0.05)
         for step in range(3):
             p.grad = np.array([0.1, -0.2, 0.3]) * (step + 1)
-            adam_step(p, st)
+            opt.step()
         return p.data.copy()
 
     assert np.array_equal(run(), run())
 
 
-def test_adam_wrapper_skips_gradless_params():
+def test_adam_reads_a_missing_grad_as_zeros():
+    """A parameter without a gradient gets a zero update: its moments stay
+    0, so it keeps its bits, -0.0 included, while the others move."""
     a = Tensor([1.0], requires_grad=True)
-    b = Tensor([2.0], requires_grad=True)
+    b = Tensor([2.0, -0.0], requires_grad=True)
     opt = Adam({"a": a, "b": b}, learning_rate=0.1)
-    a.grad = np.ones(1)
-    opt.step()
+    for _ in range(3):
+        a.grad = np.ones(1)
+        opt.step()
     assert a.data[0] != 1.0
-    assert b.data[0] == 2.0
+    assert b.data.tobytes() == np.array([2.0, -0.0]).tobytes()
+    assert opt.steps == 3
     opt.zero_grad()
     assert a.grad is None
+
+
+def test_adam_lays_params_out_in_one_buffer_in_order():
+    """Each parameter becomes a view of the flat buffer, in the dict's order
+    (the checkpoint payload's), with its values unchanged."""
+    a = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    b = Tensor([-0.0, 7.5], requires_grad=True)
+    opt = Adam({"a": a, "b": b}, learning_rate=0.1)
+    assert opt.flat.tobytes() == np.concatenate([np.arange(6.0), [-0.0, 7.5]]).tobytes()
+    assert a.shape == (2, 3) and a.data.flags.c_contiguous
+    assert np.shares_memory(a.data, opt.flat[:6]) and np.shares_memory(b.data, opt.flat[6:])

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 from assembly_reference import reference_assemble_input
+from autodiff_reference import train_flat_and_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stepsum.autodiff import Tape, backward, mul, narrow, sum_all
+from stepsum.autodiff import Tape, backward, cross_entropy, mul, narrow, sum_all
 from stepsum.config import config_from_dict
 from stepsum.data import PreparedDoc, Vocab
 from stepsum.etc_encoder import StepwiseEtc, assemble_input
@@ -230,7 +231,7 @@ def test_scorer_tied_rows_tied_logits():
 
 
 def test_overfit_tiny_assembly_reaches_target():
-    from stepsum.autodiff import Adam, cross_entropy
+    from stepsum.autodiff import Adam
 
     cfg = tiny_cfg(etc_layers=1)
     model = StepwiseEtc(cfg, VOCAB_SIZE, np.random.default_rng(3))
@@ -244,3 +245,22 @@ def test_overfit_tiny_assembly_reaches_target():
             backward(tape, loss)
         opt.step()
     assert int(np.argmax(model.logits([asm]).data)) == target
+
+
+def test_flat_adam_matches_the_per_tensor_reference():
+    """30 steps leave every parameter bitwise equal to the per-tensor
+    optimizer's, including ``unused``, which never gets a gradient."""
+    doc = [[10, 11], [12, 13], [14, 15]]
+    layouts = [assemble(doc, []), assemble(doc, [[12, 13]]), assemble(doc, [[12, 13], [10, 11]])]
+
+    def loss_of(model, step):
+        return cross_entropy(model.logits([layouts[step % 3]]), step % 4)
+
+    build = lambda: StepwiseEtc(tiny_cfg(), VOCAB_SIZE, np.random.default_rng(3))  # noqa: E731
+    flat, reference = train_flat_and_reference(build, loss_of)
+    start = build().named_parameters()
+    assert list(flat) == list(reference)
+    for name in flat:
+        assert flat[name].tobytes() == reference[name].tobytes(), name
+    assert flat["unused"].tobytes() == np.linspace(-1.0, 1.0, 6).reshape(2, 3).tobytes()
+    assert all(not np.array_equal(p.data, flat[name]) for name, p in start.items())

@@ -353,6 +353,48 @@ def test_truncated_payload_rejected(tmp_path, cut):
         load_checkpoint(path)
 
 
+def test_loaded_arrays_are_read_only_views_of_one_payload(tmp_path):
+    cfg, vocab, model = small_model_and_cfg("etc")
+    path = str(tmp_path / "ck")
+    save_checkpoint(path, model.named_parameters(), cfg, vocab.id_to_token)
+    _, arrays = load_checkpoint(path)
+    payload = arrays["emb.token"].base
+    assert payload.nbytes == os.path.getsize(os.path.join(path, "params.bin"))
+    for name, arr in arrays.items():
+        assert arr.base is payload and not arr.flags.writeable, name
+        assert np.shares_memory(arr, payload), name
+
+
+@pytest.mark.parametrize("tamper", ["swapped", "overlapping", "misshapen", "past_end"])
+def test_manifest_that_does_not_tile_the_payload_rejected(tmp_path, tamper):
+    """Each entry's offset must be 8 times the sum of the sizes before it,
+    and its shape's product its size; the error names the tensor."""
+    cfg, vocab, model = small_model_and_cfg("etc")
+    path = str(tmp_path / "ck")
+    save_checkpoint(path, model.named_parameters(), cfg, vocab.id_to_token)
+    manifest_path = os.path.join(path, "manifest.json")
+    with open(manifest_path) as fh:
+        blob = json.load(fh)
+    token, kind, *_, last = blob["tensors"]
+    assert (token["name"], kind["name"]) == ("emb.token", "emb.global_kind")
+    if tamper == "swapped":
+        token["offset"], kind["offset"] = kind["offset"], token["offset"]
+        bad = "emb.token"
+    elif tamper == "overlapping":
+        kind["offset"] -= 8
+        bad = "emb.global_kind"
+    elif tamper == "misshapen":
+        kind["shape"] = [kind["shape"][0] + 1, kind["shape"][1]]
+        bad = "emb.global_kind"
+    else:
+        last["offset"] = os.path.getsize(os.path.join(path, "params.bin")) + 8
+        bad = last["name"]
+    with open(manifest_path, "w") as fh:
+        json.dump(blob, fh)
+    with pytest.raises(CheckpointError, match=f"tensor {bad} .*does not tile the payload"):
+        load_checkpoint(path)
+
+
 def test_restore_rejects_name_mismatch(tmp_path):
     cfg, vocab, model = small_model_and_cfg()
     path = str(tmp_path / "ck")

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from autodiff_reference import train_flat_and_reference
 from hibert_reference import reference_logits
 
 from stepsum.attention import score_counter
@@ -229,6 +230,27 @@ def test_overfit_tiny_doc_selects_target_unit():
         opt.step()
     final = one_pair(model, units)
     assert int(np.argmax(final.data)) == target
+
+
+@pytest.mark.parametrize("task", ["cnndm", "rotowire"])
+def test_flat_adam_matches_the_per_tensor_reference(task):
+    """30 steps leave every parameter bitwise equal to the per-tensor
+    optimizer's, including ``unused`` and, in table mode, ``emb.pos_doc``,
+    which never get a gradient."""
+    units = [[2], [10, 11], [12, 13], [14, 15]]
+
+    def loss_of(model, step):
+        return cross_entropy(one_pair(model, units, (unit_step(step % 3),)), step % 4)
+
+    build = lambda: make_model(sent_layers=1, doc_layers=1, task=task)  # noqa: E731
+    flat, reference = train_flat_and_reference(build, loss_of)
+    start = build().named_parameters()
+    assert list(flat) == list(reference)
+    for name in flat:
+        assert flat[name].tobytes() == reference[name].tobytes(), name
+    assert flat["unused"].tobytes() == np.linspace(-1.0, 1.0, 6).reshape(2, 3).tobytes()
+    moved = {name for name, p in start.items() if not np.array_equal(p.data, flat[name])}
+    assert moved == set(start) - ({"emb.pos_doc"} if task == "rotowire" else set())
 
 
 @pytest.mark.parametrize("case", ["too_long", "finished", "break_without_slot",

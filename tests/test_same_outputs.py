@@ -20,13 +20,13 @@ def _tool():
 
 def test_one_checkout_matches_itself():
     """One docs-hibert round: both oracle outputs, train's output, the
-    decoded plans, the eval record and the best checkpoint's payload."""
+    decoded plans, the eval record and the best and last checkpoints' payloads."""
     proc = subprocess.run(
         [sys.executable, str(TOOL), str(ROOT), str(ROOT), "--workloads", "docs-hibert",
          "--seeds", "3", "--rounds", "1"],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines()[-1] == "6 identical, 0 differ"
+    assert proc.stdout.splitlines()[-1] == "7 identical, 0 differ"
 
 
 def test_differing_names_changed_and_one_sided_outputs():
@@ -45,7 +45,7 @@ def test_params_within_tolerance_pass_and_others_still_differ():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.splitlines()[-2:] == ["params.bin: largest difference 0, tolerance 1e-12",
-                                            "6 identical, 0 within 1e-12, 0 differ"]
+                                            "7 identical, 0 within 1e-12, 0 differ"]
 
 
 def test_params_difference_reads_tensors_by_name(tmp_path):

@@ -11,15 +11,15 @@ pool at one thread. The subprocess builds the decode checkpoint as that
 checkout's ``perfbench/run.py`` does, then runs rounds ``0..rounds-1`` of
 each workload and seed through its ``perfbench/pipeline.run_round``, which
 checks every output. It reports the sha256 of both oracle outputs, the
-printed ``train`` output, ``decoded.jsonl``, ``eval.json`` and the best
-checkpoint's ``params.bin`` of every round. The script prints each output
-that differs and exits 1 if any does, 2 if a checkout's run failed, and 0
-when every output is identical. With ``--params-atol X``, a ``params.bin``
-that differs is compared tensor by tensor instead (the ``manifest.json``
-beside it names the tensors), its largest absolute difference is printed,
-and it passes when that difference is at most X; every other output must
-still be identical. Defaults: all three workloads, seeds 3 and 101, rounds
-0-2.
+printed ``train`` output, ``decoded.jsonl``, ``eval.json`` and the
+``params.bin`` of the best and of the last checkpoint of every round. The
+script prints each output that differs and exits 1 if any does, 2 if a
+checkout's run failed, and 0 when every output is identical. With
+``--params-atol X``, either ``params.bin`` that differs is compared tensor
+by tensor instead (the ``manifest.json`` beside it names the tensors), its
+largest absolute difference is printed, and it passes when that difference
+is at most X; every other output must still be identical. Defaults: all
+three workloads, seeds 3 and 101, rounds 0-2.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ import numpy as np
 
 WORKLOADS = ("docs-hibert", "docs-etc", "tables-etc")
 FILES = {"decoded.jsonl": "decoded.jsonl", "eval.json": "eval.json",
-         "params.bin": os.path.join("train", "best", "params.bin")}
+         "best/params.bin": os.path.join("train", "best", "params.bin"),
+         "last/params.bin": os.path.join("train", "last", "params.bin")}
 
 
 def _sha256(data: bytes) -> str:
@@ -106,9 +107,10 @@ def params_difference(a: str, b: str) -> float:
 
 
 def _params_file(work: str, name: str) -> str:
-    """The ``params.bin`` of the digest ``name``, "<workload> seed S round K params.bin"."""
-    workload, _, seed, _, k, _ = name.split()
-    return output_path(work, workload, int(seed), int(k), FILES["params.bin"])
+    """The ``params.bin`` of the digest ``name``, "<workload> seed S round K best/params.bin"
+    or "... last/params.bin"."""
+    workload, _, seed, _, k, part = name.split()
+    return output_path(work, workload, int(seed), int(k), FILES[part])
 
 
 def differing(a: dict[str, str], b: dict[str, str]) -> list[str]:
@@ -161,7 +163,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.params_atol is not None:
             both = a.keys() & b.keys()
             close = {name: params_difference(*(_params_file(w, name) for w in works))
-                     for name in bad if name.endswith(" params.bin") and name in both}
+                     for name in bad if name.endswith("/params.bin") and name in both}
     for name in bad:
         detail = f" (largest difference {close[name]:.3g})" if name in close else ""
         print(f"differs: {name}{detail}")
