@@ -177,12 +177,12 @@ def _op_cases(seed: int):
     # probe of norm about 1, so central differences stay accurate over so
     # many elements
     x = t(2, ad.BLOCK_ELEMENTS // 6 * 3 // 4, 6)
-    g, bb = t(6), t(6)
+    g, bb, zero = t(6), t(6), Tensor(np.zeros(x.shape))
     ln_probe = Tensor(rng.normal(size=x.shape) / np.sqrt(x.size))
     cases.append(("layer_norm", {"x": x, "gain": g, "bias": bb},
-                  lambda: ad.sum_all(ad.mul(ad.layer_norm(x, g, bb), ln_probe))))
+                  lambda: ad.sum_all(ad.mul(ad.layer_norm(x, zero, g, bb), ln_probe))))
     gl = t(7)
-    cases.append(("cross_entropy", {"logits": gl}, lambda: cross_entropy(gl, 3)))
+    cases.append(("cross_entropy", {"logits": gl}, lambda: cross_entropy(gl, [3])))
     ge = t(ad.BLOCK_ELEMENTS // 256 * 3 // 2, 256)
     ge_probe = Tensor(rng.normal(size=ge.shape) / np.sqrt(ge.size))
     cases.append(("gelu", {"x": ge},
@@ -273,6 +273,14 @@ def _op_cases(seed: int):
     cases.append(("dense_attention", {"q": dq, "k": dk, "v": dv, "relpos": dtable},
                   lambda: ad.sum_all(ad.mul(dense_attention(dq, dk, dv, 2, d_allowed, dtable,
                                                             d_labels), d_probe))))
+    # a residual norm over two blocks; a loss over spans with gaps, as hibert pads
+    rx, rr, rg, rb = t(*x.shape), t(*x.shape), t(6), t(6)
+    cases.append(("layer_norm_residual", {"x": rx, "residual": rr, "gain": rg, "bias": rb},
+                  lambda: ad.sum_all(ad.mul(ad.layer_norm(rx, ad.mul(rx, rr), rg, rb),
+                                            ln_probe))))
+    sl = t(18)
+    cases.append(("cross_entropy_spans", {"logits": sl},
+                  lambda: cross_entropy(sl, [2, 0, 5], [(0, 5), (7, 3), (11, 6)])))
     return cases
 
 
@@ -301,8 +309,7 @@ def criterion_gradient_suite(samples_per_tensor: int = 8) -> tuple[bool, str]:
         logits = hm.logits_batch(hm.unit_representations(hunits),
                                  [range(5), range(3)], summaries)
         flat = ad.reshape(logits, (10,))
-        return ad.add(cross_entropy(ad.narrow(flat, 0, 0, 5), 2),
-                      cross_entropy(ad.narrow(flat, 0, 5, 3), 0))
+        return ad.add(cross_entropy(flat, [2], [(0, 5)]), cross_entropy(flat, [0], [(5, 3)]))
 
     fails = check_gradients(hibert_loss, hm.named_parameters(),
                             samples_per_tensor=samples_per_tensor,
@@ -316,8 +323,8 @@ def criterion_gradient_suite(samples_per_tensor: int = 8) -> tuple[bool, str]:
 
     def etc_loss():
         logits = em.logits(assemblies)
-        return ad.add(cross_entropy(ad.narrow(logits, 0, 0, counts[0]), 1),
-                      cross_entropy(ad.narrow(logits, 0, counts[0], counts[1]), 2))
+        return ad.add(cross_entropy(logits, [1], [(0, counts[0])]),
+                      cross_entropy(logits, [2], [(counts[0], counts[1])]))
 
     fails = check_gradients(etc_loss, em.named_parameters(),
                             samples_per_tensor=samples_per_tensor,

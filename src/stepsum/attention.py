@@ -48,7 +48,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .autodiff import (
     MASK_NEG,
     Tensor,
-    add,
     apply_op,
     concat_rows,
     gelu,
@@ -227,8 +226,8 @@ def feed_forward(x: Tensor, p: FfnParams) -> Tensor:
 
 
 def add_norm(x: Tensor, y: Tensor, p: LayerNormParams) -> Tensor:
-    """Residual then layer norm: ``norm(x + y)``."""
-    return layer_norm(add(x, y), p.gain, p.bias)
+    """Residual then layer norm, ``norm(x + y)``, as one op."""
+    return layer_norm(x, y, p.gain, p.bias)
 
 
 def post_norm_block(x: Tensor, attended: Tensor, ln_attn: LayerNormParams,

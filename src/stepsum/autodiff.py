@@ -16,11 +16,12 @@ another tensor's gradient or a view of one, and never writes into it. Only
 a buffer the sweep made itself (a copy, or the sum of two contributions)
 is added into in place.
 
-``linear``, ``gelu`` and ``layer_norm`` are single ops that run in place
-on their own buffers, ``gelu`` and ``layer_norm`` in blocks of about
-``BLOCK_ELEMENTS`` elements, so a block's arrays stay in cache. Each keeps
-the expression order of the plain numpy formula, so values and gradients
-keep their exact bits.
+``linear``, ``gelu`` and ``layer_norm`` (of a residual sum) are single ops
+that run in place on their own buffers, ``gelu`` and ``layer_norm`` in
+blocks of about ``BLOCK_ELEMENTS`` elements, so a block's arrays stay in
+cache. Each keeps the expression order of the plain numpy formula, so
+values and gradients keep their exact bits. ``cross_entropy`` is a batch's
+mean loss in one op, over the rows that spans mark in one logits vector.
 
 ``Adam`` holds the parameters, its moments and the gathered gradients in
 flat buffers in payload order, and updates them in one blocked pass.
@@ -291,16 +292,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return apply_op(out, (a, b), back, what="mul")
 
 
-def scale(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-    out = a.data * c
-
-    def back(g, accum):
-        accum(a, g * c)
-
-    return apply_op(out, (a,), back, what="scale")
-
-
 # ---------------------------------------------------------------------------
 # linear algebra
 # ---------------------------------------------------------------------------
@@ -566,14 +557,15 @@ def gelu(x: Tensor) -> Tensor:
     return apply_op(y.reshape(x.shape), (x,), back, what="gelu")
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
-    """Normalise each row over the last axis, then scale by ``gain`` and shift by ``bias``."""
+def layer_norm(x: Tensor, residual: Tensor, gain: Tensor, bias: Tensor,
+               eps: float = 1e-6) -> Tensor:
+    """Normalise each row of ``x + residual`` over the last axis, then scale by
+    ``gain`` and shift by ``bias``; both summands get the same gradient."""
     d = x.shape[-1]
-    if gain.shape != (d,) or bias.shape != (d,):
-        raise ShapeError(
-            f"layer_norm gain/bias must match last extent {d}: {gain.shape}, {bias.shape}"
-        )
-    xd = x.data.reshape(-1, d)
+    if residual.shape != x.shape or gain.shape != (d,) or bias.shape != (d,):
+        raise ShapeError(f"layer_norm needs a residual of {x.shape} and gain/bias of "
+                         f"({d},): {residual.shape}, {gain.shape}, {bias.shape}")
+    xd, rd = x.data.reshape(-1, d), residual.data.reshape(-1, d)
     rows = xd.shape[0]
     step = max(1, BLOCK_ELEMENTS // d)
     xhat, y = np.empty_like(xd), np.empty_like(xd)
@@ -581,7 +573,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
     scratch = np.empty((min(rows, step), d))
     for lo, hi in _blocks(rows, step):
         xh, s, ib, yb = xhat[lo:hi], scratch[:hi - lo], inv[lo:hi], y[lo:hi]
-        np.subtract(xd[lo:hi], xd[lo:hi].mean(axis=-1, keepdims=True), out=xh)
+        np.add(xd[lo:hi], rd[lo:hi], out=s)
+        np.subtract(s, s.mean(axis=-1, keepdims=True), out=xh)
         np.multiply(xh, xh, out=s)
         var = s.mean(axis=-1, keepdims=True)
         var += eps
@@ -615,27 +608,42 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
         accum(gain, carry[0])
         accum(bias, _suffix_reduce(g, bias.shape))
         accum(x, dx.reshape(x.shape))
+        accum(residual, dx.reshape(x.shape))
 
-    return apply_op(y.reshape(x.shape), (x, gain, bias), back, what="layer_norm")
+    return apply_op(y.reshape(x.shape), (x, residual, gain, bias), back, what="layer_norm")
 
 
-def cross_entropy(logits: Tensor, target_index: int) -> Tensor:
+def cross_entropy(logits: Tensor, targets: Sequence[int],
+                  spans: Sequence[tuple[int, int]] | None = None) -> Tensor:
+    """Mean softmax cross entropy of the rows ``logits[start:start + length]``
+    of ``spans`` (by default all of 1-D ``logits``), one per target: the rows'
+    losses add in order, then scale by ``1 / len(targets)``."""
     if logits.data.ndim != 1:
         raise ShapeError(f"cross_entropy needs 1-D logits, got {logits.shape}")
-    n = logits.shape[0]
-    if not (0 <= target_index < n):
-        raise AutodiffError(f"cross_entropy target {target_index} out of range [0, {n})")
-    m = logits.data.max()
-    lse = m + math.log(np.exp(logits.data - m).sum())
-    out = np.asarray(lse - logits.data[target_index])
+    spans = [(0, logits.shape[0])] if spans is None else spans
+    if not targets or len(spans) != len(targets):
+        raise ShapeError(f"cross_entropy needs one span per target: {len(spans)} vs "
+                         f"{len(targets)}")
+    c, total, maxes = 1.0 / len(targets), None, []
+    for (s, n), t in zip(spans, targets):
+        if not (0 <= s and s + n <= logits.shape[0] and 0 <= t < n):
+            raise AutodiffError(f"cross_entropy target {t} of span ({s}, {n}) out of range "
+                                f"for {logits.shape[0]} logits")
+        row = logits.data[s:s + n]
+        maxes.append(row.max())
+        loss = maxes[-1] + math.log(np.exp(row - maxes[-1]).sum()) - row[t]
+        total = loss if total is None else total + loss
 
     def back(g, accum):
-        p = np.exp(logits.data - m)
-        p /= p.sum()
-        p[target_index] -= 1.0
-        accum(logits, g * p)
+        gc, buf = g * c, np.zeros_like(logits.data)
+        for (s, n), t, m in zip(spans, targets, maxes):
+            p = np.exp(logits.data[s:s + n] - m)
+            p /= p.sum()
+            p[t] -= 1.0
+            buf[s:s + n] += gc * p
+        accum(logits, buf)
 
-    return apply_op(out, (logits,), back, what="cross_entropy")
+    return apply_op(np.asarray(total * c), (logits,), back, what="cross_entropy")
 
 
 # ---------------------------------------------------------------------------

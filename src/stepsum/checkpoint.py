@@ -48,8 +48,7 @@ def save_checkpoint(path: str, named_params: dict[str, Tensor],
         tensors.append({"name": name, "shape": list(param.shape), "offset": offset,
                         "size": param.size})
         offset += 8 * param.size
-    payload = b"".join(np.ascontiguousarray(p.data, dtype="<f8").tobytes()
-                       for p in named_params.values())
+    payload = (np.ascontiguousarray(p.data, dtype="<f8") for p in named_params.values())
     manifest = {
         "format_version": FORMAT_VERSION,
         "config_hash": config.arch_hash(len(vocab)),
@@ -57,15 +56,16 @@ def save_checkpoint(path: str, named_params: dict[str, Tensor],
         "vocab": vocab,
         "tensors": tensors,
     }
-    # Payload first: every save of one run writes the same manifest, so a
-    # crash between the two replaces still leaves a matching pair.
-    for name, blob in ((PAYLOAD_NAME, payload),
-                       (MANIFEST_NAME, json.dumps(manifest, sort_keys=True,
-                                                  separators=(",", ":")).encode())):
+    # Payload first, tensor by tensor: every save of one run writes the same
+    # manifest, so a crash between the two replaces still leaves a matching pair.
+    for name, blobs in ((PAYLOAD_NAME, payload),
+                        (MANIFEST_NAME, [json.dumps(manifest, sort_keys=True,
+                                                    separators=(",", ":")).encode()])):
         tmp = os.path.join(path, f"{name}.{os.getpid()}.tmp")
         try:
             with open(tmp, "wb") as fh:
-                fh.write(blob)
+                for blob in blobs:
+                    fh.write(blob)
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, os.path.join(path, name))
@@ -93,29 +93,33 @@ def load_checkpoint(path: str) -> tuple[Manifest, dict[str, np.ndarray]]:
         raise CheckpointError(f"{path} is not a checkpoint directory")
     with open(manifest_path, encoding="utf-8") as fh:
         raw = json.load(fh)
-    if raw.get("format_version") != FORMAT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint format {raw.get('format_version')}")
-    config = config_from_dict(raw["config"])
-    vocab = list(raw["vocab"])
-    if raw["config_hash"] != config.arch_hash(len(vocab)):
-        raise CheckpointError("checkpoint config hash does not match its config")
-    with open(payload_path, "rb") as fh:
-        blob = fh.read()
-    want = 8 * sum(entry["size"] for entry in raw["tensors"])
-    if len(blob) != want:
-        raise CheckpointError(f"{payload_path} holds {len(blob)} bytes, "
-                              f"its manifest lists {want}")
-    payload = np.frombuffer(blob, dtype="<f8")
-    arrays: dict[str, np.ndarray] = {}
-    start = 0
-    for entry in raw["tensors"]:
-        name, shape, size = entry["name"], entry["shape"], entry["size"]
-        if entry["offset"] != 8 * start or min(shape, default=0) < 0 or math.prod(shape) != size:
-            raise CheckpointError(f"{manifest_path}: tensor {name} (offset {entry['offset']}, "
-                                  f"shape {shape}, size {size}) does not tile the payload")
-        arrays[name] = payload[start: start + size].reshape(shape)
-        start += size
-    return Manifest(config, raw["config_hash"], vocab), arrays
+    try:
+        if raw.get("format_version") != FORMAT_VERSION:
+            raise CheckpointError(f"unsupported checkpoint format {raw.get('format_version')}")
+        config = config_from_dict(raw["config"])
+        vocab = list(raw["vocab"])
+        if raw["config_hash"] != config.arch_hash(len(vocab)):
+            raise CheckpointError("checkpoint config hash does not match its config")
+        with open(payload_path, "rb") as fh:
+            blob = fh.read()
+        want = 8 * sum(entry["size"] for entry in raw["tensors"])
+        if len(blob) != want:
+            raise CheckpointError(f"{payload_path} holds {len(blob)} bytes, "
+                                  f"its manifest lists {want}")
+        payload = np.frombuffer(blob, dtype="<f8")
+        arrays: dict[str, np.ndarray] = {}
+        start = 0
+        for entry in raw["tensors"]:
+            name, shape, size = entry["name"], entry["shape"], entry["size"]
+            if (entry["offset"] != 8 * start or min(shape, default=0) < 0
+                    or math.prod(shape) != size):
+                raise CheckpointError(f"{manifest_path}: tensor {name} (offset {entry['offset']}, "
+                                      f"shape {shape}, size {size}) does not tile the payload")
+            arrays[name] = payload[start: start + size].reshape(shape)
+            start += size
+        return Manifest(config, raw["config_hash"], vocab), arrays
+    except (AttributeError, KeyError, TypeError) as e:
+        raise CheckpointError(f"{manifest_path}: missing or mistyped field ({e!r})") from None
 
 
 def restore_params(named_params: dict[str, Tensor],

@@ -90,7 +90,7 @@ def parse_document(obj: dict) -> Document:
 
 
 def read_jsonl(path: str, *, numbered: bool = False) -> tuple[list, list[tuple[int, str]]]:
-    """Parse a JSONL file; malformed lines are collected, not fatal.
+    """Parse a JSONL file of objects; other lines are collected, not fatal.
 
     Blank lines are skipped. With ``numbered``, each row comes as
     ``(line number, row)``, so later errors can name the file line.
@@ -104,7 +104,9 @@ def read_jsonl(path: str, *, numbered: bool = False) -> tuple[list, list[tuple[i
                 continue
             try:
                 row = json.loads(line)
-            except json.JSONDecodeError as e:
+                if not isinstance(row, dict):
+                    raise ValueError(f"expected a JSON object, got {type(row).__name__}")
+            except ValueError as e:  # json.JSONDecodeError included
                 errors.append((lineno, str(e)))
                 continue
             rows.append((lineno, row) if numbered else row)

@@ -4,20 +4,20 @@
 the same parameter tree from a checkpoint's arrays, with no random draw.
 
 ``score_pairs`` is the one scoring path: given (prepared document, plan
-prefix) pairs, it returns one logit per candidate for each pair, and it is
-the only place that tells the encoders apart. The hierarchical encoder
-scores all pairs in one padded document-encoder pass, after one
-sentence-encoder pass over their distinct documents. The flat encoder
-assembles each pair and encodes all of them as one stream, with no padding
-rows; its first layer's prefix-independent rows
-(``StepwiseEtc.fixed_parts``) are computed once per (document, global
-kinds) key that pairs can share, which a lone empty prefix's key is not,
-the new keys of a call in one more stream call. Training,
-validation and decode all score through it. ``ModelStepScorer`` adapts it
-to the decoder protocol: it keeps what is prefix-independent (the hierarchical encoder's
-unit vectors, the flat encoder's fixed parts) across calls and memoizes
-each prefix's log-probabilities, so a decode runs the model once per
-distinct prefix and scores a beam depth's new prefixes in one call.
+prefix) pairs, it returns one logits vector, a logit per candidate of each
+pair at that pair's span, and it is the only place that tells the encoders
+apart. The hierarchical encoder scores all pairs in one padded
+document-encoder pass, after one sentence-encoder pass over their distinct
+documents. The flat encoder assembles each pair and encodes all of them as
+one stream, with no padding rows; its first layer's prefix-independent rows
+(``StepwiseEtc.fixed_parts``) are computed once per (document, global kinds)
+key that pairs can share, which a lone empty prefix's key is not, the new
+keys of a call in one more stream call. Training, validation and decode all
+score through it. ``ModelStepScorer`` adapts it to the decoder protocol: it
+keeps what is prefix-independent (the hierarchical encoder's unit vectors,
+the flat encoder's fixed parts) across calls and memoizes each prefix's
+log-probabilities, so a decode runs the model once per distinct prefix and
+scores a beam depth's new prefixes in one call.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from . import data as datalib
-from .autodiff import Tensor, add, cross_entropy, narrow, reshape, scale
+from .autodiff import Tensor, cross_entropy, reshape
 from .checkpoint import restore_params
 from .config import RunConfig
 from .data import PreparedDoc, Vocab, candidate_index
@@ -130,8 +130,8 @@ def assemble_for(cfg: RunConfig, vocab: Vocab, prepared: PreparedDoc,
 
 def score_pairs(model: Model, cfg: RunConfig, vocab: Vocab,
                 pairs: Sequence[tuple[PreparedDoc, tuple[PlanStep, ...]]],
-                reps_cache: dict | None = None) -> list[Tensor]:
-    """Candidate logits, one 1-D tensor per (document, plan prefix) pair.
+                reps_cache: dict | None = None) -> tuple[Tensor, list[tuple[int, int]]]:
+    """Candidate logits of all pairs, one 1-D tensor, and each pair's span in it.
 
     ``reps_cache``, when given, keeps what is prefix-independent across
     calls on the same documents: the hierarchical encoder's unit vectors,
@@ -163,8 +163,8 @@ def score_pairs(model: Model, cfg: RunConfig, vocab: Vocab,
                      for doc, prefix in pairs]
         logits = model.logits_batch(cache[key], docs, summaries)
         width = logits.shape[1]
-        flat = reshape(logits, (len(pairs) * width,))
-        return [narrow(flat, 0, b * width, len(rows)) for b, rows in enumerate(docs)]
+        return (reshape(logits, (len(pairs) * width,)),
+                [(b * width, len(rows)) for b, rows in enumerate(docs)])
     assemblies = [assemble_for(cfg, vocab, doc, prefix) for doc, prefix in pairs]
     keys = [(id(doc), asm.global_kind.tobytes()) for (doc, _), asm in zip(pairs, assemblies)]
     cache = {} if reps_cache is None else reps_cache
@@ -177,8 +177,7 @@ def score_pairs(model: Model, cfg: RunConfig, vocab: Vocab,
         cache.update(zip(new, model.fixed_parts(list(new.values()))))
     logits = model.logits(assemblies, [cache.get(key) for key in keys])
     counts = [asm.candidate_anchor.size for asm in assemblies]
-    starts = np.cumsum([0] + counts[:-1])
-    return [narrow(logits, 0, int(s), n) for s, n in zip(starts, counts)]
+    return logits, [(sum(counts[:i]), n) for i, n in enumerate(counts)]
 
 
 def log_softmax(values: np.ndarray) -> np.ndarray:
@@ -190,12 +189,8 @@ def log_softmax(values: np.ndarray) -> np.ndarray:
 def batch_mean_loss(model: Model, cfg: RunConfig, vocab: Vocab,
                     batch: list) -> Tensor:
     """Mean cross-entropy over a minibatch of step examples, scored in one call."""
-    logits = score_pairs(model, cfg, vocab, [(ex.doc, ex.prefix) for ex in batch])
-    losses = [cross_entropy(row, ex.target) for row, ex in zip(logits, batch)]
-    total = losses[0]
-    for piece in losses[1:]:
-        total = add(total, piece)
-    return scale(total, 1.0 / len(losses))
+    logits, spans = score_pairs(model, cfg, vocab, [(ex.doc, ex.prefix) for ex in batch])
+    return cross_entropy(logits, [ex.target for ex in batch], spans)
 
 
 class ModelStepScorer:
@@ -223,10 +218,10 @@ class ModelStepScorer:
         """One row per prefix; rows are the memo's own arrays, not copies."""
         new = [p for p in dict.fromkeys(prefixes) if p not in self._memo]
         if new:
-            logits = score_pairs(self.model, self.cfg, self.vocab,
-                                 [(self.prepared, p) for p in new], self._reps_cache)
-            for prefix, row in zip(new, logits):
-                self._memo[prefix] = log_softmax(row.data)
+            logits, spans = score_pairs(self.model, self.cfg, self.vocab,
+                                        [(self.prepared, p) for p in new], self._reps_cache)
+            for prefix, (s, n) in zip(new, spans):
+                self._memo[prefix] = log_softmax(logits.data[s:s + n])
         return [self._memo[p] for p in prefixes]
 
     def candidate_tokens(self, index: int) -> list[str]:

@@ -35,7 +35,7 @@ class TrainResult:
 
 def _chunk_logits(model: Model, cfg: RunConfig, vocab: Vocab,
                   examples: Sequence[StepExample]):
-    """(example, candidate logits) pairs, scored ``cfg.batch_size`` at a time.
+    """(example, its chunk's logits, its span in them), ``cfg.batch_size`` at a time.
 
     The chunks of one pass share one cache, since no parameter changes
     within it, so a document's prefix-independent part is computed once
@@ -44,22 +44,23 @@ def _chunk_logits(model: Model, cfg: RunConfig, vocab: Vocab,
     cache: dict = {}
     for start in range(0, len(examples), cfg.batch_size):
         chunk = examples[start: start + cfg.batch_size]
-        yield from zip(chunk, score_pairs(model, cfg, vocab,
-                                          [(ex.doc, ex.prefix) for ex in chunk], cache))
+        logits, spans = score_pairs(model, cfg, vocab,
+                                    [(ex.doc, ex.prefix) for ex in chunk], cache)
+        yield from ((ex, logits, span) for ex, span in zip(chunk, spans))
 
 
 def evaluate_loss(model: Model, cfg: RunConfig, vocab: Vocab,
                   examples: Sequence[StepExample]) -> float:
     total = 0.0
-    for ex, logits in _chunk_logits(model, cfg, vocab, examples):
-        total += cross_entropy(logits, ex.target).item()
+    for ex, logits, span in _chunk_logits(model, cfg, vocab, examples):
+        total += cross_entropy(logits, [ex.target], [span]).item()
     return total / max(len(examples), 1)
 
 
 def next_step_accuracy(model: Model, cfg: RunConfig, vocab: Vocab,
                        examples: Sequence[StepExample]) -> float:
-    hits = sum(int(np.argmax(logits.data)) == ex.target
-               for ex, logits in _chunk_logits(model, cfg, vocab, examples))
+    hits = sum(int(np.argmax(logits.data[s:s + n])) == ex.target
+               for ex, logits, (s, n) in _chunk_logits(model, cfg, vocab, examples))
     return hits / max(len(examples), 1)
 
 
@@ -77,8 +78,9 @@ def train(cfg: RunConfig, model: Model, vocab: Vocab,
     ``stop_check`` runs at every evaluation point and may end training early
     (used by overfitting experiments once their target accuracy is reached).
     """
-    if not train_examples:
-        raise ValueError("no training examples")
+    for kind, examples in (("training", train_examples), ("validation", valid_examples)):
+        if not examples:
+            raise ValueError(f"no {kind} examples")
     rng = np.random.default_rng(cfg.seed)
     params = model.named_parameters()
     optimizer = Adam(params, cfg.learning_rate)
@@ -117,7 +119,8 @@ def train(cfg: RunConfig, model: Model, vocab: Vocab,
             optimizer.step()
 
             if step % cfg.checkpoint_every == 0 or step == cfg.train_steps:
-                train_loss = running_loss / min(step, cfg.checkpoint_every)
+                # the mean over the steps since the last check
+                train_loss = running_loss / ((step - 1) % cfg.checkpoint_every + 1)
                 running_loss = 0.0
                 valid_loss = evaluate_loss(model, cfg, vocab, valid_examples)
                 history.append((step, train_loss, valid_loss))

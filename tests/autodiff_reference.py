@@ -1,11 +1,17 @@
 """Reference copies of the autodiff code that the one-op ``linear``, the
-blocked in-place ``gelu`` and ``layer_norm`` and the adopting backward
-sweep replaced, kept as differential test oracles, and ``add_const``, the
-additive mask op of the attention chains the fused attention ops replaced.
+blocked in-place ``gelu`` and residual ``layer_norm``, the batch
+``cross_entropy`` over spans and the adopting backward sweep replaced, kept
+as differential test oracles, and two ops that only replaced chains use:
+``add_const`` and ``scale``, the additive mask and the score scaling of the
+attention chains the fused attention ops replaced; ``scale`` also ends the
+batch loss chain.
 
 ``reference_linear`` is two ops, a ``matmul`` then a bias ``add``.
 ``reference_gelu`` and ``reference_layer_norm`` build whole-size
-temporaries. ``reference_backward`` copies every first gradient it stores
+temporaries; ``reference_layer_norm`` is an ``add`` of the residual, then
+the norm. ``reference_batch_loss`` is a ``narrow`` and a one-row
+``reference_cross_entropy`` per span, a chain of ``add`` and a ``scale``.
+``reference_backward`` copies every first gradient it stores
 and adds every later one into that copy. ``Adam`` is the per-tensor
 optimizer the flat-buffer ``Adam`` replaced: one ``AdamState`` and step
 counter per parameter, and a parameter without a gradient is skipped.
@@ -26,6 +32,7 @@ from stepsum.autodiff import (
     add,
     apply_op,
     matmul,
+    narrow,
 )
 
 
@@ -89,7 +96,12 @@ def reference_gelu(x: Tensor) -> Tensor:
     return apply_op(y, (x,), back, what="gelu")
 
 
-def reference_layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
+def reference_layer_norm(x: Tensor, residual: Tensor, gain: Tensor, bias: Tensor,
+                         eps: float = 1e-6) -> Tensor:
+    return _reference_norm(add(x, residual), gain, bias, eps)
+
+
+def _reference_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(
@@ -116,6 +128,47 @@ def reference_layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-
         )
 
     return apply_op(y, (x, gain, bias), back, what="layer_norm")
+
+
+def scale(a: Tensor, c: float) -> Tensor:
+    c = float(c)
+    out = a.data * c
+
+    def back(g, accum):
+        accum(a, g * c)
+
+    return apply_op(out, (a,), back, what="scale")
+
+
+def reference_cross_entropy(logits: Tensor, target_index: int) -> Tensor:
+    if logits.data.ndim != 1:
+        raise ShapeError(f"cross_entropy needs 1-D logits, got {logits.shape}")
+    n = logits.shape[0]
+    if not (0 <= target_index < n):
+        raise AutodiffError(f"cross_entropy target {target_index} out of range [0, {n})")
+    m = logits.data.max()
+    lse = m + math.log(np.exp(logits.data - m).sum())
+    out = np.asarray(lse - logits.data[target_index])
+
+    def back(g, accum):
+        p = np.exp(logits.data - m)
+        p /= p.sum()
+        p[target_index] -= 1.0
+        accum(logits, g * p)
+
+    return apply_op(out, (logits,), back, what="cross_entropy")
+
+
+def reference_batch_loss(rows, targets, spans=None) -> Tensor:
+    """The mean one-row loss of ``rows``, a list of 1-D tensors, or of the
+    ``spans`` of one 1-D tensor."""
+    if spans is not None:
+        rows = [narrow(rows, 0, s, n) for s, n in spans]
+    total = None
+    for row, t in zip(rows, targets):
+        loss = reference_cross_entropy(row, t)
+        total = loss if total is None else add(total, loss)
+    return scale(total, 1.0 / len(targets))
 
 
 @dataclass

@@ -1,4 +1,5 @@
-"""Shared helpers for the tests that run the CLI as a subprocess."""
+"""Shared helpers: the environment for the CLI as a subprocess, and the
+per-pair rows of a ``score_pairs`` result."""
 
 import os
 
@@ -18,3 +19,9 @@ def cli_env(extra=None):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p)
     return env
+
+
+def pair_rows(scored):
+    """Each pair's logits, as arrays, from ``score_pairs``'s (logits, spans)."""
+    logits, spans = scored
+    return [logits.data[s:s + n] for s, n in spans]

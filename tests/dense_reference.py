@@ -10,7 +10,7 @@ heads back before the output projection.
 import math
 
 import numpy as np
-from autodiff_reference import add_const
+from autodiff_reference import add_const, scale
 
 from stepsum.attention import MhaParams
 from stepsum.autodiff import (
@@ -21,7 +21,6 @@ from stepsum.autodiff import (
     linear,
     matmul,
     reshape,
-    scale,
     softmax,
     transpose,
 )

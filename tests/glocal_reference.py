@@ -14,7 +14,7 @@ back with ``merge_heads`` before the output projection.
 import math
 
 import numpy as np
-from autodiff_reference import add_const
+from autodiff_reference import add_const, scale
 from dense_reference import merge_heads, split_heads
 
 from stepsum.attention import (
@@ -39,7 +39,6 @@ from stepsum.autodiff import (
     concat,
     linear,
     narrow,
-    scale,
 )
 
 

@@ -3,6 +3,7 @@ import dense_reference
 import glocal_reference
 import numpy as np
 import pytest
+from autodiff_reference import scale
 from dense_reference import merge_heads, split_heads
 
 from stepsum.attention import (
@@ -35,7 +36,6 @@ from stepsum.autodiff import (
     matmul,
     mul,
     narrow,
-    scale,
     softmax,
     sum_all,
 )

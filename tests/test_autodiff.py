@@ -3,7 +3,7 @@ import weakref
 
 import numpy as np
 import pytest
-from autodiff_reference import add_const
+from autodiff_reference import add_const, scale
 
 from stepsum import autodiff as ad
 from stepsum.autodiff import (
@@ -75,14 +75,15 @@ def test_softmax_rejects_bad_axis():
 
 
 def test_layer_norm_constant_row_collapses_to_bias():
-    x = Tensor([[7.0, 7.0, 7.0]])
-    out = layer_norm(x, Tensor(np.ones(3)), Tensor([1.0, 2.0, 3.0]), eps=1e-12)
+    # the norm is of x + residual, a constant row
+    x, residual = Tensor([[3.0, 5.0, 7.0]]), Tensor([[4.0, 2.0, 0.0]])
+    out = layer_norm(x, residual, Tensor(np.ones(3)), Tensor([1.0, 2.0, 3.0]), eps=1e-12)
     np.testing.assert_allclose(out.data, [[1.0, 2.0, 3.0]], atol=1e-5)
 
 
 def test_layer_norm_already_normalized_row():
-    x = Tensor([[1.0, -1.0]])
-    out = layer_norm(x, Tensor(np.ones(2)), Tensor(np.zeros(2)), eps=1e-14)
+    x, residual = Tensor([[0.5, -2.0]]), Tensor([[0.5, 1.0]])
+    out = layer_norm(x, residual, Tensor(np.ones(2)), Tensor(np.zeros(2)), eps=1e-14)
     np.testing.assert_allclose(out.data, [[1.0, -1.0]], atol=1e-6)
 
 
@@ -92,19 +93,20 @@ def test_layer_norm_gradient():
     gain = Tensor(rng.normal(size=6), requires_grad=True)
     bias = Tensor(rng.normal(size=6), requires_grad=True)
     probe = Tensor(rng.normal(size=(2, 6)))
+    residual = Tensor(rng.normal(size=(2, 6)), requires_grad=True)
     fails = check_gradients(
-        lambda: sum_all(ad.mul(layer_norm(x, gain, bias), probe)),
-        {"x": x, "gain": gain, "bias": bias}, rtol=1e-5)
+        lambda: sum_all(ad.mul(layer_norm(x, residual, gain, bias), probe)),
+        {"x": x, "residual": residual, "gain": gain, "bias": bias}, rtol=1e-5)
     assert fails == []
 
 
 def test_cross_entropy_uniform_two_classes():
-    out = cross_entropy(Tensor([0.5, 0.5]), 1)
+    out = cross_entropy(Tensor([0.5, 0.5]), [1])
     assert out.item() == pytest.approx(math.log(2), rel=1e-12)
 
 
 def test_cross_entropy_confident():
-    out = cross_entropy(Tensor([40.0, -40.0]), 0)
+    out = cross_entropy(Tensor([40.0, -40.0]), [0])
     assert out.item() == pytest.approx(0.0, abs=1e-12)
 
 
@@ -113,7 +115,7 @@ def test_cross_entropy_hand_computed_value_and_gradient():
     exp = np.exp([1.0, 2.0, 3.0])
     p = exp / exp.sum()
     with Tape() as tape:
-        loss = cross_entropy(logits, 1)
+        loss = cross_entropy(logits, [1])
         backward(tape, loss)
     assert loss.item() == pytest.approx(-math.log(p[1]), rel=1e-12)
     want = p.copy()
@@ -121,9 +123,26 @@ def test_cross_entropy_hand_computed_value_and_gradient():
     np.testing.assert_allclose(logits.grad, want, rtol=1e-12)
 
 
+def test_cross_entropy_over_spans_is_the_mean_row_loss():
+    """Two rows of one vector with a gap between them: the mean of the two
+    rows' losses; the gap takes no gradient."""
+    logits = Tensor([1.0, 2.0, 3.0, 9.0, 9.0, 0.5, -0.5], requires_grad=True)
+    rows = [np.exp([1.0, 2.0, 3.0]), np.exp([0.5, -0.5])]
+    p = [e / e.sum() for e in rows]
+    with Tape() as tape:
+        loss = cross_entropy(logits, [2, 1], [(0, 3), (5, 2)])
+        backward(tape, loss)
+    assert loss.item() == pytest.approx(-(math.log(p[0][2]) + math.log(p[1][1])) / 2,
+                                        rel=1e-12)
+    p[0][2] -= 1.0
+    p[1][1] -= 1.0
+    np.testing.assert_allclose(logits.grad, np.concatenate([p[0], [0.0, 0.0], p[1]]) / 2,
+                               rtol=1e-12)
+
+
 def test_cross_entropy_rejects_out_of_range_target():
     with pytest.raises(AutodiffError):
-        cross_entropy(Tensor([0.0, 1.0]), 2)
+        cross_entropy(Tensor([0.0, 1.0]), [2])
 
 
 def test_backward_sum_gives_ones():
@@ -174,7 +193,7 @@ def test_gradients_accumulate_across_backward_calls():
 def test_sweep_frees_op_outputs_and_keeps_the_loss():
     x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
     with Tape() as tape:
-        hidden = ad.scale(x, 2.0)
+        hidden = scale(x, 2.0)
         loss = sum_all(ad.mul(hidden, hidden))
         freed = weakref.ref(hidden.data)
         del hidden
@@ -190,7 +209,7 @@ def test_swept_tape_forgets_the_ids_it_produced():
     # pass for a tracked one
     x = Tensor([1.0, 2.0], requires_grad=True)
     with Tape() as tape:
-        backward(tape, sum_all(ad.scale(x, 3.0)))
+        backward(tape, sum_all(scale(x, 3.0)))
         fresh = [Tensor([float(i)]) for i in range(64)]
         assert not any(ad._tracked(tape, t) for t in fresh)
     np.testing.assert_array_equal(x.grad, [3.0, 3.0])
@@ -216,7 +235,7 @@ def test_non_finite_rejected():
 def test_op_producing_inf_names_the_op():
     with np.errstate(over="ignore"), \
             pytest.raises(NonFiniteError, match="^scale produced non-finite values$"):
-        ad.scale(Tensor([1e300]), 1e300)
+        scale(Tensor([1e300]), 1e300)
     with pytest.raises(NonFiniteError, match="^tensor construction produced"):
         Tensor([1.0, np.inf])
 

@@ -1,7 +1,7 @@
-"""The one-op ``linear``, the blocked in-place ``gelu`` and ``layer_norm`` and
-the adopting backward sweep against the code they replaced
-(``autodiff_reference.py``): forward values and every leaf gradient are
-bitwise equal. The sweep adopts a first gradient as it is, so no backward
+"""The one-op ``linear``, the blocked in-place ``gelu`` and residual
+``layer_norm``, the batch ``cross_entropy`` over spans and the adopting
+backward sweep against the code they replaced (``autodiff_reference.py``):
+forward values and every leaf gradient are bitwise equal. The sweep adopts a first gradient as it is, so no backward
 may write into the gradient it receives; a read-only gradient proves it.
 """
 
@@ -12,9 +12,11 @@ from autodiff_reference import (
     reference_gelu,
     reference_layer_norm,
     reference_linear,
+    reference_batch_loss,
+    scale,
 )
 
-from stepsum import attention
+from stepsum import attention, models
 from stepsum import autodiff as ad
 from stepsum.acceptance import _op_cases
 from stepsum.autodiff import BLOCK_ELEMENTS, ShapeError, Tape, Tensor, backward
@@ -79,13 +81,68 @@ def test_gelu_matches_reference(shape):
 def test_layer_norm_matches_reference(shape):
     rng = np.random.default_rng(len(shape) + sum(shape))
     x, gain, bias = leaf(rng, shape, zeros=True), leaf(rng, shape[-1:]), leaf(rng, shape[-1:])
-    assert bits(ad.layer_norm(x, gain, bias).data) == bits(
-        reference_layer_norm(x, gain, bias).data)
+    # signed zeros in the same places, so some sums are 0.0 and -0.0
+    r = leaf(rng, shape, zeros=True)
+    assert bits(ad.layer_norm(x, r, gain, bias).data) == bits(
+        reference_layer_norm(x, r, gain, bias).data)
     probe = rng.normal(size=shape)
-    got = leaf_grads(lambda: probed(ad.layer_norm(x, gain, bias), probe), [x, gain, bias])
-    want = leaf_grads(lambda: probed(reference_layer_norm(x, gain, bias), probe),
-                      [x, gain, bias], reference_backward)
+    leaves = [x, r, gain, bias]
+    got = leaf_grads(lambda: probed(ad.layer_norm(x, r, gain, bias), probe), leaves)
+    want = leaf_grads(lambda: probed(reference_layer_norm(x, r, gain, bias), probe),
+                      leaves, reference_backward)
     assert got == want
+    # summands of one ancestor: both gradients reach it
+    got = leaf_grads(lambda: probed(ad.layer_norm(x, ad.mul(x, r), gain, bias), probe),
+                     leaves)
+    want = leaf_grads(lambda: probed(reference_layer_norm(x, ad.mul(x, r), gain, bias), probe),
+                      leaves, reference_backward)
+    assert got == want
+
+
+def test_layer_norm_checks_shapes():
+    x, gain = Tensor(np.ones((2, 3))), Tensor(np.ones(3))
+    with pytest.raises(ShapeError):
+        ad.layer_norm(x, Tensor(np.ones(3)), gain, gain)
+    with pytest.raises(ShapeError):
+        ad.layer_norm(x, x, Tensor(np.ones(2)), gain)
+
+
+SPANS = {
+    "one row": ([(0, 7)], [3]),
+    "one span inside": ([(2, 4)], [1]),
+    "padded rows": ([(0, 5), (8, 3), (16, 6)], [4, 0, 2]),
+    "end to end": ([(0, 2), (2, 7), (9, 1), (10, 12)], [1, 6, 0, 11]),
+    "padded batch of 8": ([(8 * b, 3 + b % 4) for b in range(8)], [b % 3 for b in range(8)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPANS))
+def test_cross_entropy_over_spans_matches_reference(case):
+    """One op over spans gives the bits of a ``narrow``, a one-row loss per
+    span, a chain of ``add`` and a ``scale``, the batch loss it replaced."""
+    spans, targets = SPANS[case]
+    rng = np.random.default_rng(len(spans))
+    x = leaf(rng, (64,), zeros=True)
+    got = leaf_grads(lambda: ad.cross_entropy(x, targets, spans), [x])
+    want = leaf_grads(lambda: reference_batch_loss(x, targets, spans), [x], reference_backward)
+    assert got == want
+    # also under a gradient other than one, and with logits upstream
+    w = leaf(rng, (64,))
+    got = leaf_grads(lambda: ad.mul(ad.cross_entropy(ad.mul(x, w), targets, spans),
+                                    ad.sum_all(w)), [x, w])
+    want = leaf_grads(lambda: ad.mul(reference_batch_loss(ad.mul(x, w), targets, spans),
+                                     ad.sum_all(w)), [x, w], reference_backward)
+    assert got == want
+
+
+def test_cross_entropy_checks_spans_and_targets():
+    x = Tensor(np.zeros(6))
+    for spans, targets in (([(0, 3)], [3]), ([(4, 3)], [0]), ([(-1, 2)], [0]),
+                           ([(0, 3), (3, 3)], [0]), ([], [])):
+        with pytest.raises(ad.AutodiffError):
+            ad.cross_entropy(x, targets, spans)
+    with pytest.raises(ShapeError):
+        ad.cross_entropy(Tensor(np.zeros((2, 3))), [0])
 
 
 @pytest.mark.parametrize("shape", [(1, 6), (9, 6), (2, 5, 6), (3, 1, 6)], ids=str)
@@ -121,30 +178,30 @@ def _aliasing_cases():
     wide = rng.normal(size=(4, 12))
 
     def add_self():
-        x = ad.scale(a, 1.5)
+        x = scale(a, 1.5)
         return probed(ad.add(x, x), p1)
 
     def fan_out():
         # one gradient array adopted by both consumers, then each gets more
-        x, y = ad.gelu(a), ad.scale(b, 0.5)
+        x, y = ad.gelu(a), scale(b, 0.5)
         z = ad.add(x, y)
         return ad.add(ad.add(probed(z, p1), probed(x, p2)), probed(y, p3))
 
     def last_axis_concat():
         # the slices of a last-axis concat gradient are not contiguous
-        x, y = ad.scale(a, 2.0), ad.gelu(b)
+        x, y = scale(a, 2.0), ad.gelu(b)
         c = ad.concat([x, y], axis=-1)
         return ad.add(ad.add(probed(c, wide), probed(x, p1)), probed(y, p2))
 
     def first_axis_concat():
         # a first-axis concat hands out contiguous views of its gradient
-        x, y = ad.scale(a, 2.0), ad.gelu(b)
+        x, y = scale(a, 2.0), ad.gelu(b)
         c = ad.concat([x, y], axis=0)
         return ad.add(ad.add(probed(c, np.concatenate([p1, p2])), probed(x, p3)),
                       probed(y, p1))
 
     def reshape_views():
-        x = ad.scale(a, 3.0)
+        x = scale(a, 3.0)
         r = ad.reshape(x, (2, 12))
         t = ad.reshape(ad.transpose(x), (6, 4))
         return ad.add(ad.add(probed(r, p1.reshape(2, 12)), probed(t, p2.reshape(6, 4))),
@@ -210,6 +267,7 @@ def test_training_step_matches_reference(monkeypatch, encoder):
     for name, ref in (("linear", reference_linear), ("gelu", reference_gelu),
                       ("layer_norm", reference_layer_norm)):
         monkeypatch.setattr(attention, name, ref)
+    monkeypatch.setattr(models, "cross_entropy", reference_batch_loss)
     assert got == leaf_grads(step, params, reference_backward)
 
 

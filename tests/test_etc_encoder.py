@@ -241,7 +241,7 @@ def test_overfit_tiny_assembly_reaches_target():
     for _ in range(60):
         opt.zero_grad()
         with Tape() as tape:
-            loss = cross_entropy(model.logits([asm]), target)
+            loss = cross_entropy(model.logits([asm]), [target])
             backward(tape, loss)
         opt.step()
     assert int(np.argmax(model.logits([asm]).data)) == target
@@ -254,7 +254,7 @@ def test_flat_adam_matches_the_per_tensor_reference():
     layouts = [assemble(doc, []), assemble(doc, [[12, 13]]), assemble(doc, [[12, 13], [10, 11]])]
 
     def loss_of(model, step):
-        return cross_entropy(model.logits([layouts[step % 3]]), step % 4)
+        return cross_entropy(model.logits([layouts[step % 3]]), [step % 4])
 
     build = lambda: StepwiseEtc(tiny_cfg(), VOCAB_SIZE, np.random.default_rng(3))  # noqa: E731
     flat, reference = train_flat_and_reference(build, loss_of)

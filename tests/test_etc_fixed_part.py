@@ -14,10 +14,12 @@ reach ``global_cap``, so the key stops changing.
 
 import numpy as np
 import pytest
+from autodiff_reference import reference_batch_loss
+from conftest import pair_rows
 from etc_reference import reference_etc_encode
 
 from stepsum.acceptance import table3_game
-from stepsum.autodiff import Tape, add, backward, cross_entropy, scale
+from stepsum.autodiff import Tape, backward
 from stepsum.config import config_from_dict
 from stepsum.data import (
     Vocab,
@@ -90,13 +92,9 @@ def gradients(model, loss_fn):
 
 
 def reference_mean_loss(model, cfg, vocab, batch):
-    total = None
-    for ex in batch:
-        asm = assemble_for(cfg, vocab, ex.doc, ex.prefix)
-        loss = cross_entropy(model.score_candidates(reference_etc_encode(model, [asm])),
-                             ex.target)
-        total = loss if total is None else add(total, loss)
-    return scale(total, 1.0 / len(batch))
+    rows = [model.score_candidates(reference_etc_encode(
+        model, [assemble_for(cfg, vocab, ex.doc, ex.prefix)])) for ex in batch]
+    return reference_batch_loss(rows, [ex.target for ex in batch])
 
 
 @pytest.mark.parametrize("layers", [1, 3])
@@ -130,15 +128,15 @@ def test_grouped_and_cached_scoring_match_whole_layers(monkeypatch, case, layers
         return fixed_parts(self, assemblies)
 
     monkeypatch.setattr(StepwiseEtc, "fixed_parts", counted)
-    grouped = [row.data for row in score_pairs(model, cfg, vocab, pairs)]
+    grouped = pair_rows(score_pairs(model, cfg, vocab, pairs))
     shared = {k for k in keys if keys.count(k) > 1}
     # one stream call computes the fixed part of every shared key
     assert [len(c) for c in calls] == [len(shared)]
     calls.clear()
     cache: dict = {}
     half = len(pairs) // 2
-    cached = [row.data for part in (pairs[:half], pairs[half:], pairs)
-              for row in score_pairs(model, cfg, vocab, part, cache)]
+    cached = [row for part in (pairs[:half], pairs[half:], pairs)
+              for row in pair_rows(score_pairs(model, cfg, vocab, part, cache))]
     # each key once, at most one call per scoring call, none once all are
     # cached; an empty prefix's key only through a longer prefix, since no
     # two pairs of one call share it

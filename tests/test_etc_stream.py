@@ -10,11 +10,13 @@ and every parameter gradient of a stream batch must match
 
 import numpy as np
 import pytest
+from autodiff_reference import reference_batch_loss
+from conftest import pair_rows
 from etc_reference import reference_etc_encode
 
 from stepsum import attention
 from stepsum.acceptance import table3_game
-from stepsum.autodiff import Tape, active_tape, add, backward, cross_entropy, scale
+from stepsum.autodiff import Tape, active_tape, backward
 from stepsum.config import config_from_dict
 from stepsum.data import (
     Vocab,
@@ -107,13 +109,9 @@ def gradients(model, loss_fn):
 
 
 def reference_mean_loss(model, cfg, vocab, batch):
-    total = None
-    for ex in batch:
-        asm = assemble_for(cfg, vocab, ex.doc, ex.prefix)
-        loss = cross_entropy(model.score_candidates(reference_etc_encode(model, [asm])),
-                             ex.target)
-        total = loss if total is None else add(total, loss)
-    return scale(total, 1.0 / len(batch))
+    rows = [model.score_candidates(reference_etc_encode(
+        model, [assemble_for(cfg, vocab, ex.doc, ex.prefix)])) for ex in batch]
+    return reference_batch_loss(rows, [ex.target for ex in batch])
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -143,15 +141,15 @@ def test_stream_matches_one_pair_forwards(case):
     half = (len(pairs) + 1) // 2
     cache: dict = {}
     got = {
-        "shared keys only": score_pairs(model, cfg, vocab, pairs),
+        "shared keys only": pair_rows(score_pairs(model, cfg, vocab, pairs)),
         # every key gets a fixed part; the second call reuses the first's
         "cached": [row for part in (pairs[:half], pairs[half:]) if part
-                   for row in score_pairs(model, cfg, vocab, part, cache)],
+                   for row in pair_rows(score_pairs(model, cfg, vocab, part, cache))],
     }
     for how, rows in got.items():
         assert len(rows) == len(pairs)
         for i, (row, w) in enumerate(zip(rows, want)):
-            assert np.array_equal(row.data, w), (how, i)
+            assert np.array_equal(row, w), (how, i)
     for w, asm in zip(want, asms):
         ref = model.score_candidates(reference_etc_encode(model, [asm])).data
         np.testing.assert_allclose(w, ref, rtol=0, atol=TOL)
@@ -218,7 +216,8 @@ def _op_kind(node) -> str:
 
 def test_desk_training_step_records_no_head_split(monkeypatch):
     """A global-local layer reads each head in place: one desk-preset `etc`
-    step's tape holds no `transpose` node and one `reshape`, the scorer's."""
+    step's tape holds no `transpose` node and one `reshape`, the scorer's.
+    Each residual and its norm are one node, and so is the batch loss."""
     cfg = config_from_dict(dict(encoder="etc"))
     docs, _ = make_overfit_corpus(n_docs=2, n_sents=7, n_gold=2, sent_len=5, seed=3)
     vocab = Vocab.from_corpus(s for d in docs for s in d.sentences)
@@ -254,4 +253,8 @@ def test_desk_training_step_records_no_head_split(monkeypatch):
     # keys and values it projects, and stitches the carried and the fresh
     # keys and values of layers 0 and 1 (5 concat_rows)
     assert (kinds.count("linear"), kinds.count("concat_rows")) == (30, 8)
-    assert len(kinds) == 93
+    # two norms per layer call, each with its residual; one loss node
+    assert kinds.count("layer_norm") == 8
+    assert not {"add", "narrow", "scale"} & set(kinds)
+    assert kinds.count("cross_entropy") == 1 and kinds[-1] == "cross_entropy"
+    assert len(kinds) == 62

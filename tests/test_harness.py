@@ -108,6 +108,15 @@ def test_read_jsonl_collects_malformed_lines(tmp_path):
     assert len(errors) == 1 and errors[0][0] == 2
 
 
+def test_read_jsonl_reports_lines_that_are_not_objects(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    path.write_text('{"id": "a"}\n[1]\n"s"\n3\nnull\n{"id": "b"}\n')
+    rows, errors = read_jsonl(str(path), numbered=True)
+    assert [(lineno, r["id"]) for lineno, r in rows] == [(1, "a"), (6, "b")]
+    assert errors == [(lineno, f"expected a JSON object, got {kind}")
+                      for lineno, kind in ((2, "list"), (3, "str"), (4, "int"), (5, "NoneType"))]
+
+
 def test_read_jsonl_numbers_rows_by_file_line(tmp_path):
     path = tmp_path / "rows.jsonl"
     path.write_text('{"id": "a"}\n\nnot json\n  \n{"id": "b"}\n')
@@ -315,6 +324,78 @@ def test_save_syncs_each_file_before_its_rename_and_the_directory_after(tmp_path
     # each file is synced whole, then renamed
     assert events[0][2] == events[1][2] == sizes["params.bin"]
     assert events[3][2] == events[4][2] == sizes["manifest.json"]
+
+
+def test_save_writes_each_tensor_in_payload_order(tmp_path, monkeypatch):
+    """The payload goes to its file tensor by tensor, in manifest order, as
+    the tensors' own bytes, not as one joined copy."""
+    from stepsum import checkpoint
+
+    cfg, vocab, model = small_model_and_cfg("etc")
+    params = model.named_parameters()
+    writes = []
+
+    class Recording:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            writes.append(memoryview(data).nbytes)
+            return self.fh.write(data)
+
+        def flush(self):
+            self.fh.flush()
+
+        def fileno(self):
+            return self.fh.fileno()
+
+    def recording_open(file, mode="r", *args, **kwargs):
+        fh = open(file, mode, *args, **kwargs)
+        return Recording(fh) if "params.bin" in str(file) and "w" in mode else fh
+
+    monkeypatch.setattr(checkpoint, "open", recording_open, raising=False)
+    path = str(tmp_path / "ck")
+    save_checkpoint(path, params, cfg, vocab.id_to_token)
+    monkeypatch.undo()
+    assert writes == [8 * p.size for p in params.values()]
+    with open(os.path.join(path, "params.bin"), "rb") as fh:
+        assert fh.read() == b"".join(p.data.astype("<f8").tobytes() for p in params.values())
+
+
+@pytest.mark.parametrize("tamper", ["no_offset", "no_tensors", "no_vocab", "shape_string",
+                                    "size_string", "entry_list", "not_an_object"])
+def test_manifest_with_missing_or_mistyped_field_rejected(tmp_path, tamper):
+    cfg, vocab, model = small_model_and_cfg()
+    path = str(tmp_path / "ck")
+    save_checkpoint(path, model.named_parameters(), cfg, vocab.id_to_token)
+    manifest_path = os.path.join(path, "manifest.json")
+    with open(manifest_path) as fh:
+        blob = json.load(fh)
+    first = blob["tensors"][0]
+    if tamper == "no_offset":
+        del first["offset"]
+    elif tamper == "no_tensors":
+        del blob["tensors"]
+    elif tamper == "no_vocab":
+        del blob["vocab"]
+    elif tamper == "shape_string":
+        first["shape"] = "x".join(map(str, first["shape"]))
+    elif tamper == "size_string":
+        first["size"] = str(first["size"])
+    elif tamper == "entry_list":
+        blob["tensors"][0] = list(first.values())
+    else:
+        blob = [blob]
+    with open(manifest_path, "w") as fh:
+        json.dump(blob, fh)
+    with pytest.raises(CheckpointError, match="missing or mistyped field"):
+        load_checkpoint(path)
 
 
 def test_config_hash_mismatch_is_hard_error(tmp_path):

@@ -57,7 +57,7 @@ def test_concurrent_models_on_threads():
         model = make_model(seed=seed, sent_layers=1, doc_layers=1)
         units = [[2], [4, 5], [6, 7]]
         with Tape() as tape:
-            loss = cross_entropy(one_pair(model, units), 1)
+            loss = cross_entropy(one_pair(model, units), [1])
             backward(tape, loss)
         results[seed] = loss.item()
 
@@ -69,7 +69,7 @@ def test_concurrent_models_on_threads():
     assert len(results) == 4
     # same-seed serial run agrees with what the thread computed
     model = make_model(seed=1, sent_layers=1, doc_layers=1)
-    serial = cross_entropy(one_pair(model, [[2], [4, 5], [6, 7]]), 1)
+    serial = cross_entropy(one_pair(model, [[2], [4, 5], [6, 7]]), [1])
     assert results[1] == serial.item()
 
 
@@ -95,7 +95,7 @@ def test_token_table_gradient_on_two_sentence_toy():
     units = [[2], [4, 5], [6, 7]]
 
     def loss():
-        return cross_entropy(one_pair(model, units), 1)
+        return cross_entropy(one_pair(model, units), [1])
 
     fails = check_gradients(loss, {"token": model.params.embeddings.token},
                             samples_per_tensor=40,
@@ -225,7 +225,7 @@ def test_overfit_tiny_doc_selects_target_unit():
     for _ in range(60):
         opt.zero_grad()
         with Tape() as tape:
-            loss = cross_entropy(one_pair(model, units), target)
+            loss = cross_entropy(one_pair(model, units), [target])
             backward(tape, loss)
         opt.step()
     final = one_pair(model, units)
@@ -240,7 +240,7 @@ def test_flat_adam_matches_the_per_tensor_reference(task):
     units = [[2], [10, 11], [12, 13], [14, 15]]
 
     def loss_of(model, step):
-        return cross_entropy(one_pair(model, units, (unit_step(step % 3),)), step % 4)
+        return cross_entropy(one_pair(model, units, (unit_step(step % 3),)), [step % 4])
 
     build = lambda: make_model(sent_layers=1, doc_layers=1, task=task)  # noqa: E731
     flat, reference = train_flat_and_reference(build, loss_of)
@@ -279,7 +279,8 @@ def test_batched_logits_keep_every_prefix_check(case):
 
 def test_desk_training_step_records_one_op_per_attention():
     """Each dense attention is one tape node between its projections: one
-    desk-preset `hibert` step records no head split, merge or softmax node."""
+    desk-preset `hibert` step records no head split, merge or softmax node.
+    Each residual and its norm are one node, and so is the batch loss."""
     cfg = config_from_dict(dict(encoder="hibert"))
     docs, _ = make_overfit_corpus(n_docs=2, n_sents=7, n_gold=2, sent_len=5, seed=3)
     vocab = Vocab.from_corpus(s for d in docs for s in d.sentences)
@@ -300,4 +301,14 @@ def test_desk_training_step_records_one_op_per_attention():
     # the pooled sentence vectors, the scorer's logits and their flattening
     assert kinds.count("reshape") == 3
     assert kinds.count("linear") == 40
-    assert len(kinds) == 115
+    # two norms per sentence layer and four per document layer (its
+    # self-attention norm on both streams), none of them right after an
+    # add; the adds are the three positional sums
+    assert kinds.count("layer_norm") == 2 * cfg.sent_layers + 4 * cfg.doc_layers == 12
+    assert ("add", "layer_norm") not in set(zip(kinds, kinds[1:]))
+    assert kinds.count("add") == 3
+    # one loss node over the padded rows; the one narrow is the sentence
+    # stack's last query row, token 0
+    assert kinds.count("cross_entropy") == 1 and kinds[-1] == "cross_entropy"
+    assert kinds.count("narrow") == 1 and "scale" not in kinds
+    assert len(kinds) == 80

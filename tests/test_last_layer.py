@@ -12,6 +12,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from conftest import pair_rows
 from etc_reference import reference_etc_encode
 from hibert_reference import reference_encode_sentences
 
@@ -178,11 +179,11 @@ def test_score_pairs_match_full_last_layer(monkeypatch, encoder, setup, layers):
     cfg, vocab, model, batch = setup(encoder, layers)
     assert any(BREAK_STEP in ex.prefix for ex in batch) == (setup is table_setup)
     pairs = [(ex.doc, ex.prefix) for ex in batch]
-    got = [row.data for row in score_pairs(model, cfg, vocab, pairs)]
+    got = pair_rows(score_pairs(model, cfg, vocab, pairs))
     got_grads = gradients(model.named_parameters(),
                           lambda: batch_mean_loss(model, cfg, vocab, batch))
     monkeypatch.setattr(*REFERENCES[encoder])
-    want = [row.data for row in score_pairs(model, cfg, vocab, pairs)]
+    want = pair_rows(score_pairs(model, cfg, vocab, pairs))
     for g, w in zip(got, want):
         np.testing.assert_allclose(g, w, rtol=0, atol=TOL)
     assert_same(got_grads, gradients(model.named_parameters(),
@@ -224,9 +225,9 @@ def test_etc_logits_match_full_last_layer_on_layouts(name, layers):
     target = asm.candidate_anchor.size - 1
     params = model.named_parameters()
     assert_same(
-        gradients(params, lambda: cross_entropy(model.logits([asm]), target)),
+        gradients(params, lambda: cross_entropy(model.logits([asm]), [target])),
         gradients(params, lambda: cross_entropy(
-            model.score_candidates(reference_etc_encode(model, [asm])), target)))
+            model.score_candidates(reference_etc_encode(model, [asm])), [target])))
 
 
 def test_etc_counts_name_the_anchor_layer():

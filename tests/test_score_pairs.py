@@ -11,10 +11,12 @@ pass.
 
 import numpy as np
 import pytest
+from autodiff_reference import reference_batch_loss
+from conftest import pair_rows
 from hibert_reference import reference_logits
 
 from stepsum.acceptance import table3_game
-from stepsum.autodiff import Tape, Tensor, add, backward, cross_entropy, narrow, scale
+from stepsum.autodiff import Tape, Tensor, backward, narrow
 from stepsum.config import config_from_dict
 from stepsum.data import (
     Vocab,
@@ -95,28 +97,24 @@ def gradients(model, loss_fn):
 
 
 def reference_mean_loss(model, batch):
-    rows = reference_rows(model, batch)
-    total = cross_entropy(rows[0], batch[0].target)
-    for row, ex in zip(rows[1:], batch[1:]):
-        total = add(total, cross_entropy(row, ex.target))
-    return scale(total, 1.0 / len(batch))
+    return reference_batch_loss(reference_rows(model, batch), [ex.target for ex in batch])
 
 
 @pytest.mark.parametrize("setup", [doc_batch, table_batch], ids=["document", "table"])
 def test_padded_pass_matches_one_pair_reference(setup):
     cfg, vocab, model, batch = setup()
     pairs = [(ex.doc, ex.prefix) for ex in batch]
-    got = score_pairs(model, cfg, vocab, pairs)
+    got = pair_rows(score_pairs(model, cfg, vocab, pairs))
     want = reference_rows(model, batch)
     width = max(len(ex.doc.units) for ex in batch)
     depth = max(len(ex.prefix) for ex in batch)
     unpadded = 0
     for ex, g, w in zip(batch, got, want):
         assert g.shape == (len(ex.doc.units),)
-        np.testing.assert_allclose(g.data, w.data, rtol=0, atol=TOL)
+        np.testing.assert_allclose(g, w.data, rtol=0, atol=TOL)
         if len(ex.doc.units) == width and len(ex.prefix) == depth:
             unpadded += 1
-            assert np.array_equal(g.data, w.data), ex.prefix
+            assert np.array_equal(g, w.data), ex.prefix
     assert unpadded >= 1
     # and the test has padding on both sides to exercise
     assert len({len(ex.doc.units) for ex in batch}) > 1
@@ -137,12 +135,12 @@ def test_batch_without_padding_is_bitwise_one_pair_passes():
     c = doc.candidates[doc.special_count:]
     prefixes = [(c[0], BREAK_STEP), (c[3], c[1]), (BREAK_STEP, c[2]), (c[4], c[0])]
     reps = model.unit_representations(doc.units)
-    got = score_pairs(model, cfg, vocab, [(doc, p) for p in prefixes],
-                      {(id(doc),): reps})
+    got = pair_rows(score_pairs(model, cfg, vocab, [(doc, p) for p in prefixes],
+                                {(id(doc),): reps}))
     for prefix, row in zip(prefixes, got):
         want = reference_logits(model, doc.units, prefix, doc.special_count,
                                 doc.break_slot, unit_reps=reps)
-        assert np.array_equal(row.data, want.data), prefix
+        assert np.array_equal(row, want.data), prefix
 
 
 def test_masked_keys_never_reach_real_rows():

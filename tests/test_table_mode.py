@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import cli_env
+from conftest import cli_env, pair_rows
 
 from stepsum.acceptance import table3_game
 from stepsum.config import config_from_dict
@@ -55,9 +55,9 @@ def test_no_document_positions_means_unit_order_irrelevant(table_setup):
     permuted = replace(prep, units=prep.units[: prep.special_count] + [
         prep.units[prep.special_count + int(i)] for i in perm
     ])
-    logits, logits_p = score_pairs(model, cfg, vocab, [(prep, ()), (permuted, ())])
-    real = logits.data[prep.special_count:]
-    real_p = logits_p.data[prep.special_count:]
+    logits, logits_p = pair_rows(score_pairs(model, cfg, vocab, [(prep, ()), (permuted, ())]))
+    real = logits[prep.special_count:]
+    real_p = logits_p[prep.special_count:]
     np.testing.assert_allclose(real[perm], real_p, atol=1e-10)
 
 
@@ -72,9 +72,10 @@ def test_document_positions_break_permutation_symmetry(table_setup):
     model = build_model(cfg, len(vocab))
     reversed_doc = replace(prep, units=prep.units[: prep.special_count] + list(
         reversed(prep.units[prep.special_count:])))
-    logits, logits_r = score_pairs(model, cfg, vocab, [(prep, ()), (reversed_doc, ())])
-    real = logits.data[prep.special_count:]
-    real_r = logits_r.data[prep.special_count:]
+    logits, logits_r = pair_rows(score_pairs(model, cfg, vocab,
+                                             [(prep, ()), (reversed_doc, ())]))
+    real = logits[prep.special_count:]
+    real_r = logits_r[prep.special_count:]
     assert not np.allclose(real[::-1], real_r, atol=1e-10)
 
 
@@ -84,8 +85,8 @@ def test_plan_positions_still_order_the_prefix(table_setup):
     model = build_model(cfg, len(vocab))
     a = prep.candidates[prep.special_count]
     b = prep.candidates[prep.special_count + 3]
-    la, lb = score_pairs(model, cfg, vocab, [(prep, (a, b)), (prep, (b, a))])
-    assert not np.allclose(la.data, lb.data, atol=1e-10)
+    la, lb = pair_rows(score_pairs(model, cfg, vocab, [(prep, (a, b)), (prep, (b, a))]))
+    assert not np.allclose(la, lb, atol=1e-10)
 
 
 def test_align_plan_maps_records_and_reports_missing(table_setup):

@@ -13,7 +13,7 @@ from conftest import cli_env
 from stepsum.config import config_from_dict
 from stepsum.data import Vocab, examples_from_plan, prepare_cnndm
 from stepsum.metrics import rouge_l, rouge_n
-from stepsum.models import ModelStepScorer, build_model
+from stepsum.models import ModelStepScorer, batch_mean_loss, build_model
 from stepsum.synthetic import gold_plan, make_overfit_corpus
 from stepsum.training import TrainingDiverged, evaluate_loss, train
 
@@ -50,6 +50,32 @@ def test_single_step_reduces_example_loss():
     train(cfg, model, vocab, one, one)
     after = evaluate_loss(model, cfg, vocab, one)
     assert after < before
+
+
+def test_last_train_loss_is_the_mean_since_the_last_check(monkeypatch):
+    """Five steps with a check every three: the last logged train loss is
+    the mean of steps 4 and 5."""
+    from stepsum import training
+
+    cfg, vocab, examples = tiny_corpus(2)
+    cfg.train_steps, cfg.checkpoint_every = 5, 3
+    losses = []
+
+    def recorded(*args):
+        loss = batch_mean_loss(*args)
+        losses.append(loss.item())
+        return loss
+
+    monkeypatch.setattr(training, "batch_mean_loss", recorded)
+    result = train(cfg, build_model(cfg, len(vocab)), vocab, examples, examples[:4])
+    assert [(step, loss) for step, loss, _ in result.history] == [
+        (3, (losses[0] + losses[1] + losses[2]) / 3), (5, (losses[3] + losses[4]) / 2)]
+
+
+def test_empty_validation_set_rejected():
+    cfg, vocab, examples = tiny_corpus(2)
+    with pytest.raises(ValueError, match="no validation examples"):
+        train(cfg, build_model(cfg, len(vocab)), vocab, examples, [])
 
 
 def test_seed_repeat_identical_loss_curves():
@@ -350,6 +376,23 @@ def test_cli_decode_torn_checkpoint_fails(workspace, trained_ckpt, tmp_path):
     assert not os.path.exists(out)
 
 
+def test_cli_decode_names_a_manifest_field_it_misses(workspace, trained_ckpt, tmp_path):
+    root, cfg_path, docs_path = workspace
+    bad = str(tmp_path / "bad")
+    shutil.copytree(trained_ckpt, bad)
+    manifest_path = os.path.join(bad, "manifest.json")
+    manifest = json.load(open(manifest_path))
+    del manifest["tensors"][1]["offset"]
+    json.dump(manifest, open(manifest_path, "w"))
+    out = str(tmp_path / "x.jsonl")
+    r = run_cli("decode", "--config", cfg_path, "--ckpt", bad, "--in", docs_path,
+                "--out", out)
+    assert r.returncode == 2
+    assert f"error: {manifest_path}: missing or mistyped field (KeyError('offset'))" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert not os.path.exists(out)
+
+
 def test_cli_decode_refuses_format_1_checkpoint(workspace, trained_ckpt, tmp_path):
     """A format-1 checkpoint (with the optimizer and document-position keys
     and the scorer bias) is refused by its version, before its config is read."""
@@ -423,6 +466,21 @@ def test_cli_stats_single_bin(tmp_path):
     assert lines[1] == "2,3,1.0"
     summary = json.loads(r.stdout.strip().splitlines()[-1])
     assert summary["mean_entries"] == 2.0
+
+
+@pytest.mark.parametrize("command", ["stats", "eval"])
+def test_cli_reports_lines_that_are_not_objects(tmp_path, command):
+    plan = {"id": "g1", "plan": [{"entity": "A", "type": "TEAM-PTS"}, "EOT"]}
+    path = str(tmp_path / "plans.jsonl")
+    with open(path, "w") as fh:
+        fh.write(json.dumps(plan) + '\n[1, 2]\n"text"\n')
+    args = (["stats", "--in", path] if command == "stats"
+            else ["eval", "--task", "plan", "--gen", path, "--ref", path])
+    r = run_cli(*args, "--out", str(tmp_path / "out"))
+    assert r.returncode == 1, r.stderr
+    assert "Traceback" not in r.stderr
+    for lineno, kind in ((2, "list"), (3, "str")):
+        assert f"error: {path}:{lineno}: expected a JSON object, got {kind}" in r.stderr
 
 
 def test_cli_linearize(workspace, tmp_path):
