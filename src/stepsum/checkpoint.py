@@ -97,7 +97,9 @@ def load_checkpoint(path: str) -> tuple[Manifest, dict[str, np.ndarray]]:
         if raw.get("format_version") != FORMAT_VERSION:
             raise CheckpointError(f"unsupported checkpoint format {raw.get('format_version')}")
         config = config_from_dict(raw["config"])
-        vocab = list(raw["vocab"])
+        vocab = raw["vocab"]
+        if not isinstance(vocab, list) or not all(isinstance(t, str) for t in vocab):
+            raise TypeError("vocab is not a list of strings")
         if raw["config_hash"] != config.arch_hash(len(vocab)):
             raise CheckpointError("checkpoint config hash does not match its config")
         with open(payload_path, "rb") as fh:

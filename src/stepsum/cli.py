@@ -13,8 +13,8 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from functools import partial
 
 from . import data as datalib
 from . import rotowire
@@ -144,6 +144,9 @@ def cmd_oracle(args) -> int:
     docs, errors = _load_documents(args.infile)
     jobs = [(d.sentences, d.abstract_tokens, cfg.max_steps) for _, d in docs]
     if workers > 1:
+        # imported here, so that no other command pays for loading the pool
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_oracle_worker, jobs, chunksize=8))
     else:
@@ -337,91 +340,105 @@ _REF_TOKEN_FIELDS = ("abstract",) + _TOKEN_FIELDS
 
 
 def _row_tokens(row: dict, fields: tuple[str, ...] = _TOKEN_FIELDS) -> list[str]:
+    """The first of ``fields`` the row has: a token list or a list of them."""
     for fld in fields:
         if fld in row:
             val = row[fld]
-            if val and isinstance(val[0], list):
+            nested = isinstance(val, list) and bool(val) and isinstance(val[0], list)
+            # a string would read as a list of its characters
+            if not isinstance(val, list) or any(isinstance(x, list) != nested for x in val):
+                raise ValueError(f"'{fld}' must be a list of tokens or of token lists")
+            if nested:
                 return [str(t).lower() for sent in val for t in sent]
             return [str(t).lower() for t in val]
     raise ValueError(f"no token field among {fields}")
+
+
+def _rows_by_id(rows: list[tuple[int, dict]],
+                errors: list[tuple[int, str]]) -> list[tuple[int, str, dict]]:
+    """``(line, id, row)`` of each row; a row without an id is a line error."""
+    out = []
+    for lineno, row in rows:
+        if "id" not in row:
+            errors.append((lineno, "row has no 'id' field"))
+        else:
+            out.append((lineno, str(row["id"]), row))
+    return out
+
+
+def _rouge_scores(gen: dict, ref: dict, stem: bool) -> tuple[dict, dict[str, float]]:
+    """A row's Rouge report and the F1s its corpus means add up."""
+    cand = _row_tokens(gen)
+    ref_tokens = _row_tokens(ref, _REF_TOKEN_FIELDS)
+    if stem:
+        cand, ref_tokens = stem_tokens(cand), stem_tokens(ref_tokens)
+    scores = {}
+    for k in (1, 2, 3, 4):
+        s = rouge_n(cand, ref_tokens, k)
+        scores[f"rouge{k}"] = {"p": s.precision, "r": s.recall, "f1": s.f1}
+    s = rouge_l(cand, ref_tokens)
+    scores["rougeL"] = {"p": s.precision, "r": s.recall, "f1": s.f1}
+    return scores, {key: val["f1"] for key, val in scores.items()}
+
+
+def _plan_scores(gen: dict, ref_plan: list[PlanStep]) -> tuple[dict, dict[str, float]]:
+    """A row's plan report (CS and CO) and the figures its corpus means add up."""
+    gen_recs = rotowire.plan_records(plan_from_json(gen["plan"]))
+    ref_recs = rotowire.plan_records(ref_plan)
+    cs = cs_scores(gen_recs, ref_recs)
+    csf = cs_scores(gen_recs, ref_recs, drop_name_city_date=True)
+    co = co_score([rotowire.record_token(r) for r in gen_recs],
+                  [rotowire.record_token(r) for r in ref_recs])
+    report = {
+        "cs": {"p": cs.precision, "r": cs.recall, "f1": cs.f1},
+        "cs_filtered": {"p": csf.precision, "r": csf.recall, "f1": csf.f1},
+        "co": co,
+    }
+    return report, {"cs_p": cs.precision, "cs_r": cs.recall, "cs_f1": cs.f1,
+                    "cs_filtered_f1": csf.f1, "co": co}
 
 
 def cmd_eval(args) -> int:
     gen_rows, gerr = read_jsonl(args.gen, numbered=True)
     ref_rows, rerr = read_jsonl(args.ref, numbered=True)
 
-    report: dict = {"task": args.task, "examples": {}}
+    refs: dict = {}
+    sums: dict[str, float] = {}
     if args.task == "rouge":
-        refs = {str(r.get("id")): r for _, r in ref_rows}
-        f1_sums: dict[str, float] = {}
-        n = 0
-        for lineno, row in gen_rows:
-            rid = str(row.get("id"))
-            if rid not in refs:
-                gerr.append((lineno, f"id {rid} missing from reference file"))
-                continue
-            try:
-                cand = _row_tokens(row)
-                ref = _row_tokens(refs[rid], _REF_TOKEN_FIELDS)
-            except ValueError as e:
-                gerr.append((lineno, f"id {rid}: {e}"))
-                continue
-            if args.stem:
-                cand, ref = stem_tokens(cand), stem_tokens(ref)
-            scores = {}
-            for k in (1, 2, 3, 4):
-                s = rouge_n(cand, ref, k)
-                scores[f"rouge{k}"] = {"p": s.precision, "r": s.recall, "f1": s.f1}
-            s = rouge_l(cand, ref)
-            scores["rougeL"] = {"p": s.precision, "r": s.recall, "f1": s.f1}
-            report["examples"][rid] = scores
-            for key, val in scores.items():
-                f1_sums[key] = f1_sums.get(key, 0.0) + val["f1"]
-            n += 1
-        report["count"] = n
-        report["corpus"] = {k: v / max(n, 1) for k, v in f1_sums.items()}
+        refs = {rid: row for _, rid, row in _rows_by_id(ref_rows, rerr)}
+        score_row = partial(_rouge_scores, stem=args.stem)
     elif args.task == "plan":
-        refs = {}
-        for lineno, row in ref_rows:
+        for lineno, rid, row in _rows_by_id(ref_rows, rerr):
             try:
-                refs[str(row["id"])] = plan_from_json(row["plan"])
+                refs[rid] = plan_from_json(row["plan"])
             except (KeyError, ValueError) as e:
                 rerr.append((lineno, f"reference plan: {e}"))
-        sums = {"cs_p": 0.0, "cs_r": 0.0, "cs_f1": 0.0,
-                "cs_filtered_f1": 0.0, "co": 0.0}
-        n = 0
-        for lineno, row in gen_rows:
-            rid = str(row.get("id"))
-            if rid not in refs:
-                gerr.append((lineno, f"id {rid} missing from reference file"))
-                continue
-            try:
-                gen_plan = plan_from_json(row["plan"])
-            except (KeyError, ValueError) as e:
-                gerr.append((lineno, f"id {rid}: {e}"))
-                continue
-            gen_recs = rotowire.plan_records(gen_plan)
-            ref_recs = rotowire.plan_records(refs[rid])
-            cs = cs_scores(gen_recs, ref_recs)
-            csf = cs_scores(gen_recs, ref_recs, drop_name_city_date=True)
-            co = co_score([rotowire.record_token(r) for r in gen_recs],
-                          [rotowire.record_token(r) for r in ref_recs])
-            report["examples"][rid] = {
-                "cs": {"p": cs.precision, "r": cs.recall, "f1": cs.f1},
-                "cs_filtered": {"p": csf.precision, "r": csf.recall, "f1": csf.f1},
-                "co": co,
-            }
-            sums["cs_p"] += cs.precision
-            sums["cs_r"] += cs.recall
-            sums["cs_f1"] += cs.f1
-            sums["cs_filtered_f1"] += csf.f1
-            sums["co"] += co
-            n += 1
-        report["count"] = n
-        report["corpus"] = {k: v / max(n, 1) for k, v in sums.items()}
+        sums = dict.fromkeys(("cs_p", "cs_r", "cs_f1", "cs_filtered_f1", "co"), 0.0)
+        score_row = _plan_scores
     else:
         _err(f"unknown eval task {args.task!r}")
         return 2
+
+    examples: dict[str, dict] = {}
+    seen: set[str] = set()
+    for lineno, rid, row in _rows_by_id(gen_rows, gerr):
+        if rid in seen:
+            gerr.append((lineno, f"id {rid} seen before; not scored again"))
+            continue
+        seen.add(rid)
+        if rid not in refs:
+            gerr.append((lineno, f"id {rid} missing from reference file"))
+            continue
+        try:
+            examples[rid], terms = score_row(row, refs[rid])
+        except (KeyError, ValueError) as e:
+            gerr.append((lineno, f"id {rid}: {e}"))
+            continue
+        for key, val in terms.items():
+            sums[key] = sums.get(key, 0.0) + val
+    n = len(examples)
+    report = {"task": args.task, "examples": examples, "count": n,
+              "corpus": {k: v / max(n, 1) for k, v in sums.items()}}
 
     _report_line_errors(args.gen, gerr)
     _report_line_errors(args.ref, rerr)

@@ -82,11 +82,21 @@ class Document:
 def parse_document(obj: dict) -> Document:
     if "id" not in obj or "sentences" not in obj:
         raise ValueError("document needs 'id' and 'sentences' fields")
-    sentences = [[str(t).lower() for t in sent] for sent in obj["sentences"]]
+    sentences = _token_lists(obj["sentences"], "sentences")
     if any(len(s) == 0 for s in sentences):
         raise ValueError("documents may not contain empty sentences")
-    abstract = [[str(t).lower() for t in sent] for sent in obj.get("abstract", [])]
+    abstract = _token_lists(obj.get("abstract", []), "abstract")
     return Document(str(obj["id"]), sentences, abstract)
+
+
+def _token_lists(value, name: str) -> list[list[str]]:
+    """Field ``name``'s sentences, each a list of lowercased tokens.
+
+    A sentence given as a string is an error, not a list of its characters.
+    """
+    if not isinstance(value, list) or not all(isinstance(s, list) for s in value):
+        raise ValueError(f"'{name}' must be a list of sentences, each a list of tokens")
+    return [[str(t).lower() for t in sent] for sent in value]
 
 
 def read_jsonl(path: str, *, numbered: bool = False) -> tuple[list, list[tuple[int, str]]]:

@@ -5,12 +5,12 @@ uses the longest common subsequence over concatenated tokens, computed
 bit-parallel (Allison & Dix 1986; Hyyro 2004): one bit mask per distinct
 reference token and a few big-int operations per candidate token, the same
 integer as the O(n*m) dynamic program. Rouge-N uses clipped n-gram counts,
-and one helper turns match counts into precision, recall and F1 for both
-(and for the greedy oracle's incremental counts). Plan comparison uses
-multiset record intersection (selection)
-and the complement of the normalized Damerau-Levenshtein distance
-(ordering). The edit distance is the restricted variant (optimal string
-alignment), the one conventional for plan-ordering scores.
+and one helper turns match counts into precision, recall and F1 for both,
+and for the greedy oracle's arrays of counts, one entry per candidate.
+Plan comparison uses multiset record intersection (selection) and the
+complement of the normalized Damerau-Levenshtein distance (ordering). The
+edit distance is the restricted variant (optimal string alignment), the one
+conventional for plan-ordering scores.
 """
 
 from __future__ import annotations
@@ -49,13 +49,23 @@ class CsResult:
     f1: float
 
 
-def _f1(p: float, r: float) -> float:
-    return 0.0 if p + r == 0 else 2 * p * r / (p + r)
+# The helpers below take Python numbers or numpy arrays, one entry per
+# candidate, with the same expressions either way. Counts stay far below
+# 2**53, so numpy's float64 true division gives Python's floats.
 
 
-def _prf(hits: int, cand_total: int, ref_total: int) -> tuple[float, float, float]:
+def _ratio(num, den):
+    """``num / den``, and 0.0 where ``den`` is 0 (``num`` is then 0 too)."""
+    return num / (den + (den == 0))
+
+
+def _f1(p, r):
+    return _ratio(2 * p * r, p + r)
+
+
+def _prf(hits, cand_total, ref_total: int):
     """Precision, recall and F1 of ``hits`` matches; no candidate units scores 0."""
-    p = hits / cand_total if cand_total > 0 else 0.0
+    p = _ratio(hits, cand_total)
     r = hits / ref_total
     return p, r, _f1(p, r)
 
@@ -75,7 +85,7 @@ def rouge_n(candidate: Sequence[str], reference: Sequence[str], n: int) -> Rouge
     if len(reference) < n:
         return RougeScore(0.0, 0.0, 0.0)
     return RougeScore(*_prf(_overlap(candidate, reference, n),
-                            len(candidate) - n + 1, len(reference) - n + 1))
+                            max(len(candidate) - n + 1, 0), len(reference) - n + 1))
 
 
 def lcs_masks(reference: Sequence[Hashable]) -> dict[Hashable, int]:
@@ -118,14 +128,17 @@ def rouge_l(candidate: Sequence[str], reference: Sequence[str]) -> RougeScore:
                             len(candidate), len(reference)))
 
 
-def mean_f1_from_counts(cand_len: int, ref_len: int, unigram_hits: int,
-                        bigram_hits: int, lcs: int) -> float:
+def mean_f1_from_counts(cand_len, ref_len: int, unigram_hits, bigram_hits, lcs):
     """Mean Rouge-1/2/L F1 from token counts, clipped overlaps and the LCS.
 
-    A reference shorter than n scores 0 on Rouge-N, as in ``rouge_n``.
+    The candidate's counts are ints, or integer arrays that give an array
+    of scores, one per candidate. A reference shorter than n scores 0 on
+    Rouge-N, as in ``rouge_n``.
     """
     r1 = _prf(unigram_hits, cand_len, ref_len)[2] if ref_len >= 1 else 0.0
-    r2 = _prf(bigram_hits, cand_len - 1, ref_len - 1)[2] if ref_len >= 2 else 0.0
+    # one bigram fewer than tokens, and none in an empty candidate
+    r2 = (_prf(bigram_hits, cand_len - (cand_len > 0), ref_len - 1)[2]
+          if ref_len >= 2 else 0.0)
     rl = _prf(lcs, cand_len, ref_len)[2] if ref_len >= 1 else 0.0
     return (r1 + r2 + rl) / 3.0
 

@@ -3,20 +3,25 @@
 The training oracle is greedy: starting from an empty selection, repeatedly
 add the sentence that most improves the mean of Rouge-1/2/L F1 against the
 reference, stopping at the first non-improving round or at the size cap
-(the SummaRuNNer labelling of Nallapati et al. 2017). It scores candidates
-incrementally from per-sentence counts, with the same integers and the same
-float expressions as ``mean_rouge_f1`` on the concatenated selection, so
-its output equals the plain recompute-everything loop bit for bit. An
+(the SummaRuNNer labelling of Nallapati et al. 2017). Each round scores
+every candidate sentence at once: numpy adds each sentence's counts of the
+reference's unigrams and bigrams to the selection's and clips them at the
+reference's, and the F1s of all candidates come from one vectorised pass.
+Only the bigrams a candidate makes and breaks at its selected neighbours
+and its bit-parallel LCS are computed per candidate. The integers and float
+expressions are those of ``mean_rouge_f1`` on the concatenated selection,
+so the output equals the plain recompute-everything loop bit for bit. An
 exhaustive-subset oracle (small inputs only) exists purely to verify it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import Sequence
+from typing import Hashable, Iterable, Sequence
+
+import numpy as np
 
 from .metrics import lcs_from_state, lcs_masks, lcs_scan, mean_f1_from_counts, mean_rouge_f1
 
@@ -34,82 +39,108 @@ def _selection_score(doc: Sequence[Sequence[str]], reference: Sequence[str],
     return mean_rouge_f1(tokens, reference)
 
 
+def _columns(grams: Iterable[Hashable]) -> dict[Hashable, int]:
+    """A column for each distinct gram, in order of first appearance."""
+    return {g: k for k, g in enumerate(dict.fromkeys(grams))}
+
+
+def _counts(columns: dict[Hashable, int], rows: Sequence[Iterable[Hashable]]) -> np.ndarray:
+    """``[rows x columns]`` counts of each row's grams; grams without a column are dropped."""
+    width = len(columns)
+    flat = [i * width + k for i, grams in enumerate(rows) for g in grams
+            if (k := columns.get(g)) is not None]
+    return np.bincount(np.array(flat, dtype=np.intp),
+                       minlength=len(rows) * width).reshape(len(rows), width)
+
+
 def oracle_full(doc: Sequence[Sequence[str]], reference: Sequence[str],
                 max_size: int = 4) -> OracleResult:
     """Greedy best-improvement selection; ties go to the lowest index.
 
     A candidate ``selected + [i]`` is scored on the sentences concatenated
     in document order. Its clipped unigram and bigram overlaps are those of
-    the current selection updated by sentence ``i``'s tokens, its internal
-    bigrams and the bigrams it makes and breaks at its neighbours in that
-    order. Its LCS resumes from the bit-parallel state after the selected
-    sentences before ``i``. Empty sentences add nothing, so never improve.
+    the current selection plus sentence ``i``'s tokens and internal
+    bigrams, plus the bigrams it makes and less the one it breaks at its
+    neighbours in that order. Its LCS resumes from the bit-parallel state
+    after the selected sentences before ``i``. Empty sentences add nothing,
+    so never improve.
     """
     if not doc or not reference:
         raise ValueError("oracle needs a non-empty document and reference")
     ref_len = len(reference)
-    ref1 = Counter(reference)
-    ref2 = Counter(zip(reference, reference[1:]))
-    masks = lcs_masks(reference)
+    ref_bigrams = list(zip(reference, reference[1:]))
+    col1, col2 = _columns(reference), _columns(ref_bigrams)
+    cap1, cap2 = _counts(col1, [reference])[0], _counts(col2, [ref_bigrams])[0]
     # each sentence's share of the reference: unigrams, internal bigrams, LCS masks
-    uni = [Counter(t for t in s if t in ref1) for s in doc]
-    bi = [Counter(b for b in zip(s, s[1:]) if b in ref2) for s in doc]
+    uni = _counts(col1, doc)
+    bi = _counts(col2, [zip(s, s[1:]) for s in doc])
+    masks = lcs_masks(reference)
     rows = [[masks[t] for t in s if t in masks] for s in doc]
+    lengths = np.array([len(s) for s in doc], dtype=np.int64)
+    candidate = lengths > 0  # sentences that may still join the selection
+
+    # the selection: its counts, its sentences in document order, and the
+    # LCS state after each of them
+    have1 = np.zeros_like(cap1)
+    have2 = np.zeros_like(cap2)
+    have_len = 0
+    order: list[int] = []
+    states = [(1 << ref_len) - 1]
+
+    def joins(i: int, left: str | None, right: str | None) -> dict[int, int]:
+        """Reference bigram columns that sentence ``i`` makes (+1) or breaks
+        (-1) between the selected sentences ending in ``left`` and starting
+        with ``right``; None, where there is no such sentence, is in no bigram."""
+        sent = doc[i]
+        out: dict[int, int] = {}
+        for gram, step in (((left, sent[0]), 1), ((sent[-1], right), 1),
+                           ((left, right), -1)):
+            k = col2.get(gram)
+            if k is not None:
+                out[k] = out.get(k, 0) + step
+        return out
 
     selected: list[int] = []
     trace: list[tuple[int, float]] = []
     score = 0.0
-    while len(selected) < max_size:
-        order = sorted(selected)
-        tokens = [t for j in order for t in doc[j]]
-        have1 = Counter(tokens)
-        have2 = Counter(zip(tokens, tokens[1:]))
-        hits1 = sum(min(c, ref1[t]) for t, c in have1.items())
-        hits2 = sum(min(c, ref2[b]) for b, c in have2.items())
-        states = [(1 << ref_len) - 1]  # LCS state after each selected sentence
-        for j in order:
-            states.append(lcs_scan(states[-1], rows[j]))
-
-        best_idx = -1
-        best_score = score
-        for i, sent in enumerate(doc):
-            if not sent or i in selected:
-                continue
-            h1 = hits1
-            for t, c in uni[i].items():
-                have, cap = have1[t], ref1[t]
-                h1 += min(have + c, cap) - min(have, cap)
-
+    while len(selected) < max_size and candidate.any():
+        # the tokens on either side of each gap in the selection
+        ends = [(doc[order[p - 1]][-1] if p else None,
+                 doc[order[p]][0] if p < len(order) else None)
+                for p in range(len(order) + 1)]
+        hits1 = np.minimum(have1 + uni, cap1).sum(1)
+        with_bi = have2 + bi
+        hits2 = np.minimum(with_bi, cap2).sum(1)
+        lcs = [0] * len(doc)
+        for i in np.flatnonzero(candidate).tolist():
             pos = bisect_left(order, i)
-            joins = bi[i].copy()
-            if pos > 0:
-                left = doc[order[pos - 1]][-1]
-                joins[left, sent[0]] += 1
-            if pos < len(order):
-                right = doc[order[pos]][0]
-                joins[sent[-1], right] += 1
-                if pos > 0:
-                    joins[left, right] -= 1
-            h2 = hits2
-            for b, c in joins.items():
-                cap = ref2[b]
-                if cap:
-                    have = have2[b]
-                    h2 += min(have + c, cap) - min(have, cap)
-
+            for k, step in joins(i, *ends[pos]).items():
+                base, cap = int(with_bi[i, k]), int(cap2[k])
+                hits2[i] += min(base + step, cap) - min(base, cap)
             state = lcs_scan(states[pos], rows[i])
             for j in order[pos:]:
                 state = lcs_scan(state, rows[j])
-            cand = mean_f1_from_counts(len(tokens) + len(sent), ref_len, h1, h2,
-                                       lcs_from_state(state, ref_len))
-            if cand > best_score:
-                best_score = cand
-                best_idx = i
-        if best_idx < 0:
+            lcs[i] = lcs_from_state(state, ref_len)
+        scores = mean_f1_from_counts(have_len + lengths, ref_len, hits1, hits2,
+                                     np.array(lcs, dtype=np.int64))
+        scores[~candidate] = -np.inf
+        best = int(np.argmax(scores))
+        if not scores[best] > score:
             break
-        selected.append(best_idx)
-        score = best_score
-        trace.append((best_idx, score))
+        pos = bisect_left(order, best)
+        have1 += uni[best]
+        have2 += bi[best]
+        for k, step in joins(best, *ends[pos]).items():
+            have2[k] += step
+        have_len += len(doc[best])
+        order.insert(pos, best)
+        del states[pos + 1:]
+        for j in order[pos:]:
+            states.append(lcs_scan(states[-1], rows[j]))
+        candidate[best] = False
+        selected.append(best)
+        score = float(scores[best])
+        trace.append((best, score))
     return OracleResult(selected, score, trace)
 
 

@@ -368,8 +368,9 @@ def test_save_writes_each_tensor_in_payload_order(tmp_path, monkeypatch):
         assert fh.read() == b"".join(p.data.astype("<f8").tobytes() for p in params.values())
 
 
-@pytest.mark.parametrize("tamper", ["no_offset", "no_tensors", "no_vocab", "shape_string",
-                                    "size_string", "entry_list", "not_an_object"])
+@pytest.mark.parametrize("tamper", ["no_offset", "no_tensors", "no_vocab", "vocab_string",
+                                    "vocab_numbers", "shape_string", "size_string",
+                                    "entry_list", "not_an_object"])
 def test_manifest_with_missing_or_mistyped_field_rejected(tmp_path, tamper):
     cfg, vocab, model = small_model_and_cfg()
     path = str(tmp_path / "ck")
@@ -384,6 +385,10 @@ def test_manifest_with_missing_or_mistyped_field_rejected(tmp_path, tamper):
         del blob["tensors"]
     elif tamper == "no_vocab":
         del blob["vocab"]
+    elif tamper == "vocab_string":  # would read as a list of its characters
+        blob["vocab"] = "".join(blob["vocab"])
+    elif tamper == "vocab_numbers":
+        blob["vocab"] = list(range(len(blob["vocab"])))
     elif tamper == "shape_string":
         first["shape"] = "x".join(map(str, first["shape"]))
     elif tamper == "size_string":

@@ -1,3 +1,4 @@
+import json
 import random
 
 import numpy as np
@@ -77,6 +78,10 @@ def assert_same_as_reference(doc, ref, max_size):
     assert got.selected == selected
     assert got.score == score  # exact, not approximate
     assert got.trace == trace
+    # plain Python numbers, not numpy scalars
+    assert type(got.score) is float
+    assert all(type(i) is int and type(s) is float for i, s in got.trace)
+    assert all(type(i) is int for i in got.selected)
 
 
 small_tokens = st.sampled_from(["a", "b", "c", "d", "e"])
@@ -134,6 +139,73 @@ def test_oracle_matches_reference_on_ties_and_edge_cases():
     for doc, ref in cases:
         for max_size in (1, 2, 3, 4):
             assert_same_as_reference(doc, ref, max_size)
+
+
+def table_shaped_document(rng):
+    """44 one-record sentences of 3-9 tokens from a few templates, and a
+    ~50-token reference of some records' words with filler between."""
+    entities = [f"player{i}" for i in range(8)] + ["home", "away"]
+    stats = ["points", "rebounds", "assists", "minutes", "steals"]
+    doc = []
+    for _ in range(44):
+        sent = [rng.choice(entities), rng.choice(stats), str(rng.randint(0, 30))]
+        sent += rng.sample(["of", "is", "the", "which", "best", "team"], rng.randint(0, 6))
+        doc.append(sent)
+    ref = []
+    while len(ref) < 50:
+        ref += rng.choice(doc)[:3] + rng.sample(["scored", "the", "and", "with"], 2)
+    return doc, ref
+
+
+def test_oracle_matches_reference_on_table_shaped_documents():
+    rng = random.Random(5)
+    for k in range(12):
+        doc, ref = table_shaped_document(rng)
+        assert_same_as_reference(doc, ref, max_size=4)
+
+
+@pytest.mark.parametrize("doc, ref", [
+    # the bigram a candidate makes at its neighbour is one of its own
+    ([["a", "b", "a"], ["b", "a", "b"]], ["a", "b", "a", "b", "a", "b"]),
+    # a candidate between two selected sentences makes the bigram it breaks,
+    # on its left and on its right
+    ([["x", "a"], ["b", "z"], ["b", "y"]], ["x", "a", "b", "y"]),
+    ([["x", "a"], ["z", "a"], ["b", "y"]], ["x", "a", "b", "y"]),
+    # a candidate inserted between two selected sentences that improves
+    ([["a", "b"], ["x"], ["e", "f"]], ["a", "b", "x", "e", "f"]),
+    # references of one and of two tokens
+    ([["a", "b"], ["b"], ["a"]], ["a"]),
+    ([["a", "b"], ["b", "a"], ["a"]], ["a", "b"]),
+    ([["b"], ["a"]], ["a", "b"]),
+    # duplicate sentences tie, and the lowest index wins
+    ([["a", "b", "c"], ["x"], ["a", "b", "c"], ["a", "b", "c"]],
+     ["a", "b", "c", "a", "b", "c"]),
+])
+def test_oracle_matches_reference_on_join_cases(doc, ref):
+    for max_size in (1, 2, 3, 4):
+        assert_same_as_reference(doc, ref, max_size)
+
+
+def test_cli_oracle_rows_hold_plain_numbers(tmp_path, monkeypatch):
+    from stepsum import cli
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[run]\ntask = cnndm\n")
+    docs = tmp_path / "docs.jsonl"
+    rng = random.Random(7)
+    sample = zipf_lexicon(rng)
+    with open(docs, "w") as fh:
+        for k in range(3):
+            doc, ref = benchmark_shaped_document(rng, sample)
+            fh.write(json.dumps({"id": f"d{k}", "sentences": doc, "abstract": [ref]}) + "\n")
+    written = []
+    monkeypatch.setattr(cli, "write_jsonl", lambda path, rows: written.extend(rows))
+    assert cli.main(["oracle", "--config", str(cfg), "--in", str(docs),
+                     "--out", str(tmp_path / "out.jsonl")]) == 0
+    assert len(written) == 3
+    for row in written:
+        assert row["selected"] and all(type(i) is int for i in row["selected"])
+        assert type(row["score"]) is float
 
 
 def test_bruteforce_rejects_large_documents():

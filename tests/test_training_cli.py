@@ -234,6 +234,15 @@ def test_cli_import_leaves_release_suite_unloaded():
     assert r.stdout.strip() == "False"
 
 
+def test_cli_import_leaves_process_pool_unloaded():
+    r = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, stepsum.cli; print('concurrent.futures.process' in sys.modules)"],
+        capture_output=True, text=True, env=cli_env(), cwd=os.path.dirname(__file__))
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False"
+
+
 def test_cli_malformed_line_reported_run_continues(workspace, tmp_path):
     root, cfg_path, docs_path = workspace
     bad = str(tmp_path / "bad.jsonl")
@@ -287,6 +296,86 @@ def test_cli_errors_name_file_lines_not_row_indices(workspace, tmp_path):
     lines_named = [ln[len(f"error: {bad}:"):].split(":")[0] for ln in errors]
     assert lines_named == ["2", "4"], errors
     assert len(open(out).readlines()) == 2
+
+
+@pytest.mark.parametrize("field, value", [
+    ("sentences", ["the cat sat", "on the mat"]),  # sentences as strings
+    ("abstract", ["the", "cat"]),                  # a flat token list
+    ("abstract", "the cat"),
+])
+def test_cli_oracle_reports_sentences_that_are_not_lists(workspace, tmp_path, field, value):
+    root, cfg_path, docs_path = workspace
+    lines = open(docs_path).readlines()
+    bad_doc = {"id": "strings", "sentences": [["the", "cat"]], "abstract": [["the"]]}
+    bad_doc[field] = value
+    bad = str(tmp_path / "bad.jsonl")
+    with open(bad, "w") as fh:
+        fh.write(lines[0])
+        fh.write(json.dumps(bad_doc) + "\n")
+    out = str(tmp_path / "oracles.jsonl")
+    r = run_cli("oracle", "--config", cfg_path, "--in", bad, "--out", out)
+    assert r.returncode == 1, r.stderr
+    assert (f"error: {bad}:2: '{field}' must be a list of sentences, each a list of tokens"
+            in r.stderr)
+    assert [json.loads(line)["id"] for line in open(out)] == [json.loads(lines[0])["id"]]
+
+
+def _eval_rows(tmp_path, task, gen_rows, ref_rows):
+    gen, ref = str(tmp_path / "gen.jsonl"), str(tmp_path / "ref.jsonl")
+    for path, rows in ((gen, gen_rows), (ref, ref_rows)):
+        with open(path, "w") as fh:
+            for row in rows:
+                fh.write(json.dumps(row) + "\n")
+    report = str(tmp_path / "report.json")
+    r = run_cli("eval", "--task", task, "--gen", gen, "--ref", ref, "--out", report)
+    return r, gen, ref, json.load(open(report))
+
+
+# per task: a generated row, its reference and another generated row, ids left out
+_EVAL_ROWS = {
+    "rouge": ({"summary_sentences": [["the", "cat"]]}, {"abstract": [["the", "cat"]]},
+              {"summary_sentences": [["a", "dog"]]}),
+    "plan": ({"plan": [{"entity": "A", "type": "TEAM-PTS"}, "EOT"]},
+             {"plan": [{"entity": "A", "type": "TEAM-PTS"}, "EOT"]},
+             {"plan": [{"entity": "B", "type": "TEAM-PTS"}, "EOT"]}),
+}
+
+
+@pytest.mark.parametrize("side, fld", [("gen", "summary_sentences"), ("ref", "abstract")])
+def test_cli_eval_reports_a_string_token_field(tmp_path, side, fld):
+    gen_row, ref_row, _ = _EVAL_ROWS["rouge"]
+    rows = {"gen": dict(gen_row, id="d1"), "ref": dict(ref_row, id="d1")}
+    rows[side][fld] = "the cat"  # would read as a list of its characters
+    r, gen, _, report = _eval_rows(tmp_path, "rouge", [rows["gen"]], [rows["ref"]])
+    assert r.returncode == 1, r.stderr
+    assert (f"error: {gen}:1: id d1: '{fld}' must be a list of tokens or of token lists"
+            in r.stderr)
+    assert report["count"] == 0
+
+
+@pytest.mark.parametrize("task", ["rouge", "plan"])
+def test_cli_eval_reports_rows_without_ids(tmp_path, task):
+    gen_row, ref_row, _ = _EVAL_ROWS[task]
+    r, gen, ref, report = _eval_rows(tmp_path, task, [gen_row], [ref_row])
+    assert r.returncode == 1, r.stderr
+    assert f"error: {gen}:1: row has no 'id' field" in r.stderr
+    assert f"error: {ref}:1: row has no 'id' field" in r.stderr
+    assert report["count"] == 0 and report["examples"] == {}
+
+
+@pytest.mark.parametrize("task", ["rouge", "plan"])
+def test_cli_eval_scores_a_generated_id_once(tmp_path, task):
+    gen_row, ref_row, other = _EVAL_ROWS[task]
+    once, _, _, alone = _eval_rows(tmp_path, task, [dict(gen_row, id="a")],
+                                   [dict(ref_row, id="a")])
+    assert once.returncode == 0, once.stderr
+    r, gen, _, report = _eval_rows(tmp_path, task,
+                                   [dict(gen_row, id="a"), dict(other, id="a")],
+                                   [dict(ref_row, id="a")])
+    assert r.returncode == 1, r.stderr
+    assert f"error: {gen}:2: id a seen before; not scored again" in r.stderr
+    # the first row alone is scored, and counted once
+    assert report == alone
 
 
 def test_cli_eval_reports_unmatched_ids(workspace, tmp_path):
