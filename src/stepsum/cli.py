@@ -2,16 +2,14 @@
 
 Every command is replayable: identical inputs and seed produce identical
 outputs. Malformed input lines are reported with their line number and
-skipped; the run continues and exits nonzero at the end. The only
-environment variable honored is STEPSUM_THREADS (worker count for oracle
-construction).
+skipped; the run continues and exits nonzero at the end. No command reads
+the environment.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 from functools import partial
@@ -59,30 +57,6 @@ def _report_line_errors(path: str, errors: list[tuple[int, str]]) -> None:
         _err(f"{path}:{lineno}: {msg}")
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("STEPSUM_THREADS", "1")
-    try:
-        count = int(raw)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise ConfigError(f"STEPSUM_THREADS must be a positive integer, got {raw!r}")
-    return count
-
-
-def _fit_flat_budget(prep: PreparedDoc, cfg: RunConfig, vocab: Vocab,
-                     path: str, lineno: int) -> PreparedDoc:
-    """For the flat encoder, drop the units past the long budget and say so."""
-    if cfg.encoder != "etc":
-        return prep
-    trimmed = trim_for_flat_budget(prep, cfg, vocab)
-    dropped = prep.n_real_units - trimmed.n_real_units
-    if dropped:
-        _warn(f"{path}:{lineno}: document {prep.doc_id}: dropped {dropped} trailing "
-              "units over long_budget")
-    return trimmed
-
-
 def _load_documents(path: str) -> tuple[list[tuple[int, Document]], list[tuple[int, str]]]:
     """Documents with their file line numbers, and the lines that failed."""
     rows, errors = read_jsonl(path, numbered=True)
@@ -112,12 +86,63 @@ def _load_games(path: str) -> tuple[list[tuple[int, rotowire.RotowireGame]],
     return games, errors
 
 
+def _load_inputs(cfg: RunConfig, path: str) -> tuple[
+        list[tuple[int, Document | rotowire.RotowireGame]], list[tuple[int, str]]]:
+    """The task's documents or games, with their file line numbers, and the lines that failed."""
+    return _load_documents(path) if cfg.task == "cnndm" else _load_games(path)
+
+
+def _prepare(cfg: RunConfig, vocab: Vocab, source: Document | rotowire.RotowireGame,
+             path: str, lineno: int) -> PreparedDoc:
+    """A document or game in model terms, within the config's limits.
+
+    The flat encoder drops the units past its long budget, and says so.
+    """
+    if cfg.task == "cnndm":
+        prep = prepare_cnndm(source, vocab, max_doc_sents=cfg.max_doc_sents,
+                             max_sent_len=cfg.max_sent_len)
+    else:
+        prep = prepare_rotowire(source, vocab, max_units=cfg.max_units,
+                                max_sent_len=cfg.max_sent_len)
+    if cfg.encoder != "etc":
+        return prep
+    trimmed = trim_for_flat_budget(prep, cfg, vocab)
+    dropped = prep.n_real_units - trimmed.n_real_units
+    if dropped:
+        _warn(f"{path}:{lineno}: document {prep.doc_id}: dropped {dropped} trailing "
+              "units over long_budget")
+    return trimmed
+
+
+def _rows_by_id(rows: list[tuple[int, dict]], errors: list[tuple[int, str]],
+                repeat: str) -> list[tuple[int, str, dict]]:
+    """``(line, id, row)`` of each row whose id is new.
+
+    A row without an id is a line error, and so is one whose id an earlier
+    row has; its message ends in ``repeat``.
+    """
+    out = []
+    seen: set[str] = set()
+    for lineno, row in rows:
+        if "id" not in row:
+            errors.append((lineno, "row has no 'id' field"))
+            continue
+        rid = str(row["id"])
+        if rid in seen:
+            errors.append((lineno, f"id {rid} seen before; {repeat}"))
+            continue
+        seen.add(rid)
+        out.append((lineno, rid, row))
+    return out
+
+
 def _load_plans(path: str) -> tuple[dict[str, list[PlanStep]], list[tuple[int, str]]]:
+    """Plans by id, and the lines that failed; the first row of an id wins."""
     rows, errors = read_jsonl(path, numbered=True)
     plans = {}
-    for lineno, row in rows:
+    for lineno, pid, row in _rows_by_id(rows, errors, "not used"):
         try:
-            plans[str(row["id"])] = plan_from_json(row["plan"])
+            plans[pid] = plan_from_json(row["plan"])
         except (KeyError, ValueError) as e:
             errors.append((lineno, str(e)))
     return plans, errors
@@ -128,35 +153,17 @@ def _load_plans(path: str) -> tuple[dict[str, list[PlanStep]], list[tuple[int, s
 # ---------------------------------------------------------------------------
 
 
-def _oracle_worker(args: tuple[list[list[str]], list[str], int]):
-    """``(selected, score)``, or the message of a document it cannot label."""
-    sentences, reference, max_size = args
-    try:
-        result = oracle_full(sentences, reference, max_size)
-    except ValueError as e:
-        return str(e)
-    return result.selected, result.score
-
-
 def cmd_oracle(args) -> int:
-    workers = _thread_count()
     cfg = load_config(args.config)
     docs, errors = _load_documents(args.infile)
-    jobs = [(d.sentences, d.abstract_tokens, cfg.max_steps) for _, d in docs]
-    if workers > 1:
-        # imported here, so that no other command pays for loading the pool
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_oracle_worker, jobs, chunksize=8))
-    else:
-        results = [_oracle_worker(j) for j in jobs]
     rows = []
-    for (lineno, d), result in zip(docs, results):
-        if isinstance(result, str):
-            errors.append((lineno, f"document {d.doc_id}: {result}"))
-        else:
-            rows.append({"id": d.doc_id, "selected": result[0], "score": result[1]})
+    for lineno, d in docs:
+        try:
+            result = oracle_full(d.sentences, d.abstract_tokens, cfg.max_steps)
+        except ValueError as e:
+            errors.append((lineno, f"document {d.doc_id}: {e}"))
+            continue
+        rows.append({"id": d.doc_id, "selected": result.selected, "score": result.score})
     _report_line_errors(args.infile, errors)
     write_jsonl(args.out, rows)
     return 1 if errors else 0
@@ -168,62 +175,48 @@ def cmd_oracle(args) -> int:
 
 
 def _prepare_corpus(cfg: RunConfig, path: str, plans_path: str | None,
-                    vocab: Vocab | None):
-    """Returns (vocab, examples, prepared docs, whether any line failed).
+                    vocab: Vocab | None) -> tuple[Vocab, list[StepExample], bool]:
+    """Returns (vocab, examples, whether any line failed).
 
+    Documents take their plans from the oracle, games from the plans file.
     Failed lines are reported against the file they come from.
     """
-    errors: list[tuple[int, str]] = []
-    if cfg.task == "cnndm":
-        docs, errors = _load_documents(path)
-        if vocab is None:
-            vocab = Vocab.from_corpus(s for _, d in docs for s in d.sentences)
-        prepared = []
-        examples: list[StepExample] = []
-        for lineno, doc in docs:
-            prep = _fit_flat_budget(
-                prepare_cnndm(doc, vocab, max_doc_sents=cfg.max_doc_sents,
-                              max_sent_len=cfg.max_sent_len),
-                cfg, vocab, path, lineno)
-            try:
-                result = oracle_full(doc.sentences[: prep.n_real_units],
-                                     doc.abstract_tokens, cfg.max_steps)
-            except ValueError as e:
-                errors.append((lineno, f"document {doc.doc_id}: {e}"))
-                continue
-            examples.extend(examples_from_plan(
-                prep, [unit_step(i) for i in sorted(result.selected)]))
-            prepared.append(prep)
-        _report_line_errors(path, errors)
-        return vocab, examples, prepared, bool(errors)
-
-    games, errors = _load_games(path)
-    if plans_path is None:
-        raise ConfigError("rotowire training needs --train-plans/--valid-plans")
-    plans, plan_errors = _load_plans(plans_path)
-    _report_line_errors(plans_path, plan_errors)
+    sources, errors = _load_inputs(cfg, path)
+    plans: dict[str, list[PlanStep]] = {}
+    plan_errors: list[tuple[int, str]] = []
+    if cfg.task == "rotowire":
+        if plans_path is None:
+            raise ConfigError("rotowire training needs --train-plans/--valid-plans")
+        plans, plan_errors = _load_plans(plans_path)
+        _report_line_errors(plans_path, plan_errors)
     if vocab is None:
-        corpus = rotowire_corpus_sentences([g for _, g in games], cfg.max_units)
-        vocab = Vocab.from_corpus(corpus)
-    prepared = []
-    examples = []
-    for lineno, game in games:
-        if game.game_id not in plans:
-            errors.append((lineno, f"game {game.game_id} has no reference plan"))
-            continue
-        prep = _fit_flat_budget(
-            prepare_rotowire(game, vocab, max_units=cfg.max_units,
-                             max_sent_len=cfg.max_sent_len),
-            cfg, vocab, path, lineno)
-        aligned = datalib.align_plan_to_units(plans[game.game_id], prep)
-        missing = rotowire.missing_plan_records(prep.records, plans[game.game_id])
-        for ref in missing:
-            _err(f"game {game.game_id}: plan record "
-                 f"{ref.entity}|{ref.type} was prefiltered away")
-        examples.extend(examples_from_plan(prep, aligned))
-        prepared.append(prep)
+        vocab = Vocab.from_corpus(
+            (s for _, d in sources for s in d.sentences) if cfg.task == "cnndm"
+            else rotowire_corpus_sentences([g for _, g in sources], cfg.max_units))
+    examples: list[StepExample] = []
+    for lineno, source in sources:
+        if cfg.task == "cnndm":
+            prep = _prepare(cfg, vocab, source, path, lineno)
+            try:
+                result = oracle_full(source.sentences[: prep.n_real_units],
+                                     source.abstract_tokens, cfg.max_steps)
+            except ValueError as e:
+                errors.append((lineno, f"document {source.doc_id}: {e}"))
+                continue
+            plan = [unit_step(i) for i in sorted(result.selected)]
+        else:
+            reference = plans.get(source.game_id)
+            if reference is None:
+                errors.append((lineno, f"game {source.game_id} has no reference plan"))
+                continue
+            prep = _prepare(cfg, vocab, source, path, lineno)
+            for ref in rotowire.missing_plan_records(prep.records, reference):
+                _err(f"game {source.game_id}: plan record "
+                     f"{ref.entity}|{ref.type} was prefiltered away")
+            plan = datalib.align_plan_to_units(reference, prep)
+        examples.extend(examples_from_plan(prep, plan))
     _report_line_errors(path, errors)
-    return vocab, examples, prepared, bool(errors or plan_errors)
+    return vocab, examples, bool(errors or plan_errors)
 
 
 def _check_flat_layouts(cfg: RunConfig, vocab: Vocab, examples: list[StepExample]) -> None:
@@ -241,8 +234,8 @@ def _check_flat_layouts(cfg: RunConfig, vocab: Vocab, examples: list[StepExample
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
-    vocab, train_ex, _, failed1 = _prepare_corpus(cfg, args.train, args.train_plans, None)
-    _, valid_ex, _, failed2 = _prepare_corpus(cfg, args.valid, args.valid_plans, vocab)
+    vocab, train_ex, failed1 = _prepare_corpus(cfg, args.train, args.train_plans, None)
+    _, valid_ex, failed2 = _prepare_corpus(cfg, args.valid, args.valid_plans, vocab)
     _check_flat_layouts(cfg, vocab, train_ex + valid_ex)
     model = build_model(cfg, len(vocab))
     try:
@@ -287,41 +280,30 @@ def cmd_decode(args) -> int:
     vocab = Vocab.from_token_list(manifest.vocab)
     model = load_model(cfg, len(vocab), arrays)
 
-    errors: list[tuple[int, str]] = []
+    constraints = DecodeConstraints(
+        no_repeat=cfg.no_repeat,
+        trigram_blocking=args.triblk or cfg.trigram_blocking,
+    )
+    sources, errors = _load_inputs(cfg, args.infile)
     rows = []
     incomplete = 0
-    if cfg.task == "cnndm":
-        constraints = DecodeConstraints(
-            no_repeat=cfg.no_repeat,
-            trigram_blocking=args.triblk or cfg.trigram_blocking,
-        )
-        docs, errors = _load_documents(args.infile)
-        for lineno, doc in docs:
-            prep = _fit_flat_budget(
-                prepare_cnndm(doc, vocab, max_doc_sents=cfg.max_doc_sents,
-                              max_sent_len=cfg.max_sent_len),
-                cfg, vocab, args.infile, lineno)
-            scorer = ModelStepScorer(model, cfg, vocab, prep)
+    for lineno, source in sources:
+        prep = _prepare(cfg, vocab, source, args.infile, lineno)
+        scorer = ModelStepScorer(model, cfg, vocab, prep)
+        if cfg.task == "cnndm":
             result = beam_decode(scorer, cfg.beam_size, cfg.max_steps, constraints)
             incomplete += result.incomplete
             chosen = sorted(s.unit for s in result.steps if s.kind == "unit")
             rows.append({
-                "id": doc.doc_id,
+                "id": prep.doc_id,
                 "plan": plan_to_json(result.steps),
                 "log_prob": result.log_prob,
                 "incomplete": result.incomplete,
-                "summary_sentences": [doc.sentences[i] for i in chosen],
+                "summary_sentences": [source.sentences[i] for i in chosen],
             })
-    else:
-        games, errors = _load_games(args.infile)
-        for lineno, game in games:
-            prep = _fit_flat_budget(
-                prepare_rotowire(game, vocab, max_units=cfg.max_units,
-                                 max_sent_len=cfg.max_sent_len),
-                cfg, vocab, args.infile, lineno)
-            scorer = ModelStepScorer(model, cfg, vocab, prep)
+        else:
             steps = greedy_decode_with_repeat_exceptions(scorer, cfg.max_steps)
-            rows.append({"id": game.game_id, "plan": plan_to_json(steps)})
+            rows.append({"id": prep.doc_id, "plan": plan_to_json(steps)})
     _report_line_errors(args.infile, errors)
     if incomplete:
         _warn(f"{incomplete} of {len(rows)} plans incomplete")
@@ -352,18 +334,6 @@ def _row_tokens(row: dict, fields: tuple[str, ...] = _TOKEN_FIELDS) -> list[str]
                 return [str(t).lower() for sent in val for t in sent]
             return [str(t).lower() for t in val]
     raise ValueError(f"no token field among {fields}")
-
-
-def _rows_by_id(rows: list[tuple[int, dict]],
-                errors: list[tuple[int, str]]) -> list[tuple[int, str, dict]]:
-    """``(line, id, row)`` of each row; a row without an id is a line error."""
-    out = []
-    for lineno, row in rows:
-        if "id" not in row:
-            errors.append((lineno, "row has no 'id' field"))
-        else:
-            out.append((lineno, str(row["id"]), row))
-    return out
 
 
 def _rouge_scores(gen: dict, ref: dict, stem: bool) -> tuple[dict, dict[str, float]]:
@@ -405,10 +375,10 @@ def cmd_eval(args) -> int:
     refs: dict = {}
     sums: dict[str, float] = {}
     if args.task == "rouge":
-        refs = {rid: row for _, rid, row in _rows_by_id(ref_rows, rerr)}
+        refs = {rid: row for _, rid, row in _rows_by_id(ref_rows, rerr, "not used")}
         score_row = partial(_rouge_scores, stem=args.stem)
     elif args.task == "plan":
-        for lineno, rid, row in _rows_by_id(ref_rows, rerr):
+        for lineno, rid, row in _rows_by_id(ref_rows, rerr, "not used"):
             try:
                 refs[rid] = plan_from_json(row["plan"])
             except (KeyError, ValueError) as e:
@@ -420,12 +390,7 @@ def cmd_eval(args) -> int:
         return 2
 
     examples: dict[str, dict] = {}
-    seen: set[str] = set()
-    for lineno, rid, row in _rows_by_id(gen_rows, gerr):
-        if rid in seen:
-            gerr.append((lineno, f"id {rid} seen before; not scored again"))
-            continue
-        seen.add(rid)
+    for lineno, rid, row in _rows_by_id(gen_rows, gerr, "not scored again"):
         if rid not in refs:
             gerr.append((lineno, f"id {rid} missing from reference file"))
             continue

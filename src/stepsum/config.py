@@ -5,7 +5,9 @@ Config files are INI-style text (sections of ``key = value`` lines). A
 gradient checks and overfit runs finish in minutes on one core; ``paper``
 carries the full-scale hyperparameters); every other key overrides the
 preset. Unknown keys are rejected outright. ``RunConfig`` is the only
-model config: both encoders read it directly.
+model config: both encoders read it directly. Each key is declared once
+there, with its section and whether it fixes the architecture or must be
+positive; the file schema, ``validate`` and ``arch_hash`` read those flags.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 
 from .attention import AttentionConfig
 
@@ -22,41 +24,47 @@ class ConfigError(ValueError):
     pass
 
 
+# the sections of a config file, in the order RunConfig declares their keys
+SECTIONS = ("run", "model", "optimizer", "decode", "data")
+
+
+def _key(section: str, default, *, arch: bool = False, positive: bool = False):
+    """A config key: its file section, its default, whether it fixes parameter
+    shapes or wiring (``arch_hash``), and whether it must be at least 1."""
+    return field(default=default,
+                 metadata={"section": section, "arch": arch, "positive": positive})
+
+
 @dataclass
 class RunConfig:
-    # run
-    task: str = "cnndm"               # cnndm | rotowire
-    encoder: str = "etc"              # hibert | etc
-    seed: int = 13
-    # model
-    dim: int = 64
-    num_heads: int = 2
-    ffn_dim: int = 256
-    sent_layers: int = 2
-    doc_layers: int = 2
-    etc_layers: int = 2
-    max_sent_len: int = 16
-    max_doc_sents: int = 48
-    max_plan_len: int = 8
-    long_budget: int = 381
-    summary_budget: int = 126
-    global_cap: int = 64
-    local_radius: int = 8
-    relpos_vocab_size: int = 24
-    relpos_max_distance: int = 10
-    init_std: float = 0.02
-    # optimizer
-    learning_rate: float = 1e-3
-    batch_size: int = 8
-    train_steps: int = 5000
-    checkpoint_every: int = 200
-    # decode
-    beam_size: int = 3
-    max_steps: int = 4
-    no_repeat: bool = True
-    trigram_blocking: bool = False
-    # data
-    max_units: int = 46
+    task: str = _key("run", "cnndm", arch=True)       # cnndm | rotowire
+    encoder: str = _key("run", "etc", arch=True)      # hibert | etc
+    seed: int = _key("run", 13)
+    dim: int = _key("model", 64, arch=True, positive=True)
+    num_heads: int = _key("model", 2, arch=True, positive=True)
+    ffn_dim: int = _key("model", 256, arch=True, positive=True)
+    sent_layers: int = _key("model", 2, arch=True, positive=True)
+    doc_layers: int = _key("model", 2, arch=True, positive=True)
+    etc_layers: int = _key("model", 2, arch=True, positive=True)
+    max_sent_len: int = _key("model", 16, arch=True, positive=True)
+    max_doc_sents: int = _key("model", 48, arch=True, positive=True)
+    max_plan_len: int = _key("model", 8, arch=True, positive=True)
+    long_budget: int = _key("model", 381, arch=True, positive=True)
+    summary_budget: int = _key("model", 126, arch=True, positive=True)
+    global_cap: int = _key("model", 64, arch=True, positive=True)
+    local_radius: int = _key("model", 8, arch=True)
+    relpos_vocab_size: int = _key("model", 24, arch=True)
+    relpos_max_distance: int = _key("model", 10, arch=True)
+    init_std: float = _key("model", 0.02)
+    learning_rate: float = _key("optimizer", 1e-3)
+    batch_size: int = _key("optimizer", 8, positive=True)
+    train_steps: int = _key("optimizer", 5000, positive=True)
+    checkpoint_every: int = _key("optimizer", 200, positive=True)
+    beam_size: int = _key("decode", 3, positive=True)
+    max_steps: int = _key("decode", 4, positive=True)
+    no_repeat: bool = _key("decode", True)
+    trigram_blocking: bool = _key("decode", False)
+    max_units: int = _key("data", 46, positive=True)
 
     def doc_positions_enabled(self) -> bool:
         # table entries are a set, not a sequence; plan positions stay
@@ -77,15 +85,9 @@ class RunConfig:
             raise ConfigError(f"task must be cnndm or rotowire, got {self.task!r}")
         if self.encoder not in ("hibert", "etc"):
             raise ConfigError(f"encoder must be hibert or etc, got {self.encoder!r}")
-        positive = [
-            "dim", "num_heads", "ffn_dim", "sent_layers", "doc_layers",
-            "etc_layers", "max_sent_len", "max_doc_sents", "max_plan_len",
-            "long_budget", "summary_budget", "global_cap", "batch_size",
-            "train_steps", "checkpoint_every", "beam_size", "max_steps", "max_units",
-        ]
-        for name in positive:
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be positive")
+        for f in fields(self):
+            if f.metadata["positive"] and getattr(self, f.name) < 1:
+                raise ConfigError(f"{f.name} must be positive")
         try:
             self.attention()
         except ValueError as e:
@@ -98,36 +100,14 @@ class RunConfig:
 
     def arch_hash(self, vocab_size: int) -> str:
         """Hash of everything that fixes parameter shapes and wiring."""
-        keys = [
-            "task", "encoder", "dim", "num_heads", "ffn_dim", "sent_layers",
-            "doc_layers", "etc_layers", "max_sent_len", "max_doc_sents",
-            "max_plan_len", "long_budget", "summary_budget", "global_cap",
-            "local_radius", "relpos_vocab_size", "relpos_max_distance",
-        ]
-        payload = {k: getattr(self, k) for k in keys}
+        payload = {f.name: getattr(self, f.name) for f in fields(self) if f.metadata["arch"]}
         payload["vocab_size"] = vocab_size
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-# key -> (section, parser)
-_SCHEMA: dict[str, tuple[str, type]] = {}
-_SECTIONS = {
-    "run": ["task", "encoder", "seed"],
-    "model": [
-        "dim", "num_heads", "ffn_dim", "sent_layers", "doc_layers",
-        "etc_layers", "max_sent_len", "max_doc_sents", "max_plan_len",
-        "long_budget", "summary_budget", "global_cap", "local_radius",
-        "relpos_vocab_size", "relpos_max_distance", "init_std",
-    ],
-    "optimizer": ["learning_rate", "batch_size", "train_steps", "checkpoint_every"],
-    "decode": ["beam_size", "max_steps", "no_repeat", "trigram_blocking"],
-    "data": ["max_units"],
-}
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-for _section, _keys in _SECTIONS.items():
-    for _k in _keys:
-        _SCHEMA[_k] = (_section, _FIELD_TYPES[_k])
+# key -> its declaration; under the annotations import, each type is its name
+_KEYS = {f.name: f for f in fields(RunConfig)}
 
 
 PRESETS: dict[str, dict] = {
@@ -163,20 +143,20 @@ PAPER_LEARNING_RATES = {"hibert": 0.01, "etc": 0.000025}
 
 
 def _parse_value(key: str, raw: str):
-    typ = _FIELD_TYPES[key]
+    typ = _KEYS[key].type
     raw = raw.strip()
-    if typ == "bool" or typ is bool:
+    if typ == "bool":
         if raw.lower() in ("true", "yes", "on", "1"):
             return True
         if raw.lower() in ("false", "no", "off", "0"):
             return False
         raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
-    if typ == "int" or typ is int:
+    if typ == "int":
         try:
             return int(raw)
         except ValueError:
             raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
-    if typ == "float" or typ is float:
+    if typ == "float":
         try:
             return float(raw)
         except ValueError:
@@ -195,7 +175,7 @@ def config_from_dict(values: dict, preset: str = "desk") -> RunConfig:
             merged.get("encoder", cfg.encoder)
         ]
     for key, value in merged.items():
-        if key not in _FIELD_TYPES:
+        if key not in _KEYS:
             raise ConfigError(f"unknown config key {key!r}")
         setattr(cfg, key, value)
     cfg.validate()
@@ -209,15 +189,15 @@ def load_config(path: str) -> RunConfig:
     preset = "desk"
     values: dict = {}
     for section in parser.sections():
-        if section not in _SECTIONS:
+        if section not in SECTIONS:
             raise ConfigError(f"unknown config section [{section}]")
         for key, raw in parser.items(section):
             if section == "run" and key == "preset":
                 preset = raw.strip()
                 continue
-            if key not in _SCHEMA:
+            if key not in _KEYS:
                 raise ConfigError(f"unknown config key {key!r} in [{section}]")
-            expected_section, _ = _SCHEMA[key]
+            expected_section = _KEYS[key].metadata["section"]
             if expected_section != section:
                 raise ConfigError(
                     f"key {key!r} belongs in [{expected_section}], found in [{section}]"

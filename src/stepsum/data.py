@@ -63,10 +63,6 @@ class Vocab:
     def __getitem__(self, token: str) -> int:
         return self.token_to_id[token]
 
-    @property
-    def pad_id(self) -> int:
-        return self.token_to_id[PAD]
-
 
 @dataclass
 class Document:

@@ -2,6 +2,8 @@
 
 import json
 import os
+import pathlib
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from stepsum.checkpoint import (
     save_checkpoint,
     verify_config_match,
 )
-from stepsum.config import ConfigError, config_from_dict, load_config
+from stepsum.config import SECTIONS, ConfigError, RunConfig, config_from_dict, load_config
 from stepsum.data import (
     Document,
     Vocab,
@@ -202,6 +204,38 @@ def test_arch_hash_sensitivity():
     # optimizer settings do not change the architecture
     c = config_from_dict({"learning_rate": 0.5})
     assert a.arch_hash(100) == c.arch_hash(100)
+
+
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("desk_cnndm_hibert.cfg", "3577c23160c09d9d27a340c0b8161121ef0c614c2c45801ae73d1ef4f75faf53"),
+    ("desk_cnndm_etc.cfg", "3b9010337e5ea19efa865c2ac56c0afbb17f50357a93e2f749c1f40a928e4b98"),
+    ("desk_rotowire_etc.cfg", "2ee915fed0b71f86d3f2530a838d2c02ff3827b42bb6dc287c0be8c9346e1db5"),
+    ("paper_cnndm_etc.cfg", "2b3a6b7e95cb7b315b643499d6cbd47ef8594437372c4835fbce04619820537a"),
+])
+def test_shipped_configs_keep_their_arch_hash(name, digest):
+    # a checkpoint carries this hash; a new one would refuse every saved checkpoint
+    assert load_config(str(CONFIGS / name)).arch_hash(3000) == digest
+
+
+def test_every_key_names_a_section():
+    assert SECTIONS == ("run", "model", "optimizer", "decode", "data")
+    assert all(f.metadata["section"] in SECTIONS for f in fields(RunConfig))
+
+
+def test_validate_names_the_first_key_below_one():
+    positive = ["dim", "num_heads", "ffn_dim", "sent_layers", "doc_layers", "etc_layers",
+                "max_sent_len", "max_doc_sents", "max_plan_len", "long_budget",
+                "summary_budget", "global_cap", "batch_size", "train_steps",
+                "checkpoint_every", "beam_size", "max_steps", "max_units"]
+    assert [f.name for f in fields(RunConfig) if f.metadata["positive"]] == positive
+    for k, name in enumerate(positive):
+        with pytest.raises(ConfigError, match=f"^{name} must be positive$"):
+            config_from_dict(dict.fromkeys(positive[k:], 0))
+    with pytest.raises(ConfigError, match="^learning_rate must be positive$"):
+        config_from_dict({"learning_rate": 0.0, "init_std": 0.0})
 
 
 # -- checkpoints ------------------------------------------------------------------

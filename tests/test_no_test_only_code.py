@@ -1,5 +1,6 @@
 """Guard: no top-level function or class in ``src/stepsum``, and no field of
-a package dataclass, lives only for tests.
+a package dataclass, lives only for tests; and no module reads the
+environment.
 
 A name counts as used when some module of the package refers to it, as a
 bare name, an attribute or an imported name. A dataclass field counts as
@@ -103,3 +104,15 @@ def test_allowlist_is_current():
         assert field in fields, f"{field} is gone; drop it from the allowlist"
         assert field.split(".")[1] not in read, (
             f"the package reads {field}; drop it from the allowlist")
+
+
+def test_no_module_reads_the_environment():
+    readers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+                readers.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                readers += [f"{path.name}:{node.lineno}" for alias in node.names
+                            if alias.name in ("environ", "getenv")]
+    assert not readers, f"commands take settings from their config and flags: {readers}"

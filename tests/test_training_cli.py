@@ -201,30 +201,6 @@ def test_cli_oracle_and_repeatability(workspace):
     assert set(row) == {"id", "selected", "score"}
 
 
-def test_cli_oracle_parallel_matches_serial(workspace):
-    root, cfg_path, docs_path = workspace
-    out1 = str(root / "op1.jsonl")
-    out2 = str(root / "op2.jsonl")
-    r1 = run_cli("oracle", "--config", cfg_path, "--in", docs_path, "--out", out1)
-    assert r1.returncode == 0, r1.stderr
-    r = run_cli("oracle", "--config", cfg_path, "--in", docs_path, "--out", out2,
-                env_extra={"STEPSUM_THREADS": "2"})
-    assert r.returncode == 0, r.stderr
-    assert open(out1, "rb").read() == open(out2, "rb").read()
-
-
-@pytest.mark.parametrize("threads", ["abc", "0", "-1"])
-def test_cli_oracle_rejects_bad_thread_count(workspace, tmp_path, threads):
-    root, cfg_path, docs_path = workspace
-    out = str(tmp_path / "oracles.jsonl")
-    r = run_cli("oracle", "--config", cfg_path, "--in", docs_path, "--out", out,
-                env_extra={"STEPSUM_THREADS": threads})
-    assert r.returncode == 2
-    assert (f"error: STEPSUM_THREADS must be a positive integer, got '{threads}'"
-            in r.stderr)
-    assert not os.path.exists(out)
-
-
 def test_cli_import_leaves_release_suite_unloaded():
     r = subprocess.run(
         [sys.executable, "-c",
@@ -258,8 +234,7 @@ def test_cli_malformed_line_reported_run_continues(workspace, tmp_path):
     assert len(open(out).readlines()) == 3  # the good lines still processed
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_cli_oracle_skips_document_without_abstract(workspace, tmp_path, threads):
+def test_cli_oracle_skips_document_without_abstract(workspace, tmp_path):
     root, cfg_path, docs_path = workspace
     lines = open(docs_path).readlines()
     no_abstract = json.loads(lines[1])
@@ -270,8 +245,7 @@ def test_cli_oracle_skips_document_without_abstract(workspace, tmp_path, threads
         fh.write(json.dumps(no_abstract) + "\n")
         fh.writelines(lines[2:4])
     out = str(tmp_path / "oracles.jsonl")
-    r = run_cli("oracle", "--config", cfg_path, "--in", bad, "--out", out,
-                env_extra={"STEPSUM_THREADS": threads})
+    r = run_cli("oracle", "--config", cfg_path, "--in", bad, "--out", out)
     assert r.returncode == 1, r.stderr
     assert f"error: {bad}:2: document {no_abstract['id']}: " in r.stderr
     ids = [json.loads(line)["id"] for line in open(out)]
@@ -375,6 +349,19 @@ def test_cli_eval_scores_a_generated_id_once(tmp_path, task):
     assert r.returncode == 1, r.stderr
     assert f"error: {gen}:2: id a seen before; not scored again" in r.stderr
     # the first row alone is scored, and counted once
+    assert report == alone
+
+
+@pytest.mark.parametrize("task", ["rouge", "plan"])
+def test_cli_eval_keeps_the_first_reference_of_an_id(tmp_path, task):
+    gen_row, ref_row, other = _EVAL_ROWS[task]
+    _, _, _, alone = _eval_rows(tmp_path, task, [dict(gen_row, id="a")],
+                                [dict(ref_row, id="a")])
+    r, _, ref, report = _eval_rows(tmp_path, task, [dict(gen_row, id="a")],
+                                   [dict(ref_row, id="a"), dict(other, id="a")])
+    assert r.returncode == 1, r.stderr
+    assert f"error: {ref}:2: id a seen before; not used" in r.stderr
+    # scored against the first reference row, as if the second were absent
     assert report == alone
 
 
@@ -557,6 +544,23 @@ def test_cli_stats_single_bin(tmp_path):
     assert summary["mean_entries"] == 2.0
 
 
+def test_cli_stats_keeps_the_first_plan_of_an_id(tmp_path):
+    path = str(tmp_path / "plans.jsonl")
+    with open(path, "w") as fh:
+        fh.write(json.dumps({"id": "g1", "plan": [{"entity": "A", "type": "TEAM-PTS"},
+                                                  "EOT"]}) + "\n")
+        fh.write(json.dumps({"id": "g1", "plan": [{"entity": "A", "type": "TEAM-PTS"},
+                                                  {"entity": "B", "type": "TEAM-PTS"},
+                                                  "EOT"]}) + "\n")
+    hist = str(tmp_path / "hist.csv")
+    r = run_cli("stats", "--in", path, "--out", hist)
+    assert r.returncode == 1, r.stderr
+    assert f"error: {path}:2: id g1 seen before; not used" in r.stderr
+    assert open(hist).read().splitlines() == ["length,count,density", "1,1,1.0"]
+    summary = json.loads(r.stdout.strip().splitlines()[-1])
+    assert summary["plans"] == 1 and summary["mean_entries"] == 1.0
+
+
 @pytest.mark.parametrize("command", ["stats", "eval"])
 def test_cli_reports_lines_that_are_not_objects(tmp_path, command):
     plan = {"id": "g1", "plan": [{"entity": "A", "type": "TEAM-PTS"}, "EOT"]}
@@ -614,6 +618,78 @@ def test_cli_reports_units_dropped_over_long_budget(workspace, tmp_path):
     for line in open(out):
         units = [s["unit"] for s in json.loads(line)["plan"] if isinstance(s, dict)]
         assert all(u < 3 for u in units)
+
+
+def _trim_warnings(err, path):
+    return [ln for ln in err.splitlines()
+            if ln.startswith(f"warning: {path}:") and "over long_budget" in ln]
+
+
+@pytest.mark.parametrize("task", ["cnndm", "rotowire"])
+def test_cli_train_and_decode_prepare_the_same_inputs(tmp_path, monkeypatch, capsys, task):
+    """``train``'s examples and the scorers ``decode`` builds hold equal
+    prepared documents, and each command warns once per trimmed document."""
+    from stepsum import cli
+    from stepsum.acceptance import table3_game
+
+    cfg_path, train_path = str(tmp_path / "run.cfg"), str(tmp_path / "train.jsonl")
+    valid_path, plans_path = str(tmp_path / "valid.jsonl"), str(tmp_path / "plans.jsonl")
+    if task == "cnndm":
+        # 5-token units behind a 1-token stop unit: a budget of 31 keeps 6, so
+        # only the doubled document loses units
+        write_config(cfg_path, **{
+            "run.encoder": "etc", "model.etc_layers": 1, "model.max_sent_len": 5,
+            "model.long_budget": 31, "model.summary_budget": 32, "model.global_cap": 32,
+            "model.local_radius": 2, "optimizer.train_steps": 2,
+            "optimizer.checkpoint_every": 1})
+        write_docs(valid_path, n_docs=2)
+        first = json.loads(open(valid_path).readline())
+        with open(train_path, "w") as fh:
+            fh.write(open(valid_path).read())
+            fh.write(json.dumps(dict(first, id="long",
+                                     sentences=first["sentences"] * 2)) + "\n")
+        plan_flags = []
+    else:
+        write_config(cfg_path, **{
+            "run.task": "rotowire", "run.encoder": "etc", "model.etc_layers": 1,
+            "model.max_sent_len": 12, "model.long_budget": 240,
+            "model.summary_budget": 60, "model.global_cap": 32, "model.local_radius": 4,
+            "optimizer.train_steps": 2, "optimizer.checkpoint_every": 1,
+            "data.max_units": 62})
+        for path in (train_path, valid_path):
+            with open(path, "w") as fh:
+                fh.write(json.dumps(table3_game()) + "\n")
+        with open(plans_path, "w") as fh:
+            fh.write(json.dumps({"id": "table3", "plan": [
+                {"entity": "Chicago_Bulls", "type": "TEAM-PTS"}, "EOT"]}) + "\n")
+        plan_flags = ["--train-plans", plans_path, "--valid-plans", plans_path]
+
+    trained, scored = [], []
+    real_train, scorer_cls = cli.train, cli.ModelStepScorer
+
+    def recording_train(cfg, model, vocab, train_ex, *args, **kwargs):
+        trained.extend({id(ex.doc): ex.doc for ex in train_ex}.values())
+        return real_train(cfg, model, vocab, train_ex, *args, **kwargs)
+
+    def recording_scorer(model, cfg, vocab, prep):
+        scored.append(prep)
+        return scorer_cls(model, cfg, vocab, prep)
+
+    monkeypatch.setattr(cli, "train", recording_train)
+    monkeypatch.setattr(cli, "ModelStepScorer", recording_scorer)
+    ckpt = str(tmp_path / "ckpt")
+    assert cli.main(["train", "--config", cfg_path, "--train", train_path,
+                     "--valid", valid_path, "--out", ckpt, *plan_flags]) == 0
+    train_warnings = _trim_warnings(capsys.readouterr().err, train_path)
+    assert cli.main(["decode", "--config", cfg_path, "--ckpt", os.path.join(ckpt, "best"),
+                     "--in", train_path, "--out", str(tmp_path / "decoded.jsonl")]) == 0
+    decode_warnings = _trim_warnings(capsys.readouterr().err, train_path)
+
+    assert trained and trained == scored
+    assert train_warnings == decode_warnings
+    if task == "cnndm":
+        assert train_warnings == [f"warning: {train_path}:3: document long: dropped 6 "
+                                  "trailing units over long_budget"]
 
 
 @pytest.mark.parametrize("file_steps,flag_steps,fits", [

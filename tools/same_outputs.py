@@ -6,8 +6,8 @@ Usage, from anywhere:
     python3 tools/same_outputs.py PARENT CHANGE --workloads docs-etc --seeds 3 --rounds 1
     python3 tools/same_outputs.py PARENT CHANGE --params-atol 1e-12
 
-Each checkout runs in its own subprocess, with BLAS, OpenMP and the oracle
-pool at one thread. The subprocess builds the decode checkpoint as that
+Each checkout runs in its own subprocess, with BLAS and OpenMP at one
+thread. The subprocess builds the decode checkpoint as that
 checkout's ``perfbench/run.py`` does, then runs rounds ``0..rounds-1`` of
 each workload and seed through its ``perfbench/pipeline.run_round``, which
 checks every output. It reports the sha256 of both oracle outputs, the
@@ -51,7 +51,7 @@ def emit(checkout: str, workloads: list[str], seeds: list[int], rounds: int,
     The outputs stay under ``work``, at ``output_path``.
     """
     sys.path[:0] = [os.path.join(checkout, "perfbench"), os.path.join(checkout, "src")]
-    import run  # pins BLAS, OpenMP and the oracle pool to one thread before numpy loads
+    import run  # pins BLAS and OpenMP to one thread before numpy loads
     from workloads import WORKLOADS as SPECS, Lexicon, write_round
 
     # every checkpoint first: each set-up re-imports stepsum, and the
