@@ -234,22 +234,25 @@ def test_cli_malformed_line_reported_run_continues(workspace, tmp_path):
     assert len(open(out).readlines()) == 3  # the good lines still processed
 
 
-def test_cli_oracle_skips_document_without_abstract(workspace, tmp_path):
+# The abstract-less document sits on the first line or further in: either way
+# only that line is reported and every other document still gets its oracle.
+@pytest.mark.parametrize("bad_line", [1, 2])
+def test_cli_oracle_skips_document_without_abstract(workspace, tmp_path, bad_line):
     root, cfg_path, docs_path = workspace
-    lines = open(docs_path).readlines()
-    no_abstract = json.loads(lines[1])
+    rows = open(docs_path).readlines()[:4]
+    no_abstract = json.loads(rows[bad_line - 1])
     del no_abstract["abstract"]
+    good = rows[:bad_line - 1] + rows[bad_line:]
+    rows[bad_line - 1] = json.dumps(no_abstract) + "\n"
     bad = str(tmp_path / "bad.jsonl")
     with open(bad, "w") as fh:
-        fh.write(lines[0])
-        fh.write(json.dumps(no_abstract) + "\n")
-        fh.writelines(lines[2:4])
+        fh.writelines(rows)
     out = str(tmp_path / "oracles.jsonl")
     r = run_cli("oracle", "--config", cfg_path, "--in", bad, "--out", out)
     assert r.returncode == 1, r.stderr
-    assert f"error: {bad}:2: document {no_abstract['id']}: " in r.stderr
+    assert f"error: {bad}:{bad_line}: document {no_abstract['id']}: " in r.stderr
     ids = [json.loads(line)["id"] for line in open(out)]
-    assert ids == [json.loads(line)["id"] for line in (lines[0], lines[2], lines[3])]
+    assert ids == [json.loads(line)["id"] for line in good]
 
 
 def test_cli_errors_name_file_lines_not_row_indices(workspace, tmp_path):
