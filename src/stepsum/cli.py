@@ -13,6 +13,7 @@ import json
 import sys
 from dataclasses import replace
 from functools import partial
+from typing import Callable
 
 from . import data as datalib
 from . import rotowire
@@ -39,7 +40,7 @@ from .decoding import DecodeConstraints, beam_decode, greedy_decode_with_repeat_
 from .metrics import co_score, cs_scores, rouge_l, rouge_n, stem_tokens
 from .models import ModelStepScorer, assemble_for, build_model, load_model, trim_for_flat_budget
 from .oracle import oracle_full
-from .plan import PlanStep, unit_step
+from .plan import PlanStep, RowError, fields, sentences, string, tokens, unit_step
 from .rotowire import GameFormatError, parse_game, plan_from_json, plan_to_json
 from .training import TrainingDiverged, train
 
@@ -57,39 +58,41 @@ def _report_line_errors(path: str, errors: list[tuple[int, str]]) -> None:
         _err(f"{path}:{lineno}: {msg}")
 
 
-def _load_documents(path: str) -> tuple[list[tuple[int, Document]], list[tuple[int, str]]]:
-    """Documents with their file line numbers, and the lines that failed."""
+# every row kind's id; a plans-file row, which eval --task plan reads on both sides
+_ROW_ID = fields({"id": string})
+_PLANS_ROW = fields({"id": string, "plan": plan_from_json})
+
+
+def _load_rows(path: str, read: Callable, repeat: str = "not used",
+               failed: dict[str, str] | None = None) -> tuple[list, list[tuple[int, str]]]:
+    """``(line, id, read(row))`` of each row ``read`` accepts, and the line errors.
+
+    A repeated id is a line error ending in ``repeat``; ``failed`` maps each new
+    id that ``read`` rejects to its error. A game's warnings are printed."""
     rows, errors = read_jsonl(path, numbered=True)
-    docs = []
+    out = []
+    seen: set[str] = set()
     for lineno, row in rows:
         try:
-            docs.append((lineno, parse_document(row)))
+            rid = _ROW_ID(row)["id"]
+            if rid in seen:
+                raise ValueError(f"id {rid} seen before; {repeat}")
         except ValueError as e:
             errors.append((lineno, str(e)))
-    return docs, errors
-
-
-def _load_games(path: str) -> tuple[list[tuple[int, rotowire.RotowireGame]],
-                                    list[tuple[int, str]]]:
-    """Games with their file line numbers, and the lines that failed."""
-    rows, errors = read_jsonl(path, numbered=True)
-    games = []
-    for lineno, row in rows:
-        try:
-            game = parse_game(row)
-        except GameFormatError as e:
-            errors.append((lineno, str(e)))
             continue
-        for msg in game.warnings:
-            _warn(f"{path}:{lineno}: game {game.game_id}: {msg}")
-        games.append((lineno, game))
-    return games, errors
-
-
-def _load_inputs(cfg: RunConfig, path: str) -> tuple[
-        list[tuple[int, Document | rotowire.RotowireGame]], list[tuple[int, str]]]:
-    """The task's documents or games, with their file line numbers, and the lines that failed."""
-    return _load_documents(path) if cfg.task == "cnndm" else _load_games(path)
+        seen.add(rid)
+        try:
+            value = read(row)
+        except ValueError as e:
+            errors.append((lineno, str(e)))
+            if failed is not None:
+                failed[rid] = str(e)
+            continue
+        if isinstance(value, rotowire.RotowireGame):
+            for msg in value.warnings:
+                _warn(f"{path}:{lineno}: game {rid}: {msg}")
+        out.append((lineno, rid, value))
+    return out, errors
 
 
 def _prepare(cfg: RunConfig, vocab: Vocab, source: Document | rotowire.RotowireGame,
@@ -114,40 +117,6 @@ def _prepare(cfg: RunConfig, vocab: Vocab, source: Document | rotowire.RotowireG
     return trimmed
 
 
-def _rows_by_id(rows: list[tuple[int, dict]], errors: list[tuple[int, str]],
-                repeat: str) -> list[tuple[int, str, dict]]:
-    """``(line, id, row)`` of each row whose id is new.
-
-    A row without an id is a line error, and so is one whose id an earlier
-    row has; its message ends in ``repeat``.
-    """
-    out = []
-    seen: set[str] = set()
-    for lineno, row in rows:
-        if "id" not in row:
-            errors.append((lineno, "row has no 'id' field"))
-            continue
-        rid = str(row["id"])
-        if rid in seen:
-            errors.append((lineno, f"id {rid} seen before; {repeat}"))
-            continue
-        seen.add(rid)
-        out.append((lineno, rid, row))
-    return out
-
-
-def _load_plans(path: str) -> tuple[dict[str, list[PlanStep]], list[tuple[int, str]]]:
-    """Plans by id, and the lines that failed; the first row of an id wins."""
-    rows, errors = read_jsonl(path, numbered=True)
-    plans = {}
-    for lineno, pid, row in _rows_by_id(rows, errors, "not used"):
-        try:
-            plans[pid] = plan_from_json(row["plan"])
-        except (KeyError, ValueError) as e:
-            errors.append((lineno, str(e)))
-    return plans, errors
-
-
 # ---------------------------------------------------------------------------
 # oracle
 # ---------------------------------------------------------------------------
@@ -155,9 +124,9 @@ def _load_plans(path: str) -> tuple[dict[str, list[PlanStep]], list[tuple[int, s
 
 def cmd_oracle(args) -> int:
     cfg = load_config(args.config)
-    docs, errors = _load_documents(args.infile)
+    docs, errors = _load_rows(args.infile, parse_document)
     rows = []
-    for lineno, d in docs:
+    for lineno, _, d in docs:
         try:
             result = oracle_full(d.sentences, d.abstract_tokens, cfg.max_steps)
         except ValueError as e:
@@ -181,38 +150,39 @@ def _prepare_corpus(cfg: RunConfig, path: str, plans_path: str | None,
     Documents take their plans from the oracle, games from the plans file.
     Failed lines are reported against the file they come from.
     """
-    sources, errors = _load_inputs(cfg, path)
-    plans: dict[str, list[PlanStep]] = {}
+    sources, errors = _load_rows(path, parse_document if cfg.task == "cnndm" else parse_game)
+    plans: dict[str, tuple[int, list[PlanStep]]] = {}
     plan_errors: list[tuple[int, str]] = []
     if cfg.task == "rotowire":
         if plans_path is None:
             raise ConfigError("rotowire training needs --train-plans/--valid-plans")
-        plans, plan_errors = _load_plans(plans_path)
+        plan_rows, plan_errors = _load_rows(plans_path, _PLANS_ROW)
+        plans = {rid: (lineno, row["plan"]) for lineno, rid, row in plan_rows}
         _report_line_errors(plans_path, plan_errors)
     if vocab is None:
         vocab = Vocab.from_corpus(
-            (s for _, d in sources for s in d.sentences) if cfg.task == "cnndm"
-            else rotowire_corpus_sentences([g for _, g in sources], cfg.max_units))
+            (s for _, _, d in sources for s in d.sentences) if cfg.task == "cnndm"
+            else rotowire_corpus_sentences([g for _, _, g in sources], cfg.max_units))
     examples: list[StepExample] = []
-    for lineno, source in sources:
+    for lineno, rid, source in sources:
         if cfg.task == "cnndm":
             prep = _prepare(cfg, vocab, source, path, lineno)
             try:
                 result = oracle_full(source.sentences[: prep.n_real_units],
                                      source.abstract_tokens, cfg.max_steps)
             except ValueError as e:
-                errors.append((lineno, f"document {source.doc_id}: {e}"))
+                errors.append((lineno, f"document {rid}: {e}"))
                 continue
             plan = [unit_step(i) for i in sorted(result.selected)]
         else:
-            reference = plans.get(source.game_id)
-            if reference is None:
-                errors.append((lineno, f"game {source.game_id} has no reference plan"))
+            if rid not in plans:
+                errors.append((lineno, f"game {rid} has no reference plan"))
                 continue
+            plan_line, reference = plans[rid]
             prep = _prepare(cfg, vocab, source, path, lineno)
             for ref in rotowire.missing_plan_records(prep.records, reference):
-                _err(f"game {source.game_id}: plan record "
-                     f"{ref.entity}|{ref.type} was prefiltered away")
+                _warn(f"{plans_path}:{plan_line}: game {rid}: plan record "
+                      f"{ref.entity}|{ref.type} was prefiltered away")
             plan = datalib.align_plan_to_units(reference, prep)
         examples.extend(examples_from_plan(prep, plan))
     _report_line_errors(path, errors)
@@ -284,10 +254,11 @@ def cmd_decode(args) -> int:
         no_repeat=cfg.no_repeat,
         trigram_blocking=args.triblk or cfg.trigram_blocking,
     )
-    sources, errors = _load_inputs(cfg, args.infile)
+    sources, errors = _load_rows(args.infile,
+                                 parse_document if cfg.task == "cnndm" else parse_game)
     rows = []
     incomplete = 0
-    for lineno, source in sources:
+    for lineno, _, source in sources:
         prep = _prepare(cfg, vocab, source, args.infile, lineno)
         scorer = ModelStepScorer(model, cfg, vocab, prep)
         if cfg.task == "cnndm":
@@ -315,31 +286,28 @@ def cmd_decode(args) -> int:
 # eval
 # ---------------------------------------------------------------------------
 
-# a generated row's text: decode's summary, or a documents file's sentences;
-# a reference row's: its abstract, when it has one, before its document
-_TOKEN_FIELDS = ("sentences", "summary_sentences", "abstract", "tokens")
-_REF_TOKEN_FIELDS = ("abstract",) + _TOKEN_FIELDS
+# eval's text rows: a generated row's text is decode's summary, or a documents
+# file's sentences; a reference row's is its abstract, when it has one
+_GENERATED_TEXT = ("sentences", "summary_sentences", "abstract", "tokens")
+_REFERENCE_TEXT = ("abstract",) + _GENERATED_TEXT
 
 
-def _row_tokens(row: dict, fields: tuple[str, ...] = _TOKEN_FIELDS) -> list[str]:
-    """The first of ``fields`` the row has: a token list or a list of them."""
-    for fld in fields:
-        if fld in row:
-            val = row[fld]
-            nested = isinstance(val, list) and bool(val) and isinstance(val[0], list)
-            # a string would read as a list of its characters
-            if not isinstance(val, list) or any(isinstance(x, list) != nested for x in val):
-                raise ValueError(f"'{fld}' must be a list of tokens or of token lists")
-            if nested:
-                return [str(t).lower() for sent in val for t in sent]
-            return [str(t).lower() for t in val]
-    raise ValueError(f"no token field among {fields}")
+def _text(row: dict, order: tuple[str, ...]) -> list[str]:
+    """The first field of ``order`` the row has: tokens or token lists, as one list."""
+    for name in order:
+        if name in row:
+            value = row[name]
+            if type(value) is not list:
+                raise RowError((name,), "a list of tokens or of token lists")
+            if value and type(value[0]) is list:
+                return [t for sent in sentences(value, (name,)) for t in sent]
+            return tokens(value, (name,))
+    raise ValueError(f"no token field among {order}")
 
 
-def _rouge_scores(gen: dict, ref: dict, stem: bool) -> tuple[dict, dict[str, float]]:
+def _rouge_scores(gen: dict, ref_tokens: list[str], stem: bool) -> tuple[dict, dict[str, float]]:
     """A row's Rouge report and the F1s its corpus means add up."""
-    cand = _row_tokens(gen)
-    ref_tokens = _row_tokens(ref, _REF_TOKEN_FIELDS)
+    cand = _text(gen, _GENERATED_TEXT)
     if stem:
         cand, ref_tokens = stem_tokens(cand), stem_tokens(ref_tokens)
     scores = {}
@@ -351,10 +319,10 @@ def _rouge_scores(gen: dict, ref: dict, stem: bool) -> tuple[dict, dict[str, flo
     return scores, {key: val["f1"] for key, val in scores.items()}
 
 
-def _plan_scores(gen: dict, ref_plan: list[PlanStep]) -> tuple[dict, dict[str, float]]:
+def _plan_scores(gen: dict, ref: dict) -> tuple[dict, dict[str, float]]:
     """A row's plan report (CS and CO) and the figures its corpus means add up."""
-    gen_recs = rotowire.plan_records(plan_from_json(gen["plan"]))
-    ref_recs = rotowire.plan_records(ref_plan)
+    gen_recs = rotowire.plan_records(_PLANS_ROW(gen)["plan"])
+    ref_recs = rotowire.plan_records(ref["plan"])
     cs = cs_scores(gen_recs, ref_recs)
     csf = cs_scores(gen_recs, ref_recs, drop_name_city_date=True)
     co = co_score([rotowire.record_token(r) for r in gen_recs],
@@ -369,34 +337,26 @@ def _plan_scores(gen: dict, ref_plan: list[PlanStep]) -> tuple[dict, dict[str, f
 
 
 def cmd_eval(args) -> int:
-    gen_rows, gerr = read_jsonl(args.gen, numbered=True)
-    ref_rows, rerr = read_jsonl(args.ref, numbered=True)
-
-    refs: dict = {}
-    sums: dict[str, float] = {}
     if args.task == "rouge":
-        refs = {rid: row for _, rid, row in _rows_by_id(ref_rows, rerr, "not used")}
-        score_row = partial(_rouge_scores, stem=args.stem)
-    elif args.task == "plan":
-        for lineno, rid, row in _rows_by_id(ref_rows, rerr, "not used"):
-            try:
-                refs[rid] = plan_from_json(row["plan"])
-            except (KeyError, ValueError) as e:
-                rerr.append((lineno, f"reference plan: {e}"))
-        sums = dict.fromkeys(("cs_p", "cs_r", "cs_f1", "cs_filtered_f1", "co"), 0.0)
-        score_row = _plan_scores
+        read_ref = partial(_text, order=_REFERENCE_TEXT)
+        score_row, sums = partial(_rouge_scores, stem=args.stem), {}
     else:
-        _err(f"unknown eval task {args.task!r}")
-        return 2
-
+        read_ref, score_row = _PLANS_ROW, _plan_scores
+        sums = dict.fromkeys(("cs_p", "cs_r", "cs_f1", "cs_filtered_f1", "co"), 0.0)
+    failed: dict[str, str] = {}
+    ref_rows, rerr = _load_rows(args.ref, read_ref, failed=failed)
+    refs = {rid: ref for _, rid, ref in ref_rows}
+    # a generated row is read as it is scored, so its errors name its id
+    gen_rows, gerr = _load_rows(args.gen, dict, "not scored again")
     examples: dict[str, dict] = {}
-    for lineno, rid, row in _rows_by_id(gen_rows, gerr, "not scored again"):
+    for lineno, rid, row in gen_rows:
         if rid not in refs:
-            gerr.append((lineno, f"id {rid} missing from reference file"))
+            gerr.append((lineno, f"id {rid}: {failed[rid]}" if rid in failed
+                         else f"id {rid} missing from reference file"))
             continue
         try:
             examples[rid], terms = score_row(row, refs[rid])
-        except (KeyError, ValueError) as e:
+        except ValueError as e:
             gerr.append((lineno, f"id {rid}: {e}"))
             continue
         for key, val in terms.items():
@@ -419,10 +379,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_linearize(args) -> int:
-    games, errors = _load_games(args.infile)
+    games, errors = _load_rows(args.infile, parse_game)
     _report_line_errors(args.infile, errors)
     rows = []
-    for _, game in games:
+    for _, _, game in games:
         refs, units = rotowire.templated_units(game, max_units=10**9)
         rows.append({
             "id": game.game_id,
@@ -434,9 +394,9 @@ def cmd_linearize(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    plans, errors = _load_plans(args.infile)
+    plans, errors = _load_rows(args.infile, _PLANS_ROW)
     _report_line_errors(args.infile, errors)
-    stats = rotowire.plan_stats(list(plans.values()))
+    stats = rotowire.plan_stats([row["plan"] for _, _, row in plans])
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("length,count,density\n")
         total = sum(stats.length_histogram.values()) or 1

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from . import rotowire
-from .plan import BREAK_STEP, END_STEP, PlanStep, RecordRef, unit_step
+from .plan import BREAK_STEP, END_STEP, PlanStep, RecordRef, fields, sentences, string, unit_step
 
 PAD = "<pad>"
 UNK = "<unk>"
@@ -75,47 +75,38 @@ class Document:
         return [t for sent in self.abstract for t in sent]
 
 
+# a documents-file row
+DOCUMENT = fields({"id": string, "sentences": sentences, "abstract?": sentences})
+
+
 def parse_document(obj: dict) -> Document:
-    if "id" not in obj or "sentences" not in obj:
-        raise ValueError("document needs 'id' and 'sentences' fields")
-    sentences = _token_lists(obj["sentences"], "sentences")
-    if any(len(s) == 0 for s in sentences):
+    row = DOCUMENT(obj)
+    if not all(row["sentences"]):
         raise ValueError("documents may not contain empty sentences")
-    abstract = _token_lists(obj.get("abstract", []), "abstract")
-    return Document(str(obj["id"]), sentences, abstract)
-
-
-def _token_lists(value, name: str) -> list[list[str]]:
-    """Field ``name``'s sentences, each a list of lowercased tokens.
-
-    A sentence given as a string is an error, not a list of its characters.
-    """
-    if not isinstance(value, list) or not all(isinstance(s, list) for s in value):
-        raise ValueError(f"'{name}' must be a list of sentences, each a list of tokens")
-    return [[str(t).lower() for t in sent] for sent in value]
+    return Document(row["id"], row["sentences"], row.get("abstract", []))
 
 
 def read_jsonl(path: str, *, numbered: bool = False) -> tuple[list, list[tuple[int, str]]]:
-    """Parse a JSONL file of objects; other lines are collected, not fatal.
-
-    Blank lines are skipped. With ``numbered``, each row comes as
-    ``(line number, row)``, so later errors can name the file line.
-    """
+    """Parse a JSONL file of objects; any other line, or one that is not UTF-8,
+    is collected as an error, not fatal. Lines end as in text mode (``\\n``,
+    ``\\r\\n`` or ``\\r``), and blank ones are skipped. With ``numbered``,
+    each row comes as ``(line number, row)``."""
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
     rows: list = []
     errors: list[tuple[int, str]] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            line = raw.decode("utf-8").strip()
             if not line:
                 continue
-            try:
-                row = json.loads(line)
-                if not isinstance(row, dict):
-                    raise ValueError(f"expected a JSON object, got {type(row).__name__}")
-            except ValueError as e:  # json.JSONDecodeError included
-                errors.append((lineno, str(e)))
-                continue
-            rows.append((lineno, row) if numbered else row)
+            row = json.loads(line)
+            if not isinstance(row, dict):
+                raise ValueError(f"expected a JSON object, got {type(row).__name__}")
+        except (ValueError, RecursionError) as e:  # not UTF-8, not JSON, or nested too deep
+            errors.append((lineno, str(e)))
+            continue
+        rows.append((lineno, row) if numbered else row)
     return rows, errors
 
 

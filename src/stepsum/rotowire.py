@@ -15,7 +15,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .plan import BREAK_STEP, END_STEP, PlanStep, RecordRef, unit_step, validate_plan
+from .plan import (BREAK_STEP, END_STEP, PlanStep, RecordRef, RowError, fields, integer, list_of,
+                   map_of, string, unit_step, validate_plan)
 
 BEG_TOKEN = "<BEG>"
 EOS_TOKEN = "<EOS>"
@@ -131,94 +132,67 @@ _DATE_RE = re.compile(
 )
 
 
-def _parse_date(raw, path: str) -> tuple[int, int, int, int]:
-    if isinstance(raw, dict):
-        try:
-            weekday = raw["weekday"]
-            wd = WEEKDAYS.index(weekday) if isinstance(weekday, str) else int(weekday)
-            return int(raw["year"]), int(raw["month"]), int(raw["day"]), wd
-        except (KeyError, ValueError) as e:
-            raise GameFormatError(f"{path}: bad date object ({e})") from None
-    if isinstance(raw, str):
-        m = _DATE_RE.match(raw.strip())
-        if not m:
-            raise GameFormatError(f"{path}: unparseable date string {raw!r}")
-        try:
-            wd = WEEKDAYS.index(m.group("weekday").capitalize())
-            month = MONTHS.index(m.group("month").capitalize()) + 1
-        except ValueError:
-            raise GameFormatError(f"{path}: unknown weekday or month in {raw!r}") from None
-        return int(m.group("year")), month, int(m.group("day")), wd
-    raise GameFormatError(f"{path}: date must be an object or string")
+def _date(value, path: tuple) -> tuple[int, int, int, int]:
+    """(year, month, day, weekday): an object, or a string like "Saturday, 22nd October 2018"."""
+    if type(value) is not str:
+        d = _DATE_OBJECT(value, path)
+        if d["weekday"] not in WEEKDAYS:
+            raise RowError(path + ("weekday",), f"one of {', '.join(WEEKDAYS)}")
+        return d["year"], d["month"], d["day"], WEEKDAYS.index(d["weekday"])
+    m = _DATE_RE.match(value.strip())
+    weekday, month = (m["weekday"].capitalize(), m["month"].capitalize()) if m else ("", "")
+    if weekday not in WEEKDAYS or month not in MONTHS:
+        raise RowError(path, 'an object or a string like "Saturday, 22nd October 2018"')
+    return int(m["year"]), MONTHS.index(month) + 1, int(m["day"]), WEEKDAYS.index(weekday)
 
 
-def _known_stats(raw, templates: dict[str, str], path: str,
+_DATE_OBJECT = fields({"year": integer, "month": integer, "day": integer, "weekday": string})
+_STATS = map_of(string)
+_TEAM = fields({"key": string, "name": string, "city": string, "stats?": _STATS})
+_PLAYER = fields({"key": string, "first_name": string, "second_name": string,
+                  "team": string, "stats?": _STATS})
+# a games-file row
+GAME = fields({"id": string, "date": _date, "home": _TEAM, "visitor": _TEAM,
+               "players?": list_of(_PLAYER)})
+
+
+def _known_stats(entry: dict, templates: dict[str, str], path: str,
                  warnings: list[str]) -> dict[str, str]:
-    """The stats whose entry type has a template; any other key is dropped,
-    with a warning, since no record could be rendered from it."""
-    stats = {}
-    for k, v in dict(raw).items():
-        if k in templates:
-            stats[str(k)] = str(v)
-        else:
-            warnings.append(f"{path}.stats: dropped unknown entry type {k}")
-    return stats
-
-
-def _parse_team(raw, path: str, home: bool, warnings: list[str]) -> TeamEntry:
-    if not isinstance(raw, dict):
-        raise GameFormatError(f"{path}: missing team line")
-    for fld in ("key", "name", "city"):
-        if fld not in raw:
-            raise GameFormatError(f"{path}.{fld}: missing")
-    stats = _known_stats(raw.get("stats", {}), TEAM_TEMPLATES, path, warnings)
-    return TeamEntry(str(raw["key"]), str(raw["name"]), str(raw["city"]), home, stats)
+    """The stats whose entry type has a template; no record could be rendered
+    from another, so it is dropped with a warning."""
+    stats = entry.get("stats", {})
+    warnings += [f"{path}.stats: dropped unknown entry type {k}" for k in stats
+                 if k not in templates]
+    return {k: v for k, v in stats.items() if k in templates}
 
 
 def parse_game(raw: dict) -> RotowireGame:
-    """Parse one raw game object; unknown entry types are dropped with a warning."""
-    if not isinstance(raw, dict):
-        raise GameFormatError("game must be an object")
-    warnings: list[str] = []
-    if "home" not in raw:
-        raise GameFormatError("home: missing team line")
-    if "visitor" not in raw:
-        raise GameFormatError("visitor: missing team line")
-    teams = [
-        _parse_team(raw["home"], "home", True, warnings),
-        _parse_team(raw["visitor"], "visitor", False, warnings),
-    ]
-    if teams[1].key == teams[0].key:
+    """Read one game through ``GAME``; unknown entry types are dropped with a warning."""
+    try:
+        row = GAME(raw)
+    except RowError as e:
+        raise GameFormatError(*e.args) from None
+    home, visitor = row["home"], row["visitor"]
+    if visitor["key"] == home["key"]:
         # the teams' records and players would share one entity
-        raise GameFormatError(f"visitor.key: {teams[1].key!r} is also the home team's key")
+        raise GameFormatError(f"visitor.key: {visitor['key']!r} is also the home team's key")
+    warnings: list[str] = []
+    teams = [TeamEntry(t["key"], t["name"], t["city"], t is home,
+                       _known_stats(t, TEAM_TEMPLATES, side, warnings))
+             for side, t in (("home", home), ("visitor", visitor))]
+    # a player names its team by side, or by key
+    team_key = {home["key"]: home["key"], visitor["key"]: visitor["key"],
+                "home": home["key"], "visitor": visitor["key"], "vis": visitor["key"]}
     players = []
-    for i, p in enumerate(raw.get("players", [])):
-        path = f"players[{i}]"
-        for fld in ("key", "first_name", "second_name", "team"):
-            if fld not in p:
-                raise GameFormatError(f"{path}.{fld}: missing")
-        team = p["team"]
-        if team == "home":
-            team_key = teams[0].key
-        elif team in ("visitor", "vis"):
-            team_key = teams[1].key
-        elif team in (teams[0].key, teams[1].key):
-            team_key = team
-        else:
-            raise GameFormatError(f"{path}.team: {team!r} names no team in this game")
-        stats = _known_stats(p.get("stats", {}), PLAYER_TEMPLATES, path, warnings)
-        players.append(PlayerEntry(str(p["key"]), str(p["first_name"]),
-                                   str(p["second_name"]), team_key, stats))
+    for i, p in enumerate(row.get("players", [])):
+        if p["team"] not in team_key:
+            raise GameFormatError(f"players[{i}].team: {p['team']!r} names no team in this game")
+        players.append(PlayerEntry(p["key"], p["first_name"], p["second_name"],
+                                   team_key[p["team"]],
+                                   _known_stats(p, PLAYER_TEMPLATES, f"players[{i}]", warnings)))
     if not players:
         warnings.append("players: game has no player lines")
-    return RotowireGame(
-        game_id=str(raw.get("id", "")),
-        date=_parse_date(raw.get("date", {"year": 2016, "month": 1, "day": 1,
-                                          "weekday": 4}), "date"),
-        teams=teams,
-        players=players,
-        warnings=warnings,
-    )
+    return RotowireGame(row["id"], row["date"], teams, players, warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -410,24 +384,31 @@ def plan_to_json(steps: Sequence[PlanStep]) -> list:
     return out
 
 
-def plan_from_json(items: Sequence) -> list[PlanStep]:
+def _plan_element(value, path: tuple) -> PlanStep | RecordRef:
+    """"EOT", "EOS", a record ``{"entity", "type"}`` or a unit ``{"unit"}``."""
+    if type(value) is dict and ("entity" in value or "type" in value):
+        return RecordRef(**_RECORD(value, path))
+    if type(value) is dict:
+        return unit_step(_UNIT(value, path)["unit"])
+    if value in ("EOT", "EOS"):
+        return END_STEP if value == "EOT" else BREAK_STEP
+    raise RowError(path, '"EOT", "EOS" or an object')
+
+
+_RECORD = fields({"entity": string, "type": string})
+_UNIT = fields({"unit": integer})
+_PLAN = list_of(_plan_element)
+
+
+def plan_from_json(items: list, path: tuple = ("plan",)) -> list[PlanStep]:
+    """A plan's steps; a record's unit index is its place among the plan's units."""
     steps: list[PlanStep] = []
-    u = 0
-    for i, item in enumerate(items):
-        if item == "EOT":
-            steps.append(END_STEP)
-        elif item == "EOS":
-            steps.append(BREAK_STEP)
-        elif isinstance(item, dict) and "entity" in item and "type" in item:
-            steps.append(PlanStep("unit", unit=u,
-                                  record=RecordRef(str(item["entity"]),
-                                                   str(item["type"]))))
-            u += 1
-        elif isinstance(item, dict) and "unit" in item:
-            steps.append(unit_step(int(item["unit"])))
-            u += 1
-        else:
-            raise ValueError(f"plan element {i} is malformed: {item!r}")
+    units = 0
+    for step in _PLAN(items, path):
+        if isinstance(step, RecordRef):
+            step = unit_step(units, step)
+        units += step.kind == "unit"
+        steps.append(step)
     validate_plan(steps)
     return steps
 

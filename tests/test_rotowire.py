@@ -115,14 +115,14 @@ def test_cli_prints_game_warnings_and_keeps_exit_code(tmp_path, capsys):
 
     from stepsum.cli import main
 
-    raw = table3_game()
+    raw = dict(table3_game(), id="table3-mojo")  # each row of a file has its own id
     # an N/A player value is prefiltered away, so no template is asked for
     raw["players"][1]["stats"]["PLAYER-MOJO"] = "N/A"
     src = tmp_path / "games.jsonl"
     src.write_text(json.dumps(table3_game()) + "\n" + json.dumps(raw) + "\n")
     assert main(["linearize", "--in", str(src), "--out", str(tmp_path / "units.jsonl")]) == 0
     assert capsys.readouterr().err.splitlines() == [
-        f"warning: {src}:2: game table3: players[1].stats: dropped unknown entry type "
+        f"warning: {src}:2: game table3-mojo: players[1].stats: dropped unknown entry type "
         "PLAYER-MOJO"]
 
 
@@ -131,15 +131,16 @@ def test_cli_linearize_keeps_a_game_with_an_unknown_stat_type(tmp_path, capsys):
 
     from stepsum.cli import main
 
-    raw = table3_game()
+    raw = dict(table3_game(), id="table3-mojo")  # each row of a file has its own id
     raw["home"]["stats"]["TEAM-MOJO"] = "11"
     src, out = tmp_path / "games.jsonl", tmp_path / "units.jsonl"
     src.write_text(json.dumps(table3_game()) + "\n" + json.dumps(raw) + "\n")
     assert main(["linearize", "--in", str(src), "--out", str(out)]) == 0
     assert capsys.readouterr().err.splitlines() == [
-        f"warning: {src}:2: game table3: home.stats: dropped unknown entry type TEAM-MOJO"]
+        f"warning: {src}:2: game table3-mojo: home.stats: dropped unknown entry type TEAM-MOJO"]
     rows = [json.loads(line) for line in out.read_text().splitlines()]
-    assert len(rows) == 2 and rows[0] == rows[1]
+    assert len(rows) == 2
+    assert (rows[0]["units"], rows[0]["records"]) == (rows[1]["units"], rows[1]["records"])
 
 
 # -- ranking --------------------------------------------------------------------
