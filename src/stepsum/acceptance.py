@@ -281,6 +281,10 @@ def _op_cases(seed: int):
     sl = t(18)
     cases.append(("cross_entropy_spans", {"logits": sl},
                   lambda: cross_entropy(sl, [2, 0, 5], [(0, 5), (7, 3), (11, 6)])))
+    fx, fw1, fb1, fw2, fb2 = t(2, 3, 4), t(4, 6), t(6), t(6, 4), t(4)
+    cases.append(("feed_forward", {"x": fx, "w1": fw1, "b1": fb1, "w2": fw2, "b2": fb2},
+                  lambda: ad.sum_all(ad.mul(ad.feed_forward(fx, fw1, fb1, fw2, fb2),
+                                            ad.feed_forward(fx, fw1, fb1, fw2, fb2)))))
     return cases
 
 

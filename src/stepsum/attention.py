@@ -50,7 +50,7 @@ from .autodiff import (
     Tensor,
     apply_op,
     concat_rows,
-    gelu,
+    feed_forward as ffn_op,
     layer_norm,
     linear,
     take,
@@ -222,7 +222,7 @@ def init_layer(rng: np.random.Generator, dim: int, ffn_dim: int, std: float,
 
 
 def feed_forward(x: Tensor, p: FfnParams) -> Tensor:
-    return linear(gelu(linear(x, p.w1, p.b1)), p.w2, p.b2)
+    return ffn_op(x, p.w1, p.b1, p.w2, p.b2)
 
 
 def add_norm(x: Tensor, y: Tensor, p: LayerNormParams) -> Tensor:

@@ -20,8 +20,11 @@ is added into in place.
 that run in place on their own buffers, ``gelu`` and ``layer_norm`` in
 blocks of about ``BLOCK_ELEMENTS`` elements, so a block's arrays stay in
 cache. Each keeps the expression order of the plain numpy formula, so
-values and gradients keep their exact bits. ``cross_entropy`` is a batch's
-mean loss in one op, over the rows that spans mark in one logits vector.
+values and gradients keep their exact bits. ``feed_forward`` is ``linear``,
+``gelu``, ``linear`` in one op that keeps only its input: its backward
+recomputes the wide hidden arrays, with their bits, instead of the tape
+holding them. ``cross_entropy`` is a batch's mean loss in one op, over the
+rows that spans mark in one logits vector.
 
 ``Adam`` holds the parameters, its moments and the gathered gradients in
 flat buffers in payload order, and updates them in one blocked pass.
@@ -513,9 +516,9 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_D = 3 * 0.044715
 
 
-def gelu(x: Tensor) -> Tensor:
-    """Tanh-approximated GELU, ``0.5 * x * (1 + tanh(c * (x + 0.044715 * x**3)))``."""
-    xd = x.data.reshape(-1)
+def _gelu_blocks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GELU of ``x`` in blocks: its ``tanh`` term and its output, in new arrays."""
+    xd = x.reshape(-1)
     t, y = np.empty_like(xd), np.empty_like(xd)
     scratch = np.empty(min(xd.size, BLOCK_ELEMENTS))
     for lo, hi in _blocks(xd.size, BLOCK_ELEMENTS):
@@ -529,32 +532,89 @@ def gelu(x: Tensor) -> Tensor:
         np.multiply(0.5, xb, out=yb)
         np.add(1.0, tb, out=s)
         np.multiply(yb, s, out=yb)
+    return t.reshape(x.shape), y.reshape(x.shape)
+
+
+def _gelu_grad_blocks(x: np.ndarray, t: np.ndarray, g: np.ndarray,
+                      out: np.ndarray) -> np.ndarray:
+    """GELU's input gradient, ``g`` times its derivative at ``x``, written into
+    ``out`` in blocks; ``out`` may be ``g`` itself."""
+    xd, td, gf, dx = x.reshape(-1), t.reshape(-1), g.reshape(-1), out.reshape(-1)
+    d_inner, a, b = (np.empty(min(xd.size, BLOCK_ELEMENTS)) for _ in range(3))
+    for lo, hi in _blocks(xd.size, BLOCK_ELEMENTS):
+        xb, tb, n = xd[lo:hi], td[lo:hi], hi - lo
+        di, sa, sb = d_inner[:n], a[:n], b[:n]
+        # d_inner = c * (1 + 3 * 0.044715 * x * x)
+        np.multiply(xb, xb, out=di)
+        np.multiply(_GELU_D, di, out=di)
+        np.add(1.0, di, out=di)
+        np.multiply(_GELU_C, di, out=di)
+        # 0.5 * (1 + t) + 0.5 * x * (1 - t * t) * d_inner
+        np.multiply(tb, tb, out=sa)
+        np.subtract(1.0, sa, out=sa)
+        np.multiply(0.5, xb, out=sb)
+        np.multiply(sb, sa, out=sb)
+        np.multiply(sb, di, out=sb)
+        np.add(1.0, tb, out=sa)
+        np.multiply(0.5, sa, out=sa)
+        np.add(sa, sb, out=sa)
+        np.multiply(gf[lo:hi], sa, out=dx[lo:hi])
+    return out
+
+
+def gelu(x: Tensor) -> Tensor:
+    """Tanh-approximated GELU, ``0.5 * x * (1 + tanh(c * (x + 0.044715 * x**3)))``."""
+    xd = x.data
+    t, y = _gelu_blocks(xd)
 
     def back(g, accum):
-        gf = g.reshape(-1)
-        dx = np.empty_like(xd)
-        d_inner, a, b = (np.empty_like(scratch) for _ in range(3))
-        for lo, hi in _blocks(xd.size, BLOCK_ELEMENTS):
-            xb, tb, n = xd[lo:hi], t[lo:hi], hi - lo
-            di, sa, sb = d_inner[:n], a[:n], b[:n]
-            # d_inner = c * (1 + 3 * 0.044715 * x * x)
-            np.multiply(xb, xb, out=di)
-            np.multiply(_GELU_D, di, out=di)
-            np.add(1.0, di, out=di)
-            np.multiply(_GELU_C, di, out=di)
-            # 0.5 * (1 + t) + 0.5 * x * (1 - t * t) * d_inner
-            np.multiply(tb, tb, out=sa)
-            np.subtract(1.0, sa, out=sa)
-            np.multiply(0.5, xb, out=sb)
-            np.multiply(sb, sa, out=sb)
-            np.multiply(sb, di, out=sb)
-            np.add(1.0, tb, out=sa)
-            np.multiply(0.5, sa, out=sa)
-            np.add(sa, sb, out=sa)
-            np.multiply(gf[lo:hi], sa, out=dx[lo:hi])
-        accum(x, dx.reshape(x.shape))
+        accum(x, _gelu_grad_blocks(xd, t, g, np.empty_like(xd)))
 
-    return apply_op(y.reshape(x.shape), (x,), back, what="gelu")
+    return apply_op(y, (x,), back, what="gelu")
+
+
+def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """``linear(gelu(linear(x, w1, b1)), w2, b2)`` as one op that keeps only ``x``.
+
+    The backward recomputes the hidden rows from ``x`` by the forward's
+    expressions at its shapes, so with its bits, then runs the three ops'
+    gradient expressions in their sweep order. No ``[rows x ffn_dim]``
+    array stays on the tape."""
+    xd, w1d, w2d = x.data, w1.data, w2.data
+    if (xd.ndim < 2 or w1d.ndim != 2 or w2d.ndim != 2 or xd.shape[-1] != w1d.shape[0]
+            or w2d.shape[0] != w1d.shape[1] or b1.shape != w1d.shape[1:]
+            or b2.shape != w2d.shape[1:]):
+        raise ShapeError(f"feed_forward operands disagree: {x.shape} x {w1.shape} + {b1.shape}, "
+                         f"{w2.shape} + {b2.shape}")
+
+    def hidden() -> np.ndarray:
+        h = xd @ w1d
+        h += b1.data
+        return h
+
+    h = hidden()
+    _check_finite(h, "linear")
+    _, y = _gelu_blocks(h)
+    _check_finite(y, "gelu")
+    out = y @ w2d
+    out += b2.data
+
+    def back(g, accum):
+        h = hidden()
+        t, y = _gelu_blocks(h)
+        f, n = w2d.shape
+        accum(w2, y.reshape(-1, f).T @ g.reshape(-1, n))
+        del y
+        accum(b2, _suffix_reduce(g, b2.shape))
+        gh = g @ w2d.T
+        _gelu_grad_blocks(h, t, gh, gh)
+        del h, t
+        k, f = w1d.shape
+        accum(x, gh @ w1d.T)
+        accum(w1, xd.reshape(-1, k).T @ gh.reshape(-1, f))
+        accum(b1, _suffix_reduce(gh, b1.shape))
+
+    return apply_op(out, (x, w1, b1, w2, b2), back, what="linear")
 
 
 def layer_norm(x: Tensor, residual: Tensor, gain: Tensor, bias: Tensor,

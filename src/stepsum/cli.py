@@ -95,6 +95,20 @@ def _load_rows(path: str, read: Callable, repeat: str = "not used",
     return out, errors
 
 
+def _source_reader(cfg: RunConfig) -> Callable:
+    """Train's and decode's row reader: a document, or a game whose records
+    fit ``max_units`` beside ``prepare_rotowire``'s two special units."""
+    if cfg.task == "cnndm":
+        return parse_document
+
+    def read_game(row):
+        game = parse_game(row)
+        rotowire.prefilter(game, cfg.max_units, reserved=2)
+        return game
+
+    return read_game
+
+
 def _prepare(cfg: RunConfig, vocab: Vocab, source: Document | rotowire.RotowireGame,
              path: str, lineno: int) -> PreparedDoc:
     """A document or game in model terms, within the config's limits.
@@ -150,7 +164,7 @@ def _prepare_corpus(cfg: RunConfig, path: str, plans_path: str | None,
     Documents take their plans from the oracle, games from the plans file.
     Failed lines are reported against the file they come from.
     """
-    sources, errors = _load_rows(path, parse_document if cfg.task == "cnndm" else parse_game)
+    sources, errors = _load_rows(path, _source_reader(cfg))
     plans: dict[str, tuple[int, list[PlanStep]]] = {}
     plan_errors: list[tuple[int, str]] = []
     if cfg.task == "rotowire":
@@ -254,8 +268,7 @@ def cmd_decode(args) -> int:
         no_repeat=cfg.no_repeat,
         trigram_blocking=args.triblk or cfg.trigram_blocking,
     )
-    sources, errors = _load_rows(args.infile,
-                                 parse_document if cfg.task == "cnndm" else parse_game)
+    sources, errors = _load_rows(args.infile, _source_reader(cfg))
     rows = []
     incomplete = 0
     for lineno, _, source in sources:

@@ -10,6 +10,7 @@ sentence-break and end markers.
 
 from __future__ import annotations
 
+import datetime
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -133,17 +134,24 @@ _DATE_RE = re.compile(
 
 
 def _date(value, path: tuple) -> tuple[int, int, int, int]:
-    """(year, month, day, weekday): an object, or a string like "Saturday, 22nd October 2018"."""
+    """(year, month, day, weekday): an object, or a string like "Saturday, 22nd October 2018".
+    The day must be on the calendar; the weekday is read as given."""
     if type(value) is not str:
         d = _DATE_OBJECT(value, path)
         if d["weekday"] not in WEEKDAYS:
             raise RowError(path + ("weekday",), f"one of {', '.join(WEEKDAYS)}")
-        return d["year"], d["month"], d["day"], WEEKDAYS.index(d["weekday"])
-    m = _DATE_RE.match(value.strip())
-    weekday, month = (m["weekday"].capitalize(), m["month"].capitalize()) if m else ("", "")
-    if weekday not in WEEKDAYS or month not in MONTHS:
-        raise RowError(path, 'an object or a string like "Saturday, 22nd October 2018"')
-    return int(m["year"]), MONTHS.index(month) + 1, int(m["day"]), WEEKDAYS.index(weekday)
+        year, month, day, weekday = d["year"], d["month"], d["day"], d["weekday"]
+    else:
+        m = _DATE_RE.match(value.strip())
+        weekday, month = (m["weekday"].capitalize(), m["month"].capitalize()) if m else ("", "")
+        if weekday not in WEEKDAYS or month not in MONTHS:
+            raise RowError(path, 'an object or a string like "Saturday, 22nd October 2018"')
+        year, month, day = int(m["year"]), MONTHS.index(month) + 1, int(m["day"])
+    try:
+        datetime.date(year, month, day)
+    except (ValueError, OverflowError) as e:
+        raise RowError(path, f"a date on the calendar ({e})") from None
+    return year, month, day, WEEKDAYS.index(weekday)
 
 
 _DATE_OBJECT = fields({"year": integer, "month": integer, "day": integer, "weekday": string})

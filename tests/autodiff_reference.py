@@ -7,6 +7,9 @@ attention chains the fused attention ops replaced; ``scale`` also ends the
 batch loss chain.
 
 ``reference_linear`` is two ops, a ``matmul`` then a bias ``add``.
+``reference_feed_forward`` is the three-op chain the one-op
+``feed_forward`` replaced, ``linear``, ``gelu``, ``linear``, which keeps
+its hidden arrays on the tape.
 ``reference_gelu`` and ``reference_layer_norm`` build whole-size
 temporaries; ``reference_layer_norm`` is an ``add`` of the residual, then
 the norm. ``reference_batch_loss`` is a ``narrow`` and a one-row
@@ -31,6 +34,8 @@ from stepsum.autodiff import (
     _suffix_reduce,
     add,
     apply_op,
+    gelu,
+    linear,
     matmul,
     narrow,
 )
@@ -78,6 +83,11 @@ def add_const(a: Tensor, const: np.ndarray) -> Tensor:
 
 def reference_linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return add(matmul(x, w), b)
+
+
+def reference_feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
+                           b2: Tensor) -> Tensor:
+    return linear(gelu(linear(x, w1, b1)), w2, b2)
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)

@@ -1,14 +1,18 @@
-"""The one-op ``linear``, the blocked in-place ``gelu`` and residual
-``layer_norm``, the batch ``cross_entropy`` over spans and the adopting
-backward sweep against the code they replaced (``autodiff_reference.py``):
-forward values and every leaf gradient are bitwise equal. The sweep adopts a first gradient as it is, so no backward
+"""The one-op ``linear`` and ``feed_forward``, the blocked in-place ``gelu``
+and residual ``layer_norm``, the batch ``cross_entropy`` over spans and the
+adopting backward sweep against the code they replaced
+(``autodiff_reference.py``): forward values and every leaf gradient are
+bitwise equal. The sweep adopts a first gradient as it is, so no backward
 may write into the gradient it receives; a read-only gradient proves it.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 from autodiff_reference import (
     reference_backward,
+    reference_feed_forward,
     reference_gelu,
     reference_layer_norm,
     reference_linear,
@@ -170,6 +174,65 @@ def test_linear_is_one_op_and_checks_shapes():
         ad.linear(Tensor(np.ones((4, 3))), w, Tensor(np.zeros(3)))
 
 
+# 2-D and stacked rows of 16 into a hidden width of 256: one row, and rows
+# within, at and across gelu's blocks
+FFN_SHAPES = [(n, 16) for n in row_counts(GELU_ROWS)] + [(2, 3, 16), (3, GELU_ROWS // 2, 16)]
+
+
+@pytest.mark.parametrize("shape", FFN_SHAPES, ids=str)
+def test_feed_forward_matches_reference(shape):
+    rng = np.random.default_rng(sum(shape))
+    x = leaf(rng, shape, zeros=True)
+    w1, b1, w2, b2 = leaf(rng, (16, 256)), leaf(rng, (256,)), leaf(rng, (256, 16)), leaf(rng, (16,))
+    leaves = [x, w1, b1, w2, b2]
+    assert bits(ad.feed_forward(*leaves).data) == bits(reference_feed_forward(*leaves).data)
+    probe = rng.normal(size=shape)
+    got = leaf_grads(lambda: probed(ad.feed_forward(*leaves), probe), leaves)
+    assert got == leaf_grads(lambda: probed(reference_feed_forward(*leaves), probe), leaves,
+                             reference_backward)
+    assert got == leaf_grads(lambda: probed(ad.feed_forward(*leaves), probe), leaves,
+                             read_only_backward)
+
+
+def test_feed_forward_is_one_op_and_checks_shapes():
+    x = Tensor(np.ones((4, 3)))
+    w1, b1 = Tensor(np.ones((3, 5)), requires_grad=True), Tensor(np.zeros(5))
+    w2, b2 = Tensor(np.ones((5, 3))), Tensor(np.zeros(3))
+    with Tape() as tape:
+        ad.feed_forward(x, w1, b1, w2, b2)
+    assert len(tape.nodes) == 1
+    for bad in ((Tensor(np.ones(3)), w1, b1, w2, b2), (x, w1, b1, w1, b2),
+                (x, w1, b2, w2, b2), (x, w1, b1, w2, b1)):
+        with pytest.raises(ShapeError):
+            ad.feed_forward(*bad)
+
+
+def _kept_bytes(forward) -> int:
+    """Bytes that a taped ``forward()`` leaves allocated beyond its output."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with Tape() as tape:
+            out = forward()
+            kept = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
+    finally:
+        tracemalloc.stop()
+    return kept
+
+
+def test_taped_feed_forward_keeps_no_hidden_array():
+    """A taped ``[512 x 64] -> 256`` forward keeps less than one 1 MiB
+    ``[rows x ffn_dim]`` array beyond its output; the three-op chain keeps
+    three."""
+    rng = np.random.default_rng(5)
+    x = Tensor(rng.normal(size=(512, 64)), requires_grad=True)
+    params = [Tensor(rng.normal(size=s) * 0.1, requires_grad=True)
+              for s in ((64, 256), (256,), (256, 64), (64,))]
+    hidden_bytes = 512 * 256 * 8
+    assert _kept_bytes(lambda: ad.feed_forward(x, *params)) < hidden_bytes
+    assert _kept_bytes(lambda: reference_feed_forward(x, *params)) >= 3 * hidden_bytes
+
+
 def _aliasing_cases():
     """Graphs whose gradients reach a tensor shared, as views, or many times."""
     rng = np.random.default_rng(7)
@@ -264,7 +327,7 @@ def test_training_step_matches_reference(monkeypatch, encoder):
     step = lambda: batch_mean_loss(model, cfg, vocab, batch)  # noqa: E731
     got = leaf_grads(step, params)
     assert got == leaf_grads(step, params, read_only_backward)
-    for name, ref in (("linear", reference_linear), ("gelu", reference_gelu),
+    for name, ref in (("linear", reference_linear), ("ffn_op", reference_feed_forward),
                       ("layer_norm", reference_layer_norm)):
         monkeypatch.setattr(attention, name, ref)
     monkeypatch.setattr(models, "cross_entropy", reference_batch_loss)

@@ -252,9 +252,11 @@ def test_desk_training_step_records_no_head_split(monkeypatch):
     # rows (2 linear); the per-prefix call gathers the rows whose layer-0
     # keys and values it projects, and stitches the carried and the fresh
     # keys and values of layers 0 and 1 (5 concat_rows)
-    assert (kinds.count("linear"), kinds.count("concat_rows")) == (30, 8)
+    assert (kinds.count("linear"), kinds.count("concat_rows")) == (22, 8)
+    # each layer call's feed-forward sublayer is one node
+    assert kinds.count("feed_forward") == 4
     # two norms per layer call, each with its residual; one loss node
     assert kinds.count("layer_norm") == 8
     assert not {"add", "narrow", "scale"} & set(kinds)
     assert kinds.count("cross_entropy") == 1 and kinds[-1] == "cross_entropy"
-    assert len(kinds) == 62
+    assert len(kinds) == 54

@@ -300,7 +300,9 @@ def test_desk_training_step_records_one_op_per_attention():
     assert not {"transpose", "softmax", "add_const", "bias_at"} & set(kinds)
     # the pooled sentence vectors, the scorer's logits and their flattening
     assert kinds.count("reshape") == 3
-    assert kinds.count("linear") == 40
+    assert kinds.count("linear") == 32
+    # one feed-forward node per sentence layer and per document layer
+    assert kinds.count("feed_forward") == cfg.sent_layers + cfg.doc_layers == 4
     # two norms per sentence layer and four per document layer (its
     # self-attention norm on both streams), none of them right after an
     # add; the adds are the three positional sums
@@ -311,4 +313,4 @@ def test_desk_training_step_records_one_op_per_attention():
     # stack's last query row, token 0
     assert kinds.count("cross_entropy") == 1 and kinds[-1] == "cross_entropy"
     assert kinds.count("narrow") == 1 and "scale" not in kinds
-    assert len(kinds) == 80
+    assert len(kinds) == 72

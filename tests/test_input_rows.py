@@ -262,6 +262,33 @@ def test_train_and_decode_read_games_and_plans_through_the_loader(tmp_path, caps
     assert decoded == _decode(tmp_path, capsys, cfg, good_games)[2]
 
 
+def test_train_and_decode_report_a_game_over_the_unit_budget(tmp_path, capsys):
+    """A game whose records cannot fit ``max_units`` is a line error of its
+    own: the other games train and decode as if it were absent."""
+    cfg = _config(tmp_path, "rotowire")
+    big = copy.deepcopy(GAMES[SWEPT])
+    big["players"] = [dict(big["players"][0], key=f"P{i}") for i in range(20)]
+    good_games = write_rows(tmp_path / "good-games.jsonl", GAMES[:SWEPT])
+    games = write_rows(tmp_path / "games.jsonl", GAMES[:SWEPT] + [big])
+    plans = write_rows(tmp_path / "plans.jsonl", [
+        {"id": g["id"], "plan": [{"entity": "Chicago_Bulls", "type": "TEAM-PTS"}, "EOT"]}
+        for g in GAMES])
+    error = f"error: {games}:2: game g2 still has 135 records after dropping all droppable "\
+            "entries; budget is 44"
+
+    def train(path, out):
+        code, err = _run(capsys, "train", "--config", cfg, "--train", path, "--train-plans",
+                         plans, "--valid", path, "--valid-plans", plans, "--out", out)
+        return code, err, (out / "best" / "params.bin").read_bytes()
+
+    code, err, params = train(games, tmp_path / "ckpt")
+    assert code == 1 and err.splitlines().count(error) == 2, err
+    assert params == train(good_games, tmp_path / "good-ckpt")[2]
+    code, err, decoded = _decode(tmp_path, capsys, cfg, games)
+    assert (code, err.splitlines()) == (1, [error])
+    assert decoded == _decode(tmp_path, capsys, cfg, good_games)[2]
+
+
 def test_train_warns_of_a_plan_record_prefiltered_away(tmp_path, capsys):
     """Prefiltering drops a player's N/A records; a plan that names one is
     warned of against its line in the plans file, and training goes on."""

@@ -55,6 +55,27 @@ def test_parse_date_object():
     assert parse_game(raw).date == (2016, 3, 7, 2)
 
 
+@pytest.mark.parametrize("date", [
+    {"year": 2016, "month": 13, "day": 40, "weekday": "Monday"},
+    {"year": 2015, "month": 2, "day": 29, "weekday": "Sunday"},
+    {"year": 0, "month": 1, "day": 1, "weekday": "Monday"},
+    {"year": 2 ** 70, "month": 1, "day": 1, "weekday": "Monday"},
+    "Monday, 40th March 2016",
+    "Sunday, 29th February 2015",
+], ids=str)
+def test_date_off_the_calendar_rejected(date):
+    raw = table3_game()
+    raw["date"] = date
+    with pytest.raises(GameFormatError, match="^'date' must be a date on the calendar"):
+        parse_game(raw)
+
+
+def test_leap_day_read_and_weekday_not_checked():
+    raw = table3_game()
+    raw["date"] = "Friday, 29th February 2016"  # a Monday
+    assert parse_game(raw).date == (2016, 2, 29, 4)
+
+
 def test_missing_team_line_rejected():
     raw = table3_game()
     del raw["visitor"]

@@ -210,15 +210,6 @@ def test_cli_import_leaves_release_suite_unloaded():
     assert r.stdout.strip() == "False"
 
 
-def test_cli_import_leaves_process_pool_unloaded():
-    r = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, stepsum.cli; print('concurrent.futures.process' in sys.modules)"],
-        capture_output=True, text=True, env=cli_env(), cwd=os.path.dirname(__file__))
-    assert r.returncode == 0, r.stderr
-    assert r.stdout.strip() == "False"
-
-
 def test_cli_malformed_line_reported_run_continues(workspace, tmp_path):
     root, cfg_path, docs_path = workspace
     bad = str(tmp_path / "bad.jsonl")
